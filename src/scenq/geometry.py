@@ -158,22 +158,15 @@ def first_polyline_crossing(
     return None
 
 
-def point_segment_distance(px: float, py: float, a: np.ndarray, b: np.ndarray) -> float:
-    """Distance from a point to a segment."""
-    d = b - a
-    len2 = float(d[0] * d[0] + d[1] * d[1])
-    if len2 <= 0.0:
-        return float(math.hypot(px - a[0], py - a[1]))
-    t = ((px - a[0]) * d[0] + (py - a[1]) * d[1]) / len2
-    t = min(max(t, 0.0), 1.0)
-    return float(math.hypot(px - (a[0] + t * d[0]), py - (a[1] + t * d[1])))
-
-
 def point_polyline_distance(px: float, py: float, points: np.ndarray) -> float:
-    pts = np.asarray(points, dtype=float)
-    return min(
-        point_segment_distance(px, py, pts[i], pts[i + 1]) for i in range(len(pts) - 1)
-    )
+    """Distance from a point to a polyline; a single vertex is a point."""
+    a = np.asarray(points, dtype=float)
+    # every vertex starts a segment; the last one a zero-length one
+    d = np.diff(a, axis=0, append=a[-1:])
+    len2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    dot = (px - a[:, 0]) * d[:, 0] + (py - a[:, 1]) * d[:, 1]
+    t = np.clip(np.divide(dot, len2, out=np.zeros_like(dot), where=len2 > 0.0), 0.0, 1.0)
+    return float(np.min(np.hypot(px - (a[:, 0] + t * d[:, 0]), py - (a[:, 1] + t * d[:, 1]))))
 
 
 def point_in_polygon(px: float, py: float, polygon: np.ndarray) -> bool:
@@ -193,10 +186,7 @@ def point_in_polygon(px: float, py: float, polygon: np.ndarray) -> bool:
 def signed_polygon_distance(px: float, py: float, polygon: np.ndarray) -> float:
     """Distance to the polygon boundary, negative when inside."""
     poly = np.asarray(polygon, dtype=float)
-    n = len(poly)
-    edge = min(
-        point_segment_distance(px, py, poly[i], poly[(i + 1) % n]) for i in range(n)
-    )
+    edge = point_polyline_distance(px, py, np.vstack([poly, poly[:1]]))
     return -edge if point_in_polygon(px, py, poly) else edge
 
 

@@ -22,8 +22,7 @@ ARRIVAL_SPEED_FLOOR = 1e-3  # m/s, keeps predicted arrival times finite
 BRAKING_ACCEL_FLOOR = -1e-6  # m/s^2, accelerations above this are not braking
 
 WTTC_HORIZON = 20.0  # s, beyond this no worst-case collision is searched
-WTTC_SCAN_STEP = 0.01  # s, root bracketing grid
-WTTC_TOLERANCE = 1e-4  # s, bisection stop width
+WTTC_MAX_ITERATIONS = 64  # cap on Newton steps; roots settle to rounding in about 15
 
 # worst-case acceleration magnitude assumed per actor class, m/s^2
 DEFAULT_MAX_ACCEL = {
@@ -55,10 +54,14 @@ def common_grid(trace: Trace, actor_ids: tuple[str, ...]) -> np.ndarray:
     return t0 + np.arange(count) * trace.time_step
 
 
-def _velocity(sampled: dict) -> tuple[np.ndarray, np.ndarray]:
-    vx = sampled["speed"] * np.cos(sampled["heading"])
-    vy = sampled["speed"] * np.sin(sampled["heading"])
-    return vx, vy
+def _relative_motion(trace: Trace, ego: str, target: str) -> tuple[np.ndarray, ...]:
+    """Shared sample times, target offset from the ego and relative velocity."""
+    times = common_grid(trace, (ego, target))
+    e = sample_track(trace.track(ego), times)
+    t = sample_track(trace.track(target), times)
+    dvx = t["speed"] * np.cos(t["heading"]) - e["speed"] * np.cos(e["heading"])
+    dvy = t["speed"] * np.sin(t["heading"]) - e["speed"] * np.sin(e["heading"])
+    return times, t["x"] - e["x"], t["y"] - e["y"], dvx, dvy
 
 
 def euclidean_distance(trace: Trace, actor_a: str, actor_b: str) -> MetricSeries:
@@ -108,16 +111,8 @@ def ttc(trace: Trace, ego: str, target: str) -> MetricSeries:
     the current velocity vectors. Defined while the actors are apart and
     actually closing.
     """
-    times = common_grid(trace, (ego, target))
-    e = sample_track(trace.track(ego), times)
-    t = sample_track(trace.track(target), times)
-    dx = t["x"] - e["x"]
-    dy = t["y"] - e["y"]
+    times, dx, dy, dvx, dvy = _relative_motion(trace, ego, target)
     dist = np.hypot(dx, dy)
-    evx, evy = _velocity(e)
-    tvx, tvy = _velocity(t)
-    dvx = tvx - evx
-    dvy = tvy - evy
     with np.errstate(invalid="ignore", divide="ignore"):
         closing = -np.where(dist > 0, (dx * dvx + dy * dvy) / dist, 0.0)
     r_sum = trace.track(ego).radius + trace.track(target).radius
@@ -135,30 +130,57 @@ def ttc(trace: Trace, ego: str, target: str) -> MetricSeries:
     )
 
 
-def _wttc_root(
-    dpx: float, dpy: float, dvx: float, dvy: float, r_sum: float, a_sum: float
-) -> float | None:
-    """Smallest t >= 0 where the straight-line offset enters the disc that
-    grows as r_sum + 0.5*a_sum*t^2; None if no entry within the horizon."""
+def _disc_entry_times(px, py, vx, vy, r: float, k: float) -> np.ndarray:
+    """Earliest t in [0, WTTC_HORIZON] with |p + v*t| <= r + k*t^2, per
+    sample; NaN where the offset stays outside the growing disc.
 
-    def margin(t: np.ndarray | float):
-        return np.hypot(dpx + dvx * t, dpy + dvy * t) - (r_sum + 0.5 * a_sum * t * t)
+    Both sides are >= 0, so squaring is exact: the offset is inside exactly
+    where g(t) = k^2 t^4 + (2rk - |v|^2) t^2 - 2(p.v) t + (r^2 - |p|^2) >= 0.
+    g is monotone between its stationary points, so the first of 0, those
+    points and the horizon where g >= 0 closes a bracket around the first
+    entry. Newton steps refine it; one leaving the bracket is bisected.
+    """
+    c2 = (2.0 * r * k - (vx * vx + vy * vy))[:, None]
+    c1 = (-2.0 * (px * vx + py * vy))[:, None]
+    c0 = (r * r - (px * px + py * py))[:, None]
 
-    if margin(0.0) <= 0.0:
-        return 0.0
-    grid = np.arange(0.0, WTTC_HORIZON + WTTC_SCAN_STEP / 2, WTTC_SCAN_STEP)
-    inside = margin(grid) <= 0.0
-    if not inside.any():
-        return None
-    j = int(np.argmax(inside))
-    lo, hi = float(grid[j - 1]), float(grid[j])
-    while hi - lo > WTTC_TOLERANCE:
-        mid = 0.5 * (lo + hi)
-        if margin(mid) <= 0.0:
-            hi = mid
+    def g(t):
+        return ((k * k * t * t + c2) * t + c1) * t + c0
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if k > 0.0:
+            # stationary points: real roots of g'(t) / (4k^2) = t^3 + p t + q,
+            # one by Cardano (cube root on the side of q that does not
+            # cancel) or three by the trigonometric form
+            p, q = c2 / (2.0 * k * k), c1 / (4.0 * k * k)
+            disc = (0.5 * q) ** 2 + (p / 3.0) ** 3
+            u = -np.copysign(np.cbrt(0.5 * np.abs(q) + np.sqrt(np.maximum(disc, 0.0))), q)
+            m = 2.0 * np.sqrt(np.maximum(-p / 3.0, 0.0))
+            phi = np.arccos(np.clip(3.0 * q / (p * m), -1.0, 1.0)) / 3.0
+            three = m * np.cos(phi - 2.0 * np.pi / 3.0 * np.arange(3))
+            stationary = np.where(disc > 0.0, u - p / (3.0 * u), three)
         else:
-            lo = mid
-    return 0.5 * (lo + hi)
+            stationary = -c1 / (2.0 * c2)
+        horizon = np.full_like(c0, WTTC_HORIZON)
+        # NaN (no such root) sorts last and never counts as inside
+        knots = np.column_stack([np.zeros_like(c0), np.clip(stationary, 0.0, horizon), horizon])
+        knots = np.sort(knots, axis=1)
+        inside = g(knots) >= 0.0
+        j = np.argmax(inside, axis=1)[:, None]
+        lo = np.take_along_axis(knots, np.maximum(j - 1, 0), axis=1)
+        hi = np.take_along_axis(knots, j, axis=1)
+        t = 0.5 * (lo + hi)
+        for _ in range(WTTC_MAX_ITERATIONS):
+            g_t = g(t)
+            lo, hi = np.where(g_t >= 0.0, (lo, t), (t, hi))
+            newton = t - g_t / ((4.0 * k * k * t * t + 2.0 * c2) * t + c1)
+            in_bracket = (lo < newton) & (newton < hi) | (newton == t)
+            newton = np.where(in_bracket, newton, 0.5 * (lo + hi))
+            converged = np.all(np.abs(newton - t) <= 1e-15 * (1.0 + t))
+            t = newton
+            if converged:
+                break
+    return np.where(inside.any(axis=1), t[:, 0], np.nan)
 
 
 def wttc(
@@ -172,45 +194,30 @@ def wttc(
 
     Both actors keep their current velocity while an uncertainty disc around
     the relative position grows quadratically with the summed worst-case
-    acceleration magnitudes. The value is the earliest time the relative
-    offset can no longer stay outside the disc. Undefined when no such time
-    exists within the search horizon. Acceleration bounds default per actor
-    class when not given.
+    acceleration magnitudes, r_sum + 0.5*a_sum*t^2. The value is the exact
+    first time the relative offset enters that disc, solved for all samples
+    at once to floating-point rounding, with no time grid, so an entry of
+    any duration is found; 0 for actors already in contact. Undefined when
+    no entry happens within WTTC_HORIZON. Acceleration bounds default per
+    actor class when not given.
     """
     ego_track = trace.track(ego)
     target_track = trace.track(target)
-    a_e = DEFAULT_MAX_ACCEL[ego_track.actor_class] if a_max_ego is None else float(a_max_ego)
-    a_t = (
-        DEFAULT_MAX_ACCEL[target_track.actor_class]
-        if a_max_target is None
-        else float(a_max_target)
-    )
-    if a_e < 0 or a_t < 0:
+    bounds = [
+        DEFAULT_MAX_ACCEL[track.actor_class] if a_max is None else float(a_max)
+        for track, a_max in ((ego_track, a_max_ego), (target_track, a_max_target))
+    ]
+    if min(bounds) < 0:
         raise MetricError("worst-case acceleration bounds must be >= 0")
-    times = common_grid(trace, (ego, target))
-    e = sample_track(ego_track, times)
-    t = sample_track(target_track, times)
-    dpx = t["x"] - e["x"]
-    dpy = t["y"] - e["y"]
-    evx, evy = _velocity(e)
-    tvx, tvy = _velocity(t)
-    dvx = tvx - evx
-    dvy = tvy - evy
-    r_sum = ego_track.radius + target_track.radius
-    a_sum = a_e + a_t
-    values = np.zeros(len(times))
-    defined = np.zeros(len(times), dtype=bool)
-    for i in range(len(times)):
-        root = _wttc_root(dpx[i], dpy[i], dvx[i], dvy[i], r_sum, a_sum)
-        if root is not None:
-            values[i] = root
-            defined[i] = True
+    times, *motion = _relative_motion(trace, ego, target)
+    entry = _disc_entry_times(*motion, ego_track.radius + target_track.radius, 0.5 * sum(bounds))
+    defined = ~np.isnan(entry)
     return MetricSeries(
         metric_name="wttc",
         actor_ids=(ego, target),
         unit="s",
         times=times,
-        values=values,
+        values=np.where(defined, entry, 0.0),
         defined=defined,
     )
 

@@ -282,9 +282,9 @@ def test_wttc_closed_form_and_ttc_bound(rng, record_acceptance):
     checked = 0
     violations = 0
     lateral_cap = 0.9 * math.sqrt(16.0 * 2.0)
-    # the worst-case root is bracketed by bisection to 1e-4 s, so the
-    # inequality is checked at that resolution
-    root_tol = 2e-4
+    # the worst-case root is solved exactly up to floating-point rounding,
+    # so the inequality is checked at that resolution
+    root_tol = 1e-9
     for _ in range(1000):
         c = rng.uniform(0.5, 15.0)
         u = rng.uniform(0.5, 15.0)

@@ -120,6 +120,31 @@ def test_point_polyline_distance():
     assert point_polyline_distance(-4.0, 0.0, pts) == 4.0
 
 
+def test_point_polyline_distance_single_vertex_is_a_point():
+    assert point_polyline_distance(3.0, 4.0, np.array([[0.0, 0.0]])) == 5.0
+
+
+def _segment_distance(px, py, a, b):
+    # scalar reference: clamped projection onto one segment
+    d = b - a
+    len2 = float(d[0] * d[0] + d[1] * d[1])
+    if len2 <= 0.0:
+        return math.hypot(px - a[0], py - a[1])
+    t = min(max(((px - a[0]) * d[0] + (py - a[1]) * d[1]) / len2, 0.0), 1.0)
+    return math.hypot(px - (a[0] + t * d[0]), py - (a[1] + t * d[1]))
+
+
+def test_point_polyline_distance_matches_segment_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        pts = rng.uniform(-50.0, 50.0, (int(rng.integers(2, 40)), 2))
+        # repeated vertices give zero-length segments
+        pts = np.repeat(pts, rng.integers(1, 3, len(pts)), axis=0)
+        px, py = rng.uniform(-60.0, 60.0, 2)
+        expect = min(_segment_distance(px, py, pts[i], pts[i + 1]) for i in range(len(pts) - 1))
+        assert abs(point_polyline_distance(px, py, pts) - expect) <= 1e-12
+
+
 def test_band_intersection_rectangle():
     poly = band_intersection((5.0, 5.0), (1.0, 0.0), (0.0, 1.0), 2.0, 0.5)
     assert len(poly) == 4

@@ -148,6 +148,54 @@ def test_wttc_undefined_without_acceleration_reserve():
         wttc(make_trace(ego, target), "ego", "target", a_max_ego=-1.0)
 
 
+def test_wttc_finds_grazing_entry_shorter_than_a_scan_step():
+    # a pedestrian 1.304 m beside a vehicle passing at 30 m/s: the growing
+    # disc (r_sum 1.3, a_sum 10) is entered only briefly, around 0.03 s
+    ego = moving_track("ego", 0, 0, math.pi, 30.0, n=2)
+    ped = moving_track("ped", -1.0, 1.304, 0.0, 0.0, n=2, actor_class=ActorClass.PEDESTRIAN)
+    series = wttc(make_trace(ego, ped), "ego", "ped")
+    assert series.defined[0]
+    t = series.values[0]
+    assert 0.03 < t < 0.033
+    margin = math.hypot(-1.0 + 30.0 * t, 1.304) - (1.3 + 5.0 * t * t)
+    assert abs(margin) <= 1e-9
+
+
+def test_wttc_without_acceleration_reserve_equals_ttc_head_on():
+    ego = moving_track("ego", 0, 0, 0.0, 10.0)
+    target = moving_track("target", 30, 0, math.pi, 5.0)
+    trace = make_trace(ego, target)
+    lin = ttc(trace, "ego", "target")
+    worst = wttc(trace, "ego", "target", a_max_ego=0.0, a_max_target=0.0)
+    assert lin.defined.all()
+    assert np.array_equal(worst.defined, lin.defined)
+    assert np.allclose(worst.values, lin.values, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("bounds", [(None, None), (3.0, 0.5), (0.0, 0.0)])
+def test_wttc_matches_dense_scan_of_unsquared_margin(bounds):
+    # every sample is an independent encounter: the ego stands at the origin
+    # and the target's position and velocity are drawn afresh
+    rng = np.random.default_rng(2024)
+    n = 150
+    vx, vy = rng.uniform(-30.0, 30.0, (2, n))
+    ego = track_from("ego", np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n))
+    ped = track_from("ped", rng.uniform(-40.0, 40.0, n), rng.uniform(-40.0, 40.0, n),
+                     np.arctan2(vy, vx), np.hypot(vx, vy), actor_class=ActorClass.PEDESTRIAN)
+    series = wttc(make_trace(ego, ped), "ego", "ped", *bounds)
+    a_sum = 10.0 if bounds[0] is None else sum(bounds)
+    step = 1e-4
+    grid = np.arange(0.0, 20.0 + step / 2, step)
+    for i in range(n):
+        margin = np.hypot(ped.xs[i] + vx[i] * grid, ped.ys[i] + vy[i] * grid) - (
+            1.3 + 0.5 * a_sum * grid * grid
+        )
+        inside = margin <= 0.0
+        assert series.defined[i] == inside.any()
+        if inside.any():
+            assert abs(series.values[i] - grid[np.argmax(inside)]) <= step
+
+
 def test_wttc_never_exceeds_ttc_on_closing_line():
     ego = moving_track("ego", 0, 0, 0.0, 10.0)
     target = moving_track("target", 30, 0, 0.0, 0.0)
