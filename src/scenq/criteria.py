@@ -20,7 +20,7 @@ import numpy as np
 
 from . import registry
 from .errors import CriterionError, UnitMismatchError
-from .nano import common_grid, conflict_from_trace
+from .nano import common_grid, conflict_point
 from .results import MetricResult, MetricSeries, ScalarResult
 from .trace import Trace, sample_track
 
@@ -87,6 +87,8 @@ class ConditionNode:
     children: tuple["ConditionNode", ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.metric_params, Mapping):
+            raise CriterionError("condition params must be an object")
         object.__setattr__(self, "metric_params", dict(self.metric_params))
         object.__setattr__(self, "children", tuple(self.children))
         if self.op == "leaf":
@@ -259,20 +261,11 @@ def _event_time(trace: Trace, rule: StopRule) -> float | None:
     others = [a for a in ids if a != rule.actor]
     if len(others) != 1:
         raise CriterionError("actor_passed_conflict needs a trace with exactly 2 actors")
-    from .simulator import conflict_from_metadata
-
-    conflict = conflict_from_metadata(trace)
-    if conflict is not None:
-        # metadata stores the ego-side arc first; swap if the rule names the other actor
-        ego_like = trace.metadata.get("ego_actor", "ego")
-        own_arc = conflict.ego_arc_length if rule.actor == ego_like else conflict.other_arc_length
-    else:
-        hit = conflict_from_trace(trace, rule.actor, others[0])
-        if hit is None:
-            return None
-        own_arc = hit.ego_arc_length
+    conflict = conflict_point(trace, rule.actor, others[0])
+    if conflict is None:
+        return None
     track = trace.track(rule.actor)
-    passed = track.arc_lengths >= own_arc
+    passed = track.arc_lengths >= conflict.ego_arc_length
     if not passed.any():
         return None
     return float(track.times[int(np.argmax(passed))])
@@ -383,6 +376,8 @@ class QualityCriterion:
             raise CriterionError(
                 f"unknown perspective {self.perspective!r}, expected one of {PERSPECTIVES}"
             )
+        if not isinstance(self.metric_params, Mapping):
+            raise CriterionError(f"criterion {self.criterion_id!r}: params must be an object")
         object.__setattr__(self, "metric_params", dict(self.metric_params))
 
     @property
@@ -657,6 +652,8 @@ def _stop_from_dict(data: Mapping | None) -> StopRule:
 
 
 def _criterion_from_dict(data: Mapping) -> QualityCriterion:
+    if not isinstance(data, Mapping):
+        raise CriterionError(f"criterion must be an object, got {data!r}")
     try:
         if ("threshold" in data) == ("scale" in data):
             raise CriterionError(
@@ -699,7 +696,10 @@ def load_criteria(path: str | Path) -> list[QualityCriterion]:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CriterionError(f"{path}: invalid JSON ({exc.msg})") from None
-    items = data["criteria"] if isinstance(data, Mapping) else data
+    items = data.get("criteria") if isinstance(data, Mapping) else data
     if not isinstance(items, list) or not items:
-        raise CriterionError(f"{path}: expected a non-empty criteria list")
-    return [_criterion_from_dict(item) for item in items]
+        raise CriterionError(f"{path}: expected a non-empty 'criteria' list")
+    try:
+        return [_criterion_from_dict(item) for item in items]
+    except CriterionError as exc:
+        raise type(exc)(f"{path}: {exc}") from None

@@ -13,8 +13,9 @@ import math
 import numpy as np
 
 from .errors import MetricError
-from .geometry import point_polyline_distance
+from .geometry import first_polyline_crossing, point_polyline_distance
 from .results import ConflictPoint, MetricSeries
+from .simulator import EGO_ID, PED_ID
 from .trace import ActorClass, ActorTrack, Trace, sample_track
 
 CLOSING_SPEED_FLOOR = 1e-6  # m/s, below this the encounter counts as not closing
@@ -222,6 +223,23 @@ def wttc(
     )
 
 
+def conflict_point(trace: Trace, actor: str, other: str) -> ConflictPoint | None:
+    """Where the paths of two actors cross, arc lengths in (actor, other) order.
+
+    For the simulator's ego/pedestrian pair the planned crossing recorded in
+    the ``conflict_*`` metadata wins; otherwise the first crossing of the
+    two traveled paths. None when there is neither.
+    """
+    meta = trace.metadata
+    if {actor, other} == {EGO_ID, PED_ID} and "conflict_ego_arc" in meta:
+        arcs = float(meta["conflict_ego_arc"]), float(meta["conflict_other_arc"])
+        if actor == PED_ID:
+            arcs = arcs[::-1]
+        return ConflictPoint((float(meta["conflict_x"]), float(meta["conflict_y"])), *arcs)
+    hit = first_polyline_crossing(trace.track(actor).points, trace.track(other).points)
+    return None if hit is None else ConflictPoint(*hit)
+
+
 def _check_conflict_on_path(track: ActorTrack, arc: float, position: tuple[float, float]) -> None:
     # A conflict inside the traveled span must lie on the traveled path;
     # one beyond the traveled end is a statement about the planned path and
@@ -234,16 +252,20 @@ def _check_conflict_on_path(track: ActorTrack, arc: float, position: tuple[float
             )
 
 
-def gap_time(trace: Trace, ego: str, target: str, conflict: ConflictPoint) -> MetricSeries:
+def gap_time(trace: Trace, ego: str, target: str, conflict: ConflictPoint | None) -> MetricSeries:
     """Predicted arrival-time difference at a shared conflict point.
 
     Each actor's remaining arc to the conflict is divided by its current
     speed (floored at 1 mm/s, so a standing actor gets a very late, still
     finite arrival). Defined only while neither actor has passed the
     conflict; the series goes undefined from the first sample after either
-    passes.
+    passes. With no conflict point the series exists but is never defined.
     """
     times = common_grid(trace, (ego, target))
+    if conflict is None:
+        return MetricSeries(metric_name="gap_time", actor_ids=(ego, target), unit="s",
+                            times=times, values=np.zeros(len(times)),
+                            defined=np.zeros(len(times), dtype=bool))
     ego_track = trace.track(ego)
     target_track = trace.track(target)
     _check_conflict_on_path(ego_track, conflict.ego_arc_length, conflict.position)
@@ -333,14 +355,3 @@ def traffic_density(trace: Trace, center_actor: str, radius: float) -> MetricSer
         values=values,
         defined=np.ones(len(times), dtype=bool),
     )
-
-
-def conflict_from_trace(trace: Trace, ego: str, target: str) -> ConflictPoint | None:
-    """Crossing of the traveled paths of two actors, if any."""
-    from .geometry import first_polyline_crossing
-
-    hit = first_polyline_crossing(trace.track(ego).points, trace.track(target).points)
-    if hit is None:
-        return None
-    (x, y), arc_ego, arc_other = hit
-    return ConflictPoint(position=(x, y), ego_arc_length=arc_ego, other_arc_length=arc_other)

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from . import macro, micro, nano
 from .errors import MetricError
 from .results import MetricSeries, ScalarResult, undefined_scalar
@@ -106,27 +104,9 @@ def _wttc(trace: Trace, params: Mapping) -> MetricSeries:
 
 
 def _gap_time(trace: Trace, params: Mapping) -> MetricSeries:
-    from .simulator import conflict_from_metadata
-
     ego = _req(params, "ego", "gap_time")
     target = _req(params, "target", "gap_time")
-    conflict = params.get("conflict")
-    if conflict is None:
-        conflict = conflict_from_metadata(trace)
-    if conflict is None:
-        conflict = nano.conflict_from_trace(trace, ego, target)
-    if conflict is None:
-        # no crossing anywhere: the metric exists but never has a value
-        times = nano.common_grid(trace, (ego, target))
-        return MetricSeries(
-            metric_name="gap_time",
-            actor_ids=(ego, target),
-            unit="s",
-            times=times,
-            values=np.zeros(len(times)),
-            defined=np.zeros(len(times), dtype=bool),
-        )
-    return nano.gap_time(trace, ego, target, conflict)
+    return nano.gap_time(trace, ego, target, nano.conflict_point(trace, ego, target))
 
 
 def _braking_time(trace: Trace, params: Mapping) -> MetricSeries:

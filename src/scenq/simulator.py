@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import SimulationError
 from .geometry import cumulative_arc, first_polyline_crossing
-from .results import ConflictPoint
 from .scenarios import ConcreteScenario, LogicalScenario, iter_concretize
 from .trace import DEFAULT_RADII, ActorClass, ActorTrack, Trace
 
@@ -103,18 +102,6 @@ class SimOutcome:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", dict(self.events))
-
-
-def conflict_of(config: SimConfig) -> ConflictPoint | None:
-    """Crossing of the ego route and the pedestrian path, if any."""
-    hit = first_polyline_crossing(
-        np.asarray(config.ego_route, dtype=float),
-        np.asarray(config.ped_crossing, dtype=float),
-    )
-    if hit is None:
-        return None
-    (x, y), arc_ego, arc_ped = hit
-    return ConflictPoint(position=(x, y), ego_arc_length=arc_ego, other_arc_length=arc_ped)
 
 
 def _require_binding(bindings: Mapping[str, float], name: str) -> float:
@@ -344,18 +331,6 @@ def simulate(scenario: ConcreteScenario | Mapping[str, float], config: SimConfig
         completed=completed,
         end_reason=end_reason,
         events=events,
-    )
-
-
-def conflict_from_metadata(trace: Trace) -> ConflictPoint | None:
-    """Recover the planned path crossing a simulation run recorded, if any."""
-    meta = trace.metadata
-    if "conflict_ego_arc" not in meta:
-        return None
-    return ConflictPoint(
-        position=(float(meta["conflict_x"]), float(meta["conflict_y"])),
-        ego_arc_length=float(meta["conflict_ego_arc"]),
-        other_arc_length=float(meta["conflict_other_arc"]),
     )
 
 

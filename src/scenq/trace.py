@@ -750,7 +750,10 @@ def save_trace(trace: Trace, path: str | Path, fmt: TraceFormat | str | None = N
 
 
 def load_trace_file(path: str | Path) -> Trace:
-    """Load a trace file, honoring a ``.meta.json`` sidecar when present."""
+    """Load a trace file, honoring a ``.meta.json`` sidecar when present.
+
+    A TraceParseError names the trace or sidecar file it comes from.
+    """
     path = Path(path)
     fmt = TraceFormat.JSONL if path.suffix == ".jsonl" else TraceFormat.CSV
     scenario_id = path.stem
@@ -758,14 +761,22 @@ def load_trace_file(path: str | Path) -> Trace:
     metadata: dict[str, str] = {}
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     if sidecar.exists():
-        info = json.loads(sidecar.read_text(encoding="utf-8"))
+        try:
+            info = json.loads(sidecar.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise TraceParseError(f"{sidecar}: invalid JSON ({exc.msg})") from None
+        if not isinstance(info, dict) or not isinstance(info.get("metadata", {}), dict):
+            raise TraceParseError(f"{sidecar}: expected an object with an object 'metadata'")
         scenario_id = info.get("scenario_id", scenario_id)
         time_step = info.get("time_step")
         metadata = {str(k): str(v) for k, v in info.get("metadata", {}).items()}
-    return load_trace(
-        path.read_text(encoding="utf-8"),
-        fmt,
-        scenario_id=scenario_id,
-        time_step=time_step,
-        metadata=metadata,
-    )
+    try:
+        return load_trace(
+            path.read_text(encoding="utf-8"),
+            fmt,
+            scenario_id=scenario_id,
+            time_step=time_step,
+            metadata=metadata,
+        )
+    except TraceParseError as exc:
+        raise TraceParseError(f"{path}: {exc}", line=exc.line, actor_id=exc.actor_id) from None

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from scenq import ActorTrack, Trace, load_trace_file, save_trace
+from scenq import ActorTrack, Trace, TraceParseError, load_trace_file, save_trace
 from scenq.cli import main
 
 from conftest import DATA
@@ -237,6 +237,73 @@ def test_missing_input_exits_2(workdir):
         "--out", str(workdir / "x"),
     ])
     assert code == 2
+
+
+def _copy_trace(sim_out, dest) -> Path:
+    dest.mkdir()
+    src = sim_out / "traces" / "cli_demo_0.csv"
+    for name in (src.name, src.name + ".meta.json"):
+        (dest / name).write_bytes((src.parent / name).read_bytes())
+    return dest / src.name
+
+
+def _evaluate(traces, criteria, out) -> int:
+    return main(["evaluate", "--traces", str(traces), "--criteria", str(criteria),
+                 "--out", str(out)])
+
+
+@pytest.mark.parametrize("content, expected", [
+    ('{"scenario_id": ', "invalid JSON"),
+    ('["cli_demo#0"]', "expected an object"),
+])
+def test_corrupt_sidecar_exits_2_naming_it(sim_out, criteria_ok, tmp_path, capsys,
+                                           content, expected):
+    trace = _copy_trace(sim_out, tmp_path / "traces")
+    sidecar = trace.with_name(trace.name + ".meta.json")
+    sidecar.write_text(content)
+    assert _evaluate(trace, criteria_ok, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {sidecar}: {expected}")
+
+
+def test_bad_trace_row_exits_2_naming_file_and_line(sim_out, criteria_ok, tmp_path, capsys):
+    trace = _copy_trace(sim_out, tmp_path / "traces")
+    lines = trace.read_text().splitlines()
+    fields = lines[49].split(",")
+    fields[3] = "oops"  # x_m of the row on line 50
+    lines[49] = ",".join(fields)
+    trace.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceParseError) as exc:
+        load_trace_file(trace)
+    assert exc.value.line == 50
+    assert exc.value.actor_id in ("ego", "pedestrian")
+    assert _evaluate(trace, criteria_ok, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {trace}: line 50: non-numeric value")
+
+
+@pytest.mark.parametrize("payload, expected", [
+    ({"suite": []}, "non-empty 'criteria' list"),
+    ({"criteria": [{"criterion_id": "odd_params", "metric": "euclidean_distance",
+                    "params": ["ego", "pedestrian"],
+                    "threshold": {"comparator": ">", "value": 0.2, "unit": "m"}}]},
+     "criterion 'odd_params': params must be an object"),
+    ({"criteria": [{"criterion_id": "odd_period", "metric": "euclidean_distance",
+                    "params": {"actor_a": "ego", "actor_b": "pedestrian"},
+                    "threshold": {"comparator": ">", "value": 0.2, "unit": "m"},
+                    "application_period": {"start_condition": {
+                        "signal": "metric_value", "metric": "ttc", "params": "ego",
+                        "comparator": "<", "bound": 3.0}}}]},
+     "condition params must be an object"),
+    ({"criteria": ["stay_apart"]}, "criterion must be an object"),
+])
+def test_bad_criteria_file_exits_2_naming_it(sim_out, tmp_path, capsys, payload, expected):
+    criteria = tmp_path / "criteria.json"
+    criteria.write_text(json.dumps(payload))
+    assert _evaluate(sim_out / "traces", criteria, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {criteria}: ")
+    assert expected in err
 
 
 def test_version_flag():

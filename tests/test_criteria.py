@@ -180,6 +180,18 @@ def test_event_stop_actor_passed_conflict():
     assert math.isclose(intervals[0][1], 3.0)
 
 
+def test_pedestrian_passed_conflict_same_with_and_without_metadata(reference_outcome):
+    trace = reference_outcome.trace
+    bare = Trace(trace.scenario_id, trace.time_step, dict(trace.tracks), {})
+    period = ApplicationPeriod(
+        condition("time", ">=", 0.0),
+        stop=StopRule(kind="event", event="actor_passed_conflict", actor="pedestrian"),
+    )
+    closes = [active_intervals(period, t)[0][1] for t in (trace, bare)]
+    assert closes[0] == closes[1]
+    assert closes[0] < trace.overlap()[1]
+
+
 def test_condition_combinators():
     trace = one_actor_trace(TRIANGLE)
     both = ApplicationPeriod(all_of(

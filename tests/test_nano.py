@@ -8,7 +8,7 @@ from scenq.nano import (
     braking_distance,
     braking_time,
     common_grid,
-    conflict_from_trace,
+    conflict_point,
     euclidean_distance,
     gap_time,
     headway,
@@ -326,7 +326,7 @@ def test_traffic_density_counts_neighbors():
 
 def test_conflict_from_trace_matches_geometry():
     trace, conflict = crossing_trace()
-    found = conflict_from_trace(trace, "ego", "walker")
+    found = conflict_point(trace, "ego", "walker")
     assert found is not None
     assert math.isclose(found.position[0], 6.0, abs_tol=1e-9)
     assert math.isclose(found.ego_arc_length, 6.0, abs_tol=1e-9)
@@ -334,4 +334,4 @@ def test_conflict_from_trace_matches_geometry():
     # parallel movers never cross
     a = moving_track("a", 0, 0, 0.0, 1.0)
     b = moving_track("b", 0, 5, 0.0, 1.0)
-    assert conflict_from_trace(make_trace(a, b), "a", "b") is None
+    assert conflict_point(make_trace(a, b), "a", "b") is None

@@ -97,6 +97,22 @@ def test_gap_time_conflict_fallbacks(reference_outcome):
     )
 
 
+def test_gap_time_is_symmetric_in_actor_order(reference_outcome):
+    # the recorded planned crossing is oriented to the actors asked for,
+    # so swapping them changes nothing, with or without that metadata
+    from scenq import Trace
+
+    trace = reference_outcome.trace
+    bare = Trace(trace.scenario_id, trace.time_step, dict(trace.tracks), {})
+    spec = registry.get("gap_time")
+    for t in (trace, bare):
+        forward = spec.compute(t, {"ego": "ego", "target": "pedestrian"})
+        backward = spec.compute(t, {"ego": "pedestrian", "target": "ego"})
+        assert forward.defined.any()
+        assert np.array_equal(forward.defined, backward.defined)
+        assert np.array_equal(forward.values, backward.values)
+
+
 def test_gap_time_without_any_crossing_is_all_undefined():
     from scenq import ActorClass, ActorTrack, Trace
 

@@ -6,8 +6,7 @@ import pytest
 from scenq import (
     SimConfig,
     SimulationError,
-    conflict_from_metadata,
-    conflict_of,
+    conflict_point,
     simulate,
     simulate_batch,
     sim_config_from_dict,
@@ -118,16 +117,17 @@ def test_timeout_end_reason(intersection_config):
     assert not out.completed
 
 
-def test_conflict_metadata_matches_geometry(intersection_config, reference_outcome):
-    planned = conflict_of(intersection_config)
+def test_conflict_metadata_matches_geometry(reference_outcome):
+    # the planned crossing of the configured route and crosswalk
+    planned = conflict_point(reference_outcome.trace, "ego", "pedestrian")
     assert planned is not None
     assert planned.position == (12.0, -1.75)
     assert math.isclose(planned.ego_arc_length, 53.5)
     assert math.isclose(planned.other_arc_length, 1.75)
-    stored = conflict_from_metadata(reference_outcome.trace)
-    assert stored is not None
-    assert stored.position == planned.position
-    assert stored.ego_arc_length == planned.ego_arc_length
+    swapped = conflict_point(reference_outcome.trace, "pedestrian", "ego")
+    assert swapped.position == planned.position
+    assert swapped.ego_arc_length == planned.other_arc_length
+    assert swapped.other_arc_length == planned.ego_arc_length
 
 
 def test_missing_binding_rejected(intersection_config):
