@@ -225,7 +225,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     reference = load_trace_file(Path(args.reference))
     run_paths = _collect_trace_paths(args.runs)
     runs = [load_trace_file(p) for p in run_paths]
-    actor_ids = args.actors.split(",") if args.actors else None
+    log.info("loaded %d traces (reference + %d runs)", 1 + len(runs), len(runs))
+    actor_ids = args.actors.split(",") if args.actors else reference.actor_ids()
+    for path, trace in [(Path(args.reference), reference), *zip(run_paths, runs)]:
+        for actor in actor_ids:
+            if actor not in trace.tracks:
+                raise ScenqError(
+                    f"{path}: actor {actor!r} missing from run {trace.scenario_id!r}"
+                )
+    log.info("dtw: %d pairs, %d cells", len(runs) * len(actor_ids), sum(
+        len(reference.track(a)) * len(run.track(a)) for run in runs for a in actor_ids))
     report = repeatability_report(reference, runs, actor_ids=actor_ids,
                                   threshold=args.threshold)
 

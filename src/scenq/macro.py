@@ -20,28 +20,38 @@ def dtw(track_a: ActorTrack, track_b: ActorTrack) -> float:
 
     Classic unconstrained formulation: monotone warp paths from the first
     to the last sample pair, per-step cost the Euclidean distance between
-    the warped (x, y) positions, total cost minimized. Symmetric in its
-    arguments. The matrix is filled along anti-diagonals so the quadratic
-    recurrence runs in vectorized batches.
+    the warped (x, y) positions, total cost minimized. Exact: no window,
+    no early abandoning. Symmetric in its arguments.
+
+    Cells (i, j) are filled one anti-diagonal k = i + j at a time from
+    three rolling buffers indexed by row i, holding diagonals k - 2,
+    k - 1 and k, so memory is O(n + m) for n x m samples. Against a
+    reversed copy of b, the columns k - i of a diagonal form a forward
+    slice, so its distances come from contiguous slices too.
     """
     a = track_a.points
     b = track_b.points
     n, m = len(a), len(b)
-    dist = np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
-    acc = np.full((n, m), np.inf)
-    acc[0, :] = np.cumsum(dist[0, :])
-    acc[:, 0] = np.cumsum(dist[:, 0])
-    for k in range(2, n + m - 1):
+    ax, ay = a[:, 0].copy(), a[:, 1].copy()
+    rx, ry = b[::-1, 0].copy(), b[::-1, 1].copy()
+    first_row = np.cumsum(np.hypot(ax[0] - b[:, 0], ay[0] - b[:, 1]))
+    first_col = np.cumsum(np.hypot(ax - b[0, 0], ay - b[0, 1]))
+    prev2, prev1, cur = np.empty(n), np.empty(n), np.empty(n)
+    for k in range(n + m - 1):
+        prev2, prev1, cur = prev1, cur, prev2
         lo = max(1, k - (m - 1))
         hi = min(n - 1, k - 1)
-        if lo > hi:
-            continue
-        rows = np.arange(lo, hi + 1)
-        cols = k - rows
-        best = np.minimum(acc[rows - 1, cols], acc[rows, cols - 1])
-        np.minimum(best, acc[rows - 1, cols - 1], out=best)
-        acc[rows, cols] = dist[rows, cols] + best
-    return float(acc[n - 1, m - 1])
+        if lo <= hi:
+            rev = slice(lo + m - 1 - k, hi + m - k)  # columns k - hi .. k - lo
+            d = np.hypot(ax[lo:hi + 1] - rx[rev], ay[lo:hi + 1] - ry[rev])
+            best = np.minimum(prev1[lo - 1:hi], prev1[lo:hi + 1])
+            np.minimum(best, prev2[lo - 1:hi], out=best)
+            np.add(d, best, out=cur[lo:hi + 1])
+        if k < m:
+            cur[0] = first_row[k]
+        if k < n:
+            cur[k] = first_col[k]
+    return float(cur[n - 1])
 
 
 @dataclass(frozen=True)
@@ -82,8 +92,8 @@ def repeatability_report(
     reference track's sample count, and whether it stays at or below the
     threshold. The reference itself is skipped if present among the runs.
     """
-    if threshold < 0:
-        raise MetricError("threshold must be >= 0")
+    if not threshold >= 0:  # also rejects NaN
+        raise MetricError(f"threshold must be >= 0, got {threshold!r}")
     ids = tuple(actor_ids) if actor_ids is not None else tuple(reference.actor_ids())
     for actor in ids:
         if actor not in reference.tracks:

@@ -1,4 +1,5 @@
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,48 @@ def test_compare_flags_drift(workdir, sim_out):
     assert code == 1
     payload = json.loads((out / "repeatability.json").read_text())
     assert payload["all_within"] is False
+
+
+def test_compare_rejects_nan_threshold(workdir, sim_out, capsys):
+    ref = sim_out / "traces" / "cli_demo_0.csv"
+    argv = ["compare", "--reference", str(ref), "--runs", str(ref)]
+    code = main(argv + ["--threshold", "nan", "--out", str(workdir / "cmp_nan")])
+    assert code == 2
+    assert "threshold must be >= 0, got nan" in capsys.readouterr().err
+    assert main(argv + ["--threshold", "inf", "--out", str(workdir / "cmp_inf")]) == 0
+
+
+def test_compare_missing_actor_names_file_before_any_dtw(sim_out, tmp_path, capsys,
+                                                         monkeypatch):
+    ref = sim_out / "traces" / "cli_demo_0.csv"
+    trace = load_trace_file(ref)
+    solo = tmp_path / "solo.csv"
+    save_trace(Trace("solo#0", trace.time_step, {"ego": trace.track("ego")}), solo)
+    calls = []
+    monkeypatch.setattr("scenq.macro.dtw", lambda a, b: calls.append(1) or 0.0)
+    code = main(["compare", "--reference", str(ref), "--runs", str(ref), str(solo),
+                 "--out", str(tmp_path / "cmp")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {solo}: actor 'pedestrian' missing from run 'solo#0'")
+    assert calls == []
+
+
+def test_compare_logs_stage_counts(workdir, sim_out, caplog, capsys):
+    ref = sim_out / "traces" / "cli_demo_0.csv"
+    other = sim_out / "traces" / "cli_demo_1.csv"
+    argv = ["compare", "--reference", str(ref), "--runs", str(ref), str(other)]
+    main(argv + ["--out", str(workdir / "cmp_quiet")])
+    quiet = capsys.readouterr().out
+    caplog.set_level(logging.INFO, logger="scenq")
+    main(argv + ["--out", str(workdir / "cmp_logged")])
+    assert capsys.readouterr().out == quiet
+    a, b = load_trace_file(ref), load_trace_file(other)
+    cells = sum(len(a.track(x)) * (len(a.track(x)) + len(b.track(x))) for x in a.actor_ids())
+    assert "loaded 3 traces (reference + 2 runs)" in caplog.messages
+    assert f"dtw: 4 pairs, {cells} cells" in caplog.messages
+    assert ((workdir / "cmp_quiet" / "repeatability.json").read_bytes()
+            == (workdir / "cmp_logged" / "repeatability.json").read_bytes())
 
 
 def test_sweep_outputs(workdir):

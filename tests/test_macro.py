@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,13 +53,61 @@ def test_dtw_hand_computed_example():
 
 def test_dtw_symmetry_and_offset():
     rng = np.random.default_rng(7)
-    a = path_track("a", rng.normal(size=9), rng.normal(size=9))
-    b = path_track("b", rng.normal(size=6), rng.normal(size=6))
-    assert dtw(a, b) == dtw(b, a)
+    for n, m in [(9, 6), (2, 9), (40, 3), (123, 250), (301, 77)]:
+        a = path_track("a", rng.normal(size=n), rng.normal(size=n))
+        b = path_track("b", rng.normal(size=m), rng.normal(size=m))
+        assert dtw(a, b) == dtw(b, a), (n, m)
     # constant offset on a straight line costs offset per matched pair
     c = path_track("c", np.arange(5.0), np.zeros(5))
     d = path_track("d", np.arange(5.0), np.full(5, 0.5))
     assert np.isclose(dtw(c, d), 5 * 0.5)
+
+
+def full_matrix_dtw(a, b):
+    """Reference DTW: both n x m matrices, filled by fancy indexing."""
+    n, m = len(a), len(b)
+    dist = np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
+    acc = np.full((n, m), np.inf)
+    acc[0, :] = np.cumsum(dist[0, :])
+    acc[:, 0] = np.cumsum(dist[:, 0])
+    for k in range(2, n + m - 1):
+        lo = max(1, k - (m - 1))
+        hi = min(n - 1, k - 1)
+        if lo > hi:
+            continue
+        rows = np.arange(lo, hi + 1)
+        cols = k - rows
+        best = np.minimum(acc[rows - 1, cols], acc[rows, cols - 1])
+        np.minimum(best, acc[rows - 1, cols - 1], out=best)
+        acc[rows, cols] = dist[rows, cols] + best
+    return float(acc[n - 1, m - 1])
+
+
+def random_walk_track(rng, n):
+    steps = rng.normal(size=(n, 2))
+    return path_track("w", np.cumsum(steps[:, 0]), np.cumsum(steps[:, 1]))
+
+
+def test_dtw_equals_full_matrix_reference_exactly():
+    rng = np.random.default_rng(20)
+    lengths = [(2, 2), (2, 400), (400, 2), (3, 397), (350, 7)]
+    lengths += [tuple(rng.integers(2, 401, size=2)) for _ in range(195)]
+    for n, m in lengths:
+        a, b = random_walk_track(rng, n), random_walk_track(rng, m)
+        assert dtw(a, b) == full_matrix_dtw(a.points, b.points), (n, m)
+
+
+def test_dtw_memory_is_linear():
+    rng = np.random.default_rng(22)
+    a, b = random_walk_track(rng, 2000), random_walk_track(rng, 3000)
+    tracemalloc.start()
+    try:
+        dtw(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 2000 x 3000 float matrix alone would take 48 MB
+    assert peak < 2**20
 
 
 def two_run_traces(offset=0.0):
@@ -102,6 +152,9 @@ def test_repeatability_skips_reference_and_checks_actors():
         repeatability_report(ref, [run], actor_ids=["ghost"])
     with pytest.raises(MetricError):
         repeatability_report(ref, [run], threshold=-1.0)
+    with pytest.raises(MetricError, match="got nan"):
+        repeatability_report(ref, [run], threshold=float("nan"))
+    assert repeatability_report(ref, [run], threshold=float("inf")).all_within
 
 
 def test_collision_probability_over_traces():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scenq import MetricError, registry
+from scenq import MetricError, Trace, registry
 from scenq.registry import MetricSpec
 
 EXPECTED = {
@@ -137,3 +137,12 @@ def test_pet_wrapper_surfaces_zone_failure(reference_outcome):
     )
     assert not result.defined
     assert "reason" in result.context
+
+
+def test_dtw_rejects_nan_threshold(reference_outcome):
+    ref = reference_outcome.trace
+    traces = [ref, Trace("rerun", ref.time_step, dict(ref.tracks))]
+    with pytest.raises(MetricError, match="threshold must be >= 0, got nan"):
+        registry.get("dtw").compute(traces, {"threshold": float("nan")})
+    results = registry.get("dtw").compute(traces, {"threshold": float("inf")})
+    assert {r.value for _, r in results} == {0.0}
