@@ -76,26 +76,22 @@ def point_at_arc(points: np.ndarray, arcs: np.ndarray, s: float) -> tuple[float,
     return x, y, heading
 
 
-def segment_intersection(
-    p0: np.ndarray, p1: np.ndarray, q0: np.ndarray, q1: np.ndarray, eps: float = 1e-12
-) -> tuple[float, float] | None:
-    """Parametric intersection of two segments.
+# (segment of a) x (segment of b) cells tested per block of first_polyline_crossing
+PAIR_BLOCK_CELLS = 1 << 16
 
-    Returns (t, u) with the crossing at ``p0 + t*(p1-p0)`` and
-    ``q0 + u*(q1-q0)``, both in [0, 1], or None when the segments do not
-    cross or are parallel.
-    """
-    d1 = p1 - p0
-    d2 = q1 - q0
-    denom = d1[0] * d2[1] - d1[1] * d2[0]
-    if abs(denom) < eps:
-        return None
-    rel = q0 - p0
-    t = (rel[0] * d2[1] - rel[1] * d2[0]) / denom
-    u = (rel[0] * d1[1] - rel[1] * d1[0]) / denom
-    if -eps <= t <= 1.0 + eps and -eps <= u <= 1.0 + eps:
-        return float(min(max(t, 0.0), 1.0)), float(min(max(u, 0.0), 1.0))
-    return None
+
+def _turns(ix: np.ndarray, iy: np.ndarray, ox: np.ndarray, oy: np.ndarray) -> np.ndarray:
+    """True where step (ix, iy) is nonzero and does not run on along step (ox, oy)."""
+    cross = ix * oy - iy * ox
+    dot = ix * ox + iy * oy
+    limit = 1e-12 * np.maximum(np.hypot(ix, iy) * np.hypot(ox, oy), 1.0)
+    size, forward = np.abs(cross), dot > 0.0
+    straight = (size <= limit) & forward
+    # np.hypot and math.hypot can differ in the last bit: settle near-ties with math.hypot
+    for k in np.flatnonzero(forward & (np.abs(size - limit) <= 1e-14 * limit)):
+        norm_k = math.hypot(ix[k], iy[k]) * math.hypot(ox[k], oy[k])
+        straight[k] = abs(cross[k]) <= 1e-12 * max(norm_k, 1.0)
+    return ((ix != 0.0) | (iy != 0.0)) & ~straight
 
 
 def compress_polyline(points: np.ndarray) -> np.ndarray:
@@ -105,23 +101,40 @@ def compress_polyline(points: np.ndarray) -> np.ndarray:
     parametrization; direction reversals are kept as vertices.
     """
     pts = np.asarray(points, dtype=float)
-    if len(pts) <= 2:
+    n = len(pts)
+    if n <= 2:
         return pts
-    keep = [0]
-    for i in range(1, len(pts) - 1):
-        d_in = pts[i] - pts[keep[-1]]
-        d_out = pts[i + 1] - pts[i]
-        if d_out[0] == 0.0 and d_out[1] == 0.0:
-            continue
-        if d_in[0] == 0.0 and d_in[1] == 0.0:
-            continue
-        cross = d_in[0] * d_out[1] - d_in[1] * d_out[0]
-        dot = d_in[0] * d_out[0] + d_in[1] * d_out[1]
-        norm = math.hypot(*d_in) * math.hypot(*d_out)
-        if abs(cross) <= 1e-12 * max(norm, 1.0) and dot > 0.0:
-            continue
-        keep.append(i)
-    keep.append(len(pts) - 1)
+    xs, ys = pts[:, 0], pts[:, 1]
+    dx, dy = np.diff(xs), np.diff(ys)
+    # an interior vertex is kept only if it moves on (a nonzero step out) and
+    # the step to it from the last kept vertex turns into that step
+    movers = np.flatnonzero((dx[1:] != 0.0) | (dy[1:] != 0.0)) + 1
+    prev = np.concatenate([[0], movers[:-1]])
+    mx, my, ox, oy = xs[movers], ys[movers], dx[movers], dy[movers]
+    # the test from the previous mover, exact whenever that one is kept
+    dropped = np.flatnonzero(~_turns(mx - xs[prev], my - ys[prev], ox, oy))
+    keep = np.zeros(n, dtype=bool)
+    keep[0] = keep[-1] = True
+    m = len(movers)
+    i = 0  # the next mover to decide; the one before it (or vertex 0) is kept
+    while i < m:
+        k = int(np.searchsorted(dropped, i))
+        stop = int(dropped[k]) if k < len(dropped) else m
+        keep[movers[i:stop]] = True
+        if stop == m:
+            break
+        # mover stop is dropped; scan on from the one before it in doubling windows
+        anchor, i, width = prev[stop], stop + 1, 64
+        while i < m:
+            end = min(i + width, m)
+            hit = np.flatnonzero(_turns(
+                mx[i:end] - xs[anchor], my[i:end] - ys[anchor], ox[i:end], oy[i:end]
+            ))
+            if hit.size:
+                keep[movers[i + hit[0]]] = True
+                i += int(hit[0]) + 1
+                break
+            i, width = end, 2 * width
     return pts[keep]
 
 
@@ -132,29 +145,42 @@ def first_polyline_crossing(
 
     Returns ((x, y), arc_a, arc_b) where the arcs are the distances along
     each polyline up to the crossing, or None when the paths never cross.
+    Parallel segments never cross. Segment pairs are tested in blocks of
+    about PAIR_BLOCK_CELLS, so memory stays bounded.
     """
     a = compress_polyline(np.asarray(a_points, dtype=float))
     b = compress_polyline(np.asarray(b_points, dtype=float))
     arcs_a = cumulative_arc(a)
     arcs_b = cumulative_arc(b)
-    for i in range(len(a) - 1):
-        best: tuple[float, float, float] | None = None
-        for j in range(len(b) - 1):
-            hit = segment_intersection(a[i], a[i + 1], b[j], b[j + 1])
-            if hit is None:
-                continue
-            t, u = hit
-            seg_a = float(np.hypot(*(a[i + 1] - a[i])))
-            seg_b = float(np.hypot(*(b[j + 1] - b[j])))
-            arc_a = float(arcs_a[i]) + t * seg_a
-            arc_b = float(arcs_b[j]) + u * seg_b
-            if best is None or arc_a < best[0]:
-                best = (arc_a, arc_b, t)
-        if best is not None:
-            arc_a, arc_b, t = best
-            seg = a[i + 1] - a[i]
-            point = (float(a[i, 0] + t * seg[0]), float(a[i, 1] + t * seg[1]))
-            return point, arc_a, arc_b
+    d_a = np.diff(a, axis=0)
+    d_b = np.diff(b, axis=0)
+    eps = 1e-12
+    rows = max(1, PAIR_BLOCK_CELLS // (len(d_b) or 1))
+    for first in range(0, len(d_a), rows):
+        # p = a[i] + t * d_a[i] meets q = b[j] + u * d_b[j]; axes (i, j)
+        d1 = d_a[first:first + rows, None, :]
+        rel = b[None, :-1, :] - a[first:first + len(d1), None, :]
+        denom = d1[..., 0] * d_b[:, 1] - d1[..., 1] * d_b[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (rel[..., 0] * d_b[:, 1] - rel[..., 1] * d_b[:, 0]) / denom
+            u = (rel[..., 0] * d1[..., 1] - rel[..., 1] * d1[..., 0]) / denom
+        inside = (t >= -eps) & (t <= 1.0 + eps) & (u >= -eps) & (u <= 1.0 + eps)
+        hit = (np.abs(denom) >= eps) & inside
+        rows_hit = np.flatnonzero(hit.any(axis=1))
+        if not rows_hit.size:
+            continue
+        r = int(rows_hit[0])
+        i, js = first + r, np.flatnonzero(hit[r])
+        # min(max(t, 0.0), 1.0) as Python computes it, a -0.0 included
+        t_hit = np.where(t[r, js] > 1.0, 1.0, np.where(t[r, js] < 0.0, 0.0, t[r, js]))
+        arcs = arcs_a[i] + t_hit * np.hypot(d_a[i, 0], d_a[i, 1])
+        best = int(np.argmin(arcs))
+        j = int(js[best])
+        u_j = min(max(float(u[r, j]), 0.0), 1.0)
+        arc_b = float(arcs_b[j]) + u_j * float(np.hypot(d_b[j, 0], d_b[j, 1]))
+        t_i = float(t_hit[best])
+        point = (float(a[i, 0] + t_i * d_a[i, 0]), float(a[i, 1] + t_i * d_a[i, 1]))
+        return point, float(arcs[best]), arc_b
     return None
 
 
@@ -167,27 +193,6 @@ def point_polyline_distance(px: float, py: float, points: np.ndarray) -> float:
     dot = (px - a[:, 0]) * d[:, 0] + (py - a[:, 1]) * d[:, 1]
     t = np.clip(np.divide(dot, len2, out=np.zeros_like(dot), where=len2 > 0.0), 0.0, 1.0)
     return float(np.min(np.hypot(px - (a[:, 0] + t * d[:, 0]), py - (a[:, 1] + t * d[:, 1]))))
-
-
-def point_in_polygon(px: float, py: float, polygon: np.ndarray) -> bool:
-    """Even-odd test; boundary points may land on either side."""
-    inside = False
-    n = len(polygon)
-    for i in range(n):
-        x0, y0 = polygon[i]
-        x1, y1 = polygon[(i + 1) % n]
-        if (y0 > py) != (y1 > py):
-            x_cross = x0 + (py - y0) / (y1 - y0) * (x1 - x0)
-            if px < x_cross:
-                inside = not inside
-    return inside
-
-
-def signed_polygon_distance(px: float, py: float, polygon: np.ndarray) -> float:
-    """Distance to the polygon boundary, negative when inside."""
-    poly = np.asarray(polygon, dtype=float)
-    edge = point_polyline_distance(px, py, np.vstack([poly, poly[:1]]))
-    return -edge if point_in_polygon(px, py, poly) else edge
 
 
 def polygon_area(polygon: np.ndarray) -> float:

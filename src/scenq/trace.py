@@ -386,7 +386,7 @@ def resample(trace: Trace, dt: float) -> Trace:
 
 
 def first_contact_time(trace: Trace) -> float | None:
-    """Earliest time any two actor circles overlap, None when none do."""
+    """Earliest time any two actor circles touch or overlap, None when none do."""
     ids = trace.actor_ids()
     earliest: float | None = None
     for i in range(len(ids)):
@@ -398,7 +398,7 @@ def first_contact_time(trace: Trace) -> float | None:
 
 
 def _first_contact_times(trace: Trace, a: ActorTrack, b: ActorTrack) -> list[float]:
-    """Start times of contiguous episodes where two circles overlap."""
+    """Start times of contiguous episodes where two circles touch or overlap."""
     start = max(a.first_time, b.first_time)
     end = min(a.last_time, b.last_time)
     if end - start <= 0.0:
@@ -408,14 +408,8 @@ def _first_contact_times(trace: Trace, a: ActorTrack, b: ActorTrack) -> list[flo
     sa = sample_track(a, times)
     sb = sample_track(b, times)
     dist = np.hypot(sa["x"] - sb["x"], sa["y"] - sb["y"])
-    touching = dist < (a.radius + b.radius)
-    starts = []
-    previous = False
-    for t, hit in zip(times, touching):
-        if hit and not previous:
-            starts.append(float(t))
-        previous = bool(hit)
-    return starts
+    touching = np.concatenate([[False], dist <= (a.radius + b.radius)])
+    return times[np.flatnonzero(touching[1:] & ~touching[:-1])].tolist()
 
 
 def validate_trace(trace: Trace) -> ValidationReport:
@@ -427,7 +421,7 @@ def validate_trace(trace: Trace) -> ValidationReport:
         * ``actor_availability`` (error): missing samples, a step of at
           least twice the nominal time step between first and last time.
         * ``collision`` (warning, informational): the bounding circles of
-          two actors overlap; one issue per contiguous contact episode.
+          two actors touch or overlap; one issue per contiguous contact episode.
 
     Returns:
         A report whose issue list is empty exactly when the trace passes.
@@ -641,6 +635,7 @@ def load_trace(
         if reader.fieldnames is None:
             raise TraceParseError("empty CSV input")
         names = [n.strip() for n in reader.fieldnames]
+        reader.fieldnames = names
         required = [c for c in CSV_COLUMNS if c != "accel_mps2"]
         missing = [c for c in required if c not in names]
         if missing:

@@ -325,6 +325,16 @@ def test_bad_trace_row_exits_2_naming_file_and_line(sim_out, criteria_ok, tmp_pa
     assert err.startswith(f"error: {trace}: line 50: non-numeric value")
 
 
+def test_missing_trace_column_exits_2_naming_file(sim_out, criteria_ok, tmp_path, capsys):
+    trace = _copy_trace(sim_out, tmp_path / "traces")
+    lines = trace.read_text().splitlines()
+    lines[0] = lines[0].replace("actor_id", "agent_id")
+    trace.write_text("\n".join(lines) + "\n")
+    assert _evaluate(trace, criteria_ok, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {trace}: missing CSV columns: actor_id")
+
+
 @pytest.mark.parametrize("payload, expected", [
     ({"suite": []}, "non-empty 'criteria' list"),
     ({"criteria": [{"criterion_id": "odd_params", "metric": "euclidean_distance",

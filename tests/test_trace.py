@@ -8,13 +8,16 @@ from scenq import (
     ActorTrack,
     Trace,
     TraceError,
+    collision_probability,
     first_contact_time,
+    load_trace,
     load_trace_file,
     resample,
     sample_track,
     save_trace,
     state_at,
     validate_trace,
+    write_trace,
 )
 
 
@@ -147,6 +150,15 @@ def test_jsonl_roundtrip_is_exact(tmp_path):
         assert np.array_equal(a.headings, b.headings)
 
 
+def test_csv_header_with_spaces_loads():
+    trace = two_actor_trace()
+    lines = write_trace(trace).splitlines()
+    lines[0] = ", ".join(lines[0].split(","))
+    back = load_trace("\n".join(lines) + "\n")
+    assert back.actor_ids() == trace.actor_ids()
+    assert np.array_equal(back.track("car").xs, trace.track("car").xs)
+
+
 def test_validate_clean_trace():
     report = validate_trace(two_actor_trace())
     assert report.ok
@@ -198,7 +210,18 @@ def test_first_contact_time():
     )
     t = first_contact_time(Trace("t", dt, {"a": a, "b": b}))
     assert t is not None
-    # tangency at exactly 2.5 s does not count as overlap, so the first
-    # flagged sample may be the one after
+    # tangency at 2.5 s counts as contact; rounding in the sampled gap may
+    # still push the first flagged sample to the one after
     assert 0.0 <= t - 2.5 <= dt + 1e-9
     assert first_contact_time(two_actor_trace()) is None
+
+
+def test_touching_discs_are_a_contact_everywhere():
+    # radii 1.0 + 0.3 and 1.3 m apart: the discs touch at every sample
+    a = straight_track("a", y=0.0, radius=1.0)
+    b = straight_track("b", y=1.3, radius=0.3)
+    trace = Trace("t", 0.1, {"a": a, "b": b})
+    assert collision_probability([trace]) == 1.0
+    assert first_contact_time(trace) == 0.0
+    contacts = [i for i in validate_trace(trace).issues if i.code == "collision"]
+    assert [i.time for i in contacts] == [0.0]
