@@ -20,9 +20,9 @@ import numpy as np
 
 from . import registry
 from .errors import CriterionError, UnitMismatchError
-from .nano import common_grid, conflict_point
+from .nano import conflict_point
 from .results import MetricResult, MetricSeries, ScalarResult
-from .trace import Trace, sample_track
+from .trace import Trace, common_grid, first_contact_time, sample_track
 
 COMPARATORS = ("<", "<=", ">", ">=", "=")
 _COMPARATOR_ALIASES = {"==": "=", "<=": "<=", ">=": ">="}
@@ -251,8 +251,6 @@ def _event_time(trace: Trace, rule: StopRule) -> float | None:
         recorded = trace.metadata.get("event_collision")
         if recorded is not None:
             return float(recorded)
-        from .trace import first_contact_time
-
         return first_contact_time(trace)
     # actor_passed_conflict
     ids = trace.actor_ids()

@@ -14,24 +14,8 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-def normalize_angle(angle: float) -> float:
-    """Map an angle in radians onto (-pi, pi]."""
-    wrapped = math.fmod(angle + math.pi, TWO_PI)
-    if wrapped < 0.0:
-        wrapped += TWO_PI
-    result = wrapped - math.pi
-    if result <= -math.pi:
-        result += TWO_PI
-    return result
-
-
-def shortest_arc_delta(start: float, end: float) -> float:
-    """Signed shortest rotation from ``start`` to ``end``, in (-pi, pi]."""
-    return normalize_angle(end - start)
-
-
 def normalize_angles(angles: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`normalize_angle`."""
+    """Map angles in radians onto (-pi, pi]."""
     wrapped = np.mod(np.asarray(angles, dtype=float) + math.pi, TWO_PI) - math.pi
     wrapped[wrapped <= -math.pi] += TWO_PI
     return wrapped
@@ -46,10 +30,6 @@ def cumulative_arc(points: np.ndarray) -> np.ndarray:
         return np.zeros(1)
     steps = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
     return np.concatenate([[0.0], np.cumsum(steps)])
-
-
-def polyline_length(points: np.ndarray) -> float:
-    return float(cumulative_arc(points)[-1])
 
 
 def point_at_arc(points: np.ndarray, arcs: np.ndarray, s: float) -> tuple[float, float, float]:

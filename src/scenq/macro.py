@@ -12,7 +12,7 @@ from .errors import MetricError, ScenarioError
 from .scenarios import ConcreteScenario, LogicalScenario, grid_size
 from .simulator import SimOutcome
 from .results import ScalarResult
-from .trace import ActorTrack, Trace
+from .trace import ActorTrack, Trace, first_contact_time
 
 
 def dtw(track_a: ActorTrack, track_b: ActorTrack) -> float:
@@ -122,28 +122,6 @@ def repeatability_report(
     )
 
 
-def _trace_collided(trace: Trace) -> bool:
-    from .nano import common_grid
-    from .trace import sample_track
-
-    ids = trace.actor_ids()
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            track_i = trace.track(ids[i])
-            track_j = trace.track(ids[j])
-            t0 = max(track_i.first_time, track_j.first_time)
-            t1 = min(track_i.last_time, track_j.last_time)
-            if t1 < t0:
-                continue
-            times = common_grid(trace, (ids[i], ids[j]))
-            a = sample_track(track_i, times)
-            b = sample_track(track_j, times)
-            d = np.hypot(b["x"] - a["x"], b["y"] - a["y"])
-            if np.min(d) <= track_i.radius + track_j.radius:
-                return True
-    return False
-
-
 def collision_probability(outcomes: Sequence[SimOutcome | Trace]) -> float:
     """Fraction of runs in which two actor discs touched or overlapped."""
     if not outcomes:
@@ -153,7 +131,7 @@ def collision_probability(outcomes: Sequence[SimOutcome | Trace]) -> float:
         if isinstance(outcome, SimOutcome):
             hits += bool(outcome.collided)
         else:
-            hits += _trace_collided(outcome)
+            hits += first_contact_time(outcome) is not None
     return hits / len(outcomes)
 
 

@@ -90,31 +90,24 @@ def occupancy(trace: Trace, actor: str, zone: EncroachmentZone) -> list[Occupanc
     track = trace.track(actor)
     times = track.times
     margins = _zone_margins(track.xs, track.ys, zone.polygon, track.radius)
-    occupied = margins >= 0.0
-    intervals: list[OccupancyInterval] = []
-    i = 0
-    n = len(times)
-    while i < n:
-        if not occupied[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and occupied[j + 1]:
-            j += 1
-        if i == 0:
-            entry = float(times[0])
-        else:
-            m0, m1 = margins[i - 1], margins[i]
-            entry = float(times[i - 1] + (times[i] - times[i - 1]) * (-m0) / (m1 - m0))
-        if j == n - 1:
-            exit_ = float(times[-1])
-        else:
-            m0, m1 = margins[j], margins[j + 1]
-            exit_ = float(times[j] + (times[j + 1] - times[j]) * m0 / (m0 - m1))
-        if exit_ > entry:
-            intervals.append(OccupancyInterval(actor_id=actor, entry_time=entry, exit_time=exit_))
-        i = j + 1
-    return intervals
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], margins >= 0.0, [False]])))
+    first, last = edges[0::2], edges[1::2] - 1  # first and last occupied sample of each run
+
+    def crossing(k: np.ndarray) -> np.ndarray:
+        # zero of the margin between samples k and k + 1; negating both
+        # terms of the quotient is exact, so entries and exits share it
+        m0, m1 = margins[k], margins[k + 1]
+        return times[k] + (times[k + 1] - times[k]) * m0 / (m0 - m1)
+
+    entry = times[first]
+    entry[first > 0] = crossing(first[first > 0] - 1)
+    exit_ = times[last]
+    exit_[last < len(times) - 1] = crossing(last[last < len(times) - 1])
+    keep = exit_ > entry
+    return [
+        OccupancyInterval(actor_id=actor, entry_time=t0, exit_time=t1)
+        for t0, t1 in zip(entry[keep].tolist(), exit_[keep].tolist())
+    ]
 
 
 def pet(trace: Trace, actor_1: str, actor_2: str, zone: EncroachmentZone) -> ScalarResult:

@@ -16,7 +16,7 @@ from .errors import MetricError
 from .geometry import first_polyline_crossing, point_polyline_distance
 from .results import ConflictPoint, MetricSeries
 from .simulator import EGO_ID, PED_ID
-from .trace import ActorClass, ActorTrack, Trace, sample_track
+from .trace import ActorClass, ActorTrack, Trace, common_grid, sample_track
 
 CLOSING_SPEED_FLOOR = 1e-6  # m/s, below this the encounter counts as not closing
 ARRIVAL_SPEED_FLOOR = 1e-3  # m/s, keeps predicted arrival times finite
@@ -31,28 +31,6 @@ DEFAULT_MAX_ACCEL = {
     ActorClass.PEDESTRIAN: 2.0,
     ActorClass.OTHER: 4.0,
 }
-
-
-def _tracks(trace: Trace, actor_ids: tuple[str, ...]) -> list[ActorTrack]:
-    return [trace.track(a) for a in actor_ids]
-
-
-def common_grid(trace: Trace, actor_ids: tuple[str, ...]) -> np.ndarray:
-    """Sample times shared by the given actors, on the trace grid.
-
-    When all involved tracks carry identical time arrays those times are
-    reused verbatim, so metric samples line up exactly with recorded rows.
-    """
-    tracks = _tracks(trace, actor_ids)
-    first = tracks[0].times
-    if all(np.array_equal(first, tr.times) for tr in tracks[1:]):
-        return first
-    t0 = max(tr.first_time for tr in tracks)
-    t1 = min(tr.last_time for tr in tracks)
-    if t1 < t0:
-        raise MetricError(f"actors {actor_ids} share no time overlap")
-    count = int(math.floor((t1 - t0) / trace.time_step + 1e-9)) + 1
-    return t0 + np.arange(count) * trace.time_step
 
 
 def _relative_motion(trace: Trace, ego: str, target: str) -> tuple[np.ndarray, ...]:

@@ -1,9 +1,9 @@
 """Result containers shared by all metric levels.
 
-Per-timestep metrics produce a MetricSeries of MetricResults aligned with
-the trace grid; per-scenario and per-set metrics produce ScalarResults.
-Every result carries an explicit ``defined`` flag instead of NaN so that
-undefined samples survive serialization and aggregation unambiguously.
+Per-timestep metrics produce a MetricSeries aligned with the trace grid;
+per-scenario and per-set metrics produce ScalarResults. Every result
+carries an explicit ``defined`` flag instead of NaN so that undefined
+samples survive serialization and aggregation unambiguously.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -76,15 +76,6 @@ class MetricSeries:
 
     def __len__(self) -> int:
         return int(self.times.size)
-
-    def __iter__(self) -> Iterator[MetricResult]:
-        for i in range(len(self)):
-            yield MetricResult(
-                time=float(self.times[i]),
-                value=float(self.values[i]),
-                unit=self.unit,
-                defined=bool(self.defined[i]),
-            )
 
     @property
     def defined_fraction(self) -> float:

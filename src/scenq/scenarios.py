@@ -108,12 +108,6 @@ class LogicalScenario:
         if clash:
             raise ScenarioError(f"parameters also listed as fixed: {sorted(clash)}")
 
-    def range_of(self, name: str) -> ParameterRange:
-        for p in self.parameters:
-            if p.name == name:
-                return p
-        raise ScenarioError(f"unknown parameter {name!r}")
-
 
 @dataclass(frozen=True)
 class ConcreteScenario:

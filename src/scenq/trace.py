@@ -27,8 +27,8 @@ from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from .errors import TraceError, TraceParseError
-from .geometry import cumulative_arc, normalize_angle, normalize_angles, shortest_arc_delta
+from .errors import MetricError, TraceError, TraceParseError
+from .geometry import cumulative_arc, normalize_angles
 
 CSV_COLUMNS = (
     "time_s",
@@ -67,27 +67,6 @@ DEFAULT_RADII = {
     ActorClass.PEDESTRIAN: 0.3,
     ActorClass.OTHER: 0.5,
 }
-
-
-@dataclass(frozen=True)
-class ActorState:
-    """Kinematic state of one actor at one instant.
-
-    Attributes:
-        time: Sample time in seconds.
-        x: Position east coordinate in meters.
-        y: Position north coordinate in meters.
-        heading: Orientation in radians within (-pi, pi].
-        speed: Scalar speed in meters per second, never negative.
-        accel: Signed longitudinal acceleration in meters per second squared.
-    """
-
-    time: float
-    x: float
-    y: float
-    heading: float
-    speed: float
-    accel: float
 
 
 @dataclass(frozen=True)
@@ -155,21 +134,6 @@ class ActorTrack:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def state(self, index: int) -> ActorState:
-        """State at a sample index (supports negative indexing)."""
-        return ActorState(
-            time=float(self.times[index]),
-            x=float(self.xs[index]),
-            y=float(self.ys[index]),
-            heading=float(self.headings[index]),
-            speed=float(self.speeds[index]),
-            accel=float(self.accels[index]),
-        )
-
-    @property
-    def states(self) -> tuple[ActorState, ...]:
-        return tuple(self.state(i) for i in range(len(self)))
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -271,46 +235,22 @@ class ValidationReport:
 # interpolation
 
 
-def state_at(track: ActorTrack, t: float) -> ActorState:
-    """Interpolated state of an actor at time ``t``.
+def common_grid(trace: Trace, actor_ids: tuple[str, ...]) -> np.ndarray:
+    """Sample times shared by the given actors, on the trace grid.
 
-    Exact sample times return the stored state verbatim. Between samples,
-    position, speed and acceleration interpolate linearly while heading
-    follows the shortest arc between the bracketing samples.
-
-    Args:
-        track: The actor track to sample.
-        t: Query time; must lie within the track's time span.
-
-    Returns:
-        The interpolated state.
-
-    Raises:
-        TraceError: If ``t`` lies outside the track's time span.
+    When all involved tracks carry identical time arrays those times are
+    reused verbatim, so metric samples line up exactly with recorded rows.
     """
-    times = track.times
-    if t < times[0] or t > times[-1]:
-        raise TraceError(
-            f"time {t} outside track span [{times[0]}, {times[-1]}] of {track.actor_id!r}"
-        )
-    idx = int(np.searchsorted(times, t))
-    if idx < len(times) and times[idx] == t:
-        return track.state(idx)
-    lo = idx - 1
-    hi = idx
-    alpha = (t - float(times[lo])) / (float(times[hi]) - float(times[lo]))
-    heading0 = float(track.headings[lo])
-    heading = normalize_angle(
-        heading0 + alpha * shortest_arc_delta(heading0, float(track.headings[hi]))
-    )
-    return ActorState(
-        time=t,
-        x=float(track.xs[lo]) + alpha * (float(track.xs[hi]) - float(track.xs[lo])),
-        y=float(track.ys[lo]) + alpha * (float(track.ys[hi]) - float(track.ys[lo])),
-        heading=heading,
-        speed=float(track.speeds[lo]) + alpha * (float(track.speeds[hi]) - float(track.speeds[lo])),
-        accel=float(track.accels[lo]) + alpha * (float(track.accels[hi]) - float(track.accels[lo])),
-    )
+    tracks = [trace.track(a) for a in actor_ids]
+    first = tracks[0].times
+    if all(np.array_equal(first, tr.times) for tr in tracks[1:]):
+        return first
+    t0 = max(tr.first_time for tr in tracks)
+    t1 = min(tr.last_time for tr in tracks)
+    if t1 < t0:
+        raise MetricError(f"actors {actor_ids} share no time overlap")
+    count = int(math.floor((t1 - t0) / trace.time_step + 1e-9)) + 1
+    return t0 + np.arange(count) * trace.time_step
 
 
 def sample_track(track: ActorTrack, times: np.ndarray) -> dict[str, np.ndarray]:
@@ -391,20 +331,17 @@ def first_contact_time(trace: Trace) -> float | None:
     earliest: float | None = None
     for i in range(len(ids)):
         for j in range(i + 1, len(ids)):
-            starts = _first_contact_times(trace, trace.tracks[ids[i]], trace.tracks[ids[j]])
+            starts = _first_contact_times(trace, ids[i], ids[j])
             if starts and (earliest is None or starts[0] < earliest):
                 earliest = starts[0]
     return earliest
 
 
-def _first_contact_times(trace: Trace, a: ActorTrack, b: ActorTrack) -> list[float]:
-    """Start times of contiguous episodes where two circles touch or overlap."""
-    start = max(a.first_time, b.first_time)
-    end = min(a.last_time, b.last_time)
-    if end - start <= 0.0:
-        return []
-    count = int(math.floor((end - start) / trace.time_step + 1e-9)) + 1
-    times = start + np.arange(count) * trace.time_step
+def _first_contact_times(trace: Trace, a_id: str, b_id: str) -> list[float]:
+    """Start times of contiguous episodes where two circles touch or overlap,
+    sampled on the pair's common grid."""
+    a, b = trace.track(a_id), trace.track(b_id)
+    times = common_grid(trace, (a_id, b_id))
     sa = sample_track(a, times)
     sb = sample_track(b, times)
     dist = np.hypot(sa["x"] - sb["x"], sa["y"] - sb["y"])
@@ -461,7 +398,7 @@ def validate_trace(trace: Trace) -> ValidationReport:
     ids = trace.actor_ids()
     for i, a_id in enumerate(ids):
         for b_id in ids[i + 1 :]:
-            for t in _first_contact_times(trace, trace.tracks[a_id], trace.tracks[b_id]):
+            for t in _first_contact_times(trace, a_id, b_id):
                 issues.append(
                     ValidationIssue(
                         severity="warning",

@@ -8,11 +8,10 @@ from scenq.geometry import (
     compress_polyline,
     cumulative_arc,
     first_polyline_crossing,
-    normalize_angle,
+    normalize_angles,
     point_at_arc,
     point_polyline_distance,
     polygon_area,
-    polyline_length,
 )
 from scenq.micro import _zone_margins
 
@@ -84,8 +83,8 @@ def first_polyline_crossing_loop(a_points, b_points):
 
 
 def test_normalize_angle_range():
-    for a in (-7.0, -math.pi, 0.0, math.pi, 9.5, 100.0):
-        n = normalize_angle(a)
+    angles = np.array([-7.0, -math.pi, 0.0, math.pi, 9.5, 100.0])
+    for a, n in zip(angles, normalize_angles(angles)):
         assert -math.pi < n <= math.pi
         assert math.isclose(math.sin(n), math.sin(a), abs_tol=1e-12)
         assert math.isclose(math.cos(n), math.cos(a), abs_tol=1e-12)
@@ -95,7 +94,7 @@ def test_cumulative_arc_and_length():
     pts = np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 10.0]])
     arcs = cumulative_arc(pts)
     assert arcs.tolist() == [0.0, 5.0, 11.0]
-    assert polyline_length(pts) == 11.0
+    assert cumulative_arc(pts)[-1] == 11.0
 
 
 def test_point_at_arc_interpolates_and_clamps():
@@ -138,14 +137,14 @@ def test_compress_polyline_keeps_arc_parametrization():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 0.0], [2.0, 3.0]])
     out = compress_polyline(pts)
     assert out.tolist() == [[0.0, 0.0], [2.0, 0.0], [2.0, 3.0]]
-    assert polyline_length(out) == polyline_length(pts)
+    assert cumulative_arc(out)[-1] == cumulative_arc(pts)[-1]
 
 
 def test_compress_polyline_keeps_reversals():
     pts = np.array([[0.0, 0.0], [5.0, 0.0], [2.0, 0.0]])
     out = compress_polyline(pts)
     assert len(out) == 3
-    assert polyline_length(out) == 8.0
+    assert cumulative_arc(out)[-1] == 8.0
 
 
 def test_first_polyline_crossing_arcs():

@@ -5,9 +5,9 @@ import pytest
 
 from scenq import ActorClass, ActorTrack, MetricError, Trace
 from scenq.geometry import polygon_area
-from scenq.micro import aggregate, build_encroachment_zone, et, occupancy, pet
+from scenq.micro import _zone_margins, aggregate, build_encroachment_zone, et, occupancy, pet
 from scenq.nano import euclidean_distance
-from scenq.results import MetricSeries
+from scenq.results import EncroachmentZone, MetricSeries, OccupancyInterval
 
 
 def linear_track(actor_id, p0, velocity, duration, dt=0.1,
@@ -42,6 +42,38 @@ def crossing_trace(ped_y0=-30.3, duration=35.0, dt=0.1):
     walker = linear_track("walker", (12.0, ped_y0), (0.0, 1.0), duration, dt,
                           actor_class=ActorClass.PEDESTRIAN)
     return Trace("cross", dt, {"car": car, "walker": walker})
+
+
+def occupancy_loop(trace, actor, zone):
+    """Scalar reference for occupancy: one sample at a time."""
+    track = trace.track(actor)
+    times = track.times
+    margins = _zone_margins(track.xs, track.ys, zone.polygon, track.radius)
+    occupied = margins >= 0.0
+    intervals = []
+    i = 0
+    n = len(times)
+    while i < n:
+        if not occupied[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and occupied[j + 1]:
+            j += 1
+        if i == 0:
+            entry = float(times[0])
+        else:
+            m0, m1 = margins[i - 1], margins[i]
+            entry = float(times[i - 1] + (times[i] - times[i - 1]) * (-m0) / (m1 - m0))
+        if j == n - 1:
+            exit_ = float(times[-1])
+        else:
+            m0, m1 = margins[j], margins[j + 1]
+            exit_ = float(times[j] + (times[j + 1] - times[j]) * m0 / (m0 - m1))
+        if exit_ > entry:
+            intervals.append(OccupancyInterval(actor_id=actor, entry_time=entry, exit_time=exit_))
+        i = j + 1
+    return intervals
 
 
 def test_zone_is_the_band_overlap_rectangle():
@@ -93,6 +125,50 @@ def test_occupancy_empty_when_actor_stays_away():
     zone = build_encroachment_zone(crossing_trace(), "car", "walker")
     short = crossing_trace(duration=10.0)  # walker never gets near the zone
     assert occupancy(short, "walker", zone) == []
+
+
+def test_occupancy_equals_loop_on_bundled_grid(batch600):
+    _, outcomes, _ = batch600
+    compared = 0
+    for outcome in outcomes:
+        trace = outcome.trace
+        try:
+            zone = build_encroachment_zone(trace, "ego", "pedestrian")
+        except MetricError:
+            continue
+        for actor in ("ego", "pedestrian"):
+            assert occupancy(trace, actor, zone) == occupancy_loop(trace, actor, zone)
+        compared += 1
+    assert compared >= 500
+
+
+@pytest.mark.parametrize("xs, expected", [
+    ([0.5, 0.5, 3.0, 4.0, 5.0], [(0.0, 1.4)]),  # occupied at the first sample
+    ([5.0, 4.0, 3.0, 0.5, 0.5], [(2.6, 4.0)]),  # occupied at the last sample
+    ([0.5] * 5, [(0.0, 4.0)]),  # the whole trace
+    ([5.0] * 5, []),  # never
+    ([5.0, 0.5, 5.0, 0.5, 5.0], [(7 / 9, 11 / 9), (25 / 9, 29 / 9)]),  # two visits
+    # the disc touches the zone at one sample only: margin 0 there, so
+    # the interpolated exit equals the entry and the touch is dropped
+    ([4.0, 3.0, 1.5, 3.0, 4.0], []),
+])
+def test_occupancy_edge_cases_equal_loop(xs, expected):
+    # unit square zone; disc of radius 0.5 moving along y = 0.5, 1 s steps
+    zone = EncroachmentZone(
+        polygon=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+        derived_from=("a", "b"),
+    )
+    n = len(xs)
+    track = ActorTrack("a", ActorClass.PEDESTRIAN, 0.5, np.arange(n, dtype=float),
+                       xs=np.array(xs), ys=np.full(n, 0.5), headings=np.zeros(n),
+                       speeds=np.zeros(n), accels=np.zeros(n))
+    trace = Trace("edge", 1.0, {"a": track})
+    occ = occupancy(trace, "a", zone)
+    assert occ == occupancy_loop(trace, "a", zone)
+    assert len(occ) == len(expected)
+    for interval, (entry, exit_) in zip(occ, expected):
+        assert math.isclose(interval.entry_time, entry, abs_tol=1e-12)
+        assert math.isclose(interval.exit_time, exit_, abs_tol=1e-12)
 
 
 def test_pet_ordered_passage():

@@ -1,0 +1,35 @@
+import scenq
+
+PUBLIC_NAMES = [
+    "ActorClass", "ActorTrack", "ApplicationPeriod", "ConcreteScenario",
+    "ConditionNode", "ConflictPoint", "CoverageResult", "CriterionError",
+    "EncroachmentZone", "EvaluationReport", "GapFinding", "LogicalScenario",
+    "MetricError", "MetricResult", "MetricSeries", "OccupancyInterval",
+    "ParameterRange", "QualityCriterion", "RepeatabilityEntry",
+    "RepeatabilityReport", "ScalarResult", "Scale", "ScenarioError",
+    "ScenqError", "SimConfig", "SimOutcome", "SimulationError", "StopRule",
+    "Threshold", "Trace", "TraceError", "TraceFormat", "TraceParseError",
+    "UnitMismatchError", "ValidationIssue", "ValidationReport", "Verdict",
+    "active_intervals", "aggregate", "all_of", "always_active", "any_of",
+    "braking_distance", "braking_time", "build_encroachment_zone",
+    "collision_probability", "comparison_margin", "concretize", "condition",
+    "conflict_point", "detect_result_gaps", "dtw", "et", "euclidean_distance",
+    "evaluate_criterion", "evaluate_suite", "first_contact_time", "gap_time",
+    "grid_size", "headway", "iter_concretize", "load_criteria",
+    "load_logical_scenario", "load_sim_config", "load_trace",
+    "load_trace_file", "logical_from_dict", "logical_to_dict", "margin_holds",
+    "normalize_comparator", "occupancy", "parameter_coverage", "pet",
+    "registry", "repeatability_report", "resample", "sample_track",
+    "save_logical_scenario", "save_trace", "scalar_to_dict",
+    "sim_config_from_dict", "simulate", "simulate_batch", "traffic_density",
+    "ttc", "undefined_scalar", "validate_trace", "write_concrete_set",
+    "write_scalars", "write_series", "write_trace", "wttc",
+]
+
+
+def test_public_names():
+    assert len(PUBLIC_NAMES) == 92
+    assert len(set(scenq.__all__)) == len(scenq.__all__)
+    assert sorted(scenq.__all__) == PUBLIC_NAMES
+    for name in scenq.__all__:
+        getattr(scenq, name)

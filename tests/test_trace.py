@@ -6,8 +6,12 @@ import pytest
 from scenq import (
     ActorClass,
     ActorTrack,
+    ApplicationPeriod,
+    StopRule,
     Trace,
     TraceError,
+    active_intervals,
+    always_active,
     collision_probability,
     first_contact_time,
     load_trace,
@@ -15,7 +19,6 @@ from scenq import (
     resample,
     sample_track,
     save_trace,
-    state_at,
     validate_trace,
     write_trace,
 )
@@ -83,11 +86,11 @@ def test_trace_key_must_match_actor_id():
 
 def test_state_at_interpolates():
     track = straight_track(speed=5.0, dt=0.1)
-    s = state_at(track, 0.25)
-    assert math.isclose(s.x, 1.25)
-    assert s.speed == 5.0
+    s = sample_track(track, np.array([0.25]))
+    assert math.isclose(s["x"][0], 1.25)
+    assert s["speed"][0] == 5.0
     with pytest.raises(TraceError):
-        state_at(track, 99.0)
+        sample_track(track, np.array([99.0]))
 
 
 def test_sample_track_matches_grid_points():
@@ -225,3 +228,24 @@ def test_touching_discs_are_a_contact_everywhere():
     assert first_contact_time(trace) == 0.0
     contacts = [i for i in validate_trace(trace).issues if i.code == "collision"]
     assert [i.time for i in contacts] == [0.0]
+
+
+def test_jittered_trace_contact_is_the_same_everywhere():
+    # recorded times are not on the nominal 0.1 s grid; the discs
+    # (r 1.0 + 0.3) are 1.2 m apart only at the recorded t = 0.25
+    times = np.array([0.0, 0.1, 0.25, 0.3, 0.4])
+    a = ActorTrack("a", ActorClass.VEHICLE, 1.0, times,
+                   xs=np.zeros(5), ys=np.zeros(5), headings=np.zeros(5),
+                   speeds=np.zeros(5), accels=np.zeros(5))
+    b = ActorTrack("b", ActorClass.PEDESTRIAN, 0.3, times,
+                   xs=np.zeros(5), ys=np.array([5.0, 5.0, 1.2, 5.0, 5.0]),
+                   headings=np.zeros(5), speeds=np.zeros(5), accels=np.zeros(5))
+    trace = Trace("jitter", 0.1, {"a": a, "b": b})
+    assert first_contact_time(trace) == 0.25
+    contacts = [i for i in validate_trace(trace).issues if i.code == "collision"]
+    assert [i.time for i in contacts] == [0.25]
+    assert collision_probability([trace]) == 1.0
+    period = ApplicationPeriod(
+        always_active().start_condition, stop=StopRule(kind="event", event="collision")
+    )
+    assert active_intervals(period, trace) == [(0.0, 0.25)]
