@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -20,6 +20,7 @@ import numpy as np
 
 from . import registry
 from .errors import CriterionError, UnitMismatchError
+from .micro import margin_runs
 from .nano import conflict_point
 from .results import MetricResult, MetricSeries, ScalarResult
 from .trace import Trace, common_grid, first_contact_time, sample_track
@@ -234,15 +235,6 @@ def always_active() -> ApplicationPeriod:
     return ApplicationPeriod(start_condition=condition("time", ">=", 0.0, unit="s"))
 
 
-def _edge_time(grid: np.ndarray, margins: np.ndarray, k: int) -> float:
-    """Interpolated zero crossing of the margin between samples k-1 and k."""
-    m0, m1 = margins[k - 1], margins[k]
-    if not (np.isfinite(m0) and np.isfinite(m1)) or m0 == m1:
-        return float(grid[k])
-    t = float(grid[k - 1] + (grid[k] - grid[k - 1]) * (-m0) / (m1 - m0))
-    return min(max(t, float(grid[k - 1])), float(grid[k]))
-
-
 def _event_time(trace: Trace, rule: StopRule) -> float | None:
     if rule.event == "scenario_end":
         start, end = trace.overlap()
@@ -275,9 +267,9 @@ def active_intervals(
     """Maximal disjoint intervals where the period applies, sorted.
 
     A period opens at a rising edge of the start condition (edge times
-    interpolated between samples) and closes per the stop rule. After an
-    elapsed or event stop, the next period needs a fresh rising edge after
-    the stop time.
+    interpolated between samples by margin_runs) and closes per the stop
+    rule. After an elapsed or event stop, the next period needs a fresh
+    rising edge after the stop time.
     """
     actors = period.start_condition.referenced_actors()
     if period.stop.actor:
@@ -291,17 +283,10 @@ def active_intervals(
         event_at = _event_time(trace, period.stop)
 
     end_of_grid = float(grid[-1])
-    n = len(grid)
-    edges: list[tuple[int, float]] = []
-    if holds[0]:
-        edges.append((0, float(grid[0])))
-    for k in range(1, n):
-        if holds[k] and not holds[k - 1]:
-            edges.append((k, _edge_time(grid, margins, k)))
-
+    starts, run_stops = margin_runs(grid, margins, holds)
     intervals: list[tuple[float, float]] = []
     guard = -math.inf  # a new period may only open at or after the last stop
-    for k, start in edges:
+    for start, run_stop in zip(starts.tolist(), run_stops.tolist()):
         if start < guard:
             continue
         if period.stop.kind == STOP_ELAPSED:
@@ -309,10 +294,7 @@ def active_intervals(
         elif period.stop.kind == STOP_EVENT:
             stop = event_at if event_at is not None and event_at >= start else end_of_grid
         else:
-            j = k
-            while j + 1 < n and holds[j + 1]:
-                j += 1
-            stop = _edge_time(grid, margins, j + 1) if j + 1 < n else end_of_grid
+            stop = run_stop
         if stop > start:
             intervals.append((start, stop))
         guard = max(guard, stop)
@@ -400,15 +382,6 @@ class Verdict:
         )
 
 
-def _not_applicable(criterion: QualityCriterion, scenario_id: str, intervals=()) -> Verdict:
-    return Verdict(
-        criterion_id=criterion.criterion_id,
-        outcome="not_applicable",
-        scenario_id=scenario_id,
-        evaluated_intervals=tuple(intervals),
-    )
-
-
 def evaluate_criterion(
     criterion: QualityCriterion,
     result: MetricSeries | ScalarResult,
@@ -419,104 +392,55 @@ def evaluate_criterion(
     Series results are checked sample by sample inside the active
     application periods: a threshold passes only if every defined sample
     satisfies it, and the worst (smallest margin) sample is reported.
-    Scalar results are compared once; their application period only gates
-    applicability. Without any defined result inside an active period the
-    verdict is not_applicable.
+    A scalar result is judged as a one-sample series at the start of the
+    first active period (at 0.0 without a trace, where no period gates
+    it). Without any defined result inside an active period the verdict
+    is not_applicable.
     """
     spec = registry.get(criterion.metric_name)
-    declared_unit = criterion.evaluation.unit
-    _check_unit(declared_unit, result.unit, f"criterion {criterion.criterion_id!r}")
+    _check_unit(criterion.evaluation.unit, result.unit, f"criterion {criterion.criterion_id!r}")
     if isinstance(result, MetricSeries) and result.metric_name != criterion.metric_name:
         raise CriterionError(
             f"criterion {criterion.criterion_id!r} on {criterion.metric_name!r} "
             f"got a {result.metric_name!r} series"
         )
-
-    scenario_id = trace.scenario_id if trace is not None else ""
-    if trace is not None:
-        intervals = active_intervals(criterion.application_period, trace)
-    else:
-        intervals = []
-
-    if isinstance(result, ScalarResult):
-        if trace is not None and not intervals:
-            return _not_applicable(criterion, scenario_id)
-        if not result.defined:
-            return _not_applicable(criterion, scenario_id, intervals)
-        worst = MetricResult(
-            time=intervals[0][0] if intervals else 0.0,
-            value=result.value,
-            unit=result.unit,
-            defined=True,
-        )
-        if isinstance(criterion.evaluation, Scale):
-            return Verdict(
-                criterion_id=criterion.criterion_id,
-                outcome="score",
-                scenario_id=scenario_id,
-                score=criterion.evaluation.score(result.value),
-                evaluated_intervals=tuple(intervals),
-                worst_result=worst,
-            )
-        margin = comparison_margin(
-            criterion.evaluation.comparator, result.value, criterion.evaluation.value
-        )
-        passed = bool(margin_holds(criterion.evaluation.comparator, margin))
-        return Verdict(
-            criterion_id=criterion.criterion_id,
-            outcome="pass" if passed else "fail",
-            scenario_id=scenario_id,
-            evaluated_intervals=tuple(intervals),
-            worst_result=worst,
-        )
-
-    if trace is None:
+    if trace is None and isinstance(result, MetricSeries):
         raise CriterionError("evaluating a series requires its trace")
-    if not intervals:
-        return _not_applicable(criterion, scenario_id)
-    mask = result.defined.copy()
-    in_period = np.zeros(len(result), dtype=bool)
-    for start, stop in intervals:
-        in_period |= (result.times >= start) & (result.times <= stop)
-    mask &= in_period
+
+    verdict = Verdict(
+        criterion.criterion_id, "not_applicable", trace.scenario_id if trace is not None else ""
+    )
+    intervals = active_intervals(criterion.application_period, trace) if trace is not None else []
+    if isinstance(result, ScalarResult):
+        times = np.array([intervals[0][0] if intervals else 0.0])
+        values = np.array([result.value], dtype=float)
+        mask = np.array([result.defined])
+    else:
+        times, values, mask = result.times, result.values, result.defined
+    if trace is not None:
+        if not intervals:
+            return verdict
+        in_period = np.zeros(len(times), dtype=bool)
+        for start, stop in intervals:
+            in_period |= (times >= start) & (times <= stop)
+        mask = mask & in_period
+    verdict = replace(verdict, evaluated_intervals=intervals)
     if not mask.any():
-        return _not_applicable(criterion, scenario_id, intervals)
-    times = result.times[mask]
-    values = result.values[mask]
+        return verdict
+    times, values = times[mask], values[mask]
 
-    if isinstance(criterion.evaluation, Scale):
-        worst_idx = int(np.argmin(values)) if spec.worse == registry.WORSE_LOW else int(
-            np.argmax(values)
-        )
-        worst = MetricResult(
-            time=float(times[worst_idx]), value=float(values[worst_idx]),
-            unit=result.unit, defined=True,
-        )
-        return Verdict(
-            criterion_id=criterion.criterion_id,
-            outcome="score",
-            scenario_id=scenario_id,
-            score=criterion.evaluation.score(worst.value),
-            evaluated_intervals=tuple(intervals),
-            worst_result=worst,
-        )
-
-    margins = comparison_margin(
-        criterion.evaluation.comparator, values, criterion.evaluation.value
-    )
-    holds = margin_holds(criterion.evaluation.comparator, margins)
-    worst_idx = int(np.argmin(margins))
-    worst = MetricResult(
-        time=float(times[worst_idx]), value=float(values[worst_idx]),
-        unit=result.unit, defined=True,
-    )
-    return Verdict(
-        criterion_id=criterion.criterion_id,
-        outcome="pass" if bool(np.all(holds)) else "fail",
-        scenario_id=scenario_id,
-        evaluated_intervals=tuple(intervals),
-        worst_result=worst,
-    )
+    evaluation = criterion.evaluation
+    if isinstance(evaluation, Scale):
+        worst = int(np.argmin(values) if spec.worse == registry.WORSE_LOW else np.argmax(values))
+        verdict = replace(verdict, outcome="score", score=evaluation.score(float(values[worst])))
+    else:
+        margins = comparison_margin(evaluation.comparator, values, evaluation.value)
+        worst = int(np.argmin(margins))
+        passed = bool(np.all(margin_holds(evaluation.comparator, margins)))
+        verdict = replace(verdict, outcome="pass" if passed else "fail")
+    return replace(verdict, worst_result=MetricResult(
+        time=float(times[worst]), value=float(values[worst]), unit=result.unit, defined=True,
+    ))
 
 
 @dataclass(frozen=True)
@@ -580,16 +504,7 @@ def evaluate_suite(
         if spec.level == registry.MACROSCOPIC:
             for result_id, scalar in spec.compute(traces, criterion.metric_params):
                 verdict = evaluate_criterion(criterion, scalar, trace=None)
-                produced.append(
-                    Verdict(
-                        criterion_id=verdict.criterion_id,
-                        outcome=verdict.outcome,
-                        scenario_id=result_id,
-                        score=verdict.score,
-                        evaluated_intervals=verdict.evaluated_intervals,
-                        worst_result=verdict.worst_result,
-                    )
-                )
+                produced.append(replace(verdict, scenario_id=result_id))
         else:
             for trace in traces:
                 result = spec.compute(trace, criterion.metric_params)
@@ -686,6 +601,8 @@ def _criterion_from_dict(data: Mapping) -> QualityCriterion:
         )
     except KeyError as exc:
         raise CriterionError(f"criterion missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise CriterionError(f"malformed criterion {data.get('criterion_id')!r}: {exc}") from None
 
 
 def load_criteria(path: str | Path) -> list[QualityCriterion]:

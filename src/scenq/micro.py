@@ -80,29 +80,44 @@ def _zone_margins(xs: np.ndarray, ys: np.ndarray, polygon: np.ndarray, radius: f
     return radius - signed
 
 
+def margin_runs(
+    times: np.ndarray, margins: np.ndarray, holds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Start and stop times of the maximal runs of samples where holds is True.
+
+    An edge between samples k and k + 1 sits at the zero of the margin
+    interpolated linearly between them, clamped to the two samples; when
+    either margin is not finite or both are equal it sits on the later
+    sample. Runs touching the first or last sample start or stop there.
+    Runs are not filtered: a one-sample touch at margin 0 starts where it
+    stops.
+    """
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], holds, [False]])))
+    first, last = edges[0::2], edges[1::2] - 1  # first and last held sample of each run
+
+    def crossing(k: np.ndarray) -> np.ndarray:
+        t0, t1, m0, m1 = times[k], times[k + 1], margins[k], margins[k + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.minimum(np.maximum(t0 + (t1 - t0) * (-m0) / (m1 - m0), t0), t1)
+        return np.where(np.isfinite(m0) & np.isfinite(m1) & (m0 != m1), t, t1)
+
+    starts = times[first]
+    starts[first > 0] = crossing(first[first > 0] - 1)
+    stops = times[last]
+    stops[last < len(times) - 1] = crossing(last[last < len(times) - 1])
+    return starts, stops
+
+
 def occupancy(trace: Trace, actor: str, zone: EncroachmentZone) -> list[OccupancyInterval]:
     """Maximal intervals during which the actor disc intersects the zone.
 
     Entry and exit times are refined by linear interpolation of the
-    intersection margin between samples; intervals touching the trace
-    bounds start or end there.
+    intersection margin between samples (margin_runs); intervals touching
+    the trace bounds start or end there.
     """
     track = trace.track(actor)
-    times = track.times
     margins = _zone_margins(track.xs, track.ys, zone.polygon, track.radius)
-    edges = np.flatnonzero(np.diff(np.concatenate([[False], margins >= 0.0, [False]])))
-    first, last = edges[0::2], edges[1::2] - 1  # first and last occupied sample of each run
-
-    def crossing(k: np.ndarray) -> np.ndarray:
-        # zero of the margin between samples k and k + 1; negating both
-        # terms of the quotient is exact, so entries and exits share it
-        m0, m1 = margins[k], margins[k + 1]
-        return times[k] + (times[k + 1] - times[k]) * m0 / (m0 - m1)
-
-    entry = times[first]
-    entry[first > 0] = crossing(first[first > 0] - 1)
-    exit_ = times[last]
-    exit_[last < len(times) - 1] = crossing(last[last < len(times) - 1])
+    entry, exit_ = margin_runs(track.times, margins, margins >= 0.0)
     keep = exit_ > entry
     return [
         OccupancyInterval(actor_id=actor, entry_time=t0, exit_time=t1)

@@ -69,10 +69,6 @@ class MetricSeries:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "defined", defined)
         object.__setattr__(self, "actor_ids", tuple(self.actor_ids))
-        from . import registry  # runtime import, registry pulls metric modules
-
-        if not registry.is_registered(self.metric_name):
-            raise MetricError(f"unknown metric name {self.metric_name!r}")
 
     def __len__(self) -> int:
         return int(self.times.size)

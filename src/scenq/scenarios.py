@@ -177,6 +177,8 @@ _PARAMETER_KEYS = {"name", "min", "max", "step", "unit"}
 
 
 def logical_from_dict(data: Mapping) -> LogicalScenario:
+    if not isinstance(data, Mapping):
+        raise ScenarioError(f"logical scenario must be an object, got {data!r}")
     try:
         extra = set(data) - _SCENARIO_KEYS
         if extra:
@@ -222,10 +224,11 @@ def logical_to_dict(logical: LogicalScenario) -> dict:
 def load_logical_scenario(path: str | Path) -> LogicalScenario:
     """Read a logical scenario JSON file."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        return logical_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON ({exc.msg})") from None
-    return logical_from_dict(data)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
 
 
 def save_logical_scenario(logical: LogicalScenario, path: str | Path) -> None:

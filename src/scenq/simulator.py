@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -354,6 +354,8 @@ def simulate_batch(
 
 
 def sim_config_from_dict(data: Mapping) -> SimConfig:
+    if not isinstance(data, Mapping):
+        raise SimulationError(f"sim config must be an object, got {data!r}")
     kwargs: dict = {}
     simple = (
         "time_step",
@@ -363,17 +365,20 @@ def sim_config_from_dict(data: Mapping) -> SimConfig:
         "max_decel",
         "trigger_gap_time",
     )
-    for key in simple:
-        if key in data:
-            kwargs[key] = float(data[key])
-    if "ego_route" in data:
-        kwargs["ego_route"] = tuple((float(x), float(y)) for x, y in data["ego_route"])
-    if "ped_crossing" in data:
-        kwargs["ped_crossing"] = tuple((float(x), float(y)) for x, y in data["ped_crossing"])
-    if "ego_start_speed" in data:
-        raw = data["ego_start_speed"]
-        kwargs["ego_start_speed"] = None if raw is None else float(raw)
-    unknown = set(data) - set(simple) - {"ego_route", "ped_crossing", "ego_start_speed"}
+    try:
+        for key in simple:
+            if key in data:
+                kwargs[key] = float(data[key])
+        if "ego_route" in data:
+            kwargs["ego_route"] = tuple((float(x), float(y)) for x, y in data["ego_route"])
+        if "ped_crossing" in data:
+            kwargs["ped_crossing"] = tuple((float(x), float(y)) for x, y in data["ped_crossing"])
+        if "ego_start_speed" in data:
+            raw = data["ego_start_speed"]
+            kwargs["ego_start_speed"] = None if raw is None else float(raw)
+        unknown = set(data) - set(simple) - {"ego_route", "ped_crossing", "ego_start_speed"}
+    except (TypeError, ValueError) as exc:
+        raise SimulationError(f"malformed sim config: {exc}") from None
     if unknown:
         raise SimulationError(f"unknown config keys: {sorted(unknown)}")
     return SimConfig(**kwargs)
@@ -381,12 +386,8 @@ def sim_config_from_dict(data: Mapping) -> SimConfig:
 
 def load_sim_config(path: str | Path) -> SimConfig:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        return sim_config_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
     except json.JSONDecodeError as exc:
         raise SimulationError(f"{path}: invalid JSON ({exc.msg})") from None
-    return sim_config_from_dict(data)
-
-
-def with_overrides(config: SimConfig, **kwargs) -> SimConfig:
-    """Copy a config with selected fields replaced."""
-    return replace(config, **kwargs)
+    except SimulationError as exc:
+        raise SimulationError(f"{path}: {exc}") from None

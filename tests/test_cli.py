@@ -349,6 +349,20 @@ def test_missing_trace_column_exits_2_naming_file(sim_out, criteria_ok, tmp_path
                         "comparator": "<", "bound": 3.0}}}]},
      "condition params must be an object"),
     ({"criteria": ["stay_apart"]}, "criterion must be an object"),
+    ({"criteria": [{"criterion_id": "odd_value", "metric": "euclidean_distance",
+                    "params": {"actor_a": "ego", "actor_b": "pedestrian"},
+                    "threshold": {"comparator": ">", "value": "fast", "unit": "m"}}]},
+     "malformed criterion 'odd_value'"),
+    ({"criteria": [{"criterion_id": "odd_bound", "metric": "euclidean_distance",
+                    "params": {"actor_a": "ego", "actor_b": "pedestrian"},
+                    "threshold": {"comparator": ">", "value": 0.2, "unit": "m"},
+                    "application_period": {"start_condition": {
+                        "signal": "time", "comparator": ">=", "bound": None}}}]},
+     "malformed criterion 'odd_bound'"),
+    ({"criteria": [{"criterion_id": "odd_scale", "metric": "euclidean_distance",
+                    "params": {"actor_a": "ego", "actor_b": "pedestrian"},
+                    "scale": {"breakpoints": [[0.0, 1.0, 2.0]], "unit": "m"}}]},
+     "malformed criterion 'odd_scale'"),
 ])
 def test_bad_criteria_file_exits_2_naming_it(sim_out, tmp_path, capsys, payload, expected):
     criteria = tmp_path / "criteria.json"
@@ -357,6 +371,35 @@ def test_bad_criteria_file_exits_2_naming_it(sim_out, tmp_path, capsys, payload,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {criteria}: ")
     assert expected in err
+
+
+@pytest.mark.parametrize("name, key, value, expected", [
+    ("config", "time_step", "fast", "malformed sim config"),
+    ("config", "ego_route", [[1.75, -45.0, 0.0], [1.75, -1.75], [100.0, -1.75]],
+     "malformed sim config"),
+    ("scenario", "fixed", {"t_cross": "soon"}, "malformed logical scenario"),
+    ("config", None, [], "sim config must be an object"),
+    ("scenario", None, [], "logical scenario must be an object"),
+])
+def test_bad_simulate_input_exits_2_naming_it(mini_scenario, tmp_path, capsys,
+                                              name, key, value, expected):
+    inputs = {
+        "scenario": json.loads(mini_scenario.read_text()),
+        "config": json.loads((DATA / "intersection_config.json").read_text()),
+    }
+    if key is None:  # the whole document
+        inputs[name] = value
+    else:
+        inputs[name][key] = value
+    paths = {}
+    for which, data in inputs.items():
+        paths[which] = tmp_path / f"{which}.json"
+        paths[which].write_text(json.dumps(data))
+    code = main(["simulate", "--scenario", str(paths["scenario"]),
+                 "--config", str(paths["config"]), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[name]}: {expected}")
 
 
 def test_version_flag():

@@ -9,6 +9,7 @@ from scenq import (
     ActorTrack,
     ApplicationPeriod,
     CriterionError,
+    MetricError,
     QualityCriterion,
     Scale,
     ScalarResult,
@@ -27,10 +28,20 @@ from scenq import (
     load_criteria,
     margin_holds,
     normalize_comparator,
+    registry,
     undefined_scalar,
 )
-from scenq.criteria import ConditionNode
+from scenq.criteria import (
+    COMPARATORS,
+    STOP_ELAPSED,
+    STOP_EVENT,
+    ConditionNode,
+    _event_time,
+    _margins_and_holds,
+)
+from scenq.micro import margin_runs
 from scenq.nano import euclidean_distance
+from scenq.trace import common_grid
 
 
 def speed_track(speeds, dt=1.0, actor_id="ego", y=0.0):
@@ -362,6 +373,208 @@ def test_interval_edges_stable_under_resampling():
     # on piecewise linear speed the interpolated edges agree exactly
     assert math.isclose(coarse_iv[0][0], fine_iv[0][0])
     assert math.isclose(coarse_iv[0][1], fine_iv[0][1])
+
+
+def _edge_time(grid, margins, k):
+    """Interpolated zero crossing of the margin between samples k-1 and k."""
+    m0, m1 = margins[k - 1], margins[k]
+    if not (np.isfinite(m0) and np.isfinite(m1)) or m0 == m1:
+        return float(grid[k])
+    t = float(grid[k - 1] + (grid[k] - grid[k - 1]) * (-m0) / (m1 - m0))
+    return min(max(t, float(grid[k - 1])), float(grid[k]))
+
+
+def active_intervals_loop(period, trace):
+    """Scalar reference for active_intervals: one grid sample at a time."""
+    actors = period.start_condition.referenced_actors()
+    if period.stop.actor:
+        actors.add(period.stop.actor)
+    grid_actors = tuple(sorted(actors)) if actors else tuple(trace.actor_ids())
+    grid = common_grid(trace, grid_actors)
+    margins, holds = _margins_and_holds(period.start_condition, trace, grid)
+    event_at = _event_time(trace, period.stop) if period.stop.kind == STOP_EVENT else None
+    end_of_grid = float(grid[-1])
+    n = len(grid)
+    edges = [(0, float(grid[0]))] if holds[0] else []
+    for k in range(1, n):
+        if holds[k] and not holds[k - 1]:
+            edges.append((k, _edge_time(grid, margins, k)))
+    intervals = []
+    guard = -math.inf
+    for k, start in edges:
+        if start < guard:
+            continue
+        if period.stop.kind == STOP_ELAPSED:
+            stop = min(start + period.stop.duration, end_of_grid)
+        elif period.stop.kind == STOP_EVENT:
+            stop = event_at if event_at is not None and event_at >= start else end_of_grid
+        else:
+            j = k
+            while j + 1 < n and holds[j + 1]:
+                j += 1
+            stop = _edge_time(grid, margins, j + 1) if j + 1 < n else end_of_grid
+        if stop > start:
+            intervals.append((start, stop))
+        guard = max(guard, stop)
+    return intervals
+
+
+def random_crossing_trace(rng, sid, dt=0.1, n=60):
+    """Ego along y = 0 with stepped speeds, a pedestrian crossing x = 12."""
+    times = np.arange(n) * dt
+    ego_speed = np.repeat(rng.choice([0.0, 2.0, 4.0, 6.0, 8.0], 4), n // 4)
+    ego_speed = np.clip(ego_speed + rng.integers(2) * np.linspace(0.0, rng.uniform(-2, 2), n),
+                        0.0, None)
+    ped_speed = np.repeat(rng.choice([0.0, 0.5, 1.5, 3.0], 3), n // 3)
+
+    def travelled(start, speed):
+        return start + np.concatenate([[0.0], np.cumsum(speed[:-1] * dt)])
+
+    ego = ActorTrack("ego", ActorClass.VEHICLE, 1.0, times,
+                     xs=travelled(rng.uniform(-10.0, 5.0), ego_speed),
+                     ys=np.zeros(n), headings=np.zeros(n), speeds=ego_speed,
+                     accels=np.gradient(ego_speed, times))
+    ped = ActorTrack("pedestrian", ActorClass.PEDESTRIAN, 0.3, times,
+                     xs=np.full(n, 12.0), ys=travelled(rng.uniform(-6.0, -1.0), ped_speed),
+                     headings=np.full(n, math.pi / 2), speeds=ped_speed,
+                     accels=np.gradient(ped_speed, times))
+    return Trace(sid, dt, {"ego": ego, "pedestrian": ped})
+
+
+METRIC_LEAVES = (
+    ("ttc", {"ego": "ego", "target": "pedestrian"}, 10.0),
+    ("gap_time", {"ego": "ego", "target": "pedestrian"}, 10.0),
+    ("braking_time", {"actor": "ego"}, 5.0),
+    ("euclidean_distance", {"actor_a": "ego", "actor_b": "pedestrian"}, 25.0),
+)
+
+
+def random_leaf(rng, dt=0.1, n=60):
+    comparator = str(rng.choice(COMPARATORS))
+    kind = int(rng.integers(5))
+    if kind == 0:  # a grid time, so "=" can hold exactly
+        return condition("time", comparator, float(np.arange(n)[rng.integers(n)] * dt))
+    if kind == 1:
+        if rng.random() < 0.5:  # a speed the stepped profiles hold, so "=" can hold
+            bound = float(rng.choice([0.0, 2.0, 4.0, 6.0, 8.0]))
+        else:
+            bound = rng.uniform(0, 8)
+        return condition("speed", comparator, bound, actor=str(rng.choice(["ego", "pedestrian"])))
+    if kind == 2:
+        return condition("acceleration", comparator, rng.choice([0.0, rng.uniform(-20, 20)]),
+                         actor="ego")
+    if kind == 3:
+        return condition("distance_between", comparator, rng.uniform(0, 25),
+                         actor="ego", actor_b="pedestrian")
+    metric, params, top = METRIC_LEAVES[rng.integers(len(METRIC_LEAVES))]
+    return condition("metric_value", comparator, rng.uniform(0, top),
+                     metric=metric, metric_params=params)
+
+
+def random_condition(rng, depth=0):
+    if depth < 2 and rng.random() < 0.35:
+        children = [random_condition(rng, depth + 1) for _ in range(int(rng.integers(2, 4)))]
+        return (all_of if rng.random() < 0.5 else any_of)(*children)
+    return random_leaf(rng)
+
+
+def random_stop(rng):
+    pick = int(rng.integers(5))
+    if pick == 0:
+        return StopRule()
+    if pick == 1:
+        return StopRule(kind="elapsed", duration=rng.uniform(0.05, 2.0))
+    if pick == 2:
+        return StopRule(kind="event", event="actor_passed_conflict",
+                        actor=str(rng.choice(["ego", "pedestrian"])))
+    return StopRule(kind="event", event=("scenario_end", "collision")[pick - 3])
+
+
+def _leaves(node):
+    return [node] if node.op == "leaf" else [l for c in node.children for l in _leaves(c)]
+
+
+def test_active_intervals_equal_loop_on_random_periods():
+    rng = np.random.default_rng(7)
+    traces = [random_crossing_trace(rng, f"r{i}") for i in range(8)]
+    seen = {"comparators": set(), "ops": set(), "stops": set()}
+    compared = nonempty = undefined = 0
+    for i in range(400):
+        trace = traces[i % len(traces)]
+        period = ApplicationPeriod(random_condition(rng), random_stop(rng))
+        try:
+            expected = active_intervals_loop(period, trace)
+        except MetricError:
+            with pytest.raises(MetricError):
+                active_intervals(period, trace)
+            continue
+        assert active_intervals(period, trace) == expected, period
+        compared += 1
+        nonempty += bool(expected)
+        leaves = _leaves(period.start_condition)
+        seen["comparators"].update(l.comparator for l in leaves)
+        seen["ops"].add(period.start_condition.op)
+        seen["stops"].add(period.stop.kind)
+        undefined += any(
+            not registry.get(l.metric).compute(trace, l.metric_params).defined.all()
+            for l in leaves if l.signal == "metric_value"
+        )
+    assert compared >= 300
+    assert nonempty >= 100
+    assert undefined >= 30
+    assert seen == {"comparators": set(COMPARATORS), "ops": {"leaf", "all", "any"},
+                    "stops": {"condition_no_longer_fulfilled", "elapsed", "event"}}
+
+
+@pytest.mark.parametrize("margins, holds, starts, stops", [
+    ([1.0, 1.0, -1.0, -1.0, -1.0], None, [0.0], [1.5]),  # run at the first sample
+    ([-1.0, -1.0, -1.0, 1.0, 1.0], None, [2.5], [4.0]),  # run at the last sample
+    ([1.0] * 5, None, [0.0], [4.0]),  # the whole grid
+    ([-1.0] * 5, None, [], []),  # no run
+    # a one-sample touch at margin 0: it starts where it stops, and callers
+    # that need a positive length drop it
+    ([-1.0, 0.0, -1.0, -1.0, -1.0], None, [1.0], [1.0]),
+    # an edge next to an undefined (-inf) sample lands on the later sample
+    ([-math.inf, 1.0, 1.0, -1.0, -1.0], None, [1.0], [2.5]),
+    ([-1.0, 1.0, 1.0, -math.inf, -1.0], None, [0.5], [3.0]),
+    # equal margins on both sides of an edge: the later sample
+    ([2.0, 2.0, 2.0, 2.0, 2.0], [False, True, True, True, True], [1.0], [4.0]),
+    # an interpolated zero outside the two samples is clamped to them
+    ([1.0, 2.0, 2.0, 2.0, 2.0], [False, True, True, True, True], [0.0], [4.0]),
+])
+def test_margin_runs_edge_cases(margins, holds, starts, stops):
+    times = np.arange(5, dtype=float)
+    margins = np.array(margins)
+    holds = margins >= 0.0 if holds is None else np.array(holds)
+    got_starts, got_stops = margin_runs(times, margins, holds)
+    assert got_starts.tolist() == starts
+    assert got_stops.tolist() == stops
+
+
+def test_one_sample_touch_opens_only_timed_periods():
+    # speed reaches 10 at t = 5 only, so ">= 10" holds at one sample with margin 0
+    trace = one_actor_trace(TRIANGLE)
+    touch = condition("speed", ">=", 10.0, actor="ego")
+    assert active_intervals(ApplicationPeriod(touch), trace) == []
+    elapsed = ApplicationPeriod(touch, stop=StopRule(kind="elapsed", duration=0.5))
+    assert active_intervals(elapsed, trace) == [(5.0, 5.5)]
+
+
+def test_scalar_judged_as_one_sample_series_at_period_start():
+    trace = one_actor_trace(TRIANGLE)
+    crit = QualityCriterion(
+        "pet_margin", "pet", Threshold(">", 1.5, unit="s"),
+        application_period=ApplicationPeriod(condition("speed", ">", 5.0, actor="ego")),
+    )
+    verdict = evaluate_criterion(crit, ScalarResult("pet", 3.0, "s"), trace)
+    assert verdict.outcome == "pass"
+    assert verdict.scenario_id == "t"
+    assert verdict.evaluated_intervals == ((2.5, 7.5),)
+    assert (verdict.worst_result.time, verdict.worst_result.value) == (2.5, 3.0)
+    na = evaluate_criterion(crit, undefined_scalar("pet", "s", "never_occupies"), trace)
+    assert na.outcome == "not_applicable"
+    assert na.evaluated_intervals == ((2.5, 7.5),)
+    assert na.worst_result is None
 
 
 def test_evaluate_suite_cells_and_filters():

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import scenq
 
 PUBLIC_NAMES = [
@@ -33,3 +36,27 @@ def test_public_names():
     assert sorted(scenq.__all__) == PUBLIC_NAMES
     for name in scenq.__all__:
         getattr(scenq, name)
+
+
+# modules that metrics and results are built from; the registry imports
+# them, so none of them may import the registry back
+BELOW_REGISTRY = ("results", "trace", "geometry", "nano", "micro", "macro",
+                  "simulator", "scenarios")
+
+
+def _imported_names(tree: ast.AST):
+    """Every dotted name an import statement anywhere in the tree mentions."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+            yield from (alias.name for alias in node.names)
+
+
+def test_layers_below_registry_do_not_import_it():
+    package = Path(scenq.__file__).parent
+    for module in BELOW_REGISTRY:
+        tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+        for name in _imported_names(tree):
+            assert "registry" not in name.split("."), f"{module} imports {name}"

@@ -13,6 +13,7 @@ from scenq import (
     scalar_to_dict,
     undefined_scalar,
     write_scalars,
+    registry,
     write_series,
 )
 
@@ -41,8 +42,11 @@ def test_series_validation():
                      np.zeros(3), np.ones(2, dtype=bool))
     with pytest.raises(MetricError):
         series(["nan", 1.0], defined=[True, True])
+    # metric names are checked where they enter (registry lookups, criteria),
+    # not by the container, so results does not import the registry back
+    assert series([1.0, 2.0], name="not_a_metric").metric_name == "not_a_metric"
     with pytest.raises(MetricError):
-        series([1.0, 2.0], name="not_a_metric")
+        registry.get("not_a_metric")
 
 
 def test_series_zeroes_undefined_values():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from scenq import (
     simulate_batch,
     sim_config_from_dict,
     validate_trace,
-    with_overrides,
     write_trace,
 )
 from scenq.scenarios import LogicalScenario, ParameterRange
@@ -111,7 +111,7 @@ def test_clean_run_validates_clean(reference_outcome):
 
 
 def test_timeout_end_reason(intersection_config):
-    config = with_overrides(intersection_config, max_duration=2.0)
+    config = replace(intersection_config, max_duration=2.0)
     out = simulate(REF, config)
     assert out.end_reason == "timeout"
     assert not out.completed
