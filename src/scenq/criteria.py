@@ -20,7 +20,7 @@ import numpy as np
 
 from . import registry
 from .errors import CriterionError, UnitMismatchError
-from .micro import margin_runs
+from .micro import in_periods, margin_runs
 from .nano import conflict_point
 from .results import MetricResult, MetricSeries, ScalarResult
 from .trace import Trace, common_grid, first_contact_time, sample_track
@@ -420,10 +420,7 @@ def evaluate_criterion(
     if trace is not None:
         if not intervals:
             return verdict
-        in_period = np.zeros(len(times), dtype=bool)
-        for start, stop in intervals:
-            in_period |= (times >= start) & (times <= stop)
-        mask = mask & in_period
+        mask = mask & in_periods(times, intervals)
     verdict = replace(verdict, evaluated_intervals=intervals)
     if not mask.any():
         return verdict
@@ -555,6 +552,8 @@ def _condition_from_dict(data: Mapping) -> ConditionNode:
 def _stop_from_dict(data: Mapping | None) -> StopRule:
     if not data:
         return StopRule()
+    if not isinstance(data, Mapping):
+        raise TypeError(f"stop must be an object, got {data!r}")
     kind = data.get("kind", STOP_ON_CONDITION)
     return StopRule(
         kind=kind,

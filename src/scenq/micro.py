@@ -108,6 +108,14 @@ def margin_runs(
     return starts, stops
 
 
+def in_periods(times: np.ndarray, periods: list[tuple[float, float]]) -> np.ndarray:
+    """Mask of the times inside any (start, stop) period, endpoints inclusive."""
+    mask = np.zeros(len(times), dtype=bool)
+    for start, stop in periods:
+        mask |= (times >= start) & (times <= stop)
+    return mask
+
+
 def occupancy(trace: Trace, actor: str, zone: EncroachmentZone) -> list[OccupancyInterval]:
     """Maximal intervals during which the actor disc intersects the zone.
 
@@ -186,12 +194,9 @@ def aggregate(
         raise MetricError(f"unknown aggregation {op!r}, expected one of {AGGREGATE_OPS}")
     mask = series.defined.copy()
     if periods is not None:
-        in_period = np.zeros(len(series), dtype=bool)
-        for start, end in periods:
-            if end < start:
-                raise MetricError("aggregation period must have start <= end")
-            in_period |= (series.times >= start) & (series.times <= end)
-        mask &= in_period
+        if any(end < start for start, end in periods):
+            raise MetricError("aggregation period must have start <= end")
+        mask &= in_periods(series.times, periods)
     name = f"{op}_{series.metric_name}"
     if not mask.any():
         return undefined_scalar(name, series.unit, "no_defined_samples")

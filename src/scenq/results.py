@@ -169,15 +169,12 @@ def write_series(series: MetricSeries, path: str | Path, parameters: Mapping | N
     actor ids and optional free-form parameters.
     """
     path = Path(path)
-    lines = ["time_s,value,defined"]
-    for i in range(len(series)):
-        # builtin floats, so the repr stays shortest-round-trip plain digits
-        t = float(series.times[i])
-        if series.defined[i]:
-            lines.append(f"{t!r},{float(series.values[i])!r},true")
-        else:
-            lines.append(f"{t!r},,false")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # tolist() gives builtin floats, whose repr is the shortest round trip
+    rows = (
+        f"{t!r},{v!r},true" if d else f"{t!r},,false"
+        for t, v, d in zip(series.times.tolist(), series.values.tolist(), series.defined.tolist())
+    )
+    path.write_text("\n".join(["time_s,value,defined", *rows]) + "\n", encoding="utf-8")
     sidecar = {
         "metric_name": series.metric_name,
         "unit": series.unit,

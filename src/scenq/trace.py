@@ -15,31 +15,22 @@ scenario id, the nominal time step and free-form metadata.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
 from .errors import MetricError, TraceError, TraceParseError
 from .geometry import cumulative_arc, normalize_angles
 
-CSV_COLUMNS = (
-    "time_s",
-    "actor_id",
-    "actor_class",
-    "x_m",
-    "y_m",
-    "heading_rad",
-    "speed_mps",
-    "accel_mps2",
-)
+#: Numeric columns in the order the codec holds them; accel_mps2 may be absent.
+_NUMERIC_COLUMNS = ("time_s", "x_m", "y_m", "heading_rad", "speed_mps", "accel_mps2")
+CSV_COLUMNS = ("time_s", "actor_id", "actor_class", *_NUMERIC_COLUMNS[1:])
 
 #: Tolerated deviation from the nominal time step before a sampling warning.
 SAMPLING_TOLERANCE = 0.1
@@ -101,6 +92,8 @@ class ActorTrack:
     def __post_init__(self) -> None:
         if not self.actor_id:
             raise TraceError("actor_id must be non-empty")
+        if self.actor_id.splitlines() != [self.actor_id]:
+            raise TraceError(f"actor_id {self.actor_id!r} must not contain a line break")
         if not isinstance(self.actor_class, ActorClass):
             object.__setattr__(self, "actor_class", ActorClass(self.actor_class))
         if not (self.radius > 0.0):
@@ -424,100 +417,160 @@ def _central_diff(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rows_to_trace(
-    rows: Iterable[tuple[int, dict]],
-    *,
-    scenario_id: str,
-    time_step: float | None,
-    metadata: Mapping[str, str] | None,
-    has_accel_column: bool,
-) -> Trace:
-    per_actor: dict[str, dict[str, list[float]]] = {}
-    classes: dict[str, str] = {}
-    lines: dict[str, int] = {}
-    order: list[str] = []
-    for line_no, row in rows:
-        actor_id = str(row["actor_id"])
-        if actor_id not in per_actor:
-            per_actor[actor_id] = {k: [] for k in ("t", "x", "y", "h", "v", "a")}
-            classes[actor_id] = str(row["actor_class"])
-            order.append(actor_id)
-        elif classes[actor_id] != str(row["actor_class"]):
-            raise TraceParseError(
-                f"line {line_no}: actor {actor_id!r} changes class",
-                line=line_no,
-                actor_id=actor_id,
-            )
-        cols = per_actor[actor_id]
+#: The CSV dialect: comma-separated, '"' quotes a field ('""' is a literal quote), no comments.
+_CSV_DIALECT = {"delimiter": ",", "quotechar": '"', "comments": None}
+#: Rows formatted per block when writing.
+_WRITE_BLOCK = 1024
+#: What a reader returns: line numbers, actor ids, actor classes and numeric columns per row.
+_Rows = tuple[Sequence[int], list[str], np.ndarray, np.ndarray]
+
+
+def _split_csv_line(line: str) -> list[str]:
+    """Unquoted fields of one non-blank CSV line."""
+    return np.loadtxt([line], dtype=object, ndmin=1, **_CSV_DIALECT).tolist()
+
+
+def _group_rows(
+    line_nos: Sequence[int], ids: list[str], classes: np.ndarray, times: np.ndarray
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Group rows by actor in order of first appearance: the actor ids, the
+    stable permutation that groups the rows, and the row count per actor.
+
+    Raises for the earliest offending row: a class other than the actor's
+    first, or a time not after its previous one (on one row, the class)."""
+    rank: dict[str, int] = {}
+    codes = np.array([rank.setdefault(actor_id, len(rank)) for actor_id in ids])
+    _, first = np.unique(codes, return_index=True)
+    class_rows = np.flatnonzero(classes != classes[first[codes]])
+    order = np.argsort(codes, kind="stable")
+    grouped, t = codes[order], times[order]
+    # steps[j] marks the pair of rows order[j], order[j + 1] of one actor
+    steps = np.flatnonzero((grouped[1:] == grouped[:-1]) & (t[1:] <= t[:-1]))
+    step = steps[np.argmin(order[steps + 1])] if steps.size else None
+    if class_rows.size and (step is None or class_rows[0] <= order[step + 1]):
+        k, problem = class_rows[0], f"actor {ids[class_rows[0]]!r} changes class"
+    elif step is not None:
+        k = order[step + 1]
+        now, previous = float(times[k]), float(times[order[step]])
+        if now == previous:
+            problem = f"duplicate timestamp {now} for actor {ids[k]!r}"
+        else:
+            problem = f"non-monotonic time for actor {ids[k]!r} ({now} after {previous})"
+    else:
+        return list(rank), order, np.bincount(codes)
+    raise TraceParseError(f"line {line_nos[k]}: {problem}", line=line_nos[k], actor_id=ids[k])
+
+
+def _record_columns(line_nos: Sequence[int], records: list[dict], keys: tuple[str, ...]) -> _Rows:
+    """Columns of rows held as dicts (a missing field reads None), numbers
+    converted row by row with ``float``. At the first value ``float``
+    rejects, the rows up to it are checked first: a class change on or
+    before that row, or a bad time before it, is the error reported."""
+    ids = [str(r.get("actor_id")) for r in records]
+    classes = np.array([str(r.get("actor_class")) for r in records], dtype=object)
+    values: list[list[float]] = []
+    for k, record in enumerate(records):
         try:
-            t = float(row["time_s"])
-            x = float(row["x_m"])
-            y = float(row["y_m"])
-            h = float(row["heading_rad"])
-            v = float(row["speed_mps"])
-            a = float(row["accel_mps2"]) if has_accel_column else math.nan
+            values.append([float(record.get(key)) for key in keys])
         except (TypeError, ValueError) as exc:
+            times = np.array([v[0] for v in values] + [math.nan])
+            _group_rows(line_nos[: k + 1], ids[: k + 1], classes[: k + 1], times)
             raise TraceParseError(
-                f"line {line_no}: non-numeric value ({exc})", line=line_no, actor_id=actor_id
+                f"line {line_nos[k]}: non-numeric value ({exc})", line=line_nos[k], actor_id=ids[k]
             ) from None
-        if cols["t"]:
-            previous = cols["t"][-1]
-            if t == previous:
-                raise TraceParseError(
-                    f"line {line_no}: duplicate timestamp {t} for actor {actor_id!r}",
-                    line=line_no,
-                    actor_id=actor_id,
-                )
-            if t < previous:
-                raise TraceParseError(
-                    f"line {line_no}: non-monotonic time for actor {actor_id!r} "
-                    f"({t} after {previous})",
-                    line=line_no,
-                    actor_id=actor_id,
-                )
-        cols["t"].append(t)
-        cols["x"].append(x)
-        cols["y"].append(y)
-        cols["h"].append(h)
-        cols["v"].append(v)
-        cols["a"].append(a)
-        lines[actor_id] = line_no
-    if not per_actor:
+    return line_nos, ids, classes, np.array(values)
+
+
+def _read_csv(text: str) -> _Rows:
+    """Line numbers, actor ids, actor classes and numeric columns of CSV rows."""
+    lines = text.splitlines()
+    if not lines:
+        raise TraceParseError("empty CSV input")
+    names = [name.strip() for name in _split_csv_line(lines[0])] if lines[0].strip() else []
+    index = {name: i for i, name in enumerate(names)}
+    missing = [c for c in CSV_COLUMNS if c != "accel_mps2" and c not in index]
+    if missing:
+        raise TraceParseError(f"missing CSV columns: {', '.join(missing)}")
+    rows = [line for line in lines[1:] if line.strip()]
+    if not rows:
         raise TraceParseError("no data rows")
+    # a range, no int object per row, unless blank lines were skipped
+    line_nos = range(2, len(lines) + 1) if len(rows) == len(lines) - 1 else [
+        i for i, line in enumerate(lines, start=1) if i > 1 and line.strip()]
+    keys = tuple(c for c in _NUMERIC_COLUMNS if c in index)
+    try:
+        values = np.loadtxt(rows, usecols=[index[c] for c in keys], ndmin=2, **_CSV_DIALECT)
+        labels = np.loadtxt(rows, dtype=object, ndmin=2, **_CSV_DIALECT,
+                            usecols=(index["actor_id"], index["actor_class"]))
+        if len(values) == len(labels) == len(rows):  # an open quote joins lines
+            return line_nos, labels[:, 0].tolist(), labels[:, 1], values
+    except ValueError:
+        pass
+    # error path: each line on its own, float() finds the first bad value
+    records = [dict(zip(names, _split_csv_line(line))) for line in rows]
+    return _record_columns(line_nos, records, keys)
+
+
+def _read_jsonl(text: str) -> _Rows:
+    """Line numbers, actor ids, actor classes and numeric columns of JSONL rows."""
+    line_nos: list[int] = []
+    records: list[dict] = []
+    for i, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceParseError(f"line {i}: invalid JSON ({exc.msg})", line=i) from None
+        if not isinstance(record, dict):
+            raise TraceParseError(f"line {i}: row is not an object", line=i)
+        missing = [c for c in CSV_COLUMNS if c != "accel_mps2" and c not in record]
+        if missing:
+            raise TraceParseError(f"line {i}: missing keys: {', '.join(missing)}", line=i)
+        line_nos.append(i)
+        records.append(record)
+    if not records:
+        raise TraceParseError("no data rows")
+    has_accel = all("accel_mps2" in r for r in records)
+    keys = _NUMERIC_COLUMNS if has_accel else _NUMERIC_COLUMNS[:-1]
+    return _record_columns(line_nos, records, keys)
+
+
+def _assemble(
+    line_nos: Sequence[int], ids: list[str], classes: np.ndarray, values: np.ndarray, *,
+    scenario_id: str, time_step: float | None, metadata: Mapping[str, str] | None,
+) -> Trace:
+    """Build a trace from per-row columns in file order.
+
+    ``values`` has one row per input row: time, x, y, heading, speed and,
+    when the input carries it, acceleration.
+    """
+    actors, order, counts = _group_rows(line_nos, ids, classes, values[:, 0])
+    columns = values[order].T.copy()  # one contiguous row per field, grouped by actor
+    ends = np.cumsum(counts)
     meta = dict(metadata or {})
     derived: list[str] = []
     tracks: dict[str, ActorTrack] = {}
-    for actor_id in order:
-        cols = per_actor[actor_id]
-        if len(cols["t"]) < 2:
-            raise TraceParseError(
-                f"actor {actor_id!r} has fewer than 2 states", actor_id=actor_id
-            )
+    for actor_id, start, end in zip(actors, (ends - counts).tolist(), ends.tolist()):
+        if end - start < 2:
+            raise TraceParseError(f"actor {actor_id!r} has fewer than 2 states", actor_id=actor_id)
+        name = classes[order[start]]
         try:
-            actor_class = ActorClass(classes[actor_id])
+            actor_class = ActorClass(name)
         except ValueError:
             raise TraceParseError(
-                f"actor {actor_id!r}: unknown actor_class {classes[actor_id]!r}",
-                actor_id=actor_id,
+                f"actor {actor_id!r}: unknown actor_class {name!r}", actor_id=actor_id
             ) from None
-        times = np.array(cols["t"])
-        speeds = np.array(cols["v"])
-        if has_accel_column:
-            accels = np.array(cols["a"])
+        times, xs, ys, headings, speeds = columns[:5, start:end]
+        if len(columns) == len(_NUMERIC_COLUMNS):
+            accels = columns[5, start:end]
         else:
             accels = _central_diff(times, speeds)
             derived.append(actor_id)
         try:
             tracks[actor_id] = ActorTrack(
-                actor_id=actor_id,
-                actor_class=actor_class,
-                radius=DEFAULT_RADII[actor_class],
-                times=times,
-                xs=np.array(cols["x"]),
-                ys=np.array(cols["y"]),
-                headings=normalize_angles(np.array(cols["h"])),
-                speeds=speeds,
-                accels=accels,
+                actor_id, actor_class, DEFAULT_RADII[actor_class],
+                times, xs, ys, normalize_angles(headings), speeds, accels,
             )
         except TraceError as exc:
             raise TraceParseError(str(exc), actor_id=actor_id) from None
@@ -529,17 +582,6 @@ def _rows_to_trace(
     return Trace(scenario_id=scenario_id, time_step=time_step, tracks=tracks, metadata=meta)
 
 
-def _as_text(source: str | bytes | IO) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
-
-
 def load_trace(
     source: str | bytes | IO,
     fmt: TraceFormat | str = TraceFormat.CSV,
@@ -549,6 +591,8 @@ def load_trace(
     metadata: Mapping[str, str] | None = None,
 ) -> Trace:
     """Parse a trace from CSV or JSONL content.
+
+    Blank lines are skipped; error line numbers count them.
 
     Args:
         source: Text, bytes or a file object holding the serialized trace.
@@ -566,97 +610,55 @@ def load_trace(
             timestamps, unknown actor classes or fewer than 2 states.
     """
     fmt = TraceFormat(fmt)
-    text = _as_text(source)
-    if fmt is TraceFormat.CSV:
-        reader = csv.DictReader(io.StringIO(text))
-        if reader.fieldnames is None:
-            raise TraceParseError("empty CSV input")
-        names = [n.strip() for n in reader.fieldnames]
-        reader.fieldnames = names
-        required = [c for c in CSV_COLUMNS if c != "accel_mps2"]
-        missing = [c for c in required if c not in names]
-        if missing:
-            raise TraceParseError(f"missing CSV columns: {', '.join(missing)}")
-        has_accel = "accel_mps2" in names
-        rows = ((i, row) for i, row in enumerate(reader, start=2))
-        return _rows_to_trace(
-            rows,
-            scenario_id=scenario_id,
-            time_step=time_step,
-            metadata=metadata,
-            has_accel_column=has_accel,
-        )
-    records: list[tuple[int, dict]] = []
-    has_accel = True
-    for i, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceParseError(f"line {i}: invalid JSON ({exc.msg})", line=i) from None
-        if not isinstance(record, dict):
-            raise TraceParseError(f"line {i}: row is not an object", line=i)
-        missing = [c for c in CSV_COLUMNS if c != "accel_mps2" and c not in record]
-        if missing:
-            raise TraceParseError(
-                f"line {i}: missing keys: {', '.join(missing)}", line=i
-            )
-        if "accel_mps2" not in record:
-            has_accel = False
-        records.append((i, record))
-    if not has_accel:
-        for _, record in records:
-            record.pop("accel_mps2", None)
-    return _rows_to_trace(
-        records,
-        scenario_id=scenario_id,
-        time_step=time_step,
-        metadata=metadata,
-        has_accel_column=has_accel,
-    )
+    text = source if isinstance(source, (str, bytes)) else source.read()
+    text = text.decode("utf-8") if isinstance(text, bytes) else text
+    columns = _read_csv(text) if fmt is TraceFormat.CSV else _read_jsonl(text)
+    return _assemble(*columns, scenario_id=scenario_id, time_step=time_step, metadata=metadata)
 
 
-def _iter_rows(trace: Trace):
-    """Rows in time-major order with actor id as tie breaker."""
-    heads = []
-    for actor_id in trace.actor_ids():
-        track = trace.tracks[actor_id]
-        for i in range(len(track)):
-            heads.append((float(track.times[i]), actor_id, i, track))
-    heads.sort(key=lambda item: (item[0], item[1]))
-    for t, actor_id, i, track in heads:
-        yield {
-            "time_s": t,
-            "actor_id": actor_id,
-            "actor_class": track.actor_class.value,
-            "x_m": float(track.xs[i]),
-            "y_m": float(track.ys[i]),
-            "heading_rad": float(track.headings[i]),
-            "speed_mps": float(track.speeds[i]),
-            "accel_mps2": float(track.accels[i]),
-        }
+def _csv_field(text: str) -> str:
+    """A CSV field, quoted when it holds the delimiter or the quote character."""
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_trace(trace: Trace, fmt: TraceFormat | str = TraceFormat.CSV) -> str:
     """Serialize a trace to CSV or JSONL text.
 
-    Floats are written with ``repr`` so a load/serialize/load round trip
-    reproduces every field bit for bit.
+    Rows are in time order, ties broken by actor id. Floats are written
+    with ``repr`` so a load/serialize/load round trip reproduces every
+    field bit for bit.
     """
     fmt = TraceFormat(fmt)
-    if fmt is TraceFormat.CSV:
-        out = io.StringIO()
-        out.write(",".join(CSV_COLUMNS) + "\n")
-        for row in _iter_rows(trace):
-            out.write(
-                f"{row['time_s']!r},{row['actor_id']},{row['actor_class']},"
-                f"{row['x_m']!r},{row['y_m']!r},{row['heading_rad']!r},"
-                f"{row['speed_mps']!r},{row['accel_mps2']!r}\n"
+    tracks = [trace.tracks[actor_id] for actor_id in trace.actor_ids()]
+    rank = np.repeat(np.arange(len(tracks)), [len(track) for track in tracks])
+    fields = ("times", "xs", "ys", "headings", "speeds", "accels")
+    columns = np.array([np.concatenate([getattr(tr, f) for tr in tracks]) for f in fields])
+    order = np.lexsort((rank, columns[0]))
+    as_csv = fmt is TraceFormat.CSV
+    if as_csv:
+        heads = [f",{_csv_field(tr.actor_id)},{tr.actor_class.value}," for tr in tracks]
+    else:
+        labels = ({"actor_id": tr.actor_id, "actor_class": tr.actor_class.value} for tr in tracks)
+        heads = [f', {json.dumps(d, ensure_ascii=False)[1:-1]}, "x_m": ' for d in labels]
+    chunks = [",".join(CSV_COLUMNS) + "\n"] if as_csv else []
+    # a block at a time, so the float lists and row strings alive at once stay small
+    for block in np.split(order, range(_WRITE_BLOCK, len(order), _WRITE_BLOCK)):
+        times, *values = columns[:, block].tolist()
+        rows = zip(times, [heads[r] for r in rank[block].tolist()], *values)
+        if as_csv:
+            text = "".join(
+                f"{t!r}{head}{x!r},{y!r},{h!r},{v!r},{a!r}\n" for t, head, x, y, h, v, a in rows
             )
-        return out.getvalue()
-    lines = [json.dumps(row, ensure_ascii=False) for row in _iter_rows(trace)]
-    return "\n".join(lines) + "\n"
+        else:
+            text = "".join(
+                f'{{"time_s": {t!r}{head}{x!r}, "y_m": {y!r}, "heading_rad": {h!r}, '
+                f'"speed_mps": {v!r}, "accel_mps2": {a!r}}}\n'
+                for t, head, x, y, h, v, a in rows
+            )
+        chunks.append(text)
+    return "".join(chunks)
 
 
 def save_trace(trace: Trace, path: str | Path, fmt: TraceFormat | str | None = None) -> Path:
@@ -703,12 +705,7 @@ def load_trace_file(path: str | Path) -> Trace:
         time_step = info.get("time_step")
         metadata = {str(k): str(v) for k, v in info.get("metadata", {}).items()}
     try:
-        return load_trace(
-            path.read_text(encoding="utf-8"),
-            fmt,
-            scenario_id=scenario_id,
-            time_step=time_step,
-            metadata=metadata,
-        )
+        return load_trace(path.read_text(encoding="utf-8"), fmt, scenario_id=scenario_id,
+                          time_step=time_step, metadata=metadata)
     except TraceParseError as exc:
         raise TraceParseError(f"{path}: {exc}", line=exc.line, actor_id=exc.actor_id) from None

@@ -363,6 +363,13 @@ def test_missing_trace_column_exits_2_naming_file(sim_out, criteria_ok, tmp_path
                     "params": {"actor_a": "ego", "actor_b": "pedestrian"},
                     "scale": {"breakpoints": [[0.0, 1.0, 2.0]], "unit": "m"}}]},
      "malformed criterion 'odd_scale'"),
+    ({"criteria": [{"criterion_id": "odd_stop", "metric": "euclidean_distance",
+                    "params": {"actor_a": "ego", "actor_b": "pedestrian"},
+                    "threshold": {"comparator": ">", "value": 0.2, "unit": "m"},
+                    "application_period": {
+                        "start_condition": {"signal": "time", "comparator": ">=", "bound": 0.0},
+                        "stop": ["elapsed", 2.0]}}]},
+     "malformed criterion 'odd_stop': stop must be an object"),
 ])
 def test_bad_criteria_file_exits_2_naming_it(sim_out, tmp_path, capsys, payload, expected):
     criteria = tmp_path / "criteria.json"

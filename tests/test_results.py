@@ -107,6 +107,30 @@ def test_write_series_csv_and_sidecar(tmp_path):
     assert meta["parameters"]["target"] == "walker"
 
 
+def reference_series_csv(s):
+    """Reference series writer, one sample at a time."""
+    lines = ["time_s,value,defined"]
+    for i in range(len(s)):
+        t = float(s.times[i])
+        if s.defined[i]:
+            lines.append(f"{t!r},{float(s.values[i])!r},true")
+        else:
+            lines.append(f"{t!r},,false")
+    return "\n".join(lines) + "\n"
+
+
+def test_write_series_matches_reference_writer(tmp_path):
+    rng = np.random.default_rng(9)
+    special = np.array([-0.0, 5e-324, 1e22, 0.1 + 0.2])
+    for n in (1, 2, 7, 500):
+        values = rng.normal(scale=10.0, size=n)
+        values[rng.random(n) < 0.3] = rng.choice(special)
+        s = MetricSeries("ttc", ("a", "b"), "s", times=np.cumsum(rng.uniform(0.01, 0.2, n)) - 0.1,
+                         values=values, defined=rng.random(n) < 0.7)
+        write_series(s, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_text() == reference_series_csv(s)
+
+
 def test_scalar_serialization(tmp_path):
     defined = ScalarResult("pet", 3.0, "s", context={"first_actor": "car"})
     missing = undefined_scalar("pet", "s", "never_occupies")

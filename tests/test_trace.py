@@ -1,3 +1,5 @@
+import io
+import json
 import math
 
 import numpy as np
@@ -10,6 +12,7 @@ from scenq import (
     StopRule,
     Trace,
     TraceError,
+    TraceParseError,
     active_intervals,
     always_active,
     collision_probability,
@@ -22,6 +25,8 @@ from scenq import (
     validate_trace,
     write_trace,
 )
+from scenq.geometry import normalize_angles
+from scenq.trace import CSV_COLUMNS
 
 
 def straight_track(actor_id="car", n=11, dt=0.1, speed=5.0, y=0.0,
@@ -249,3 +254,247 @@ def test_jittered_trace_contact_is_the_same_everywhere():
         always_active().start_condition, stop=StopRule(kind="event", event="collision")
     )
     assert active_intervals(period, trace) == [(0.0, 0.25)]
+
+
+# ---------------------------------------------------------------------------
+# codec: parse errors, reference writer, round trips
+
+
+def base_rows():
+    """Two actors sampled at 0.0 .. 0.3 s, one row per actor and time."""
+    return [
+        {"time_s": round(0.1 * k, 1), "actor_id": actor, "actor_class": cls,
+         "x_m": float(k), "y_m": y, "heading_rad": 0.0, "speed_mps": 1.0, "accel_mps2": 0.0}
+        for k in range(4)
+        for actor, cls, y in (("car", "vehicle", 0.0), ("walker", "pedestrian", 5.0))
+    ]
+
+
+def rows_text(rows, fmt, columns=CSV_COLUMNS):
+    """Rows as CSV (header on line 1) or JSONL; None stands for a blank line."""
+    if fmt == "csv":
+        lines = [",".join(columns)]
+        lines += ["" if r is None else ",".join(str(r[c]) for c in columns) for r in rows]
+    else:
+        lines = ["" if r is None else json.dumps({c: r[c] for c in columns}) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def first_data_line(fmt):
+    return 2 if fmt == "csv" else 1
+
+
+def setting(row, **fields):
+    return lambda rows: [dict(r, **fields) if i == row else r for i, r in enumerate(rows)]
+
+
+NOT_A_FLOAT = "non-numeric value (could not convert string to float: {!r})"
+
+# (mutation of base_rows(), message after "line N: ", row index or None, actor)
+ROW_ERRORS = {
+    "value_on_first_row": (setting(0, x_m="oops"), NOT_A_FLOAT.format("oops"), 0, "car"),
+    "value_on_middle_row": (setting(3, speed_mps="fast"), NOT_A_FLOAT.format("fast"), 3, "walker"),
+    "value_on_last_row": (setting(7, accel_mps2="1.0.0"), NOT_A_FLOAT.format("1.0.0"), 7, "walker"),
+    "duplicate_time": (setting(4, time_s=0.1), "duplicate timestamp 0.1 for actor 'car'", 4, "car"),
+    "non_monotonic_time": (
+        setting(4, time_s=0.05), "non-monotonic time for actor 'car' (0.05 after 0.1)", 4, "car"
+    ),
+    "class_change": (setting(5, actor_class="vehicle"), "actor 'walker' changes class", 5, "walker"),
+    "unknown_class": (
+        lambda rows: [dict(r, actor_class="truck") if r["actor_id"] == "walker" else r
+                      for r in rows],
+        "actor 'walker': unknown actor_class 'truck'", None, "walker",
+    ),
+    "fewer_than_2_states": (
+        lambda rows: rows + [dict(rows[0], actor_id="bike")],
+        "actor 'bike' has fewer than 2 states", None, "bike",
+    ),
+    # the earliest offending row is reported, whatever its kind
+    "time_before_value": (
+        lambda rows: setting(6, x_m="oops")(setting(4, time_s=0.1)(rows)),
+        "duplicate timestamp 0.1 for actor 'car'", 4, "car",
+    ),
+    "value_before_time": (
+        lambda rows: setting(6, time_s=0.1)(setting(4, x_m="oops")(rows)),
+        NOT_A_FLOAT.format("oops"), 4, "car",
+    ),
+    "class_before_value_on_one_row": (
+        setting(5, actor_class="vehicle", x_m="oops"), "actor 'walker' changes class", 5, "walker"
+    ),
+    "class_before_time_on_one_row": (
+        setting(4, actor_class="pedestrian", time_s=0.1), "actor 'car' changes class", 4, "car"
+    ),
+    "earliest_time_across_actors": (
+        lambda rows: setting(6, time_s=0.2)(setting(3, time_s=0.0)(rows)),
+        "duplicate timestamp 0.0 for actor 'walker'", 3, "walker",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("case", sorted(ROW_ERRORS))
+def test_parse_errors_name_line_and_actor(fmt, case):
+    mutate, message, row, actor = ROW_ERRORS[case]
+    with pytest.raises(TraceParseError) as exc:
+        load_trace(rows_text(mutate(base_rows()), fmt), fmt)
+    line = None if row is None else row + first_data_line(fmt)
+    assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+    assert exc.value.line == line
+    assert exc.value.actor_id == actor
+
+
+@pytest.mark.parametrize("fmt, text, message, line", [
+    ("csv", rows_text(base_rows(), "csv", [c for c in CSV_COLUMNS if c != "y_m"]),
+     "missing CSV columns: y_m", None),
+    ("jsonl", rows_text(base_rows(), "jsonl", [c for c in CSV_COLUMNS if c != "y_m"]),
+     "line 1: missing keys: y_m", 1),
+    ("csv", ",".join(CSV_COLUMNS) + "\n\n", "no data rows", None),
+    ("jsonl", "\n", "no data rows", None),
+    ("csv", "", "empty CSV input", None),
+])
+def test_parse_errors_without_rows(fmt, text, message, line):
+    with pytest.raises(TraceParseError) as exc:
+        load_trace(text, fmt)
+    assert str(exc.value) == message
+    assert exc.value.line == line
+    assert exc.value.actor_id is None
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_error_line_counts_blank_lines(fmt):
+    rows = setting(3, x_m="oops")(base_rows())
+    rows.insert(2, None)  # a blank line before the bad row
+    with pytest.raises(TraceParseError) as exc:
+        load_trace(rows_text(rows, fmt), fmt)
+    line = 4 + first_data_line(fmt)  # CSV: blank line 4, bad row on line 6
+    assert str(exc.value) == f"line {line}: " + NOT_A_FLOAT.format("oops")
+    assert exc.value.line == line
+
+
+def test_open_quote_stays_on_its_line():
+    # a quote opened on line 4 and closed on line 5 must not join the two
+    text = rows_text(base_rows(), "csv").replace("0.1,car,", '0.1,"car\nx",')
+    with pytest.raises(TraceParseError) as exc:
+        load_trace(text)
+    assert exc.value.line == 4
+    assert exc.value.actor_id == "car"  # the row is short: its class reads None
+    assert str(exc.value) == "line 4: actor 'car' changes class"
+
+
+def test_csv_values_parse_like_float():
+    # loadtxt rejects these spellings while float() reads them
+    rows = setting(2, x_m="1_000")(setting(3, y_m="\u0665")(base_rows()))
+    trace = load_trace(rows_text(rows, "csv"))
+    assert trace.track("car").xs[1] == 1000.0
+    assert trace.track("walker").ys[1] == 5.0
+
+
+def reference_rows(trace):
+    """Reference row order and values: per-row dicts sorted by (time, actor id)."""
+    heads = []
+    for actor_id in trace.actor_ids():
+        track = trace.tracks[actor_id]
+        for i in range(len(track)):
+            heads.append((float(track.times[i]), actor_id, i, track))
+    heads.sort(key=lambda item: (item[0], item[1]))
+    for t, actor_id, i, track in heads:
+        yield {
+            "time_s": t,
+            "actor_id": actor_id,
+            "actor_class": track.actor_class.value,
+            "x_m": float(track.xs[i]),
+            "y_m": float(track.ys[i]),
+            "heading_rad": float(track.headings[i]),
+            "speed_mps": float(track.speeds[i]),
+            "accel_mps2": float(track.accels[i]),
+        }
+
+
+def reference_write(trace, fmt):
+    """Reference writer, one row at a time."""
+    if fmt == "csv":
+        out = io.StringIO()
+        out.write(",".join(CSV_COLUMNS) + "\n")
+        for row in reference_rows(trace):
+            out.write(
+                f"{row['time_s']!r},{row['actor_id']},{row['actor_class']},"
+                f"{row['x_m']!r},{row['y_m']!r},{row['heading_rad']!r},"
+                f"{row['speed_mps']!r},{row['accel_mps2']!r}\n"
+            )
+        return out.getvalue()
+    return "\n".join(json.dumps(row, ensure_ascii=False) for row in reference_rows(trace)) + "\n"
+
+
+SPECIAL_VALUES = np.array([-0.0, 5e-324, 1e22, 0.1 + 0.2, -1e-300, 2.0**-1074 * 3])
+
+
+def random_trace(rng, size=60, ids=("a", "b", "car", "walker_1")):
+    """Actors on a shared grid (ties in time), on grids of their own, or on
+    the shared grid shifted; values mix random bit patterns, normal draws
+    and SPECIAL_VALUES."""
+    shared = np.cumsum(rng.uniform(0.05, 0.15, size=size))
+    tracks = {}
+    for actor_id in rng.choice(ids, size=rng.integers(1, len(ids) + 1), replace=False):
+        kind = rng.integers(3)
+        if kind == 0:
+            times = shared[: rng.integers(size // 3, size + 1)].copy()
+        elif kind == 1:
+            times = np.cumsum(rng.uniform(0.05, 0.2, size=rng.integers(10, size + 20)))
+        else:
+            times = shared[: 2 * size // 3] + 0.05
+        times[0] = rng.choice([-0.0, 0.0, times[0]])
+        n = len(times)
+
+        def column(scale):
+            bits = rng.integers(0, 2**63, size=n, dtype=np.uint64).view(np.float64)
+            vals = np.where(np.isfinite(bits), bits, 1.0) if rng.random() < 0.3 else \
+                rng.normal(scale=scale, size=n)
+            picks = rng.random(n) < 0.2
+            vals[picks] = rng.choice(SPECIAL_VALUES, size=picks.sum())
+            return vals
+
+        cls = ActorClass(rng.choice([c.value for c in ActorClass]))
+        tracks[str(actor_id)] = ActorTrack(
+            str(actor_id), cls, 1.0, times, xs=column(50.0), ys=column(50.0),
+            headings=normalize_angles(column(3.0)), speeds=np.abs(column(10.0)),
+            accels=column(3.0),
+        )
+    return Trace("random", 0.1, tracks)
+
+
+def assert_same_tracks(back, trace):
+    assert back.actor_ids() == trace.actor_ids()
+    for actor_id in trace.actor_ids():
+        a, b = trace.track(actor_id), back.track(actor_id)
+        assert a.actor_class == b.actor_class
+        for name in ("times", "xs", "ys", "speeds", "accels"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (actor_id, name)
+        assert normalize_angles(a.headings).tobytes() == b.headings.tobytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_write_matches_reference_writer_and_round_trips(fmt):
+    rng = np.random.default_rng(8)
+    # the large traces span several write blocks
+    for size in [60] * 40 + [2000] * 3:
+        trace = random_trace(rng, size)
+        text = write_trace(trace, fmt)
+        assert text == reference_write(trace, fmt)
+        assert_same_tracks(load_trace(text, fmt), trace)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_awkward_actor_ids_round_trip(fmt):
+    ids = ["e,go", 'say "hi"', ' "a,b" ', "tab\there", "émile"]
+    tracks = {
+        actor_id: straight_track(actor_id, y=10.0 * i) for i, actor_id in enumerate(ids)
+    }
+    trace = Trace("ids", 0.1, tracks)
+    back = load_trace(write_trace(trace, fmt), fmt)
+    assert_same_tracks(back, trace)
+
+
+@pytest.mark.parametrize("actor_id", ["line\nbreak", "carriage\rreturn", "sep\u2028arator"])
+def test_track_rejects_actor_id_with_line_break(actor_id):
+    with pytest.raises(TraceError, match="line break"):
+        straight_track(actor_id)
