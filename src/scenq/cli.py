@@ -25,8 +25,8 @@ from typing import Sequence
 from . import __version__, micro, registry
 from .criteria import EvaluationReport, Verdict, evaluate_suite, load_criteria
 from .errors import ScenqError
-from .macro import GapFinding, detect_result_gaps, repeatability_report
-from .results import write_scalars, write_series
+from .macro import detect_result_gaps, repeatability_report
+from .results import MetricSeries, write_scalars, write_series
 from .scenarios import load_logical_scenario, write_concrete_set
 from .simulator import (
     EGO_ID,
@@ -144,21 +144,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _verdict_dict(v: Verdict) -> dict:
-    worst = None
-    if v.worst_result is not None:
-        worst = {
-            "time": v.worst_result.time,
-            "value": v.worst_result.value,
-            "unit": v.worst_result.unit,
-            "defined": v.worst_result.defined,
-        }
     return {
         "criterion_id": v.criterion_id,
         "scenario_id": v.scenario_id,
         "outcome": v.outcome,
         "score": v.score,
         "evaluated_intervals": [list(i) for i in v.evaluated_intervals],
-        "worst_result": worst,
+        "worst_result": None if v.worst_result is None else asdict(v.worst_result),
     }
 
 
@@ -196,17 +188,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.emit_plot_data:
         plot_dir = out_dir / "plot_data"
         plot_dir.mkdir(exist_ok=True)
-        for criterion in criteria:
-            spec = registry.get(criterion.metric_name)
-            if spec.level != registry.NANOSCOPIC:
+        params = {c.criterion_id: c.metric_params for c in criteria}
+        for verdict in report.verdicts:
+            if not isinstance(verdict.result, MetricSeries):
                 continue
-            for trace in traces:
-                series = spec.compute(trace, criterion.metric_params)
-                path = plot_dir / (
-                    f"{_safe_name(criterion.criterion_id)}_{_safe_name(trace.scenario_id)}.csv"
-                )
-                write_series(series, path, parameters=criterion.metric_params)
-                outputs.append(path)
+            path = plot_dir / (
+                f"{_safe_name(verdict.criterion_id)}_{_safe_name(verdict.scenario_id)}.csv"
+            )
+            write_series(verdict.result, path, parameters=params[verdict.criterion_id])
+            outputs.append(path)
 
     fails = sum(v.outcome == "fail" for v in report.verdicts)
     passes = sum(v.outcome == "pass" for v in report.verdicts)
@@ -259,14 +249,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 1 if drifting else 0
 
 
-def _finding_dict(finding: GapFinding) -> dict:
-    return {
-        "parameter": finding.parameter,
-        "left_value": finding.left_value,
-        "right_value": finding.right_value,
-        "metric_jump": finding.metric_jump,
-        "kind": finding.kind,
-    }
+def _finding_text(finding: dict) -> str:
+    jump = finding["metric_jump"]
+    return "defined/undefined flip" if jump is None else f"jump {jump:.6g}"
+
+
+#: sweep.csv column -> (registered metric, params) whose minimum it holds
+_SWEEP_COLUMNS = {
+    "min_euclidean_distance": ("euclidean_distance", {"actor_a": EGO_ID, "actor_b": PED_ID}),
+    "min_wttc": ("wttc", {"ego": EGO_ID, "target": PED_ID}),
+    "min_gap_time": ("gap_time", {"ego": EGO_ID, "target": PED_ID}),
+}
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -278,34 +271,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     param = logical.parameters[0]
     outcomes = simulate_batch(logical, config, jobs=args.jobs)
 
-    from .nano import euclidean_distance, wttc
-
-    columns = ("min_euclidean_distance", "min_wttc", "min_gap_time")
     rows: list[dict] = []
-    gap_spec = registry.get("gap_time")
     for outcome in outcomes:
         trace = outcome.trace
-        value = float(trace.metadata[f"binding_{param.name}"])
-        dist_min = micro.aggregate(euclidean_distance(trace, EGO_ID, PED_ID), "min")
-        wttc_min = micro.aggregate(wttc(trace, EGO_ID, PED_ID), "min")
-        gap_series = gap_spec.compute(trace, {"ego": EGO_ID, "target": PED_ID})
-        gap_min = micro.aggregate(gap_series, "min")
-        rows.append({
-            "value": value,
-            "min_euclidean_distance": dist_min,
-            "min_wttc": wttc_min,
-            "min_gap_time": gap_min,
-            "collided": outcome.collided,
-            "end_reason": outcome.end_reason,
-        })
+        row = {"value": float(trace.metadata[f"binding_{param.name}"])}
+        for col, (metric, params) in _SWEEP_COLUMNS.items():
+            row[col] = micro.aggregate(registry.get(metric).compute(trace, params), "min")
+        row.update(collided=outcome.collided, end_reason=outcome.end_reason)
+        rows.append(row)
     rows.sort(key=lambda r: r["value"])
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_lines = [param.name + "," + ",".join(columns) + ",collided,end_reason"]
+    csv_lines = [param.name + "," + ",".join(_SWEEP_COLUMNS) + ",collided,end_reason"]
     for row in rows:
         cells = [repr(float(row["value"]))]
-        for col in columns:
+        for col in _SWEEP_COLUMNS:
             scalar = row[col]
             cells.append(repr(float(scalar.value)) if scalar.defined else "")
         cells.append("true" if row["collided"] else "false")
@@ -315,10 +296,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sweep_path.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
 
     findings = {}
-    for col in columns:
+    for col in _SWEEP_COLUMNS:
         sweep_points = [(row["value"], row[col]) for row in rows]
         findings[col] = [
-            _finding_dict(f)
+            asdict(f)
             for f in detect_result_gaps(sweep_points, gap_factor=args.gap_factor,
                                         parameter=param.name)
         ]
@@ -327,7 +308,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     scalar_rows = []
     for row in rows:
-        for col in columns:
+        for col in _SWEEP_COLUMNS:
             scalar_rows.append((f"{param.name}={row['value']!r}", row[col]))
     scalars_path = out_dir / "sweep_scalars.jsonl"
     write_scalars(scalar_rows, scalars_path)
@@ -337,9 +318,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
           f"{total_findings} gap findings ({findings_path})")
     for col, items in findings.items():
         for f in items:
-            jump = "defined/undefined flip" if f["metric_jump"] is None else \
-                f"jump {f['metric_jump']:.6g}"
-            print(f"  {col}: {param.name} in [{f['left_value']!r}, {f['right_value']!r}] {jump}")
+            print(f"  {col}: {param.name} in [{f['left_value']!r}, {f['right_value']!r}] "
+                  f"{_finding_text(f)}")
     _write_manifest(out_dir, "sweep", [Path(args.scenario), Path(args.config)],
                     [sweep_path, findings_path, scalars_path], started,
                     [Path(args.scenario), Path(args.config)])
@@ -398,13 +378,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         sections.append("## sweep gap findings")
         sections.append("")
         for metric, items in data.items():
-            if not items:
-                continue
             for f in items:
-                jump = "defined/undefined flip" if f["metric_jump"] is None else \
-                    f"jump {f['metric_jump']:.6g}"
                 sections.append(
-                    f"- {metric}: [{f['left_value']!r}, {f['right_value']!r}] {jump}"
+                    f"- {metric}: [{f['left_value']!r}, {f['right_value']!r}] {_finding_text(f)}"
                 )
         sections.append("")
     if not found:

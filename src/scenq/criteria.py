@@ -373,6 +373,8 @@ class Verdict:
     score: float | None = None
     evaluated_intervals: tuple[tuple[float, float], ...] = ()
     worst_result: MetricResult | None = None
+    #: The metric result judged; kept for plot data, not compared or serialized.
+    result: MetricSeries | ScalarResult | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.outcome not in ("pass", "fail", "score", "not_applicable"):
@@ -408,7 +410,8 @@ def evaluate_criterion(
         raise CriterionError("evaluating a series requires its trace")
 
     verdict = Verdict(
-        criterion.criterion_id, "not_applicable", trace.scenario_id if trace is not None else ""
+        criterion.criterion_id, "not_applicable", trace.scenario_id if trace is not None else "",
+        result=result,
     )
     intervals = active_intervals(criterion.application_period, trace) if trace is not None else []
     if isinstance(result, ScalarResult):
@@ -477,7 +480,8 @@ def evaluate_suite(
     set-level criteria produce verdicts over the whole trace list (their
     application periods are not time-gated). perspective and level filter
     which criteria run. Verdict order follows criterion order, then trace
-    order, so identical inputs give identical reports.
+    order, so identical inputs give identical reports. Criteria on the same
+    metric and params share one compute per trace (per list at set level).
     """
     if isinstance(traces, Trace):
         traces = [traces]
@@ -489,6 +493,7 @@ def evaluate_suite(
     if perspective is not None and perspective not in PERSPECTIVES:
         raise CriterionError(f"unknown perspective {perspective!r}")
 
+    computed: dict[tuple[str, str], list] = {}  # results by metric name and params
     verdicts: list[Verdict] = []
     cell_keys: dict[tuple[str, str], list[Verdict]] = {}
     for criterion in criteria:
@@ -497,14 +502,18 @@ def evaluate_suite(
         spec = registry.get(criterion.metric_name)
         if level is not None and spec.level != level:
             continue
+        params = criterion.metric_params
+        key = (spec.name, json.dumps(params, sort_keys=True, default=repr))
+        if key not in computed:
+            computed[key] = (spec.compute(traces, params) if spec.level == registry.MACROSCOPIC
+                             else [spec.compute(trace, params) for trace in traces])
         produced: list[Verdict] = []
         if spec.level == registry.MACROSCOPIC:
-            for result_id, scalar in spec.compute(traces, criterion.metric_params):
+            for result_id, scalar in computed[key]:
                 verdict = evaluate_criterion(criterion, scalar, trace=None)
                 produced.append(replace(verdict, scenario_id=result_id))
         else:
-            for trace in traces:
-                result = spec.compute(trace, criterion.metric_params)
+            for trace, result in zip(traces, computed[key]):
                 produced.append(evaluate_criterion(criterion, result, trace))
         verdicts.extend(produced)
         cell_keys.setdefault((criterion.perspective, spec.level), []).extend(produced)

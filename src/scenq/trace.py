@@ -500,15 +500,29 @@ def _read_csv(text: str) -> _Rows:
     keys = tuple(c for c in _NUMERIC_COLUMNS if c in index)
     try:
         values = np.loadtxt(rows, usecols=[index[c] for c in keys], ndmin=2, **_CSV_DIALECT)
+        # loadtxt reads no field past its usecols: reading the last column rejects a short
+        # row, and with none short, the comma count rules out a long one (and a quoted comma)
+        last = [len(names) - 1] if len(names) > len(keys) + 2 else []  # not read otherwise
         labels = np.loadtxt(rows, dtype=object, ndmin=2, **_CSV_DIALECT,
-                            usecols=(index["actor_id"], index["actor_class"]))
-        if len(values) == len(labels) == len(rows):  # an open quote joins lines
-            return line_nos, labels[:, 0].tolist(), labels[:, 1], values
+                            usecols=(index["actor_id"], index["actor_class"], *last))
+        commas = text.count(",") - lines[0].count(",")
+        if len(values) == len(labels) == len(rows) and commas == (len(names) - 1) * len(rows):
+            return line_nos, labels[:, 0].tolist(), labels[:, 1], values  # no quote joined lines
     except ValueError:
         pass
-    # error path: each line on its own, float() finds the first bad value
-    records = [dict(zip(names, _split_csv_line(line))) for line in rows]
-    return _record_columns(line_nos, records, keys)
+    # error path: each line on its own; float() finds the first bad value, and the
+    # first row of the wrong width is reported once the rows before it pass
+    fields = [_split_csv_line(line) for line in rows]
+    k = next((k for k, row in enumerate(fields) if len(row) != len(names)), len(rows))
+    parsed = _record_columns(line_nos[:k], [dict(zip(names, row)) for row in fields[:k]], keys)
+    if k == len(rows):
+        return parsed
+    if k:
+        _group_rows(*parsed[:3], parsed[3][:, 0])
+    raise TraceParseError(
+        f"line {line_nos[k]}: {len(fields[k])} fields, header has {len(names)}",
+        line=line_nos[k], actor_id=dict(zip(names, fields[k])).get("actor_id"),
+    )
 
 
 def _read_jsonl(text: str) -> _Rows:

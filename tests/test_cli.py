@@ -4,8 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from scenq import ActorTrack, Trace, TraceParseError, load_trace_file, save_trace
-from scenq.cli import main
+from scenq import (
+    ActorTrack, Trace, TraceParseError, load_criteria, load_trace_file, registry, save_trace,
+    write_series,
+)
+from scenq.cli import _collect_trace_paths, _safe_name, main
 
 from conftest import DATA
 
@@ -134,6 +137,76 @@ def test_evaluate_plot_data(workdir, sim_out, criteria_ok):
     plot = out / "plot_data" / "stay_apart_cli_demo_0.csv"
     assert plot.is_file()
     assert plot.read_text().splitlines()[0] == "time_s,value,defined"
+
+
+def reference_plot_data(criteria_path, trace_dir, plot_dir):
+    """Reference oracle: a second compute of every nanoscopic criterion on every
+    trace, blind to the evaluate filters; returns the paths in write order."""
+    traces = [load_trace_file(p) for p in _collect_trace_paths([str(trace_dir)])]
+    plot_dir.mkdir(parents=True)
+    paths = []
+    for criterion in load_criteria(criteria_path):
+        spec = registry.get(criterion.metric_name)
+        if spec.level != registry.NANOSCOPIC:
+            continue
+        for trace in traces:
+            series = spec.compute(trace, criterion.metric_params)
+            path = plot_dir / (
+                f"{_safe_name(criterion.criterion_id)}_{_safe_name(trace.scenario_id)}.csv"
+            )
+            write_series(series, path, parameters=criterion.metric_params)
+            paths.append(path)
+    return paths
+
+
+def test_plot_data_is_the_judged_series(workdir, sim_out):
+    pair = {"ego": "ego", "target": "pedestrian"}
+    suite = workdir / "criteria_plots.json"
+    suite.write_text(json.dumps({"criteria": [
+        {"criterion_id": "ttc_min", "metric": "ttc", "params": pair,
+         "threshold": {"comparator": ">", "value": 1.0, "unit": "s"}},
+        {"criterion_id": "ttc_braking", "metric": "ttc", "params": pair,
+         "scale": {"breakpoints": [[0.0, 0.0], [2.0, 1.0]], "unit": "s"},
+         "application_period": {"start_condition": {
+             "signal": "acceleration", "actor": "ego", "comparator": "<", "bound": -0.5}}},
+        {"criterion_id": "wttc_min", "metric": "wttc", "params": pair,
+         "threshold": {"comparator": ">", "value": 0.5, "unit": "s"}},
+        {"criterion_id": "gap", "metric": "gap_time", "params": pair,
+         "threshold": {"comparator": ">", "value": 1.0, "unit": "s"}},
+        {"criterion_id": "apart", "metric": "euclidean_distance",
+         "params": {"actor_a": "ego", "actor_b": "pedestrian"},
+         "threshold": {"comparator": ">", "value": 0.2, "unit": "m"}},
+        {"criterion_id": "pet_min", "metric": "pet",
+         "params": {"actor_1": "ego", "actor_2": "pedestrian"},
+         "threshold": {"comparator": ">", "value": 1.0, "unit": "s"}},
+        {"criterion_id": "hits", "metric": "collision_probability",
+         "threshold": {"comparator": "<=", "value": 0.1, "unit": "1"}, "perspective": "scenario"},
+    ]}))
+    out = workdir / "eval_judged_plots"
+    code = main(["evaluate", "--traces", str(sim_out / "traces"), "--criteria", str(suite),
+                 "--out", str(out), "--emit-plot-data"])
+    assert code in (0, 1)
+    reference = workdir / "reference_plots"
+    expected = reference_plot_data(suite, sim_out / "traces", reference)
+    assert len(expected) == 5 * 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["evaluation.json"] + [f"plot_data/{p.name}" for p in expected]
+    names = sorted(p.name for p in reference.iterdir())
+    assert sorted(p.name for p in (out / "plot_data").iterdir()) == names
+    for name in names:  # series and their .meta.json sidecars
+        assert (out / "plot_data" / name).read_bytes() == (reference / name).read_bytes()
+
+
+def test_plot_data_follows_the_filters(workdir, sim_out, criteria_ok):
+    out = workdir / "eval_micro_plots"
+    code = main(["evaluate", "--traces", str(sim_out / "traces"), "--criteria", str(criteria_ok),
+                 "--level", "microscopic", "--out", str(out), "--emit-plot-data"])
+    assert code == 0
+    report = json.loads((out / "evaluation.json").read_text())
+    assert {v["criterion_id"] for v in report["verdicts"]} == {"pet_positive"}
+    # stay_apart is nanoscopic and was not judged, so it gets no plot files
+    assert list((out / "plot_data").iterdir()) == []
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == ["evaluation.json"]
 
 
 def test_compare_identical_runs_ok(workdir, sim_out):

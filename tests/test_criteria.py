@@ -1,5 +1,7 @@
 import json
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from scenq import (
     Threshold,
     Trace,
     UnitMismatchError,
+    Verdict,
     active_intervals,
     all_of,
     always_active,
@@ -577,7 +580,8 @@ def test_scalar_judged_as_one_sample_series_at_period_start():
     assert na.worst_result is None
 
 
-def test_evaluate_suite_cells_and_filters():
+def approach_traces():
+    """Two runs of an ego driving at a standing actor 40 m and 15 m ahead."""
     dt = 0.5
     n = 21
     times = np.arange(n) * dt
@@ -591,6 +595,11 @@ def test_evaluate_suite_cells_and_filters():
                            headings=np.zeros(n), speeds=np.zeros(n),
                            accels=np.zeros(n))
         traces.append(Trace(sid, dt, {"ego": ego, "other": other}))
+    return traces
+
+
+def test_evaluate_suite_cells_and_filters():
+    traces = approach_traces()
     criteria = [
         QualityCriterion("apart", "euclidean_distance", Threshold(">", 10.0, unit="m"),
                          metric_params={"actor_a": "ego", "actor_b": "other"},
@@ -700,3 +709,78 @@ def test_negating_comparator_flips_scalar_verdict():
             )
             assert {a.outcome, b.outcome} == {"pass", "fail"}
             assert a.outcome != b.outcome
+
+
+@pytest.fixture
+def compute_log(monkeypatch):
+    """Wraps every registered compute; the log counts (metric, subject, params) calls."""
+    log = Counter()
+
+    def counted(spec):
+        def compute(subject, params):
+            ids = [t.scenario_id for t in subject] if isinstance(subject, list) \
+                else subject.scenario_id
+            log[json.dumps([spec.name, ids, params], sort_keys=True)] += 1
+            return spec.compute(subject, params)
+        return compute
+
+    for spec in registry.all_specs():
+        monkeypatch.setitem(registry._REGISTRY, spec.name,
+                            replace(spec, compute=counted(spec)))
+    return log
+
+
+def test_evaluate_suite_computes_each_metric_once_per_trace(compute_log):
+    pair = {"ego": "ego", "target": "other"}
+    criteria = [
+        QualityCriterion("ttc_min", "ttc", Threshold(">", 1.0, unit="s"), metric_params=pair),
+        QualityCriterion("ttc_scale", "ttc", Scale(((0.0, 0.0), (2.0, 1.0)), unit="s"),
+                         metric_params=dict(reversed(pair.items()))),
+        QualityCriterion("ttc_back", "ttc", Threshold(">", 1.0, unit="s"),
+                         metric_params={"ego": "other", "target": "ego"}),
+        QualityCriterion("gap", "gap_time", Threshold(">", 1.0, unit="s"), metric_params=pair),
+        QualityCriterion("hits", "collision_probability", Threshold("<=", 0.0, unit="1")),
+        QualityCriterion("hits_again", "collision_probability", Threshold("<", 1.0, unit="1")),
+    ]
+    report = evaluate_suite(criteria, approach_traces())
+    assert len(report.verdicts) == 4 * 2 + 2
+    assert set(compute_log.values()) == {1}
+    names = Counter(json.loads(key)[0] for key in compute_log)
+    assert names == {"ttc": 4, "gap_time": 2, "collision_probability": 1}
+    # criteria on one (metric, params) judge the very same result
+    by_id = {(v.criterion_id, v.scenario_id): v.result for v in report.verdicts}
+    for sid in ("run#0", "run#1"):
+        assert by_id[("ttc_min", sid)] is by_id[("ttc_scale", sid)]
+        assert by_id[("ttc_min", sid)] is not by_id[("ttc_back", sid)]
+    assert by_id[("hits", "scenario_set")] is by_id[("hits_again", "scenario_set")]
+
+
+def test_evaluate_suite_takes_list_params(monkeypatch):
+    calls = []
+
+    def span(trace, params):
+        calls.append(trace.scenario_id)
+        series = euclidean_distance(trace, *params["actors"])
+        return replace(series, metric_name="span")
+
+    monkeypatch.setitem(registry._REGISTRY, "span", registry.MetricSpec(
+        "span", "m", registry.NANOSCOPIC, registry.WORSE_LOW, "distance of a listed pair", span))
+    params = {"actors": ["ego", "other"]}
+    criteria = [
+        QualityCriterion("apart", "span", Threshold(">", 10.0, unit="m"), metric_params=params),
+        QualityCriterion("close", "span", Threshold("<", 50.0, unit="m"), metric_params=params),
+    ]
+    report = evaluate_suite(criteria, approach_traces())
+    assert calls == ["run#0", "run#1"]
+    assert [v.outcome for v in report.verdicts] == ["pass", "fail", "pass", "pass"]
+    assert [v.result.metric_name for v in report.verdicts] == ["span"] * 4
+
+
+def test_verdict_equality_and_repr_ignore_result():
+    series = euclidean_distance(approach_traces()[0], "ego", "other")
+    bare = Verdict("apart", "pass", "run#0")
+    judged = Verdict("apart", "pass", "run#0", result=series)
+    assert judged == bare
+    assert hash(judged) == hash(bare)
+    assert repr(judged) == repr(bare)
+    assert judged.result is series

@@ -60,3 +60,9 @@ def test_layers_below_registry_do_not_import_it():
         tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
         for name in _imported_names(tree):
             assert "registry" not in name.split("."), f"{module} imports {name}"
+
+
+def test_cli_reaches_metrics_only_through_the_registry():
+    tree = ast.parse((Path(scenq.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    for name in _imported_names(tree):
+        assert "nano" not in name.split("."), f"cli imports {name}"

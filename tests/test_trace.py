@@ -343,6 +343,61 @@ def test_parse_errors_name_line_and_actor(fmt, case):
     assert exc.value.actor_id == actor
 
 
+def extra_field(line):
+    return line + ",99"
+
+
+# CSV only: {row index of base_rows(): edit of its line}, message after "line N: ", row, actor
+CSV_WIDTH_ERRORS = {
+    "short_row": ({3: lambda line: "0.1,walker"}, "2 fields, header has 8", 3, "walker"),
+    "short_row_of_numbers": (
+        {3: lambda line: line.rsplit(",", 3)[0]}, "5 fields, header has 8", 3, "walker"
+    ),
+    "extra_field": ({2: extra_field}, "9 fields, header has 8", 2, "car"),
+    # the earliest offending row is reported, whatever its kind
+    "class_before_width": (
+        {2: lambda line: line.replace("vehicle", "pedestrian"), 5: extra_field},
+        "actor 'car' changes class", 2, "car",
+    ),
+    "time_before_width": (
+        {4: lambda line: line.replace("0.2", "0.1", 1), 6: lambda line: "0.3"},
+        "duplicate timestamp 0.1 for actor 'car'", 4, "car",
+    ),
+    "value_before_width": (
+        {3: lambda line: line.replace("5.0", "oops"), 5: extra_field},
+        NOT_A_FLOAT.format("oops"), 3, "walker",
+    ),
+    "width_before_value": (
+        {3: extra_field, 5: lambda line: line.replace("5.0", "oops")},
+        "9 fields, header has 8", 3, "walker",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_WIDTH_ERRORS))
+def test_csv_rows_must_match_header_width(case):
+    edits, message, row, actor = CSV_WIDTH_ERRORS[case]
+    lines = rows_text(base_rows(), "csv").splitlines()
+    for k, edit in edits.items():
+        lines[k + 1] = edit(lines[k + 1])
+    with pytest.raises(TraceParseError) as exc:
+        load_trace("\n".join(lines) + "\n")
+    line = row + first_data_line("csv")
+    assert str(exc.value) == f"line {line}: {message}"
+    assert exc.value.line == line
+    assert exc.value.actor_id == actor
+
+
+def test_csv_width_checked_past_the_used_columns():
+    # an unused last column: a short and a long row leave the comma count as it should be
+    lines = [line + ",n" for line in rows_text(base_rows(), "csv").splitlines()]
+    assert load_trace("\n".join(lines)).actor_ids() == ("car", "walker")
+    lines[3], lines[5] = lines[3][:-2], extra_field(lines[5])
+    with pytest.raises(TraceParseError) as exc:
+        load_trace("\n".join(lines))
+    assert str(exc.value) == "line 4: 8 fields, header has 9"
+
+
 @pytest.mark.parametrize("fmt, text, message, line", [
     ("csv", rows_text(base_rows(), "csv", [c for c in CSV_COLUMNS if c != "y_m"]),
      "missing CSV columns: y_m", None),
@@ -377,8 +432,8 @@ def test_open_quote_stays_on_its_line():
     with pytest.raises(TraceParseError) as exc:
         load_trace(text)
     assert exc.value.line == 4
-    assert exc.value.actor_id == "car"  # the row is short: its class reads None
-    assert str(exc.value) == "line 4: actor 'car' changes class"
+    assert exc.value.actor_id == "car"
+    assert str(exc.value) == "line 4: 2 fields, header has 8"
 
 
 def test_csv_values_parse_like_float():
