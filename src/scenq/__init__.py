@@ -8,6 +8,8 @@ scenario set), and judges the results against declarative quality criteria.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     CriterionError,
     MetricError,
@@ -113,97 +115,9 @@ from .criteria import (
 )
 from . import registry
 
-__all__ = [
-    "ActorClass",
-    "ActorTrack",
-    "ApplicationPeriod",
-    "ConcreteScenario",
-    "ConditionNode",
-    "ConflictPoint",
-    "CoverageResult",
-    "CriterionError",
-    "EncroachmentZone",
-    "EvaluationReport",
-    "GapFinding",
-    "LogicalScenario",
-    "MetricError",
-    "MetricResult",
-    "MetricSeries",
-    "OccupancyInterval",
-    "ParameterRange",
-    "QualityCriterion",
-    "RepeatabilityEntry",
-    "RepeatabilityReport",
-    "ScalarResult",
-    "Scale",
-    "ScenarioError",
-    "ScenqError",
-    "SimConfig",
-    "SimOutcome",
-    "SimulationError",
-    "StopRule",
-    "Threshold",
-    "Trace",
-    "TraceError",
-    "TraceFormat",
-    "TraceParseError",
-    "UnitMismatchError",
-    "ValidationIssue",
-    "ValidationReport",
-    "Verdict",
-    "active_intervals",
-    "aggregate",
-    "all_of",
-    "always_active",
-    "any_of",
-    "braking_distance",
-    "braking_time",
-    "build_encroachment_zone",
-    "collision_probability",
-    "comparison_margin",
-    "concretize",
-    "condition",
-    "conflict_point",
-    "detect_result_gaps",
-    "dtw",
-    "et",
-    "euclidean_distance",
-    "first_contact_time",
-    "evaluate_criterion",
-    "evaluate_suite",
-    "gap_time",
-    "grid_size",
-    "headway",
-    "iter_concretize",
-    "load_criteria",
-    "load_logical_scenario",
-    "load_sim_config",
-    "logical_from_dict",
-    "logical_to_dict",
-    "load_trace",
-    "load_trace_file",
-    "margin_holds",
-    "normalize_comparator",
-    "occupancy",
-    "parameter_coverage",
-    "pet",
-    "registry",
-    "repeatability_report",
-    "resample",
-    "sample_track",
-    "save_logical_scenario",
-    "save_trace",
-    "scalar_to_dict",
-    "sim_config_from_dict",
-    "simulate",
-    "simulate_batch",
-    "traffic_density",
-    "ttc",
-    "undefined_scalar",
-    "validate_trace",
-    "wttc",
-    "write_concrete_set",
-    "write_scalars",
-    "write_series",
-    "write_trace",
-]
+# the import blocks above are the one list of public names
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_")
+    and (not isinstance(value, _ModuleType) or value is registry)
+)

@@ -281,6 +281,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows.append(row)
     rows.sort(key=lambda r: r["value"])
 
+    findings = {}
+    for col in _SWEEP_COLUMNS:
+        sweep_points = [(row["value"], row[col]) for row in rows]
+        findings[col] = [
+            asdict(f)
+            for f in detect_result_gaps(sweep_points, gap_factor=args.gap_factor,
+                                        parameter=param.name)
+        ]
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_lines = [param.name + "," + ",".join(_SWEEP_COLUMNS) + ",collided,end_reason"]
@@ -294,15 +303,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         csv_lines.append(",".join(cells))
     sweep_path = out_dir / "sweep.csv"
     sweep_path.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
-
-    findings = {}
-    for col in _SWEEP_COLUMNS:
-        sweep_points = [(row["value"], row[col]) for row in rows]
-        findings[col] = [
-            asdict(f)
-            for f in detect_result_gaps(sweep_points, gap_factor=args.gap_factor,
-                                        parameter=param.name)
-        ]
     findings_path = out_dir / "gap_findings.json"
     findings_path.write_text(json.dumps(findings, indent=2) + "\n", encoding="utf-8")
 

@@ -28,8 +28,8 @@ from .trace import Trace, common_grid, first_contact_time, sample_track
 COMPARATORS = ("<", "<=", ">", ">=", "=")
 _COMPARATOR_ALIASES = {"==": "=", "<=": "<=", ">=": ">="}
 
-SIGNALS = ("speed", "acceleration", "distance_between", "time", "metric_value")
 _SIGNAL_UNITS = {"speed": "m/s", "acceleration": "m/s^2", "distance_between": "m", "time": "s"}
+SIGNALS = (*_SIGNAL_UNITS, "metric_value")
 
 PERSPECTIVES = ("simulation", "sut", "scenario")
 
@@ -152,17 +152,15 @@ def _check_unit(declared: str, actual: str, where: str) -> None:
 
 
 def _leaf_samples(node: ConditionNode, trace: Trace, grid: np.ndarray) -> np.ndarray:
+    if node.signal in _SIGNAL_UNITS:
+        _check_unit(node.unit, _SIGNAL_UNITS[node.signal], f"{node.signal} condition")
     if node.signal == "time":
-        _check_unit(node.unit, "s", "time condition")
         return grid
     if node.signal == "speed":
-        _check_unit(node.unit, "m/s", "speed condition")
         return sample_track(trace.track(node.actor), grid)["speed"]
     if node.signal == "acceleration":
-        _check_unit(node.unit, "m/s^2", "acceleration condition")
         return sample_track(trace.track(node.actor), grid)["accel"]
     if node.signal == "distance_between":
-        _check_unit(node.unit, "m", "distance condition")
         a = sample_track(trace.track(node.actor), grid)
         b = sample_track(trace.track(node.actor_b), grid)
         return np.hypot(b["x"] - a["x"], b["y"] - a["y"])
@@ -623,6 +621,12 @@ def load_criteria(path: str | Path) -> list[QualityCriterion]:
     if not isinstance(items, list) or not items:
         raise CriterionError(f"{path}: expected a non-empty 'criteria' list")
     try:
-        return [_criterion_from_dict(item) for item in items]
+        criteria = [_criterion_from_dict(item) for item in items]
     except CriterionError as exc:
         raise type(exc)(f"{path}: {exc}") from None
+    seen: set[str] = set()
+    for criterion in criteria:  # ids name plot-data files, so they must be unique
+        if criterion.criterion_id in seen:
+            raise CriterionError(f"{path}: criterion_id {criterion.criterion_id!r} is repeated")
+        seen.add(criterion.criterion_id)
+    return criteria

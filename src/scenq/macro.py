@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import MetricError, ScenarioError
 from .scenarios import ConcreteScenario, LogicalScenario, grid_size
-from .simulator import SimOutcome
 from .results import ScalarResult
 from .trace import ActorTrack, Trace, first_contact_time
 
@@ -122,17 +121,11 @@ def repeatability_report(
     )
 
 
-def collision_probability(outcomes: Sequence[SimOutcome | Trace]) -> float:
-    """Fraction of runs in which two actor discs touched or overlapped."""
-    if not outcomes:
-        raise MetricError("collision probability needs at least one outcome")
-    hits = 0
-    for outcome in outcomes:
-        if isinstance(outcome, SimOutcome):
-            hits += bool(outcome.collided)
-        else:
-            hits += first_contact_time(outcome) is not None
-    return hits / len(outcomes)
+def collision_probability(traces: Sequence[Trace]) -> float:
+    """Fraction of traces in which two actor discs touched or overlapped."""
+    if not traces:
+        raise MetricError("collision probability needs at least one trace")
+    return sum(first_contact_time(trace) is not None for trace in traces) / len(traces)
 
 
 @dataclass(frozen=True)

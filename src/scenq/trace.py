@@ -526,28 +526,38 @@ def _read_csv(text: str) -> _Rows:
 
 
 def _read_jsonl(text: str) -> _Rows:
-    """Line numbers, actor ids, actor classes and numeric columns of JSONL rows."""
+    """Line numbers, actor ids, actor classes and numeric columns of JSONL rows. A line
+    that is not an object with every required key is reported once the rows before pass."""
     line_nos: list[int] = []
     records: list[dict] = []
+    problem = None
     for i, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise TraceParseError(f"line {i}: invalid JSON ({exc.msg})", line=i) from None
+            problem = f"invalid JSON ({exc.msg})"
+            break
         if not isinstance(record, dict):
-            raise TraceParseError(f"line {i}: row is not an object", line=i)
+            problem = "row is not an object"
+            break
         missing = [c for c in CSV_COLUMNS if c != "accel_mps2" and c not in record]
         if missing:
-            raise TraceParseError(f"line {i}: missing keys: {', '.join(missing)}", line=i)
+            problem = f"missing keys: {', '.join(missing)}"
+            break
         line_nos.append(i)
         records.append(record)
-    if not records:
+    if not records and problem is None:
         raise TraceParseError("no data rows")
     has_accel = all("accel_mps2" in r for r in records)
     keys = _NUMERIC_COLUMNS if has_accel else _NUMERIC_COLUMNS[:-1]
-    return _record_columns(line_nos, records, keys)
+    rows = _record_columns(line_nos, records, keys)
+    if problem is None:
+        return rows
+    if records:
+        _group_rows(*rows[:3], rows[3][:, 0])
+    raise TraceParseError(f"line {i}: {problem}", line=i)
 
 
 def _assemble(

@@ -331,6 +331,22 @@ def test_sweep_rejects_multi_parameter_scenario(workdir):
     assert code == 2
 
 
+def test_failed_sweep_writes_nothing(tmp_path, capsys):
+    scenario = json.loads((DATA / "sweep_scenario.json").read_text())
+    scenario["parameters"][0]["max"] = 39.0  # two points: too few for gap detection
+    (tmp_path / "two_points.json").write_text(json.dumps(scenario))
+    out = tmp_path / "sweep"
+    code = main([
+        "sweep",
+        "--scenario", str(tmp_path / "two_points.json"),
+        "--config", str(DATA / "sweep_config.json"),
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert "at least 3 defined sweep points" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_summarizes_run_dir(workdir):
     out = workdir / "report"
     code = main(["report", "--run", str(workdir / "eval_fail"), "--out", str(out)])
@@ -443,6 +459,13 @@ def test_missing_trace_column_exits_2_naming_file(sim_out, criteria_ok, tmp_path
                         "start_condition": {"signal": "time", "comparator": ">=", "bound": 0.0},
                         "stop": ["elapsed", 2.0]}}]},
      "malformed criterion 'odd_stop': stop must be an object"),
+    ({"criteria": [{"criterion_id": "x", "metric": "euclidean_distance",
+                    "params": {"actor_a": "ego", "actor_b": "pedestrian"},
+                    "threshold": {"comparator": ">", "value": 0.2, "unit": "m"}},
+                   {"criterion_id": "x", "metric": "ttc",
+                    "params": {"ego": "ego", "target": "pedestrian"},
+                    "threshold": {"comparator": ">", "value": 1.0, "unit": "s"}}]},
+     "criterion_id 'x' is repeated"),
 ])
 def test_bad_criteria_file_exits_2_naming_it(sim_out, tmp_path, capsys, payload, expected):
     criteria = tmp_path / "criteria.json"

@@ -44,9 +44,10 @@ BELOW_REGISTRY = ("results", "trace", "geometry", "nano", "micro", "macro",
                   "simulator", "scenarios")
 
 
-def _imported_names(tree: ast.AST):
-    """Every dotted name an import statement anywhere in the tree mentions."""
-    for node in ast.walk(tree):
+def _module_imports(module: str):
+    """Every dotted name an import statement anywhere in the module mentions."""
+    path = Path(scenq.__file__).parent / f"{module}.py"
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -55,14 +56,22 @@ def _imported_names(tree: ast.AST):
 
 
 def test_layers_below_registry_do_not_import_it():
-    package = Path(scenq.__file__).parent
     for module in BELOW_REGISTRY:
-        tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
-        for name in _imported_names(tree):
+        for name in _module_imports(module):
             assert "registry" not in name.split("."), f"{module} imports {name}"
 
 
+# layers the simulator builds on and metric modules that read its traces: none
+# may import it, so a collision is found in the trace, never from SimOutcome
+BELOW_SIMULATOR = ("results", "trace", "geometry", "micro", "macro", "scenarios")
+
+
+def test_trace_readers_do_not_import_the_simulator():
+    for module in BELOW_SIMULATOR:
+        for name in _module_imports(module):
+            assert "simulator" not in name.split("."), f"{module} imports {name}"
+
+
 def test_cli_reaches_metrics_only_through_the_registry():
-    tree = ast.parse((Path(scenq.__file__).parent / "cli.py").read_text(encoding="utf-8"))
-    for name in _imported_names(tree):
+    for name in _module_imports("cli"):
         assert "nano" not in name.split("."), f"cli imports {name}"

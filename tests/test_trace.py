@@ -388,6 +388,51 @@ def test_csv_rows_must_match_header_width(case):
     assert exc.value.actor_id == actor
 
 
+def without(key):
+    return lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != key})
+
+
+# JSONL only: {row index of base_rows(): edit of its line}, message after "line N: ", row, actor
+JSONL_LINE_ERRORS = {
+    "missing_key": ({5: without("y_m")}, "missing keys: y_m", 5, None),
+    "not_an_object": ({5: lambda line: "[]"}, "row is not an object", 5, None),
+    "invalid_json": (
+        {5: lambda line: line[:-1]}, "invalid JSON (Expecting ',' delimiter)", 5, None
+    ),
+    # the earliest offending row is reported, whatever its kind
+    "class_before_missing_key": (
+        {2: lambda line: line.replace("vehicle", "pedestrian"), 5: without("y_m")},
+        "actor 'car' changes class", 2, "car",
+    ),
+    "time_before_invalid_json": (
+        {4: lambda line: line.replace("0.2", "0.1", 1), 6: lambda line: "{"},
+        "duplicate timestamp 0.1 for actor 'car'", 4, "car",
+    ),
+    "value_before_not_an_object": (
+        {3: lambda line: line.replace("5.0", '"oops"'), 5: lambda line: "[]"},
+        NOT_A_FLOAT.format("oops"), 3, "walker",
+    ),
+    "missing_key_before_class": (
+        {3: without("x_m"), 5: lambda line: line.replace("pedestrian", "vehicle")},
+        "missing keys: x_m", 3, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSONL_LINE_ERRORS))
+def test_jsonl_rows_must_be_objects_with_every_key(case):
+    edits, message, row, actor = JSONL_LINE_ERRORS[case]
+    lines = rows_text(base_rows(), "jsonl").splitlines()
+    for k, edit in edits.items():
+        lines[k] = edit(lines[k])
+    with pytest.raises(TraceParseError) as exc:
+        load_trace("\n".join(lines) + "\n", "jsonl")
+    line = row + first_data_line("jsonl")
+    assert str(exc.value) == f"line {line}: {message}"
+    assert exc.value.line == line
+    assert exc.value.actor_id == actor
+
+
 def test_csv_width_checked_past_the_used_columns():
     # an unused last column: a short and a long row leave the comma count as it should be
     lines = [line + ",n" for line in rows_text(base_rows(), "csv").splitlines()]
