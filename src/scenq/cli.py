@@ -27,7 +27,7 @@ from .criteria import EvaluationReport, Verdict, evaluate_suite, load_criteria
 from .errors import ScenqError
 from .macro import detect_result_gaps, repeatability_report
 from .results import MetricSeries, write_scalars, write_series
-from .scenarios import load_logical_scenario, write_concrete_set
+from .scenarios import iter_concretize, load_logical_scenario, write_concrete_set
 from .simulator import (
     EGO_ID,
     PED_ID,
@@ -126,7 +126,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         path = trace_dir / (_safe_name(outcome.trace.scenario_id) + suffix)
         save_trace(outcome.trace, path, fmt)
         outputs.append(path)
-    from .scenarios import iter_concretize
 
     scen_path = out_dir / "scenarios.jsonl"
     write_concrete_set(list(iter_concretize(logical)), scen_path)

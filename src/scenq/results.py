@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import MetricError
+from .geometry import polygon_area
 
 
 @dataclass(frozen=True)
@@ -130,8 +131,6 @@ class EncroachmentZone:
             raise MetricError("zone polygon needs at least 3 (x, y) vertices")
         if not np.all(np.isfinite(poly)):
             raise MetricError("zone polygon must be finite")
-        from .geometry import polygon_area
-
         if polygon_area(poly) <= 0.0:
             raise MetricError("zone polygon must have positive area")
         poly = poly.copy()

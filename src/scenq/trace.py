@@ -530,7 +530,7 @@ def _read_jsonl(text: str) -> _Rows:
     that is not an object with every required key is reported once the rows before pass."""
     line_nos: list[int] = []
     records: list[dict] = []
-    problem = None
+    problem = actor = None
     for i, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -545,6 +545,7 @@ def _read_jsonl(text: str) -> _Rows:
         missing = [c for c in CSV_COLUMNS if c != "accel_mps2" and c not in record]
         if missing:
             problem = f"missing keys: {', '.join(missing)}"
+            actor = str(record["actor_id"]) if "actor_id" in record else None
             break
         line_nos.append(i)
         records.append(record)
@@ -557,7 +558,7 @@ def _read_jsonl(text: str) -> _Rows:
         return rows
     if records:
         _group_rows(*rows[:3], rows[3][:, 0])
-    raise TraceParseError(f"line {i}: {problem}", line=i)
+    raise TraceParseError(f"line {i}: {problem}", line=i, actor_id=actor)
 
 
 def _assemble(
@@ -652,7 +653,8 @@ def write_trace(trace: Trace, fmt: TraceFormat | str = TraceFormat.CSV) -> str:
 
     Rows are in time order, ties broken by actor id. Floats are written
     with ``repr`` so a load/serialize/load round trip reproduces every
-    field bit for bit.
+    field bit for bit. ``repr`` runs once per distinct bit pattern of the
+    trace; the bytes are those a per-value ``repr`` writes.
     """
     fmt = TraceFormat(fmt)
     tracks = [trace.tracks[actor_id] for actor_id in trace.actor_ids()]
@@ -660,6 +662,10 @@ def write_trace(trace: Trace, fmt: TraceFormat | str = TraceFormat.CSV) -> str:
     fields = ("times", "xs", "ys", "headings", "speeds", "accels")
     columns = np.array([np.concatenate([getattr(tr, f) for tr in tracks]) for f in fields])
     order = np.lexsort((rank, columns[0]))
+    # keyed by bits, not by value: float unique merges -0.0 and 0.0, whose reprs differ
+    patterns, inverse = np.unique(columns.view(np.uint64), return_inverse=True)
+    texts = np.array([repr(v) for v in patterns.view(np.float64).tolist()], dtype=object)
+    inverse = inverse.reshape(columns.shape)  # flat before numpy 2
     as_csv = fmt is TraceFormat.CSV
     if as_csv:
         heads = [f",{_csv_field(tr.actor_id)},{tr.actor_class.value}," for tr in tracks]
@@ -669,16 +675,14 @@ def write_trace(trace: Trace, fmt: TraceFormat | str = TraceFormat.CSV) -> str:
     chunks = [",".join(CSV_COLUMNS) + "\n"] if as_csv else []
     # a block at a time, so the float lists and row strings alive at once stay small
     for block in np.split(order, range(_WRITE_BLOCK, len(order), _WRITE_BLOCK)):
-        times, *values = columns[:, block].tolist()
+        times, *values = texts[inverse[:, block]].tolist()
         rows = zip(times, [heads[r] for r in rank[block].tolist()], *values)
         if as_csv:
-            text = "".join(
-                f"{t!r}{head}{x!r},{y!r},{h!r},{v!r},{a!r}\n" for t, head, x, y, h, v, a in rows
-            )
+            text = "".join(f"{t}{head}{x},{y},{h},{v},{a}\n" for t, head, x, y, h, v, a in rows)
         else:
             text = "".join(
-                f'{{"time_s": {t!r}{head}{x!r}, "y_m": {y!r}, "heading_rad": {h!r}, '
-                f'"speed_mps": {v!r}, "accel_mps2": {a!r}}}\n'
+                f'{{"time_s": {t}{head}{x}, "y_m": {y}, "heading_rad": {h}, '
+                f'"speed_mps": {v}, "accel_mps2": {a}}}\n'
                 for t, head, x, y, h, v, a in rows
             )
         chunks.append(text)

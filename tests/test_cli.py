@@ -104,6 +104,39 @@ def test_evaluate_passes_and_is_deterministic(workdir, sim_out, criteria_ok):
     assert (out1 / "evaluation.json").read_bytes() == (out2 / "evaluation.json").read_bytes()
 
 
+def test_simulate_jsonl_matches_csv(workdir, mini_scenario, sim_out, criteria_ok):
+    out = workdir / "sim_jsonl"
+    code = main([
+        "simulate",
+        "--scenario", str(mini_scenario),
+        "--config", str(DATA / "intersection_config.json"),
+        "--out", str(out),
+        "--format", "jsonl",
+    ])
+    assert code == 0
+    csv_paths = sorted((sim_out / "traces").glob("*.csv"))
+    jsonl_paths = sorted((out / "traces").glob("*.jsonl"))
+    assert [p.stem for p in jsonl_paths] == [p.stem for p in csv_paths] == ["cli_demo_0",
+                                                                            "cli_demo_1"]
+    for csv_path, jsonl_path in zip(csv_paths, jsonl_paths):
+        a, b = load_trace_file(csv_path), load_trace_file(jsonl_path)
+        assert (b.scenario_id, b.time_step, b.metadata) == (a.scenario_id, a.time_step,
+                                                            a.metadata)
+        assert b.actor_ids() == a.actor_ids()
+        for actor_id in a.actor_ids():
+            for name in ("times", "xs", "ys", "headings", "speeds", "accels"):
+                assert getattr(b.track(actor_id), name).tobytes() == \
+                    getattr(a.track(actor_id), name).tobytes(), (jsonl_path, actor_id, name)
+    reports = []
+    for fmt, traces in (("csv", sim_out / "traces"), ("jsonl", out / "traces")):
+        eval_out = workdir / f"eval_from_{fmt}"
+        code = main(["evaluate", "--traces", str(traces), "--criteria", str(criteria_ok),
+                     "--out", str(eval_out)])
+        assert code == 0
+        reports.append((eval_out / "evaluation.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_evaluate_failing_criterion_exits_1(workdir, sim_out):
     bad = workdir / "criteria_strict.json"
     bad.write_text(json.dumps({"criteria": [{

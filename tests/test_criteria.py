@@ -755,6 +755,32 @@ def test_evaluate_suite_computes_each_metric_once_per_trace(compute_log):
     assert by_id[("hits", "scenario_set")] is by_id[("hits_again", "scenario_set")]
 
 
+def test_evaluate_suite_computes_gating_metrics_once_per_trace(compute_log):
+    pair = {"ego": "ego", "target": "other"}
+    close = ApplicationPeriod(condition("metric_value", "<", 5.0, unit="s", metric="ttc",
+                                        metric_params=pair))
+    criteria = [
+        QualityCriterion("ttc_close", "ttc", Threshold(">", 1.0, unit="s"),
+                         application_period=close, metric_params=pair),
+        QualityCriterion("apart_close", "euclidean_distance", Threshold(">", 2.0, unit="m"),
+                         application_period=close,
+                         metric_params={"actor_a": "ego", "actor_b": "other"}),
+    ]
+    traces = approach_traces()
+    report = evaluate_suite(criteria, traces)
+    ttc_calls = sum(n for key, n in compute_log.items() if json.loads(key)[0] == "ttc")
+    assert ttc_calls == 2  # one per trace, shared by both criteria and both conditions
+    # the same verdicts as each criterion judged on its own, outside the memo
+    alone = [
+        evaluate_criterion(c, registry.get(c.metric_name).compute(t, c.metric_params), t)
+        for c in criteria for t in traces
+    ]
+    assert report.verdicts == tuple(alone)
+    # run#0 never closes in below 5 s; run#1 does from 1.5 s until the ego reaches the other
+    assert [v.outcome for v in report.verdicts] == ["not_applicable", "fail"] * 2
+    assert report.verdicts[1].evaluated_intervals == ((1.5, 6.5),)
+
+
 def test_evaluate_suite_takes_list_params(monkeypatch):
     calls = []
 

@@ -55,6 +55,15 @@ def _module_imports(module: str):
             yield from (alias.name for alias in node.names)
 
 
+def test_imports_are_at_module_level():
+    nested = []
+    for path in sorted(Path(scenq.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nested += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body]
+    assert nested == []
+
+
 def test_layers_below_registry_do_not_import_it():
     for module in BELOW_REGISTRY:
         for name in _module_imports(module):

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from scenq import (
     resample,
     sample_track,
     save_trace,
+    simulate,
     validate_trace,
     write_trace,
 )
@@ -394,7 +396,8 @@ def without(key):
 
 # JSONL only: {row index of base_rows(): edit of its line}, message after "line N: ", row, actor
 JSONL_LINE_ERRORS = {
-    "missing_key": ({5: without("y_m")}, "missing keys: y_m", 5, None),
+    "missing_key": ({5: without("y_m")}, "missing keys: y_m", 5, "walker"),
+    "missing_actor_id": ({5: without("actor_id")}, "missing keys: actor_id", 5, None),
     "not_an_object": ({5: lambda line: "[]"}, "row is not an object", 5, None),
     "invalid_json": (
         {5: lambda line: line[:-1]}, "invalid JSON (Expecting ',' delimiter)", 5, None
@@ -414,7 +417,7 @@ JSONL_LINE_ERRORS = {
     ),
     "missing_key_before_class": (
         {3: without("x_m"), 5: lambda line: line.replace("pedestrian", "vehicle")},
-        "missing keys: x_m", 3, None,
+        "missing keys: x_m", 3, "walker",
     ),
 }
 
@@ -457,7 +460,7 @@ def test_parse_errors_without_rows(fmt, text, message, line):
         load_trace(text, fmt)
     assert str(exc.value) == message
     assert exc.value.line == line
-    assert exc.value.actor_id is None
+    assert exc.value.actor_id == ("car" if line else None)  # the actor its line names
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -578,6 +581,35 @@ def test_write_matches_reference_writer_and_round_trips(fmt):
     # the large traces span several write blocks
     for size in [60] * 40 + [2000] * 3:
         trace = random_trace(rng, size)
+        text = write_trace(trace, fmt)
+        assert text == reference_write(trace, fmt)
+        assert_same_tracks(load_trace(text, fmt), trace)
+
+
+def signed_zero_trace():
+    """Two actors whose columns alternate 0.0 and -0.0 over several rows; one
+    actor starts at time -0.0, the other at 0.0."""
+    zeros = np.where(np.arange(8) % 2, -0.0, 0.0)
+    tracks = {}
+    for actor_id, start in (("a", -0.0), ("b", 0.0)):
+        times = np.concatenate([[start], 0.1 * np.arange(1, 8)])
+        tracks[actor_id] = ActorTrack(actor_id, ActorClass.VEHICLE, 1.0, times,
+                                      zeros, -zeros, zeros, zeros, -zeros)
+    return Trace("zeros", 0.1, tracks)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_write_matches_reference_writer_on_repeated_values(fmt, intersection_config):
+    """Simulator traces repeat most of their values, which random_trace does not."""
+    runs = [
+        simulate({"v_max": 58.0, "t_cross": 5.0, "d_start": 10.0}, intersection_config),
+        simulate({"v_max": 30.0, "t_cross": 5.0, "d_start": 10.0}, intersection_config),
+        simulate({"v_max": 32.0, "t_cross": 5.0, "d_start": 16.0},
+                 replace(intersection_config, max_duration=3.0)),
+    ]
+    assert [run.end_reason for run in runs] == ["collision", "route_completed", "timeout"]
+    assert runs[1].trace.track("ego").speeds.min() == 0.0  # the ego brakes to a stop
+    for trace in [run.trace for run in runs] + [signed_zero_trace()]:
         text = write_trace(trace, fmt)
         assert text == reference_write(trace, fmt)
         assert_same_tracks(load_trace(text, fmt), trace)
