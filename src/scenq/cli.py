@@ -24,13 +24,14 @@ from typing import Sequence
 
 from . import __version__, micro, registry
 from .criteria import EvaluationReport, Verdict, evaluate_suite, load_criteria
-from .errors import ScenqError
+from .errors import ScenqError, SimulationError
 from .macro import detect_result_gaps, repeatability_report
 from .results import MetricSeries, write_scalars, write_series
-from .scenarios import iter_concretize, load_logical_scenario, write_concrete_set
+from .scenarios import LogicalScenario, iter_concretize, load_logical_scenario, write_concrete_set
 from .simulator import (
     EGO_ID,
     PED_ID,
+    SimConfig,
     SimOutcome,
     load_sim_config,
     simulate_batch,
@@ -108,19 +109,25 @@ def _outcome_row(outcome: SimOutcome) -> dict:
     }
 
 
+def _simulate_grid(path: str, logical: LogicalScenario, config: SimConfig) -> list[SimOutcome]:
+    try:
+        return simulate_batch(logical, config)
+    except SimulationError as exc:
+        raise SimulationError(f"{path}: {exc}") from None
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     started = _now()
     logical = load_logical_scenario(args.scenario)
     config = load_sim_config(args.config)
+    fmt = TraceFormat(args.format)
+    suffix = ".csv" if fmt is TraceFormat.CSV else ".jsonl"
+    outcomes = _simulate_grid(args.scenario, logical, config)
+    log.info("simulated %d scenarios", len(outcomes))
+
     out_dir = Path(args.out)
     trace_dir = out_dir / "traces"
     trace_dir.mkdir(parents=True, exist_ok=True)
-    fmt = TraceFormat(args.format)
-    suffix = ".csv" if fmt is TraceFormat.CSV else ".jsonl"
-
-    outcomes = simulate_batch(logical, config, jobs=args.jobs)
-    log.info("simulated %d scenarios", len(outcomes))
-
     outputs: list[Path] = []
     for outcome in outcomes:
         path = trace_dir / (_safe_name(outcome.trace.scenario_id) + suffix)
@@ -268,7 +275,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if len(logical.parameters) != 1:
         raise ScenqError("sweep needs a logical scenario with exactly one varying parameter")
     param = logical.parameters[0]
-    outcomes = simulate_batch(logical, config, jobs=args.jobs)
+    outcomes = _simulate_grid(args.scenario, logical, config)
 
     rows: list[dict] = []
     for outcome in outcomes:
@@ -407,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="simulator config JSON")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p_sim.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_sim.add_argument("--jobs", type=int, help="ignored: runs step together; will be removed")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_eval = sub.add_parser("evaluate", help="judge traces against a criteria suite")
@@ -434,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--scenario", required=True)
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--gap-factor", type=float, default=5.0)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, help="ignored: runs step together; will be removed")
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=cmd_sweep)
 

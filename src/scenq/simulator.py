@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -104,10 +103,231 @@ class SimOutcome:
         object.__setattr__(self, "events", dict(self.events))
 
 
-def _require_binding(bindings: Mapping[str, float], name: str) -> float:
-    if name not in bindings:
-        raise SimulationError(f"missing binding {name!r}")
-    return float(bindings[name])
+#: Steps recorded time-major for the whole batch before they are copied into
+#: each run's own columns, so the shared buffer stays small for any batch.
+_BLOCK_STEPS = 256
+#: np.hypot and math.hypot can differ in the last bit: a distance within this
+#: relative slack of a threshold is settled with math.hypot, as the loop took it.
+_HYPOT_SLACK = 1e-15
+#: Event marks of an ended run: distance, passages, route end and braking window
+_ENDED = (-math.inf, math.inf, math.inf, math.inf, -math.inf)
+_R_SUM = DEFAULT_RADII[ActorClass.VEHICLE] + DEFAULT_RADII[ActorClass.PEDESTRIAN]
+
+
+@dataclass(eq=False)
+class _Run:
+    """One run's checked inputs, prepared for stepping, and what it recorded."""
+
+    scenario: ConcreteScenario
+    d_start: float
+    segments: np.ndarray  # per segment: start arc, length, start, direction, heading, end arc
+    conflict: tuple | None
+    constants: tuple[float, ...]  # unpacked in this order at the top of each block
+    marks: tuple[float, ...]  # thresholds that fire an event; _ENDED's order
+    speed: float  # at the first step
+    n: int = 0  # steps recorded once it ends; max steps until then
+    end_reason: str = "timeout"
+    events: dict[str, float] = field(default_factory=dict)
+    columns: np.ndarray | None = None
+
+
+def _prepare(scenario: ConcreteScenario | Mapping[str, float], config: SimConfig,
+             crossing: np.ndarray) -> _Run:
+    if not isinstance(scenario, ConcreteScenario):
+        scenario = ConcreteScenario("adhoc#0", "adhoc", scenario, 0)
+    bindings, scenario_id = scenario.bindings, scenario.scenario_id
+
+    for name in ("v_max", "t_cross", "d_start"):
+        if name not in bindings:
+            raise SimulationError(f"{scenario_id}: missing binding {name!r}")
+    v_max = float(bindings["v_max"]) * KMH_TO_MPS
+    t_cross, d_start = float(bindings["t_cross"]), float(bindings["d_start"])
+    route = np.array(config.ego_route, dtype=float)
+    if "ego_start_x" in bindings:
+        route[0, 0] = float(bindings["ego_start_x"])
+    cum = cumulative_arc(route)
+    for bad, message in ((v_max < 0, "v_max must be >= 0"), (t_cross <= 0, "t_cross must be > 0"),
+                         (d_start < 0, "d_start must be >= 0"),
+                         (cum[-1] <= 0, "ego route has zero length after ego_start_x override")):
+        if bad:
+            raise SimulationError(f"{scenario_id}: {message}")
+
+    seg_dirs = np.diff(route, axis=0)
+    dx, dy = seg_dirs[:, 0], seg_dirs[:, 1]
+    segments = np.column_stack([cum[:-1], np.hypot(dx, dy), route[:-1], seg_dirs,
+                                np.arctan2(dy, dx), np.append(cum[1:-1], math.inf)])
+
+    hit = first_polyline_crossing(route, crossing)
+    # without a conflict no passage event fires and no braking window opens
+    _, s_conflict, ped_conflict_arc = hit or (None, 0.0, 0.0)
+    ego_mark, ped_mark = (s_conflict, ped_conflict_arc) if hit else (math.inf, math.inf)
+    ego_clear, ped_clear = ((s_conflict + _R_SUM, ped_conflict_arc + _R_SUM) if hit
+                            else (-math.inf, -math.inf))
+    return _Run(
+        scenario, d_start, segments, hit,
+        constants=(v_max, v_max + 0.0, config.street_width / t_cross, s_conflict,
+                   ped_conflict_arc, s_conflict - _R_SUM - STOP_MARGIN, ped_clear),
+        marks=(max(d_start, _R_SUM) * (1.0 + _HYPOT_SLACK), ego_mark, ped_mark, float(cum[-1]),
+               ego_clear),
+        speed=v_max if config.ego_start_speed is None else min(config.ego_start_speed, v_max),
+    )
+
+
+def _step_runs(runs: list[_Run], config: SimConfig, ped_start: np.ndarray, ped_dir: np.ndarray,
+               ped_len: float) -> None:
+    """Step every run in lock-step until each has ended, recording into run.columns.
+
+    Element by element this is the per-run loop's arithmetic: + - * / and
+    Python's min and max, which numpy's minimum and maximum match here (a
+    -0.0 speed cap is read as 0.0, as the loop's min returns). A branch on a
+    distance is settled with math.hypot.
+    """
+    dt = config.time_step
+    n_max = int(round(config.max_duration / dt)) + 1
+    (ped_x0, ped_y0), (ped_dx, ped_dy) = ped_start, ped_dir
+    comfort_stop, full_stop = 2.0 * config.comfort_decel, 2.0 * config.max_decel
+
+    m, ids = len(runs), np.arange(len(runs))
+    const, marks, current = (np.array(list(zip(*rows))) for rows in (
+        [r.constants for r in runs], [r.marks for r in runs], [r.segments[0] for r in runs]))
+    seg = np.zeros(m, dtype=int)
+    s, v, ped_arc = np.zeros(m), np.array([r.speed for r in runs]), np.zeros(m)
+    started, braking, escalated = np.zeros(m, bool), np.zeros(m, bool), np.zeros(m, bool)
+    block = np.empty((_BLOCK_STEPS, 8, m))
+    for run in runs:
+        run.columns, run.n = np.empty((8, n_max)), n_max
+
+    k = 0
+    while m and k < n_max:
+        alive = np.ones(m, bool)
+        v_max, v_cap, walk, s_conflict, ped_conflict_arc, stop_target, ped_clear = const
+        dist_mark, ego_mark, ped_mark, route_end, ego_clear = marks
+        seg_arc, seg_len, seg_x, seg_y, seg_dx, seg_dy, seg_head, seg_next = current
+        first, live = k, m
+        while k < min(first + _BLOCK_STEPS, n_max) and live:
+            t = k * dt
+            row = block[k - first, :, :m]
+
+            for j in (s > seg_next).nonzero()[0]:
+                segments, i = runs[ids[j]].segments, seg[j]
+                while s[j] > segments[i, -1]:
+                    i += 1
+                seg[j] = i
+                current[:, j] = segments[i]
+            # s never falls behind the segment's start, so the loop's max(., 0.0) is a no-op
+            frac = np.minimum(s - seg_arc, seg_len) / seg_len
+            ex = np.add(seg_x, frac * seg_dx, out=row[0])
+            ey = np.add(seg_y, frac * seg_dy, out=row[1])
+            px = np.add(ped_x0, ped_arc * ped_dx, out=row[5])
+            py = np.add(ped_y0, ped_arc * ped_dy, out=row[6])
+            row[2], row[3] = seg_head, v
+
+            ddx, ddy = ex - px, ey - py
+            contacts = []
+            for j in (np.hypot(ddx, ddy) <= dist_mark).nonzero()[0]:
+                run, dist = runs[ids[j]], math.hypot(ddx[j], ddy[j])
+                if not started[j] and dist <= run.d_start:
+                    started[j] = True
+                    run.events["ped_crossing_started"] = t
+                    dist_mark[j] = _R_SUM * (1.0 + _HYPOT_SLACK)
+                if dist <= _R_SUM:
+                    contacts.append(j)
+            ped_speed = np.where(started & (ped_arc < ped_len), walk, 0.0)
+            row[7] = ped_speed
+
+            # controller: a run keeps braking while the pedestrian walks toward
+            # a conflict that neither has cleared
+            a = np.where(v < v_max, RESUME_ACCEL, 0.0)
+            if config.trigger_gap_time > 0.0:
+                window = started & (ped_arc < ped_clear) & (s < ego_clear)
+                held = braking = braking & window
+                if np.count_nonzero(waiting := window & ~held):
+                    t_ego = (s_conflict - s) / np.maximum(v, SPEED_FLOOR)
+                    t_ped = (np.maximum(ped_conflict_arc - ped_arc, 0.0)
+                             / np.maximum(ped_speed, SPEED_FLOOR))
+                    # brake only if a full stop short of the zone is possible;
+                    # otherwise clearing the zone quickly is the lesser risk
+                    brake = (waiting & (np.abs(t_ego - t_ped) < config.trigger_gap_time)
+                             & (s + v * v / full_stop <= stop_target))
+                    braking = held | brake
+                    for j in brake.nonzero()[0]:
+                        runs[ids[j]].events.setdefault("braking_started", t)
+                if np.count_nonzero(braking):
+                    escalated = (escalated & held) | (s + v * v / comfort_stop > stop_target)
+                    a = np.where(braking, np.where(escalated, -config.max_decel,
+                                                   -config.comfort_decel), a)
+            v_next = np.minimum(np.maximum(v + a * dt, 0.0), v_cap)
+            np.divide(v_next - v, dt, out=row[4])
+
+            for name, at, mark in (("ego_passed_conflict", s, ego_mark),
+                                   ("ped_passed_conflict", ped_arc, ped_mark)):
+                for j in (at >= mark).nonzero()[0]:
+                    runs[ids[j]].events[name] = t
+                    mark[j] = math.inf
+            # a contact ends the run as a collision even where the route ends too
+            ends = {**dict.fromkeys((s >= route_end).nonzero()[0], "route_completed"),
+                    **dict.fromkeys(contacts, "collision")}
+            for j, reason in ends.items():
+                run = runs[ids[j]]
+                if reason == "collision":
+                    run.events["collision"] = t
+                run.n, run.end_reason = k + 1, reason
+                marks[:, j], alive[j] = _ENDED, False
+                live -= 1
+
+            s = s + v * dt
+            v = v_next
+            ped_arc = np.minimum(ped_arc + ped_speed * dt, ped_len)
+            k += 1
+
+        for j, i in enumerate(ids):
+            stop = min(runs[i].n, k)
+            runs[i].columns[:, first:stop] = block[:stop - first, :, j].T
+        ids, seg, s, v, ped_arc, started, braking, escalated = (
+            x[alive] for x in (ids, seg, s, v, ped_arc, started, braking, escalated))
+        const, marks, current = const[:, alive], marks[:, alive], current[:, alive]
+        m = len(ids)
+
+
+def _outcome(run: _Run, dt: float, ped_heading: float) -> SimOutcome:
+    n, scenario = run.n, run.scenario
+    ego_x, ego_y, ego_h, ego_v, ego_a, ped_x, ped_y, ped_v = (c[:n] for c in run.columns)
+    events = run.events
+    events["scenario_end"] = (n - 1) * dt
+
+    metadata = {"logical_id": scenario.logical_id, "index": str(scenario.index),
+                "end_reason": run.end_reason,
+                **{f"binding_{name}": repr(float(x)) for name, x in scenario.bindings.items()},
+                **{f"event_{name}": repr(x) for name, x in events.items()}}
+    if run.conflict is not None:
+        (x, y), ego_arc, other_arc = run.conflict
+        metadata.update(zip(("conflict_x", "conflict_y", "conflict_ego_arc", "conflict_other_arc"),
+                            (repr(float(value)) for value in (x, y, ego_arc, other_arc))))
+
+    times = np.arange(n) * dt
+    ego_track = ActorTrack(EGO_ID, ActorClass.VEHICLE, DEFAULT_RADII[ActorClass.VEHICLE], times,
+                           ego_x, ego_y, ego_h, ego_v, ego_a)
+    ped_track = ActorTrack(PED_ID, ActorClass.PEDESTRIAN, DEFAULT_RADII[ActorClass.PEDESTRIAN],
+                           times, ped_x, ped_y, np.full(n, ped_heading), ped_v, np.zeros(n))
+    trace = Trace(scenario.scenario_id, dt, {EGO_ID: ego_track, PED_ID: ped_track}, metadata)
+    # validated tracks are finite: settle the near-minimal distances with math.hypot
+    ddx, ddy = ego_x - ped_x, ego_y - ped_y
+    dist = np.hypot(ddx, ddy)
+    min_distance = min(math.hypot(ddx[i], ddy[i])
+                       for i in (dist <= dist.min() * (1.0 + _HYPOT_SLACK)).nonzero()[0])
+    return SimOutcome(trace, collided=run.end_reason == "collision", min_distance=min_distance,
+                      completed=run.end_reason == "route_completed",
+                      end_reason=run.end_reason, events=events)
+
+
+def _simulate_runs(scenarios: list[ConcreteScenario | Mapping[str, float]],
+                   config: SimConfig) -> list[SimOutcome]:
+    crossing = np.asarray(config.ped_crossing, dtype=float)
+    runs = [_prepare(scenario, config, crossing) for scenario in scenarios]
+    ped_len = float(math.dist(config.ped_crossing[0], config.ped_crossing[1]))
+    ped_dir = (crossing[1] - crossing[0]) / ped_len
+    _step_runs(runs, config, crossing[0], ped_dir, ped_len)
+    return [_outcome(run, config.time_step, math.atan2(ped_dir[1], ped_dir[0])) for run in runs]
 
 
 def simulate(scenario: ConcreteScenario | Mapping[str, float], config: SimConfig) -> SimOutcome:
@@ -116,237 +336,21 @@ def simulate(scenario: ConcreteScenario | Mapping[str, float], config: SimConfig
     Bindings: v_max in km/h, t_cross in s, d_start in m; optional
     ego_start_x overrides the x coordinate of the first route point.
     The run ends at max_duration, on collision (with the overlapping state
-    recorded), or when the ego finishes its route.
+    recorded), or when the ego finishes its route. A bad binding raises
+    SimulationError prefixed with the scenario id ("adhoc#0" for a mapping).
     """
-    if isinstance(scenario, ConcreteScenario):
-        bindings = scenario.bindings
-        scenario_id = scenario.scenario_id
-        logical_id = scenario.logical_id
-        index = scenario.index
-    else:
-        bindings = dict(scenario)
-        scenario_id, logical_id, index = "adhoc#0", "adhoc", 0
-
-    v_max = _require_binding(bindings, "v_max") * KMH_TO_MPS
-    t_cross = _require_binding(bindings, "t_cross")
-    d_start = _require_binding(bindings, "d_start")
-    if v_max < 0:
-        raise SimulationError("v_max must be >= 0")
-    if t_cross <= 0:
-        raise SimulationError("t_cross must be > 0")
-    if d_start < 0:
-        raise SimulationError("d_start must be >= 0")
-
-    route = [list(p) for p in config.ego_route]
-    if "ego_start_x" in bindings:
-        route[0][0] = float(bindings["ego_start_x"])
-    route_pts = np.asarray(route, dtype=float)
-    cum = cumulative_arc(route_pts)
-    route_len = float(cum[-1])
-    if route_len <= 0:
-        raise SimulationError("ego route has zero length after ego_start_x override")
-    seg_dirs = np.diff(route_pts, axis=0)
-    seg_lens = np.hypot(seg_dirs[:, 0], seg_dirs[:, 1])
-    seg_head = np.arctan2(seg_dirs[:, 1], seg_dirs[:, 0])
-
-    crossing = np.asarray(config.ped_crossing, dtype=float)
-    ped_len = float(math.dist(config.ped_crossing[0], config.ped_crossing[1]))
-    ped_dir = (crossing[1] - crossing[0]) / ped_len
-    ped_heading = float(math.atan2(ped_dir[1], ped_dir[0]))
-    ped_walk_speed = config.street_width / t_cross
-
-    hit = first_polyline_crossing(route_pts, crossing)
-    if hit is None:
-        conflict_pos = None
-        s_conflict = None
-        ped_conflict_arc = None
-    else:
-        conflict_pos, s_conflict, ped_conflict_arc = hit
-
-    r_ego = DEFAULT_RADII[ActorClass.VEHICLE]
-    r_ped = DEFAULT_RADII[ActorClass.PEDESTRIAN]
-    r_sum = r_ego + r_ped
-
-    dt = config.time_step
-    n_max = int(round(config.max_duration / dt)) + 1
-    ego_x = np.empty(n_max)
-    ego_y = np.empty(n_max)
-    ego_h = np.empty(n_max)
-    ego_v = np.empty(n_max)
-    ego_a = np.empty(n_max)
-    ped_x = np.empty(n_max)
-    ped_y = np.empty(n_max)
-    ped_v = np.empty(n_max)
-
-    v = v_max if config.ego_start_speed is None else min(config.ego_start_speed, v_max)
-    s = 0.0
-    ped_arc = 0.0
-    seg_idx = 0
-    ped_started = False
-    braking = False
-    escalated = False
-    min_distance = math.inf
-    collided = False
-    completed = False
-    events: dict[str, float] = {}
-    stop_target = None
-    if s_conflict is not None:
-        stop_target = s_conflict - r_sum - STOP_MARGIN
-
-    n = 0
-    for k in range(n_max):
-        t = k * dt
-
-        # position on route
-        while seg_idx < len(seg_lens) - 1 and s > cum[seg_idx + 1]:
-            seg_idx += 1
-        frac = min(max(s - cum[seg_idx], 0.0), seg_lens[seg_idx]) / seg_lens[seg_idx]
-        ex = route_pts[seg_idx, 0] + frac * seg_dirs[seg_idx, 0]
-        ey = route_pts[seg_idx, 1] + frac * seg_dirs[seg_idx, 1]
-        px = crossing[0, 0] + ped_arc * ped_dir[0]
-        py = crossing[0, 1] + ped_arc * ped_dir[1]
-
-        dist = math.hypot(ex - px, ey - py)
-        if not ped_started and dist <= d_start:
-            ped_started = True
-            events.setdefault("ped_crossing_started", t)
-        ped_speed = ped_walk_speed if (ped_started and ped_arc < ped_len) else 0.0
-
-        # controller
-        ped_cleared = ped_conflict_arc is not None and ped_arc >= ped_conflict_arc + r_sum
-        ego_past_zone = s_conflict is not None and s >= s_conflict + r_sum
-        if braking and (ped_cleared or ego_past_zone or not ped_started):
-            braking = False
-            escalated = False
-        if braking:
-            if not escalated and s + v * v / (2.0 * config.comfort_decel) > stop_target:
-                escalated = True
-            a = -(config.max_decel if escalated else config.comfort_decel)
-        else:
-            a = RESUME_ACCEL if v < v_max else 0.0
-            if (
-                s_conflict is not None
-                and ped_started
-                and not ped_cleared
-                and not ego_past_zone
-                and config.trigger_gap_time > 0.0
-            ):
-                t_ego = (s_conflict - s) / max(v, SPEED_FLOOR)
-                t_ped = max(ped_conflict_arc - ped_arc, 0.0) / max(ped_speed, SPEED_FLOOR)
-                if abs(t_ego - t_ped) < config.trigger_gap_time:
-                    # brake only if a full stop short of the zone is possible;
-                    # otherwise clearing the zone quickly is the lesser risk
-                    if s + v * v / (2.0 * config.max_decel) <= stop_target:
-                        braking = True
-                        escalated = s + v * v / (2.0 * config.comfort_decel) > stop_target
-                        a = -(config.max_decel if escalated else config.comfort_decel)
-                        events.setdefault("braking_started", t)
-
-        v_next = min(max(v + a * dt, 0.0), v_max)
-
-        ego_x[k] = ex
-        ego_y[k] = ey
-        ego_h[k] = seg_head[seg_idx]
-        ego_v[k] = v
-        ego_a[k] = (v_next - v) / dt
-        ped_x[k] = px
-        ped_y[k] = py
-        ped_v[k] = ped_speed
-        n = k + 1
-
-        if dist < min_distance:
-            min_distance = dist
-        if s_conflict is not None and s >= s_conflict:
-            events.setdefault("ego_passed_conflict", t)
-        if ped_conflict_arc is not None and ped_arc >= ped_conflict_arc:
-            events.setdefault("ped_passed_conflict", t)
-        if dist <= r_sum:
-            collided = True
-            events.setdefault("collision", t)
-            break
-        if s >= route_len:
-            completed = True
-            break
-
-        s += v * dt
-        v = v_next
-        ped_arc = min(ped_arc + ped_speed * dt, ped_len)
-
-    if collided:
-        end_reason = "collision"
-    elif completed:
-        end_reason = "route_completed"
-    else:
-        end_reason = "timeout"
-    events["scenario_end"] = (n - 1) * dt
-
-    times = np.arange(n) * dt
-    metadata = {
-        "logical_id": logical_id,
-        "index": str(index),
-        "end_reason": end_reason,
-    }
-    for name, value in bindings.items():
-        metadata[f"binding_{name}"] = repr(float(value))
-    for name, value in events.items():
-        metadata[f"event_{name}"] = repr(value)
-    if conflict_pos is not None:
-        metadata["conflict_x"] = repr(float(conflict_pos[0]))
-        metadata["conflict_y"] = repr(float(conflict_pos[1]))
-        metadata["conflict_ego_arc"] = repr(float(s_conflict))
-        metadata["conflict_other_arc"] = repr(float(ped_conflict_arc))
-
-    ego_track = ActorTrack(
-        actor_id=EGO_ID,
-        actor_class=ActorClass.VEHICLE,
-        radius=r_ego,
-        times=times,
-        xs=ego_x[:n],
-        ys=ego_y[:n],
-        headings=ego_h[:n],
-        speeds=ego_v[:n],
-        accels=ego_a[:n],
-    )
-    ped_track = ActorTrack(
-        actor_id=PED_ID,
-        actor_class=ActorClass.PEDESTRIAN,
-        radius=r_ped,
-        times=times,
-        xs=ped_x[:n],
-        ys=ped_y[:n],
-        headings=np.full(n, ped_heading),
-        speeds=ped_v[:n],
-        accels=np.zeros(n),
-    )
-    trace = Trace(
-        scenario_id=scenario_id,
-        time_step=dt,
-        tracks={EGO_ID: ego_track, PED_ID: ped_track},
-        metadata=metadata,
-    )
-    return SimOutcome(
-        trace=trace,
-        collided=collided,
-        min_distance=min_distance,
-        completed=completed,
-        end_reason=end_reason,
-        events=events,
-    )
+    return _simulate_runs([scenario], config)[0]
 
 
-def _simulate_star(args: tuple[ConcreteScenario, SimConfig]) -> SimOutcome:
-    return simulate(args[0], args[1])
+def simulate_batch(logical: LogicalScenario, config: SimConfig) -> list[SimOutcome]:
+    """Simulate every concrete scenario of a logical one, in grid order.
 
-
-def simulate_batch(
-    logical: LogicalScenario, config: SimConfig, jobs: int = 1
-) -> list[SimOutcome]:
-    """Simulate every concrete scenario of a logical one, in grid order."""
-    scenarios = list(iter_concretize(logical))
-    if jobs <= 1 or len(scenarios) < 2:
-        return [simulate(c, config) for c in scenarios]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_simulate_star, ((c, config) for c in scenarios), chunksize=16))
+    Every run's bindings are checked before the first step. The runs then
+    advance together in lock-step, as arrays over the runs, each recording
+    until its own end; every outcome is bit-identical to simulate() of its
+    scenario alone.
+    """
+    return _simulate_runs(list(iter_concretize(logical)), config)
 
 
 # ---------------------------------------------------------------------------
@@ -356,27 +360,16 @@ def simulate_batch(
 def sim_config_from_dict(data: Mapping) -> SimConfig:
     if not isinstance(data, Mapping):
         raise SimulationError(f"sim config must be an object, got {data!r}")
-    kwargs: dict = {}
-    simple = (
-        "time_step",
-        "max_duration",
-        "street_width",
-        "comfort_decel",
-        "max_decel",
-        "trigger_gap_time",
-    )
+    floats = ("time_step", "max_duration", "street_width", "comfort_decel", "max_decel",
+              "trigger_gap_time")
     try:
-        for key in simple:
+        kwargs: dict = {key: float(data[key]) for key in floats if key in data}
+        for key in ("ego_route", "ped_crossing"):
             if key in data:
-                kwargs[key] = float(data[key])
-        if "ego_route" in data:
-            kwargs["ego_route"] = tuple((float(x), float(y)) for x, y in data["ego_route"])
-        if "ped_crossing" in data:
-            kwargs["ped_crossing"] = tuple((float(x), float(y)) for x, y in data["ped_crossing"])
-        if "ego_start_speed" in data:
-            raw = data["ego_start_speed"]
-            kwargs["ego_start_speed"] = None if raw is None else float(raw)
-        unknown = set(data) - set(simple) - {"ego_route", "ped_crossing", "ego_start_speed"}
+                kwargs[key] = tuple((float(x), float(y)) for x, y in data[key])
+        if data.get("ego_start_speed") is not None:
+            kwargs["ego_start_speed"] = float(data["ego_start_speed"])
+        unknown = set(data) - set(floats) - {"ego_route", "ped_crossing", "ego_start_speed"}
     except (TypeError, ValueError) as exc:
         raise SimulationError(f"malformed sim config: {exc}") from None
     if unknown:

@@ -22,6 +22,7 @@ from scenq import (
     load_logical_scenario,
     load_sim_config,
     simulate,
+    simulate_batch,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "scenq" / "data"
@@ -74,7 +75,7 @@ def batch600(intersection_logical, intersection_config):
     plus the wall time the batch took."""
     scenarios = concretize(intersection_logical)
     t0 = time.perf_counter()
-    outcomes = [simulate(s, intersection_config) for s in scenarios]
+    outcomes = simulate_batch(intersection_logical, intersection_config)
     elapsed = time.perf_counter() - t0
     return scenarios, outcomes, elapsed
 
@@ -90,11 +91,8 @@ def reference_outcome(intersection_config) -> SimOutcome:
 @pytest.fixture(scope="session")
 def sweep_runs(sweep_logical, sweep_config):
     """The ego start position sweep: list of (x, outcome), x = 38..78."""
-    runs = []
-    for scenario in concretize(sweep_logical):
-        x = scenario.bindings["ego_start_x"]
-        runs.append((x, simulate(scenario, sweep_config)))
-    return runs
+    outcomes = simulate_batch(sweep_logical, sweep_config)
+    return [(s.bindings["ego_start_x"], o) for s, o in zip(concretize(sweep_logical), outcomes)]
 
 
 @pytest.fixture()

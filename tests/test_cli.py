@@ -380,6 +380,25 @@ def test_failed_sweep_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("fixed, expected", [
+    ({"t_cross": 0.0, "d_start": 16.0}, "cli_demo#0: t_cross must be > 0"),
+    ({"t_cross": 5.0}, "cli_demo#0: missing binding 'd_start'"),
+])
+def test_bad_binding_names_file_and_run_and_writes_nothing(mini_scenario, tmp_path, capsys,
+                                                          command, fixed, expected):
+    scenario = json.loads(mini_scenario.read_text())
+    scenario["fixed"] = fixed
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    code = main([command, "--scenario", str(path), "--config",
+                 str(DATA / "intersection_config.json"), "--out", str(out), "--jobs", "4"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path}: {expected}\n"
+    assert not out.exists()
+
+
 def test_report_summarizes_run_dir(workdir):
     out = workdir / "report"
     code = main(["report", "--run", str(workdir / "eval_fail"), "--out", str(out)])
