@@ -20,37 +20,66 @@ def dtw(track_a: ActorTrack, track_b: ActorTrack) -> float:
     Classic unconstrained formulation: monotone warp paths from the first
     to the last sample pair, per-step cost the Euclidean distance between
     the warped (x, y) positions, total cost minimized. Exact: no window,
-    no early abandoning. Symmetric in its arguments.
+    no cap on the value. Symmetric in its arguments.
 
-    Cells (i, j) are filled one anti-diagonal k = i + j at a time from
-    three rolling buffers indexed by row i, holding diagonals k - 2,
-    k - 1 and k, so memory is O(n + m) for n x m samples. Against a
-    reversed copy of b, the columns k - i of a diagonal form a forward
-    slice, so its distances come from contiguous slices too.
+    Pruned after Silva & Batista (SDM 2016): UB is the cost of one valid
+    path, the index-proportional staircase, summed in path order as the
+    recurrence sums it, so the distance is at most UB in floating point
+    too. Only cells that a live cell of the two previous anti-diagonals
+    can lead to are filled, and a diagonal's ends are trimmed while their
+    value exceeds UB. A cell whose true value is at most UB keeps its
+    cheapest predecessor live, so it gets the same operands in the same
+    order as in the full matrix, and no other cell reads below its true
+    value: the result is bit-identical to the full recurrence's, while the
+    work is proportional to the band of cells that a path no dearer than
+    UB can reach, not to n * m. Early abandoning, by contrast, stops once
+    a bound is exceeded and returns something other than the distance;
+    here nothing is capped or replaced.
+
+    Three rolling buffers indexed by row i + 1 hold diagonals k - 2,
+    k - 1 and k, so memory is O(n + m) for n x m samples; every entry
+    outside a diagonal's filled rows is +inf, index 0 (row -1) always.
+    Against a reversed copy of b, the columns k - i of a diagonal form a
+    forward slice, so its distances come from contiguous slices too.
     """
     a = track_a.points
     b = track_b.points
     n, m = len(a), len(b)
     ax, ay = a[:, 0].copy(), a[:, 1].copy()
     rx, ry = b[::-1, 0].copy(), b[::-1, 1].copy()
-    first_row = np.cumsum(np.hypot(ax[0] - b[:, 0], ay[0] - b[:, 1]))
-    first_col = np.cumsum(np.hypot(ax - b[0, 0], ay - b[0, 1]))
-    prev2, prev1, cur = np.empty(n), np.empty(n), np.empty(n)
-    for k in range(n + m - 1):
+    path_i, path_j = (np.linspace(0, count - 1, max(n, m)).round().astype(np.intp)
+                      for count in (n, m))
+    ub = float(np.cumsum(np.hypot(ax[path_i] - b[path_j, 0], ay[path_i] - b[path_j, 1]))[-1])
+
+    prev2, prev1, cur = np.full(n + 1, np.inf), np.full(n + 1, np.inf), np.full(n + 1, np.inf)
+    cur[1] = np.hypot(ax[0] - rx[m - 1], ay[0] - ry[m - 1])  # diagonal 0: cell (0, 0)
+    # live rows [l, h] of diagonals k - 2 and k - 1 (empty as [n, -1]), and
+    # the filled slice of each buffer, reset to +inf before it is refilled
+    l2, h2, l1, h1, lo, hi = n, -1, n, -1, 0, 0
+    filled2, filled1, filled = slice(0), slice(0), slice(1, 2)
+    for k in range(1, n + m - 1):
         prev2, prev1, cur = prev1, cur, prev2
-        lo = max(1, k - (m - 1))
-        hi = min(n - 1, k - 1)
-        if lo <= hi:
-            rev = slice(lo + m - 1 - k, hi + m - k)  # columns k - hi .. k - lo
-            d = np.hypot(ax[lo:hi + 1] - rx[rev], ay[lo:hi + 1] - ry[rev])
-            best = np.minimum(prev1[lo - 1:hi], prev1[lo:hi + 1])
-            np.minimum(best, prev2[lo - 1:hi], out=best)
-            np.add(d, best, out=cur[lo:hi + 1])
-        if k < m:
-            cur[0] = first_row[k]
-        if k < n:
-            cur[k] = first_col[k]
-    return float(cur[n - 1])
+        filled2, filled1, filled = filled1, filled, filled2
+        cur[filled] = np.inf
+        l2, h2, l1, h1 = l1, h1, lo, hi
+        lo = max(min(l1, l2 + 1), k - m + 1)
+        hi = min(max(h1, h2) + 1, n - 1)
+        if lo > hi:
+            lo, hi, filled = n, -1, slice(0)
+            continue
+        rows, filled = slice(lo, hi + 1), slice(lo + 1, hi + 2)
+        cols = slice(lo + m - 1 - k, hi + m - k)  # columns k - hi .. k - lo, reversed
+        d = np.hypot(ax[rows] - rx[cols], ay[rows] - ry[cols])
+        best = np.minimum(prev1[rows], prev1[filled])
+        np.minimum(best, prev2[rows], out=best)
+        np.add(d, best, out=cur[filled])
+        while lo <= hi and cur[lo + 1] > ub:
+            lo += 1
+        while hi >= lo and cur[hi + 1] > ub:
+            hi -= 1
+        if lo > hi:
+            lo, hi = n, -1
+    return float(cur[n])
 
 
 @dataclass(frozen=True)

@@ -132,7 +132,8 @@ class _Run:
 
 
 def _prepare(scenario: ConcreteScenario | Mapping[str, float], config: SimConfig,
-             crossing: np.ndarray) -> _Run:
+             crossing: np.ndarray, route_hit: tuple | None) -> _Run:
+    """Check one run's bindings and plan it; route_hit is the crossing of config.ego_route."""
     if not isinstance(scenario, ConcreteScenario):
         scenario = ConcreteScenario("adhoc#0", "adhoc", scenario, 0)
     bindings, scenario_id = scenario.bindings, scenario.scenario_id
@@ -151,13 +152,17 @@ def _prepare(scenario: ConcreteScenario | Mapping[str, float], config: SimConfig
                          (cum[-1] <= 0, "ego route has zero length after ego_start_x override")):
         if bad:
             raise SimulationError(f"{scenario_id}: {message}")
+    # the first step's contact test, as _step_runs takes it: a run that ends
+    # there records one state, which is not a trace
+    if math.hypot(route[0, 0] - crossing[0, 0], route[0, 1] - crossing[0, 1]) <= _R_SUM:
+        raise SimulationError(f"{scenario_id}: ego starts in contact with the pedestrian")
 
     seg_dirs = np.diff(route, axis=0)
     dx, dy = seg_dirs[:, 0], seg_dirs[:, 1]
     segments = np.column_stack([cum[:-1], np.hypot(dx, dy), route[:-1], seg_dirs,
                                 np.arctan2(dy, dx), np.append(cum[1:-1], math.inf)])
 
-    hit = first_polyline_crossing(route, crossing)
+    hit = first_polyline_crossing(route, crossing) if "ego_start_x" in bindings else route_hit
     # without a conflict no passage event fires and no braking window opens
     _, s_conflict, ped_conflict_arc = hit or (None, 0.0, 0.0)
     ego_mark, ped_mark = (s_conflict, ped_conflict_arc) if hit else (math.inf, math.inf)
@@ -323,7 +328,8 @@ def _outcome(run: _Run, dt: float, ped_heading: float) -> SimOutcome:
 def _simulate_runs(scenarios: list[ConcreteScenario | Mapping[str, float]],
                    config: SimConfig) -> list[SimOutcome]:
     crossing = np.asarray(config.ped_crossing, dtype=float)
-    runs = [_prepare(scenario, config, crossing) for scenario in scenarios]
+    route_hit = first_polyline_crossing(np.array(config.ego_route, dtype=float), crossing)
+    runs = [_prepare(scenario, config, crossing, route_hit) for scenario in scenarios]
     ped_len = float(math.dist(config.ped_crossing[0], config.ped_crossing[1]))
     ped_dir = (crossing[1] - crossing[0]) / ped_len
     _step_runs(runs, config, crossing[0], ped_dir, ped_len)
@@ -336,8 +342,9 @@ def simulate(scenario: ConcreteScenario | Mapping[str, float], config: SimConfig
     Bindings: v_max in km/h, t_cross in s, d_start in m; optional
     ego_start_x overrides the x coordinate of the first route point.
     The run ends at max_duration, on collision (with the overlapping state
-    recorded), or when the ego finishes its route. A bad binding raises
-    SimulationError prefixed with the scenario id ("adhoc#0" for a mapping).
+    recorded), or when the ego finishes its route. A bad binding, or an ego
+    that starts in contact with the pedestrian, raises SimulationError
+    prefixed with the scenario id ("adhoc#0" for a mapping).
     """
     return _simulate_runs([scenario], config)[0]
 

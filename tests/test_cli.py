@@ -399,6 +399,22 @@ def test_bad_binding_names_file_and_run_and_writes_nothing(mini_scenario, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_contact_at_start_names_file_and_run_and_writes_nothing(mini_scenario, tmp_path, capsys,
+                                                                command):
+    config = json.loads((DATA / "intersection_config.json").read_text())
+    config["ego_route"] = [[11.5, -3.5], [100.0, -3.5]]  # 0.5 m from the pedestrian
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = main([command, "--scenario", str(mini_scenario), "--config", str(config_path),
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {mini_scenario}: cli_demo#0: ego starts in contact with the pedestrian\n")
+    assert not out.exists()
+
+
 def test_report_summarizes_run_dir(workdir):
     out = workdir / "report"
     code = main(["report", "--run", str(workdir / "eval_fail"), "--out", str(out)])

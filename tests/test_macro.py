@@ -1,4 +1,6 @@
+import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from scenq import (
     ScalarResult,
     ScenarioError,
     Trace,
+    simulate,
     undefined_scalar,
 )
 from scenq.macro import (
@@ -65,6 +68,11 @@ def test_dtw_symmetry_and_offset():
 
 def full_matrix_dtw(a, b):
     """Reference DTW: both n x m matrices, filled by fancy indexing."""
+    return float(full_matrix_acc(a, b)[-1, -1])
+
+
+def full_matrix_acc(a, b):
+    """The reference's accumulated cost matrix."""
     n, m = len(a), len(b)
     dist = np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
     acc = np.full((n, m), np.inf)
@@ -80,7 +88,7 @@ def full_matrix_dtw(a, b):
         best = np.minimum(acc[rows - 1, cols], acc[rows, cols - 1])
         np.minimum(best, acc[rows - 1, cols - 1], out=best)
         acc[rows, cols] = dist[rows, cols] + best
-    return float(acc[n - 1, m - 1])
+    return acc
 
 
 def random_walk_track(rng, n):
@@ -95,6 +103,61 @@ def test_dtw_equals_full_matrix_reference_exactly():
     for n, m in lengths:
         a, b = random_walk_track(rng, n), random_walk_track(rng, m)
         assert dtw(a, b) == full_matrix_dtw(a.points, b.points), (n, m)
+
+
+def staircase_cost(a, b):
+    """Cost of the index-proportional warp path, a bound the distance cannot exceed."""
+    i, j = (np.linspace(0, count - 1, max(len(a), len(b))).round().astype(int)
+            for count in (len(a), len(b)))
+    return np.cumsum(np.hypot(a[i, 0] - b[j, 0], a[i, 1] - b[j, 1]))[-1]
+
+
+def assert_exact_both_ways(a, b):
+    want = full_matrix_dtw(a.points, b.points)
+    assert dtw(a, b) == want
+    assert dtw(b, a) == want
+
+
+RECORDING = {"v_max": 30.0, "t_cross": 9.0, "d_start": 16.0}  # stops for the pedestrian
+
+
+def recording(config, time_step, **bindings):
+    return simulate({**RECORDING, **bindings},
+                    replace(config, time_step=time_step)).trace.track("ego")
+
+
+def test_dtw_exact_on_rerecordings_where_most_cells_are_pruned(intersection_config):
+    tracks = [recording(intersection_config, dt) for dt in (0.05, 0.065, 0.09)]
+    for a, b in itertools.combinations(tracks, 2):
+        assert_exact_both_ways(a, b)
+        # most cells cost more than a known path, so the kernel never fills them
+        acc = full_matrix_acc(a.points, b.points)
+        assert np.mean(acc > staircase_cost(a.points, b.points)) > 0.5, (len(a), len(b))
+
+
+def test_dtw_exact_against_a_drifted_run(intersection_config):
+    reference = recording(intersection_config, 0.05)
+    drifted = recording(intersection_config, 0.065, ego_start_x=3.25)  # 1.5 m off the lane
+    assert_exact_both_ways(reference, drifted)
+    assert dtw(reference, drifted) > 100.0
+
+
+def test_dtw_keeps_cells_equal_to_the_bound():
+    # the diagonal is an optimal path and the staircase: its cost reaches the
+    # bound at (3, 3) and stays there, so every later cell on it ties the bound
+    xs = np.arange(40.0)
+    a = path_track("a", xs, np.zeros(40))
+    b = path_track("b", xs, np.where(xs < 3, 0.5, 0.0))
+    assert dtw(a, b) == staircase_cost(a.points, b.points) == 1.5
+    assert_exact_both_ways(a, b)
+
+
+def test_dtw_identical_recordings_is_zero(intersection_config):
+    # a zero bound leaves only the cells that zero-cost paths reach, the
+    # standstill blocks among them
+    a = recording(intersection_config, 0.05)
+    b = path_track("b", a.xs, a.ys)
+    assert dtw(a, b) == dtw(b, a) == full_matrix_dtw(a.points, b.points) == 0.0
 
 
 def test_dtw_memory_is_linear():

@@ -434,12 +434,17 @@ def test_batch_equals_scalar_reference_on_random_bindings(intersection_config, v
 
 
 def test_contact_at_step_0_fails_as_in_the_reference(intersection_config):
-    # one recorded state is not a trace, in the reference and in a batch alike
+    # one recorded state is not a trace: the reference fails on the track,
+    # a batch names the run before it steps
     config = replace(intersection_config, ego_route=((11.5, -3.5), (100.0, -3.5)))
     with pytest.raises(TraceError, match="'ego': needs at least 2 states"):
         reference_simulate(REF, config)
-    with pytest.raises(TraceError, match="'ego': needs at least 2 states"):
+    with pytest.raises(SimulationError,
+                       match=r"^adhoc#0: ego starts in contact with the pedestrian$"):
         _simulate_runs([{**REF, "ego_start_x": -20.0}, REF], config)
+    # moved out of contact by its own ego_start_x, a run steps as the reference does
+    assert_same_outcome(_simulate_runs([{**REF, "ego_start_x": -20.0}], config)[0],
+                        reference_simulate({**REF, "ego_start_x": -20.0}, config))
 
 
 def test_bad_bindings_name_the_run_before_any_step(intersection_config):
