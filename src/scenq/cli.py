@@ -1,9 +1,13 @@
 """Command line front end.
 
 Subcommands: simulate, evaluate, compare, sweep, report. Every command
-writes a manifest.json describing inputs, outputs and a config hash into
-its output directory; timestamps live only in the manifest so repeated
-runs on identical inputs produce byte-identical result files.
+computes first, then writes its files into a work directory next to --out
+and moves them into --out when it finishes, exit 1 included. Each written
+entry (a file, or a whole directory such as traces/) replaces the entry of
+the same name; other entries of --out stay. A command that exits 2 leaves
+--out untouched. The manifest.json moved in with them lists every file
+written, inputs and a config hash; timestamps live only in the manifest so
+repeated runs on identical inputs produce byte-identical result files.
 
 Exit codes: 0 all good, 1 at least one criterion failed or drift was
 detected, 2 usage or input errors. SCENQ_LOG selects the log level.
@@ -16,11 +20,14 @@ import hashlib
 import json
 import logging
 import os
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import __version__, micro, registry
 from .criteria import EvaluationReport, Verdict, evaluate_suite, load_criteria
@@ -54,25 +61,56 @@ def _hash_files(paths: Sequence[Path]) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(
-    out_dir: Path, command: str, inputs: Sequence[Path], outputs: Sequence[Path],
-    started: str, config_paths: Sequence[Path],
-) -> None:
-    manifest = {
-        "command": command,
-        "inputs": [str(p) for p in inputs],
-        "config_hash": _hash_files(config_paths),
-        "outputs": [str(p.relative_to(out_dir)) for p in outputs],
-        "tool_version": __version__,
-        "started": started,
-        "finished": datetime.now(timezone.utc).isoformat(),
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
-                                           encoding="utf-8")
-
-
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
+
+
+@contextmanager
+def _output_dir(out: Path, command: str, inputs: Sequence[Path],
+                config_paths: Sequence[Path], subdirs: Sequence[str] = ()) -> Iterator[Path]:
+    """Yield an empty work directory, with subdirs made, to write a command's files into.
+
+    When the block finishes, manifest.json joins them and the work directory
+    becomes out, or, when out is a directory already, each of its entries
+    replaces the entry of that name in out. When the block raises, the work
+    directory is removed and out is left as it was.
+    """
+    started = _now()
+    out.parent.mkdir(parents=True, exist_ok=True)
+    # out.name cut short: mkdtemp's random suffix must fit in one file name too
+    scratch = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name[:32]}."))
+    work, replaced = scratch / "new", scratch / "old"
+    try:
+        for path in (work, replaced, *(work / sub for sub in subdirs)):
+            path.mkdir()  # not mkdtemp's 0o700: out gets the usual permissions
+        yield work
+        manifest = {
+            "command": command,
+            "inputs": [str(p) for p in inputs],
+            "config_hash": _hash_files(config_paths),
+            "outputs": sorted(p.relative_to(work).as_posix()
+                              for p in work.rglob("*") if p.is_file()),
+            "tool_version": __version__,
+            "started": started,
+            "finished": _now(),
+        }
+        (work / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
+                                            encoding="utf-8")
+        if not out.is_dir():
+            work.rename(out)
+            return
+        for entry in sorted(work.iterdir()):
+            target = out / entry.name
+            if os.path.lexists(target):
+                target.rename(replaced / entry.name)
+            entry.rename(target)
+    except OSError as exc:
+        # name a staged file by the place it was meant for
+        if isinstance(exc.filename, str) and Path(exc.filename).is_relative_to(work):
+            exc.filename = str(out / Path(exc.filename).relative_to(work))
+        raise
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 def _safe_name(scenario_id: str) -> str:
@@ -117,7 +155,6 @@ def _simulate_grid(path: str, logical: LogicalScenario, config: SimConfig) -> li
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    started = _now()
     logical = load_logical_scenario(args.scenario)
     config = load_sim_config(args.config)
     fmt = TraceFormat(args.format)
@@ -125,27 +162,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     outcomes = _simulate_grid(args.scenario, logical, config)
     log.info("simulated %d scenarios", len(outcomes))
 
-    out_dir = Path(args.out)
-    trace_dir = out_dir / "traces"
-    trace_dir.mkdir(parents=True, exist_ok=True)
-    outputs: list[Path] = []
-    for outcome in outcomes:
-        path = trace_dir / (_safe_name(outcome.trace.scenario_id) + suffix)
-        save_trace(outcome.trace, path, fmt)
-        outputs.append(path)
-
-    scen_path = out_dir / "scenarios.jsonl"
-    write_concrete_set(list(iter_concretize(logical)), scen_path)
-    outcome_path = out_dir / "outcomes.jsonl"
-    outcome_path.write_text(
-        "\n".join(json.dumps(_outcome_row(o)) for o in outcomes) + "\n", encoding="utf-8"
-    )
-    outputs += [scen_path, outcome_path]
+    inputs = [Path(args.scenario), Path(args.config)]
+    with _output_dir(Path(args.out), "simulate", inputs, inputs, ["traces"]) as work:
+        for outcome in outcomes:
+            save_trace(outcome.trace,
+                       work / "traces" / (_safe_name(outcome.trace.scenario_id) + suffix), fmt)
+        write_concrete_set(list(iter_concretize(logical)), work / "scenarios.jsonl")
+        (work / "outcomes.jsonl").write_text(
+            "\n".join(json.dumps(_outcome_row(o)) for o in outcomes) + "\n", encoding="utf-8"
+        )
     collisions = sum(o.collided for o in outcomes)
     print(f"simulated {len(outcomes)} runs, {collisions} with collisions, "
-          f"traces in {trace_dir}")
-    _write_manifest(out_dir, "simulate", [Path(args.scenario), Path(args.config)],
-                    outputs, started, [Path(args.scenario), Path(args.config)])
+          f"traces in {Path(args.out) / 'traces'}")
     return 0
 
 
@@ -179,30 +207,23 @@ def _report_dict(report: EvaluationReport) -> dict:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    started = _now()
     trace_paths = _collect_trace_paths(args.traces)
     traces = [load_trace_file(p) for p in trace_paths]
     criteria = load_criteria(args.criteria)
     report = evaluate_suite(criteria, traces, perspective=args.perspective, level=args.level)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "evaluation.json"
-    report_path.write_text(json.dumps(_report_dict(report), indent=2) + "\n", encoding="utf-8")
-    outputs = [report_path]
-
-    if args.emit_plot_data:
-        plot_dir = out_dir / "plot_data"
-        plot_dir.mkdir(exist_ok=True)
-        params = {c.criterion_id: c.metric_params for c in criteria}
-        for verdict in report.verdicts:
-            if not isinstance(verdict.result, MetricSeries):
-                continue
-            path = plot_dir / (
+    params = {c.criterion_id: c.metric_params for c in criteria}
+    plotted = [v for v in report.verdicts
+               if args.emit_plot_data and isinstance(v.result, MetricSeries)]
+    with _output_dir(Path(args.out), "evaluate", [*trace_paths, Path(args.criteria)],
+                     [Path(args.criteria)], ["plot_data"] if args.emit_plot_data else []) as work:
+        (work / "evaluation.json").write_text(json.dumps(_report_dict(report), indent=2) + "\n",
+                                              encoding="utf-8")
+        for verdict in plotted:
+            path = work / "plot_data" / (
                 f"{_safe_name(verdict.criterion_id)}_{_safe_name(verdict.scenario_id)}.csv"
             )
             write_series(verdict.result, path, parameters=params[verdict.criterion_id])
-            outputs.append(path)
 
     fails = sum(v.outcome == "fail" for v in report.verdicts)
     passes = sum(v.outcome == "pass" for v in report.verdicts)
@@ -211,13 +232,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for cell in report.cells:
         rate = "n/a" if cell.pass_rate is None else f"{cell.pass_rate:.3f}"
         print(f"  [{cell.perspective} x {cell.level}] pass rate {rate}")
-    _write_manifest(out_dir, "evaluate", list(trace_paths) + [Path(args.criteria)],
-                    outputs, started, [Path(args.criteria)])
     return 1 if report.any_fail else 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    started = _now()
     reference = load_trace_file(Path(args.reference))
     run_paths = _collect_trace_paths(args.runs)
     runs = [load_trace_file(p) for p in run_paths]
@@ -234,24 +252,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
     report = repeatability_report(reference, runs, actor_ids=actor_ids,
                                   threshold=args.threshold)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "reference_id": report.reference_id,
         "threshold": report.threshold,
         "entries": [asdict(e) for e in report.entries],
         "all_within": report.all_within,
     }
-    report_path = out_dir / "repeatability.json"
-    report_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    with _output_dir(Path(args.out), "compare", [Path(args.reference), *run_paths], []) as work:
+        (work / "repeatability.json").write_text(json.dumps(payload, indent=2) + "\n",
+                                                 encoding="utf-8")
 
     drifting = report.drifting()
     for entry in report.entries:
         marker = "ok" if entry.within_threshold else "DRIFT"
         print(f"{entry.run_id} {entry.actor_id}: dtw {entry.dtw_distance:.6g} m "
               f"({entry.per_step:.6g} m/step) {marker}")
-    _write_manifest(out_dir, "compare", [Path(args.reference)] + list(run_paths),
-                    [report_path], started, [])
     return 1 if drifting else 0
 
 
@@ -269,7 +284,6 @@ _SWEEP_COLUMNS = {
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    started = _now()
     logical = load_logical_scenario(args.scenario)
     config = load_sim_config(args.config)
     if len(logical.parameters) != 1:
@@ -296,8 +310,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                         parameter=param.name)
         ]
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_lines = [param.name + "," + ",".join(_SWEEP_COLUMNS) + ",collided,end_reason"]
     for row in rows:
         cells = [repr(float(row["value"]))]
@@ -307,33 +319,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cells.append("true" if row["collided"] else "false")
         cells.append(row["end_reason"])
         csv_lines.append(",".join(cells))
-    sweep_path = out_dir / "sweep.csv"
-    sweep_path.write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
-    findings_path = out_dir / "gap_findings.json"
-    findings_path.write_text(json.dumps(findings, indent=2) + "\n", encoding="utf-8")
-
     scalar_rows = []
     for row in rows:
         for col in _SWEEP_COLUMNS:
             scalar_rows.append((f"{param.name}={row['value']!r}", row[col]))
-    scalars_path = out_dir / "sweep_scalars.jsonl"
-    write_scalars(scalar_rows, scalars_path)
+    inputs = [Path(args.scenario), Path(args.config)]
+    with _output_dir(Path(args.out), "sweep", inputs, inputs) as work:
+        (work / "sweep.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+        (work / "gap_findings.json").write_text(json.dumps(findings, indent=2) + "\n",
+                                                encoding="utf-8")
+        write_scalars(scalar_rows, work / "sweep_scalars.jsonl")
 
     total_findings = sum(len(v) for v in findings.values())
     print(f"swept {param.name} over {len(rows)} values, "
-          f"{total_findings} gap findings ({findings_path})")
+          f"{total_findings} gap findings ({Path(args.out) / 'gap_findings.json'})")
     for col, items in findings.items():
         for f in items:
             print(f"  {col}: {param.name} in [{f['left_value']!r}, {f['right_value']!r}] "
                   f"{_finding_text(f)}")
-    _write_manifest(out_dir, "sweep", [Path(args.scenario), Path(args.config)],
-                    [sweep_path, findings_path, scalars_path], started,
-                    [Path(args.scenario), Path(args.config)])
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    started = _now()
     run_dir = Path(args.run)
     if not run_dir.is_dir():
         raise ScenqError(f"{run_dir}: not a directory")
@@ -392,12 +399,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not found:
         raise ScenqError(f"{run_dir}: no evaluation.json, repeatability.json or "
                          "gap_findings.json to report on")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "report.md"
-    report_path.write_text("\n".join(sections), encoding="utf-8")
-    print(f"report written to {report_path}")
-    _write_manifest(out_dir, "report", [run_dir], [report_path], started, [])
+    with _output_dir(Path(args.out), "report", [run_dir], []) as work:
+        (work / "report.md").write_text("\n".join(sections), encoding="utf-8")
+    print(f"report written to {Path(args.out) / 'report.md'}")
     return 0
 
 

@@ -242,9 +242,6 @@ def _event_time(trace: Trace, rule: StopRule) -> float | None:
         start, end = trace.overlap()
         return end
     if rule.event == "collision":
-        recorded = trace.metadata.get("event_collision")
-        if recorded is not None:
-            return float(recorded)
         return first_contact_time(trace)
     # actor_passed_conflict
     ids = trace.actor_ids()

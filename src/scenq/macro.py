@@ -3,6 +3,7 @@ grid coverage, and sweep discontinuity detection."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -183,7 +184,6 @@ def parameter_coverage(
     not depend on run order or multiplicity.
     """
     params = logical.parameters
-    counts = [p.count for p in params]
     seen: set[tuple[int, ...]] = set()
     seen_per_param: list[set[int]] = [set() for _ in params]
     for item in executed:
@@ -206,13 +206,9 @@ def parameter_coverage(
     missing: list[dict] = []
     if len(seen) < total and params:
         grids = [p.values() for p in params]
-        for flat in range(total):
-            rem = flat
-            cell = [0] * len(params)
-            for pos in range(len(params) - 1, -1, -1):
-                rem, cell[pos] = divmod(rem, counts[pos])
-            if tuple(cell) not in seen:
-                missing.append({p.name: grids[pos][cell[pos]] for pos, p in enumerate(params)})
+        for cell in itertools.product(*(range(p.count) for p in params)):
+            if cell not in seen:
+                missing.append({p.name: grid[i] for p, grid, i in zip(params, grids, cell)})
                 if len(missing) >= max_missing:
                     break
     per_parameter = {

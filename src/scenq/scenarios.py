@@ -9,6 +9,7 @@ enumeration is bit-reproducible.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -141,16 +142,11 @@ def grid_size(logical: LogicalScenario) -> int:
 
 def iter_concretize(logical: LogicalScenario) -> Iterator[ConcreteScenario]:
     """Lazily enumerate the grid; last-declared parameter varies fastest."""
-    grids = [p.values() for p in logical.parameters]
-    counts = [len(g) for g in grids]
-    total = grid_size(logical)
-    for index in range(total):
+    names = [p.name for p in reversed(logical.parameters)]
+    cells = itertools.product(*(p.values() for p in logical.parameters))
+    for index, values in enumerate(cells):
         bindings = dict(logical.fixed)
-        rem = index
-        # Row-major decode: rightmost parameter has stride 1.
-        for pos in range(len(grids) - 1, -1, -1):
-            rem, i = divmod(rem, counts[pos])
-            bindings[logical.parameters[pos].name] = grids[pos][i]
+        bindings.update(zip(names, reversed(values)))  # files keep this key order
         yield ConcreteScenario(
             scenario_id=f"{logical.scenario_id}#{index}",
             logical_id=logical.scenario_id,

@@ -146,6 +146,8 @@ def _prepare(scenario: ConcreteScenario | Mapping[str, float], config: SimConfig
     route = np.array(config.ego_route, dtype=float)
     if "ego_start_x" in bindings:
         route[0, 0] = float(bindings["ego_start_x"])
+    # a zero-length step has no direction to interpolate along, wherever it is
+    route = route[np.append(True, (np.diff(route, axis=0) != 0.0).any(axis=1))]
     cum = cumulative_arc(route)
     for bad, message in ((v_max < 0, "v_max must be >= 0"), (t_cross <= 0, "t_cross must be > 0"),
                          (d_start < 0, "d_start must be >= 0"),

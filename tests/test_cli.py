@@ -1,3 +1,5 @@
+import errno
+import hashlib
 import json
 import logging
 from pathlib import Path
@@ -222,9 +224,10 @@ def test_plot_data_is_the_judged_series(workdir, sim_out):
     reference = workdir / "reference_plots"
     expected = reference_plot_data(suite, sim_out / "traces", reference)
     assert len(expected) == 5 * 2
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["outputs"] == ["evaluation.json"] + [f"plot_data/{p.name}" for p in expected]
     names = sorted(p.name for p in reference.iterdir())
+    # every file written, series sidecars included, sorted
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["evaluation.json"] + [f"plot_data/{name}" for name in names]
     assert sorted(p.name for p in (out / "plot_data").iterdir()) == names
     for name in names:  # series and their .meta.json sidecars
         assert (out / "plot_data" / name).read_bytes() == (reference / name).read_bytes()
@@ -325,9 +328,10 @@ def test_compare_logs_stage_counts(workdir, sim_out, caplog, capsys):
             == (workdir / "cmp_logged" / "repeatability.json").read_bytes())
 
 
-def test_sweep_outputs(workdir):
-    scenario = workdir / "sweep_mini.json"
-    scenario.write_text(json.dumps({
+@pytest.fixture(scope="module")
+def sweep_mini(workdir) -> Path:
+    p = workdir / "sweep_mini.json"
+    p.write_text(json.dumps({
         "scenario_id": "start_sweep",
         "description": "short start position sweep",
         "parameters": [
@@ -335,10 +339,14 @@ def test_sweep_outputs(workdir):
         ],
         "fixed": {"v_max": 58.0, "t_cross": 3.0, "d_start": 16.0},
     }))
+    return p
+
+
+def test_sweep_outputs(workdir, sweep_mini):
     out = workdir / "sweep"
     code = main([
         "sweep",
-        "--scenario", str(scenario),
+        "--scenario", str(sweep_mini),
         "--config", str(DATA / "sweep_config.json"),
         "--out", str(out),
     ])
@@ -413,6 +421,102 @@ def test_contact_at_start_names_file_and_run_and_writes_nothing(mini_scenario, t
     assert capsys.readouterr().err == (
         f"error: {mini_scenario}: cli_demo#0: ego starts in contact with the pedestrian\n")
     assert not out.exists()
+
+
+def _digests(root: Path) -> dict[str, str]:
+    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("command", ["simulate", "evaluate", "compare", "sweep", "report"])
+def test_failed_write_leaves_out_as_it_was(workdir, mini_scenario, sim_out, criteria_ok,
+                                           sweep_mini, tmp_path, monkeypatch, capsys,
+                                           command, existing):
+    trace = str(sim_out / "traces" / "cli_demo_0.csv")
+    compare = ["compare", "--reference", trace, "--runs", trace]
+    if command == "report":
+        assert main(compare + ["--out", str(workdir / "cmp_for_report")]) == 0
+    args = {
+        "simulate": ["--scenario", str(mini_scenario),
+                     "--config", str(DATA / "intersection_config.json")],
+        "evaluate": ["--traces", str(sim_out / "traces"), "--criteria", str(criteria_ok),
+                     "--emit-plot-data"],
+        "compare": compare[1:],
+        "sweep": ["--scenario", str(sweep_mini), "--config", str(DATA / "sweep_config.json")],
+        "report": ["--run", str(workdir / "cmp_for_report")],
+    }[command]
+    out = tmp_path / "out"
+    if existing:
+        out.mkdir()
+        (out / "kept.txt").write_text("from an earlier run\n")
+        before = _digests(out)
+
+    written = []
+    write_text = Path.write_text
+
+    def fail_second(path, *a, **k):
+        written.append(path)
+        if len(written) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        return write_text(path, *a, **k)
+
+    monkeypatch.setattr(Path, "write_text", fail_second)
+    assert main([command, *args, "--out", str(out)]) == 2
+    assert len(written) == 2
+    assert f"No space left on device: '{out}/" in capsys.readouterr().err
+    if existing:
+        assert _digests(out) == before
+    else:
+        assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == (["out"] if existing else [])
+
+
+def test_overlong_plot_file_name_exits_2_and_writes_nothing(sim_out, tmp_path, capsys):
+    criteria = tmp_path / "criteria.json"
+    criteria.write_text(json.dumps({"criteria": [{
+        "criterion_id": "c" * 300, "metric": "euclidean_distance",
+        "params": {"actor_a": "ego", "actor_b": "pedestrian"},
+        "threshold": {"comparator": ">", "value": 0.2, "unit": "m"},
+    }]}))
+    out = tmp_path / "out"
+    code = main(["evaluate", "--traces", str(sim_out / "traces"), "--criteria", str(criteria),
+                 "--out", str(out), "--emit-plot-data"])
+    assert code == 2
+    assert f": '{out / 'plot_data' / ('c' * 300)}_cli_demo_0.csv'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["criteria.json"]
+
+
+def test_simulate_again_replaces_what_it_writes(mini_scenario, tmp_path):
+    out = tmp_path / "out"
+    config = str(DATA / "intersection_config.json")
+    assert main(["simulate", "--scenario", str(mini_scenario), "--config", config,
+                 "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("kept\n")
+    smaller = json.loads(mini_scenario.read_text())
+    smaller["parameters"][0]["max"] = 30.0  # one run instead of two
+    (tmp_path / "smaller.json").write_text(json.dumps(smaller))
+    assert main(["simulate", "--scenario", str(tmp_path / "smaller.json"), "--config", config,
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in (out / "traces").iterdir()) == [
+        "cli_demo_0.csv", "cli_demo_0.csv.meta.json"]
+    assert len((out / "outcomes.jsonl").read_text().splitlines()) == 1
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == [
+        "outcomes.jsonl", "scenarios.jsonl", "traces/cli_demo_0.csv",
+        "traces/cli_demo_0.csv.meta.json"]
+    assert (out / "notes.txt").read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "smaller.json"]
+    probe = tmp_path / "probe"
+    probe.mkdir()  # out has the permissions of a directory made the usual way
+    assert out.stat().st_mode == probe.stat().st_mode
+
+
+def test_out_name_of_250_characters(sim_out, tmp_path):
+    ref = str(sim_out / "traces" / "cli_demo_0.csv")
+    out = tmp_path / ("o" * 250)
+    assert main(["compare", "--reference", ref, "--runs", ref, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "repeatability.json"]
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
 
 def test_report_summarizes_run_dir(workdir):

@@ -164,12 +164,17 @@ def test_event_stop_scenario_end():
 
 
 def test_event_stop_collision_from_metadata():
-    trace = one_actor_trace(TRIANGLE, metadata={"event_collision": "9.0"})
+    # the metadata claims a collision at 9 s, but the actors never touch: the
+    # trace decides, so the period runs to the scenario end
+    ego = speed_track(TRIANGLE)
+    far = speed_track(TRIANGLE, actor_id="other", y=50.0)
+    trace = Trace("t", 1.0, {"ego": ego, "other": far}, {"event_collision": "9.0"})
     period = ApplicationPeriod(
         condition("speed", ">", 5.0, actor="ego"),
         stop=StopRule(kind="event", event="collision"),
     )
-    assert active_intervals(period, trace) == [(2.5, 9.0)]
+    assert _event_time(trace, period.stop) is None
+    assert active_intervals(period, trace) == [(2.5, 10.0)]
 
 
 def test_event_stop_actor_passed_conflict():

@@ -457,3 +457,24 @@ def test_bad_bindings_name_the_run_before_any_step(intersection_config):
         simulate_batch(logical, intersection_config)
     with pytest.raises(SimulationError, match=r"^adhoc#0: missing binding 'd_start'$"):
         simulate({"v_max": 30.0, "t_cross": 5.0}, intersection_config)
+
+
+@pytest.mark.parametrize("route, start_x", [
+    (((1.75, -45.0), (1.75, -45.0), (1.75, -1.75), (100.0, -1.75)), None),
+    (((1.75, -45.0), (1.75, -1.75), (1.75, -1.75), (100.0, -1.75)), None),
+    (((0.0, -45.0), (1.75, -45.0), (1.75, -1.75), (100.0, -1.75)), 1.75),
+])
+def test_zero_length_route_steps_are_dropped(intersection_config, route, start_x):
+    # a repeated vertex, given or made by ego_start_x, runs as the route without it
+    plain = ((1.75, -45.0), (1.75, -1.75), (100.0, -1.75))
+    draws = [REF, {"v_max": 42.0, "t_cross": 5.0, "d_start": 10.0},
+             {"v_max": 58.0, "t_cross": 9.0, "d_start": 24.0}]
+    if start_x is not None:
+        draws = [{**b, "ego_start_x": start_x} for b in draws]
+    scenarios = [ConcreteScenario(f"r#{i}", "r", b, i) for i, b in enumerate(draws)]
+    got = _simulate_runs(scenarios, replace(intersection_config, ego_route=route))
+    want = _simulate_runs(scenarios, replace(intersection_config, ego_route=plain))
+    for mine, theirs in zip(got, want):
+        assert_same_outcome(mine, theirs)
+        assert write_trace(mine.trace) == write_trace(theirs.trace)
+    assert any(o.collided for o in want) and any(o.completed for o in want)
