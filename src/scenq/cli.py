@@ -43,7 +43,7 @@ from .simulator import (
     load_sim_config,
     simulate_batch,
 )
-from .trace import TraceFormat, load_trace_file, save_trace
+from .trace import TraceFormat, load_trace_file, save_traces
 
 log = logging.getLogger("scenq")
 
@@ -158,15 +158,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     logical = load_logical_scenario(args.scenario)
     config = load_sim_config(args.config)
     fmt = TraceFormat(args.format)
-    suffix = ".csv" if fmt is TraceFormat.CSV else ".jsonl"
     outcomes = _simulate_grid(args.scenario, logical, config)
     log.info("simulated %d scenarios", len(outcomes))
 
     inputs = [Path(args.scenario), Path(args.config)]
     with _output_dir(Path(args.out), "simulate", inputs, inputs, ["traces"]) as work:
-        for outcome in outcomes:
-            save_trace(outcome.trace,
-                       work / "traces" / (_safe_name(outcome.trace.scenario_id) + suffix), fmt)
+        traces = [o.trace for o in outcomes]
+        names = [f"{_safe_name(t.scenario_id)}.{fmt.value}" for t in traces]
+        save_traces(traces, [work / "traces" / name for name in names], fmt)
         write_concrete_set(list(iter_concretize(logical)), work / "scenarios.jsonl")
         (work / "outcomes.jsonl").write_text(
             "\n".join(json.dumps(_outcome_row(o)) for o in outcomes) + "\n", encoding="utf-8"

@@ -19,7 +19,7 @@ from .simulator import EGO_ID, PED_ID
 from .trace import ActorClass, ActorTrack, Trace, common_grid, sample_track
 
 CLOSING_SPEED_FLOOR = 1e-6  # m/s, below this the encounter counts as not closing
-ARRIVAL_SPEED_FLOOR = 1e-3  # m/s, keeps predicted arrival times finite
+ARRIVAL_SPEED_FLOOR = 1e-3  # m/s, below this an actor stands and has no predicted arrival
 BRAKING_ACCEL_FLOOR = -1e-6  # m/s^2, accelerations above this are not braking
 
 WTTC_HORIZON = 20.0  # s, beyond this no worst-case collision is searched
@@ -234,10 +234,10 @@ def gap_time(trace: Trace, ego: str, target: str, conflict: ConflictPoint | None
     """Predicted arrival-time difference at a shared conflict point.
 
     Each actor's remaining arc to the conflict is divided by its current
-    speed (floored at 1 mm/s, so a standing actor gets a very late, still
-    finite arrival). Defined only while neither actor has passed the
-    conflict; the series goes undefined from the first sample after either
-    passes. With no conflict point the series exists but is never defined.
+    speed. Defined only while neither actor has passed the conflict and
+    both move at 1 mm/s or more: a standing actor has no predicted arrival.
+    The series goes undefined from the first sample after either passes.
+    With no conflict point the series exists but is never defined.
     """
     times = common_grid(trace, (ego, target))
     if conflict is None:
@@ -253,6 +253,7 @@ def gap_time(trace: Trace, ego: str, target: str, conflict: ConflictPoint | None
     remaining_e = conflict.ego_arc_length - e["arc"]
     remaining_t = conflict.other_arc_length - t["arc"]
     defined = (remaining_e > 0.0) & (remaining_t > 0.0)
+    defined &= (e["speed"] >= ARRIVAL_SPEED_FLOOR) & (t["speed"] >= ARRIVAL_SPEED_FLOOR)
     t_e = remaining_e / np.maximum(e["speed"], ARRIVAL_SPEED_FLOOR)
     t_t = remaining_t / np.maximum(t["speed"], ARRIVAL_SPEED_FLOOR)
     return MetricSeries(

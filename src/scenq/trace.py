@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -656,7 +656,24 @@ def write_trace(trace: Trace, fmt: TraceFormat | str = TraceFormat.CSV) -> str:
     field bit for bit. ``repr`` runs once per distinct bit pattern of the
     trace; the bytes are those a per-value ``repr`` writes.
     """
+    return next(write_traces([trace], fmt))
+
+
+def write_traces(
+    traces: Iterable[Trace], fmt: TraceFormat | str = TraceFormat.CSV
+) -> Iterator[str]:
+    """The text ``write_trace`` gives each trace, one trace at a time. A trace calls
+    ``repr`` only for the bit patterns that the trace before it did not hold."""
     fmt = TraceFormat(fmt)
+    # holds one trace's patterns however long the batch is; bits 0 are 0.0
+    table = [np.zeros(1, dtype=np.uint64), np.array(["0.0"], dtype=object)]
+    for trace in traces:
+        yield _format_trace(trace, fmt, table)  # unbound, so freed once the caller drops it
+
+
+def _format_trace(trace: Trace, fmt: TraceFormat, table: list[np.ndarray]) -> str:
+    """One trace's text; ``table`` holds the previous trace's sorted bit patterns and their
+    texts on entry and this trace's on return."""
     tracks = [trace.tracks[actor_id] for actor_id in trace.actor_ids()]
     rank = np.repeat(np.arange(len(tracks)), [len(track) for track in tracks])
     fields = ("times", "xs", "ys", "headings", "speeds", "accels")
@@ -664,7 +681,11 @@ def write_trace(trace: Trace, fmt: TraceFormat | str = TraceFormat.CSV) -> str:
     order = np.lexsort((rank, columns[0]))
     # keyed by bits, not by value: float unique merges -0.0 and 0.0, whose reprs differ
     patterns, inverse = np.unique(columns.view(np.uint64), return_inverse=True)
-    texts = np.array([repr(v) for v in patterns.view(np.float64).tolist()], dtype=object)
+    known, known_texts = table  # never empty: it starts with 0.0, and a trace has 2+ states
+    at = np.minimum(np.searchsorted(known, patterns), len(known) - 1)
+    texts, fresh = known_texts[at], known[at] != patterns
+    texts[fresh] = [repr(v) for v in patterns[fresh].view(np.float64).tolist()]
+    table[:] = patterns, texts
     inverse = inverse.reshape(columns.shape)  # flat before numpy 2
     as_csv = fmt is TraceFormat.CSV
     if as_csv:
@@ -698,17 +719,23 @@ def save_trace(trace: Trace, path: str | Path, fmt: TraceFormat | str | None = N
     path = Path(path)
     if fmt is None:
         fmt = TraceFormat.JSONL if path.suffix == ".jsonl" else TraceFormat.CSV
-    fmt = TraceFormat(fmt)
-    path.write_text(write_trace(trace, fmt), encoding="utf-8")
-    sidecar = {
-        "scenario_id": trace.scenario_id,
-        "time_step": trace.time_step,
-        "metadata": dict(trace.metadata),
-    }
-    path.with_suffix(path.suffix + ".meta.json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    save_traces([trace], [path], fmt)
     return path
+
+
+def save_traces(
+    traces: Sequence[Trace], paths: Sequence[str | Path], fmt: TraceFormat | str
+) -> None:
+    """Write each trace to its path, with its sidecar, as ``save_trace``
+    does; the texts come from one ``write_traces`` batch."""
+    texts = write_traces(traces, fmt)
+    for trace, path in zip(traces, map(Path, paths), strict=True):
+        path.write_text(next(texts), encoding="utf-8")
+        sidecar = {"scenario_id": trace.scenario_id, "time_step": trace.time_step,
+                   "metadata": dict(trace.metadata)}
+        path.with_suffix(path.suffix + ".meta.json").write_text(
+            json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
 
 
 def load_trace_file(path: str | Path) -> Trace:

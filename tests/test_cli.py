@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from scenq import (
-    ActorTrack, Trace, TraceParseError, load_criteria, load_trace_file, registry, save_trace,
-    write_series,
+    ActorTrack, Trace, TraceParseError, load_criteria, load_logical_scenario, load_sim_config,
+    load_trace_file, registry, save_trace, simulate_batch, write_series, write_trace,
 )
 from scenq.cli import _collect_trace_paths, _safe_name, main
 
@@ -137,6 +137,33 @@ def test_simulate_jsonl_matches_csv(workdir, mini_scenario, sim_out, criteria_ok
         assert code == 0
         reports.append((eval_out / "evaluation.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_simulate_writes_each_trace_as_write_trace(tmp_path, fmt):
+    """One batch writes the grid's traces; each file holds what write_trace gives
+    that run alone, and each sidecar what save_trace writes."""
+    scenario = tmp_path / "grid.json"
+    scenario.write_text(json.dumps({
+        "scenario_id": "grid",
+        "parameters": [
+            {"name": "v_max", "min": 30.0, "max": 58.0, "step": 14.0, "unit": "km/h"},
+            {"name": "d_start", "min": 10.0, "max": 24.0, "step": 14.0, "unit": "m"},
+        ],
+        "fixed": {"t_cross": 5.0},
+    }))
+    config = DATA / "intersection_config.json"
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(scenario), "--config", str(config),
+                 "--out", str(out), "--format", fmt]) == 0
+    outcomes = simulate_batch(load_logical_scenario(scenario), load_sim_config(config))
+    assert len(outcomes) == 6 and 0 < sum(o.collided for o in outcomes) < 6
+    for outcome in outcomes:
+        path = out / "traces" / f"{_safe_name(outcome.trace.scenario_id)}.{fmt}"
+        assert path.read_text(encoding="utf-8") == write_trace(outcome.trace, fmt)
+        alone = save_trace(outcome.trace, tmp_path / path.name)
+        sidecar = path.name + ".meta.json"
+        assert (path.parent / sidecar).read_bytes() == (alone.parent / sidecar).read_bytes()
 
 
 def test_evaluate_failing_criterion_exits_1(workdir, sim_out):

@@ -230,13 +230,19 @@ def test_gap_time_values_and_termination():
 
 
 def test_gap_time_floors_standing_actor_speed():
-    ego = moving_track("ego", 0, 0, 0.0, 2.0, n=5)
-    walker = moving_track("walker", 6, -4, math.pi / 2, 0.0, n=5,
-                          actor_class=ActorClass.PEDESTRIAN)
+    """A standing actor (below 1 mm/s) has no predicted arrival: the gap is
+    undefined while either actor stands and defined again once both move."""
+    ego = track_from("ego", [0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.0], np.zeros(7), np.zeros(7),
+                     [2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 0.0])
+    walker = track_from("walker", np.full(7, 6.0), [-4.0, -4.0, -4.0, -4.0, -3.9, -3.8, -3.7],
+                        np.full(7, math.pi / 2), [0.0, 0.0009, 0.001, 1.0, 1.0, 1.0, 1.0],
+                        actor_class=ActorClass.PEDESTRIAN)
     series = gap_time(make_trace(ego, walker), "ego", "walker",
                       ConflictPoint((6.0, 0.0), 6.0, 4.0))
-    assert series.defined.all()
-    assert series.values[0] > 3000.0  # 4 m at the 1 mm/s floor, minus 3 s
+    assert series.defined.tolist() == [False, False, True, True, True, True, False]
+    assert series.values[2] == pytest.approx(4.0 / 0.001 - 5.6 / 2.0)  # moving at the floor
+    assert series.values[3] == pytest.approx(4.0 - 5.4 / 2.0)
+    assert series.values[~series.defined].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_gap_time_rejects_conflict_off_traveled_path():

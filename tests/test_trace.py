@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import tracemalloc
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +30,7 @@ from scenq import (
     write_trace,
 )
 from scenq.geometry import normalize_angles
-from scenq.trace import CSV_COLUMNS
+from scenq.trace import CSV_COLUMNS, write_traces
 
 
 def straight_track(actor_id="car", n=11, dt=0.1, speed=5.0, y=0.0,
@@ -613,6 +615,76 @@ def test_write_matches_reference_writer_on_repeated_values(fmt, intersection_con
         text = write_trace(trace, fmt)
         assert text == reference_write(trace, fmt)
         assert_same_tracks(load_trace(text, fmt), trace)
+
+
+def zero_trace(zero):
+    """Two actors standing still: every column but time holds ``zero``, and
+    one actor's first time is ``zero`` too."""
+    tracks = {}
+    for actor_id, start in (("a", zero), ("b", 0.0)):
+        times = np.concatenate([[start], 0.1 * np.arange(1, 6)])
+        column = np.full(6, zero)
+        tracks[actor_id] = ActorTrack(actor_id, ActorClass.VEHICLE, 1.0, times,
+                                      column, column, column, column, column)
+    return Trace("zeros", 0.1, tracks)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_batch_writer_matches_one_at_a_time_and_reference(fmt, intersection_config):
+    """Each trace of a batch is written as alone, whatever the trace before it held."""
+    runs = [
+        simulate({"v_max": v_max, "t_cross": 5.0, "d_start": d_start}, intersection_config)
+        for v_max, d_start in ((30.0, 16.0), (30.0, 16.0), (34.0, 16.0), (58.0, 10.0),
+                               (30.0, 10.0))
+    ]
+    # the same run twice, then shorter runs and a longer one that share most of their times
+    assert [len(run.trace.track("ego")) for run in runs] == [1913, 1913, 1688, 328, 2074]
+    rng = np.random.default_rng(15)
+    batch = [run.trace for run in runs]
+    batch += [zero_trace(0.0), zero_trace(-0.0), zero_trace(0.0), signed_zero_trace()]
+    batch += [random_trace(rng, size) for size in (60, 2000, 60, 60, 1500)]
+    texts = list(write_traces(batch, fmt))
+    assert texts == [write_trace(trace, fmt) for trace in batch]
+    assert texts == [reference_write(trace, fmt) for trace in batch]
+    assert "-0.0" not in texts[5] and "-0.0" in texts[6] and "-0.0" not in texts[7]
+    assert list(write_traces(batch[3:4], fmt)) == [reference_write(batch[3], fmt)]
+    assert list(write_traces([], fmt)) == []
+
+
+def test_batch_writer_calls_repr_only_for_patterns_new_to_the_trace_before(monkeypatch):
+    calls = []
+    monkeypatch.setattr("scenq.trace.repr", lambda v: calls.append(v) or repr(v), raising=False)
+    a, b = two_actor_trace(), two_actor_trace(speed=4.0)
+
+    def bits(trace):
+        return {v.tobytes() for tr in trace.tracks.values() for v in np.concatenate(
+            [tr.times, tr.xs, tr.ys, tr.headings, tr.speeds, tr.accels])}
+
+    counts = []
+    for _ in write_traces([a, a, b, a]):
+        counts.append(len(calls))
+        calls.clear()
+    zero = np.float64(0.0).tobytes()  # the table starts out holding 0.0
+    assert counts == [len(bits(a) - {zero}), 0, len(bits(b) - bits(a)), len(bits(a) - bits(b))]
+    assert 0 not in counts[2:]
+
+
+def test_batch_writer_memory_is_bounded_by_one_trace(batch600):
+    """The table of known texts holds one trace's patterns, so writing a batch
+    peaks near writing its largest trace alone, not with the batch size."""
+    traces = [outcome.trace for outcome in batch600[1][::12]]
+    largest = max(traces, key=lambda trace: sum(map(len, trace.tracks.values())))
+
+    def peak(batch):
+        tracemalloc.start()
+        try:
+            deque(write_traces(batch), maxlen=0)  # keeps no text alive
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert len(traces) == 50
+    assert peak(traces) < 1.5 * peak([largest])
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
