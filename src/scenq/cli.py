@@ -33,8 +33,8 @@ from . import __version__, micro, registry
 from .criteria import EvaluationReport, Verdict, evaluate_suite, load_criteria
 from .errors import ScenqError, SimulationError
 from .macro import detect_result_gaps, repeatability_report
-from .results import MetricSeries, write_scalars, write_series
-from .scenarios import LogicalScenario, iter_concretize, load_logical_scenario, write_concrete_set
+from .results import MetricSeries, write_scalars, write_series_batch
+from .scenarios import iter_concretize, load_logical_scenario, write_concrete_set
 from .simulator import (
     EGO_ID,
     PED_ID,
@@ -147,9 +147,9 @@ def _outcome_row(outcome: SimOutcome) -> dict:
     }
 
 
-def _simulate_grid(path: str, logical: LogicalScenario, config: SimConfig) -> list[SimOutcome]:
+def _simulate_grid(path: str, scenarios: list, config: SimConfig) -> list[SimOutcome]:
     try:
-        return simulate_batch(logical, config)
+        return simulate_batch(scenarios, config)
     except SimulationError as exc:
         raise SimulationError(f"{path}: {exc}") from None
 
@@ -158,7 +158,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     logical = load_logical_scenario(args.scenario)
     config = load_sim_config(args.config)
     fmt = TraceFormat(args.format)
-    outcomes = _simulate_grid(args.scenario, logical, config)
+    scenarios = list(iter_concretize(logical))
+    outcomes = _simulate_grid(args.scenario, scenarios, config)
     log.info("simulated %d scenarios", len(outcomes))
 
     inputs = [Path(args.scenario), Path(args.config)]
@@ -166,7 +167,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         traces = [o.trace for o in outcomes]
         names = [f"{_safe_name(t.scenario_id)}.{fmt.value}" for t in traces]
         save_traces(traces, [work / "traces" / name for name in names], fmt)
-        write_concrete_set(list(iter_concretize(logical)), work / "scenarios.jsonl")
+        write_concrete_set(scenarios, work / "scenarios.jsonl")
         (work / "outcomes.jsonl").write_text(
             "\n".join(json.dumps(_outcome_row(o)) for o in outcomes) + "\n", encoding="utf-8"
         )
@@ -210,6 +211,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     traces = [load_trace_file(p) for p in trace_paths]
     criteria = load_criteria(args.criteria)
     report = evaluate_suite(criteria, traces, perspective=args.perspective, level=args.level)
+    del traces  # freed before the files are written, which need only the judged series
 
     params = {c.criterion_id: c.metric_params for c in criteria}
     plotted = [v for v in report.verdicts
@@ -218,11 +220,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                      [Path(args.criteria)], ["plot_data"] if args.emit_plot_data else []) as work:
         (work / "evaluation.json").write_text(json.dumps(_report_dict(report), indent=2) + "\n",
                                               encoding="utf-8")
-        for verdict in plotted:
-            path = work / "plot_data" / (
-                f"{_safe_name(verdict.criterion_id)}_{_safe_name(verdict.scenario_id)}.csv"
-            )
-            write_series(verdict.result, path, parameters=params[verdict.criterion_id])
+        write_series_batch((v.scenario_id, v.result, work / "plot_data" / (
+            f"{_safe_name(v.criterion_id)}_{_safe_name(v.scenario_id)}.csv"
+        ), params[v.criterion_id]) for v in plotted)
 
     fails = sum(v.outcome == "fail" for v in report.verdicts)
     passes = sum(v.outcome == "pass" for v in report.verdicts)
@@ -288,7 +288,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if len(logical.parameters) != 1:
         raise ScenqError("sweep needs a logical scenario with exactly one varying parameter")
     param = logical.parameters[0]
-    outcomes = _simulate_grid(args.scenario, logical, config)
+    outcomes = _simulate_grid(args.scenario, list(iter_concretize(logical)), config)
 
     rows: list[dict] = []
     for outcome in outcomes:

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import macro, micro, nano
 from .errors import MetricError
-from .results import MetricSeries, ScalarResult, undefined_scalar
+from .results import EncroachmentZone, MetricSeries, ScalarResult, undefined_scalar
 from .trace import Trace
 
 NANOSCOPIC = "nanoscopic"
@@ -126,23 +126,32 @@ def _traffic_density(trace: Trace, params: Mapping) -> MetricSeries:
 # --- microscopic wrappers --------------------------------------------------
 
 
+def _zone(trace: Trace, actor_a: str, actor_b: str, params: Mapping) -> EncroachmentZone | str:
+    """The pair's encroachment zone, or why it has none. Built once per trace,
+    ordered pair and inflation, and kept with the trace, so pet and et share it."""
+    key = ("encroachment_zone", actor_a, actor_b, float(params.get("inflation", 0.0)))
+    if key not in trace.derived:
+        try:
+            trace.derived[key] = micro.build_encroachment_zone(trace, *key[1:])
+        except MetricError as exc:
+            trace.derived[key] = str(exc)
+    return trace.derived[key]
+
+
 def _pet(trace: Trace, params: Mapping) -> ScalarResult:
     a = _req(params, "actor_1", "pet")
     b = _req(params, "actor_2", "pet")
-    try:
-        zone = micro.build_encroachment_zone(trace, a, b, float(params.get("inflation", 0.0)))
-    except MetricError as exc:
-        return undefined_scalar("pet", "s", str(exc))
+    zone = _zone(trace, a, b, params)
+    if isinstance(zone, str):
+        return undefined_scalar("pet", "s", zone)
     return micro.pet(trace, a, b, zone)
 
 
 def _et(trace: Trace, params: Mapping) -> ScalarResult:
     actor = _req(params, "actor", "et")
-    other = _req(params, "other", "et")
-    try:
-        zone = micro.build_encroachment_zone(trace, actor, other, float(params.get("inflation", 0.0)))
-    except MetricError as exc:
-        return undefined_scalar("et", "s", str(exc))
+    zone = _zone(trace, actor, _req(params, "other", "et"), params)
+    if isinstance(zone, str):
+        return undefined_scalar("et", "s", zone)
     return micro.et(trace, actor, zone)
 
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import MetricError
 from .geometry import polygon_area
+from .trace import FloatTexts
 
 
 @dataclass(frozen=True)
@@ -167,22 +168,34 @@ def write_series(series: MetricSeries, path: str | Path, parameters: Mapping | N
     written. The sidecar ``<path>.meta.json`` records metric name, unit,
     actor ids and optional free-form parameters.
     """
-    path = Path(path)
-    # tolist() gives builtin floats, whose repr is the shortest round trip
-    rows = (
-        f"{t!r},{v!r},true" if d else f"{t!r},,false"
-        for t, v, d in zip(series.times.tolist(), series.values.tolist(), series.defined.tolist())
-    )
-    path.write_text("\n".join(["time_s,value,defined", *rows]) + "\n", encoding="utf-8")
-    sidecar = {
-        "metric_name": series.metric_name,
-        "unit": series.unit,
-        "actor_ids": list(series.actor_ids),
-        "parameters": dict(parameters) if parameters else {},
-    }
-    Path(str(path) + ".meta.json").write_text(
-        json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
-    )
+    write_series_batch([("", series, path, parameters)])
+
+
+def write_series_batch(
+        files: Iterable[tuple[str, MetricSeries, str | Path, Mapping | None]]) -> None:
+    """Write each (trace id, series, path, parameters) as ``write_series`` does. The series
+    of one trace id share one ``FloatTexts`` call, which holds one trace id's texts at a
+    time; a series listed twice is formatted once."""
+    by_trace: dict[str, list] = {}
+    for trace_id, *item in files:
+        by_trace.setdefault(trace_id, []).append(item)
+    float_texts = FloatTexts()
+    for items in by_trace.values():
+        distinct = list({id(series): series for series, *_ in items}.values())  # all alive
+        columns = [c for s in distinct for c in (s.times, s.values[s.defined])]
+        texts, inverse = float_texts(np.concatenate(columns))
+        pieces = np.split(inverse, np.cumsum([len(c) for c in columns]))
+        for s, times_at, values_at in zip(distinct, pieces[0::2], pieces[1::2]):
+            rows = np.full((len(s), 4), "", dtype=object)  # time, ",", value, flag and "\n"
+            rows[:, 0], rows[:, 1], rows[s.defined, 2] = texts[times_at], ",", texts[values_at]
+            rows[:, 3] = np.array([",false\n", ",true\n"], dtype=object)[s.defined.view(np.uint8)]
+            text = "time_s,value,defined\n" + "".join(rows.ravel().tolist())
+            for _, path, parameters in (item for item in items if item[0] is s):
+                Path(path).write_text(text, encoding="utf-8")
+                sidecar = {"metric_name": s.metric_name, "unit": s.unit,
+                           "actor_ids": list(s.actor_ids), "parameters": dict(parameters or {})}
+                Path(f"{path}.meta.json").write_text(json.dumps(sidecar, indent=2) + "\n",
+                                                     encoding="utf-8")
 
 
 def scalar_to_dict(scalar: ScalarResult, scenario_id: str = "") -> dict:

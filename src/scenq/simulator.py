@@ -15,13 +15,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import SimulationError
 from .geometry import cumulative_arc, first_polyline_crossing
-from .scenarios import ConcreteScenario, LogicalScenario, iter_concretize
+from .scenarios import ConcreteScenario
 from .trace import DEFAULT_RADII, ActorClass, ActorTrack, Trace
 
 KMH_TO_MPS = 1.0 / 3.6
@@ -327,17 +327,6 @@ def _outcome(run: _Run, dt: float, ped_heading: float) -> SimOutcome:
                       end_reason=run.end_reason, events=events)
 
 
-def _simulate_runs(scenarios: list[ConcreteScenario | Mapping[str, float]],
-                   config: SimConfig) -> list[SimOutcome]:
-    crossing = np.asarray(config.ped_crossing, dtype=float)
-    route_hit = first_polyline_crossing(np.array(config.ego_route, dtype=float), crossing)
-    runs = [_prepare(scenario, config, crossing, route_hit) for scenario in scenarios]
-    ped_len = float(math.dist(config.ped_crossing[0], config.ped_crossing[1]))
-    ped_dir = (crossing[1] - crossing[0]) / ped_len
-    _step_runs(runs, config, crossing[0], ped_dir, ped_len)
-    return [_outcome(run, config.time_step, math.atan2(ped_dir[1], ped_dir[0])) for run in runs]
-
-
 def simulate(scenario: ConcreteScenario | Mapping[str, float], config: SimConfig) -> SimOutcome:
     """Run one concrete scenario to completion.
 
@@ -348,18 +337,25 @@ def simulate(scenario: ConcreteScenario | Mapping[str, float], config: SimConfig
     that starts in contact with the pedestrian, raises SimulationError
     prefixed with the scenario id ("adhoc#0" for a mapping).
     """
-    return _simulate_runs([scenario], config)[0]
+    return simulate_batch([scenario], config)[0]
 
 
-def simulate_batch(logical: LogicalScenario, config: SimConfig) -> list[SimOutcome]:
-    """Simulate every concrete scenario of a logical one, in grid order.
+def simulate_batch(scenarios: Sequence[ConcreteScenario | Mapping[str, float]],
+                   config: SimConfig) -> list[SimOutcome]:
+    """Simulate concrete scenarios, such as the grid of a logical one, in order.
 
     Every run's bindings are checked before the first step. The runs then
     advance together in lock-step, as arrays over the runs, each recording
     until its own end; every outcome is bit-identical to simulate() of its
     scenario alone.
     """
-    return _simulate_runs(list(iter_concretize(logical)), config)
+    crossing = np.asarray(config.ped_crossing, dtype=float)
+    route_hit = first_polyline_crossing(np.array(config.ego_route, dtype=float), crossing)
+    runs = [_prepare(scenario, config, crossing, route_hit) for scenario in scenarios]
+    ped_len = float(math.dist(config.ped_crossing[0], config.ped_crossing[1]))
+    ped_dir = (crossing[1] - crossing[0]) / ped_len
+    _step_runs(runs, config, crossing[0], ped_dir, ped_len)
+    return [_outcome(run, config.time_step, math.atan2(ped_dir[1], ped_dir[0])) for run in runs]
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,13 @@ class ActorTrack:
         arcs.setflags(write=False)
         return arcs
 
+    @cached_property
+    def sampled_headings(self) -> np.ndarray:
+        """Headings as ``sample_track`` gives them on the track's own times."""
+        headings = normalize_angles(np.unwrap(self.headings))
+        headings.setflags(write=False)
+        return headings
+
 
 @dataclass(frozen=True)
 class Trace:
@@ -158,6 +165,8 @@ class Trace:
     time_step: float
     tracks: Mapping[str, ActorTrack]
     metadata: Mapping[str, str] = field(default_factory=dict)
+    #: Values its users derive from the tracks, such as encroachment zones, kept with the trace.
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.scenario_id:
@@ -229,10 +238,9 @@ class ValidationReport:
 
 
 def common_grid(trace: Trace, actor_ids: tuple[str, ...]) -> np.ndarray:
-    """Sample times shared by the given actors, on the trace grid.
-
-    When all involved tracks carry identical time arrays those times are
-    reused verbatim, so metric samples line up exactly with recorded rows.
+    """Sample times shared by the given actors: every time any of them recorded
+    within the span all of them cover. When all involved tracks carry identical
+    time arrays that array itself is returned, so samples line up with recorded rows.
     """
     tracks = [trace.track(a) for a in actor_ids]
     first = tracks[0].times
@@ -242,17 +250,21 @@ def common_grid(trace: Trace, actor_ids: tuple[str, ...]) -> np.ndarray:
     t1 = min(tr.last_time for tr in tracks)
     if t1 < t0:
         raise MetricError(f"actors {actor_ids} share no time overlap")
-    count = int(math.floor((t1 - t0) / trace.time_step + 1e-9)) + 1
-    return t0 + np.arange(count) * trace.time_step
+    times = np.unique(np.concatenate([tr.times for tr in tracks]))
+    return times[(times >= t0) & (times <= t1)]
 
 
 def sample_track(track: ActorTrack, times: np.ndarray) -> dict[str, np.ndarray]:
     """Vectorized linear interpolation of a track onto a time grid.
 
     Headings are unwrapped before interpolation so each step follows the
-    shortest arc, then normalized back into (-pi, pi].
+    shortest arc, then normalized back into (-pi, pi]. On the track's own times
+    its read-only columns are returned: ``np.interp`` gives ``fp[j]`` at ``xp[j]``.
     """
     times = np.asarray(times, dtype=float)
+    if np.array_equal(times, track.times):
+        return {"x": track.xs, "y": track.ys, "heading": track.sampled_headings,
+                "speed": track.speeds, "accel": track.accels, "arc": track.arc_lengths}
     if len(times) and (times[0] < track.times[0] - 1e-12 or times[-1] > track.times[-1] + 1e-12):
         raise TraceError(f"sample grid outside the span of {track.actor_id!r}")
     unwrapped = np.unwrap(track.headings)
@@ -665,28 +677,38 @@ def write_traces(
     """The text ``write_trace`` gives each trace, one trace at a time. A trace calls
     ``repr`` only for the bit patterns that the trace before it did not hold."""
     fmt = TraceFormat(fmt)
-    # holds one trace's patterns however long the batch is; bits 0 are 0.0
-    table = [np.zeros(1, dtype=np.uint64), np.array(["0.0"], dtype=object)]
+    float_texts = FloatTexts()
     for trace in traces:
-        yield _format_trace(trace, fmt, table)  # unbound, so freed once the caller drops it
+        yield _format_trace(trace, fmt, float_texts)  # unbound, so freed once the caller drops it
 
 
-def _format_trace(trace: Trace, fmt: TraceFormat, table: list[np.ndarray]) -> str:
-    """One trace's text; ``table`` holds the previous trace's sorted bit patterns and their
-    texts on entry and this trace's on return."""
+class FloatTexts:
+    """``repr`` of float64 arrays, once per distinct bit pattern of a call and only for
+    patterns the previous call did not hold; it keeps no patterns but the last call's."""
+
+    def __init__(self) -> None:
+        # bits 0 are 0.0; never empty, so every pattern has a neighbour to compare with
+        self.patterns, self.texts = np.zeros(1, dtype=np.uint64), np.array(["0.0"], dtype=object)
+
+    def __call__(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Texts of the bit patterns of (non-empty) ``values``, and each value's text index."""
+        # keyed by bits, not by value: float unique merges -0.0 and 0.0, whose reprs differ
+        patterns, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+        at = np.minimum(np.searchsorted(self.patterns, patterns), len(self.patterns) - 1)
+        texts, fresh = self.texts[at], self.patterns[at] != patterns
+        texts[fresh] = [repr(v) for v in patterns[fresh].view(np.float64).tolist()]
+        self.patterns, self.texts = patterns, texts
+        return texts, inverse.reshape(values.shape)  # flat before numpy 2
+
+
+def _format_trace(trace: Trace, fmt: TraceFormat, float_texts: FloatTexts) -> str:
+    """One trace's text, its floats formatted by ``float_texts``."""
     tracks = [trace.tracks[actor_id] for actor_id in trace.actor_ids()]
     rank = np.repeat(np.arange(len(tracks)), [len(track) for track in tracks])
     fields = ("times", "xs", "ys", "headings", "speeds", "accels")
     columns = np.array([np.concatenate([getattr(tr, f) for tr in tracks]) for f in fields])
     order = np.lexsort((rank, columns[0]))
-    # keyed by bits, not by value: float unique merges -0.0 and 0.0, whose reprs differ
-    patterns, inverse = np.unique(columns.view(np.uint64), return_inverse=True)
-    known, known_texts = table  # never empty: it starts with 0.0, and a trace has 2+ states
-    at = np.minimum(np.searchsorted(known, patterns), len(known) - 1)
-    texts, fresh = known_texts[at], known[at] != patterns
-    texts[fresh] = [repr(v) for v in patterns[fresh].view(np.float64).tolist()]
-    table[:] = patterns, texts
-    inverse = inverse.reshape(columns.shape)  # flat before numpy 2
+    texts, inverse = float_texts(columns)
     as_csv = fmt is TraceFormat.CSV
     if as_csv:
         heads = [f",{_csv_field(tr.actor_id)},{tr.actor_class.value}," for tr in tracks]

@@ -75,7 +75,7 @@ def batch600(intersection_logical, intersection_config):
     plus the wall time the batch took."""
     scenarios = concretize(intersection_logical)
     t0 = time.perf_counter()
-    outcomes = simulate_batch(intersection_logical, intersection_config)
+    outcomes = simulate_batch(scenarios, intersection_config)
     elapsed = time.perf_counter() - t0
     return scenarios, outcomes, elapsed
 
@@ -91,8 +91,9 @@ def reference_outcome(intersection_config) -> SimOutcome:
 @pytest.fixture(scope="session")
 def sweep_runs(sweep_logical, sweep_config):
     """The ego start position sweep: list of (x, outcome), x = 38..78."""
-    outcomes = simulate_batch(sweep_logical, sweep_config)
-    return [(s.bindings["ego_start_x"], o) for s, o in zip(concretize(sweep_logical), outcomes)]
+    scenarios = concretize(sweep_logical)
+    outcomes = simulate_batch(scenarios, sweep_config)
+    return [(s.bindings["ego_start_x"], o) for s, o in zip(scenarios, outcomes)]
 
 
 @pytest.fixture()

@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 from scenq import (
-    ActorTrack, Trace, TraceParseError, load_criteria, load_logical_scenario, load_sim_config,
-    load_trace_file, registry, save_trace, simulate_batch, write_series, write_trace,
+    ActorTrack, Trace, TraceParseError, concretize, load_criteria, load_logical_scenario,
+    load_sim_config, load_trace_file, registry, save_trace, simulate_batch, write_series,
+    write_concrete_set, write_trace,
 )
+from scenq import scenarios
 from scenq.cli import _collect_trace_paths, _safe_name, main
 
 from conftest import DATA
@@ -156,7 +158,8 @@ def test_simulate_writes_each_trace_as_write_trace(tmp_path, fmt):
     out = tmp_path / "out"
     assert main(["simulate", "--scenario", str(scenario), "--config", str(config),
                  "--out", str(out), "--format", fmt]) == 0
-    outcomes = simulate_batch(load_logical_scenario(scenario), load_sim_config(config))
+    outcomes = simulate_batch(concretize(load_logical_scenario(scenario)),
+                              load_sim_config(config))
     assert len(outcomes) == 6 and 0 < sum(o.collided for o in outcomes) < 6
     for outcome in outcomes:
         path = out / "traces" / f"{_safe_name(outcome.trace.scenario_id)}.{fmt}"
@@ -164,6 +167,20 @@ def test_simulate_writes_each_trace_as_write_trace(tmp_path, fmt):
         alone = save_trace(outcome.trace, tmp_path / path.name)
         sidecar = path.name + ".meta.json"
         assert (path.parent / sidecar).read_bytes() == (alone.parent / sidecar).read_bytes()
+
+
+def test_simulate_concretizes_the_grid_once(mini_scenario, tmp_path, monkeypatch):
+    """The simulator and scenarios.jsonl take one concretized grid."""
+    made = []
+    concrete = scenarios.ConcreteScenario
+    monkeypatch.setattr(scenarios, "ConcreteScenario",
+                        lambda **fields: made.append(fields["index"]) or concrete(**fields))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(mini_scenario),
+                 "--config", str(DATA / "intersection_config.json"), "--out", str(out)]) == 0
+    assert made == [0, 1]
+    write_concrete_set(concretize(load_logical_scenario(mini_scenario)), tmp_path / "grid.jsonl")
+    assert (out / "scenarios.jsonl").read_bytes() == (tmp_path / "grid.jsonl").read_bytes()
 
 
 def test_evaluate_failing_criterion_exits_1(workdir, sim_out):

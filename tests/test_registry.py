@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from scenq import MetricError, Trace, registry
+from scenq import MetricError, Trace, micro, registry
 from scenq.registry import MetricSpec
 
 EXPECTED = {
@@ -137,6 +139,36 @@ def test_pet_wrapper_surfaces_zone_failure(reference_outcome):
     )
     assert not result.defined
     assert "reason" in result.context
+
+
+def test_pet_and_et_share_one_zone_per_trace_pair_and_inflation(reference_outcome, monkeypatch):
+    builds = []
+    build = micro.build_encroachment_zone
+    monkeypatch.setattr(micro, "build_encroachment_zone",
+                        lambda *args: builds.append(args[1:]) or build(*args))
+    trace = replace(reference_outcome.trace)  # a trace of its own, with nothing kept yet
+    pair = {"actor_1": "ego", "actor_2": "pedestrian"}
+    pet = registry.get("pet").compute(trace, pair)
+    et = registry.get("et").compute(trace, {"actor": "ego", "other": "pedestrian"})
+    assert builds == [("ego", "pedestrian", 0.0)]
+    zone = build(trace, "ego", "pedestrian")
+    assert pet == micro.pet(trace, "ego", "pedestrian", zone) and pet.defined
+    assert et == micro.et(trace, "ego", zone) and et.defined
+    # another inflation or actor order is another zone; each is built once
+    for _ in range(2):
+        registry.get("pet").compute(trace, {**pair, "inflation": 0.5})
+        registry.get("et").compute(trace, {"actor": "pedestrian", "other": "ego"})
+        registry.get("pet").compute(trace, {"actor_1": "ego", "actor_2": "ego"})
+    assert builds[1:] == [("ego", "pedestrian", 0.5), ("pedestrian", "ego", 0.0),
+                          ("ego", "ego", 0.0)]
+    # a failed build is kept too, and its reason given each time
+    failed = registry.get("pet").compute(trace, {"actor_1": "ego", "actor_2": "ego"})
+    assert not failed.defined
+    assert failed.context["reason"] == "paths are parallel at the crossing"
+    assert len(builds) == 4
+    # the zones live with the trace: an equal trace builds its own
+    registry.get("et").compute(replace(trace), {"actor": "ego", "other": "pedestrian"})
+    assert len(builds) == 5
 
 
 def test_dtw_rejects_nan_threshold(reference_outcome):

@@ -16,6 +16,7 @@ from scenq import (
     registry,
     write_series,
 )
+from scenq.results import write_series_batch
 
 
 def series(values, defined=None, name="ttc"):
@@ -129,6 +130,61 @@ def test_write_series_matches_reference_writer(tmp_path):
                          values=values, defined=rng.random(n) < 0.7)
         write_series(s, tmp_path / "s.csv")
         assert (tmp_path / "s.csv").read_text() == reference_series_csv(s)
+
+
+def per_row_series_csv(series):
+    """The per-row writer ``write_series`` used before the batch writer: one
+    f-string per row over the builtin floats of ``tolist``."""
+    rows = (
+        f"{t!r},{v!r},true" if d else f"{t!r},,false"
+        for t, v, d in zip(series.times.tolist(), series.values.tolist(), series.defined.tolist())
+    )
+    return "\n".join(["time_s,value,defined", *rows]) + "\n"
+
+
+def test_batch_series_writer_matches_the_per_row_writer(tmp_path, monkeypatch):
+    rng = np.random.default_rng(16)
+    grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.2, 299))])  # shared by traces
+
+    def drawn(times, name="ttc"):
+        n = len(times)
+        values = rng.normal(scale=10.0, size=n)
+        values[rng.random(n) < 0.2] = -0.0
+        values[rng.random(n) < 0.2] = 0.0
+        return MetricSeries(name, ("a", "b"), "s", times, values, rng.random(n) < 0.7)
+
+    shared = drawn(grid)  # judged by two criteria, as ttc_floor and ttc_while_braking are
+    signed = MetricSeries("gap_time", ("a", "b"), "s", [-0.0, 0.5, 1.0], [-0.0, 0.0, 2.0],
+                          [True, True, False])  # time -0.0 next to the 0.0 of the grid
+    one = MetricSeries("wttc", ("a",), "s", [0.25], [-0.0], [True])
+    files = [
+        ("t1", shared, tmp_path / "floor_t1.csv", {"ego": "a"}),
+        ("t2", drawn(grid.copy()), tmp_path / "floor_t2.csv", {"ego": "a"}),
+        ("t1", shared, tmp_path / "braking_t1.csv", None),
+        ("t1", drawn(grid, "wttc"), tmp_path / "wttc_t1.csv", None),
+        ("t1", signed, tmp_path / "gap_t1.csv", None),
+        ("t2", one, tmp_path / "one_t2.csv", None),
+        ("t2", MetricSeries("ttc", ("a",), "s", grid[:9], np.ones(9), np.zeros(9, bool)),
+         tmp_path / "undefined_t2.csv", None),
+        ("t3", drawn(grid[::3]), tmp_path / "floor_t3.csv", None),
+    ]
+    calls = []
+    monkeypatch.setattr("scenq.trace.repr", lambda v: calls.append(v) or repr(v), raising=False)
+    write_series_batch(files)
+    for _, series, path, parameters in files:
+        assert path.read_text() == per_row_series_csv(series)
+        meta = json.loads(path.with_name(path.name + ".meta.json").read_text())
+        assert meta == {"metric_name": series.metric_name, "unit": series.unit,
+                        "actor_ids": list(series.actor_ids), "parameters": parameters or {}}
+
+    def bits(trace_id):
+        return {v.tobytes() for t, s, _, _ in files if t == trace_id
+                for v in np.concatenate([s.times, s.values])}
+
+    # repr once per distinct bit pattern of a trace's series, none the trace before held
+    zero = np.float64(0.0).tobytes()
+    assert len(calls) == len(bits("t1") - {zero}) + len(bits("t2") - bits("t1")) + len(
+        bits("t3") - bits("t2"))
 
 
 def test_scalar_serialization(tmp_path):

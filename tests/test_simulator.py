@@ -23,9 +23,7 @@ from scenq import (
 )
 from scenq.geometry import cumulative_arc, first_polyline_crossing
 from scenq.scenarios import LogicalScenario, ParameterRange
-from scenq.simulator import (
-    EGO_ID, KMH_TO_MPS, PED_ID, RESUME_ACCEL, SPEED_FLOOR, STOP_MARGIN, _simulate_runs,
-)
+from scenq.simulator import EGO_ID, KMH_TO_MPS, PED_ID, RESUME_ACCEL, SPEED_FLOOR, STOP_MARGIN
 from scenq.trace import DEFAULT_RADII
 
 
@@ -372,7 +370,7 @@ def test_batch_matches_single_runs(intersection_config):
         (ParameterRange("v_max", 30.0, 34.0, 4.0),),
         {"t_cross": 5.0, "d_start": 16.0},
     )
-    batch = simulate_batch(logical, intersection_config)
+    batch = simulate_batch(concretize(logical), intersection_config)
     assert [o.trace.scenario_id for o in batch] == ["mini#0", "mini#1"]
     for outcome, v_max in zip(batch, (30.0, 34.0)):
         single = simulate({"v_max": v_max, "t_cross": 5.0, "d_start": 16.0}, intersection_config)
@@ -427,7 +425,7 @@ def test_batch_equals_scalar_reference_on_random_bindings(intersection_config, v
             bindings["ego_start_x"] = rng.uniform(-30.0, 30.0)
         draws.append(bindings)
     scenarios = [ConcreteScenario(f"{variant}#{i}", variant, b, i) for i, b in enumerate(draws)]
-    outcomes = _simulate_runs(scenarios, config)
+    outcomes = simulate_batch(scenarios, config)
     for scenario, outcome in zip(scenarios, outcomes):
         assert_same_outcome(outcome, reference_simulate(scenario, config))
     assert any(reaches(o) for o in outcomes)
@@ -441,9 +439,9 @@ def test_contact_at_step_0_fails_as_in_the_reference(intersection_config):
         reference_simulate(REF, config)
     with pytest.raises(SimulationError,
                        match=r"^adhoc#0: ego starts in contact with the pedestrian$"):
-        _simulate_runs([{**REF, "ego_start_x": -20.0}, REF], config)
+        simulate_batch([{**REF, "ego_start_x": -20.0}, REF], config)
     # moved out of contact by its own ego_start_x, a run steps as the reference does
-    assert_same_outcome(_simulate_runs([{**REF, "ego_start_x": -20.0}], config)[0],
+    assert_same_outcome(simulate_batch([{**REF, "ego_start_x": -20.0}], config)[0],
                         reference_simulate({**REF, "ego_start_x": -20.0}, config))
 
 
@@ -454,7 +452,7 @@ def test_bad_bindings_name_the_run_before_any_step(intersection_config):
         {"v_max": 30.0, "d_start": 16.0},
     )
     with pytest.raises(SimulationError, match=r"^mini#0: t_cross must be > 0$"):
-        simulate_batch(logical, intersection_config)
+        simulate_batch(concretize(logical), intersection_config)
     with pytest.raises(SimulationError, match=r"^adhoc#0: missing binding 'd_start'$"):
         simulate({"v_max": 30.0, "t_cross": 5.0}, intersection_config)
 
@@ -472,8 +470,8 @@ def test_zero_length_route_steps_are_dropped(intersection_config, route, start_x
     if start_x is not None:
         draws = [{**b, "ego_start_x": start_x} for b in draws]
     scenarios = [ConcreteScenario(f"r#{i}", "r", b, i) for i, b in enumerate(draws)]
-    got = _simulate_runs(scenarios, replace(intersection_config, ego_route=route))
-    want = _simulate_runs(scenarios, replace(intersection_config, ego_route=plain))
+    got = simulate_batch(scenarios, replace(intersection_config, ego_route=route))
+    want = simulate_batch(scenarios, replace(intersection_config, ego_route=plain))
     for mine, theirs in zip(got, want):
         assert_same_outcome(mine, theirs)
         assert write_trace(mine.trace) == write_trace(theirs.trace)

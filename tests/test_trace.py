@@ -30,7 +30,8 @@ from scenq import (
     write_trace,
 )
 from scenq.geometry import normalize_angles
-from scenq.trace import CSV_COLUMNS, write_traces
+from scenq.nano import euclidean_distance
+from scenq.trace import CSV_COLUMNS, common_grid, write_traces
 
 
 def straight_track(actor_id="car", n=11, dt=0.1, speed=5.0, y=0.0,
@@ -107,6 +108,43 @@ def test_sample_track_matches_grid_points():
     cols = sample_track(track, track.times)
     assert np.array_equal(cols["x"], track.xs)
     assert np.array_equal(cols["arc"], track.arc_lengths)
+
+
+def interpolated_samples(track, times):
+    """The interpolating path of ``sample_track``, which once ran on every grid."""
+    cols = {"x": track.xs, "y": track.ys, "heading": np.unwrap(track.headings),
+            "speed": track.speeds, "accel": track.accels, "arc": track.arc_lengths}
+    samples = {key: np.interp(times, track.times, col) for key, col in cols.items()}
+    samples["heading"] = normalize_angles(samples["heading"])
+    return samples
+
+
+@pytest.mark.parametrize("copy", [False, True])
+def test_sample_track_on_its_own_times_is_the_interpolation(copy):
+    rng = np.random.default_rng(16)
+    for _ in range(100):
+        n = int(rng.integers(2, 80))
+        times = np.cumsum(rng.uniform(0.01, 0.2, n))
+        times[0] = rng.choice([-0.0, 0.0, times[0]])
+
+        def column(scale):  # signed zeros among normal draws
+            return np.where(rng.random(n) < 0.2, rng.choice([-0.0, 0.0]), rng.normal(0.0, scale, n))
+
+        # headings turn by up to about pi per step, across the wrap too
+        track = ActorTrack("a", ActorClass.VEHICLE, 1.0, times, column(50.0), column(50.0),
+                           normalize_angles(column(3.0)), np.abs(column(10.0)), column(3.0))
+        grid = track.times.copy() if copy else track.times
+        samples = sample_track(track, grid)
+        for key, want in interpolated_samples(track, grid).items():
+            assert samples[key].tobytes() == want.tobytes(), key  # signed zeros too
+            assert not samples[key].flags.writeable, key
+        assert samples["x"] is track.xs
+    # off the own times, the interpolation runs as before
+    track = straight_track()
+    for grid in (track.times[1:], track.times[:-1] + 0.05):
+        samples = sample_track(track, grid)
+        for key, want in interpolated_samples(track, grid).items():
+            assert samples[key].tobytes() == want.tobytes(), key
 
 
 def test_sample_track_heading_wraparound():
@@ -258,6 +296,33 @@ def test_jittered_trace_contact_is_the_same_everywhere():
         always_active().start_condition, stop=StopRule(kind="event", event="collision")
     )
     assert active_intervals(period, trace) == [(0.0, 0.25)]
+
+
+def test_tracks_on_different_times_are_sampled_on_the_union_of_their_times():
+    # the vehicle (r 1.0) is recorded 1.2 m from the pedestrian (r 0.3) only at
+    # t = 0.25, which is not on the pedestrian's 0.1 s grid
+    def track(actor_id, actor_class, radius, times, xs):
+        n = len(times)
+        return ActorTrack(actor_id, actor_class, radius, np.array(times), xs=np.array(xs),
+                          ys=np.zeros(n), headings=np.zeros(n), speeds=np.zeros(n),
+                          accels=np.zeros(n))
+
+    car = track("car", ActorClass.VEHICLE, 1.0, [0.0, 0.1, 0.25, 0.3, 0.4],
+                [10.0, 6.0, 1.2, 6.0, 10.0])
+    walker = track("walker", ActorClass.PEDESTRIAN, 0.3, [0.0, 0.1, 0.2, 0.3, 0.4], np.zeros(5))
+    trace = Trace("offgrid", 0.1, {"car": car, "walker": walker})
+    assert common_grid(trace, ("car", "walker")).tolist() == [0.0, 0.1, 0.2, 0.25, 0.3, 0.4]
+    assert first_contact_time(trace) == 0.25
+    contacts = [i for i in validate_trace(trace).issues if i.code == "collision"]
+    assert [i.time for i in contacts] == [0.25]
+    distance = euclidean_distance(trace, "car", "walker")
+    assert distance.values.min() == distance.values[distance.times == 0.25][0] == 1.2
+    # only the times inside the span both tracks cover
+    late = track("walker", ActorClass.PEDESTRIAN, 0.3, [0.05, 0.2, 0.35, 0.5], np.zeros(4))
+    trace = Trace("offgrid", 0.1, {"car": car, "walker": late})
+    assert common_grid(trace, ("car", "walker")).tolist() == [
+        0.05, 0.1, 0.2, 0.25, 0.3, 0.35, 0.4]
+    assert common_grid(trace, ("car",)) is car.times
 
 
 # ---------------------------------------------------------------------------
