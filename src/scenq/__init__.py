@@ -42,7 +42,6 @@ from .trace import (
     first_contact_time,
     load_trace,
     load_trace_file,
-    resample,
     sample_track,
     save_trace,
     validate_trace,
@@ -57,8 +56,6 @@ from .scenarios import (
     iter_concretize,
     load_logical_scenario,
     logical_from_dict,
-    logical_to_dict,
-    save_logical_scenario,
     write_concrete_set,
 )
 from .simulator import (
@@ -102,9 +99,7 @@ from .criteria import (
     Threshold,
     Verdict,
     active_intervals,
-    all_of,
     always_active,
-    any_of,
     comparison_margin,
     condition,
     evaluate_criterion,

@@ -191,18 +191,7 @@ def _verdict_dict(v: Verdict) -> dict:
 def _report_dict(report: EvaluationReport) -> dict:
     return {
         "verdicts": [_verdict_dict(v) for v in report.verdicts],
-        "cells": [
-            {
-                "perspective": c.perspective,
-                "level": c.level,
-                "passes": c.passes,
-                "fails": c.fails,
-                "scores": c.scores,
-                "not_applicable": c.not_applicable,
-                "pass_rate": c.pass_rate,
-            }
-            for c in report.cells
-        ],
+        "cells": [{**asdict(c), "pass_rate": c.pass_rate} for c in report.cells],
     }
 
 
@@ -417,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="simulator config JSON")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p_sim.add_argument("--jobs", type=int, help="ignored: runs step together; will be removed")
+    p_sim.add_argument("--jobs", type=int,
+                       help="ignored: runs step together; kept while the benchmark passes it")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_eval = sub.add_parser("evaluate", help="judge traces against a criteria suite")
@@ -444,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--scenario", required=True)
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--gap-factor", type=float, default=5.0)
-    p_sweep.add_argument("--jobs", type=int, help="ignored: runs step together; will be removed")
+    p_sweep.add_argument("--jobs", type=int,
+                         help="ignored: runs step together; kept while the benchmark passes it")
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=cmd_sweep)
 

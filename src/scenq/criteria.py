@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -39,8 +39,6 @@ STOP_ON_CONDITION = "condition_no_longer_fulfilled"
 STOP_ELAPSED = "elapsed"
 STOP_EVENT = "event"
 EVENTS = ("actor_passed_conflict", "collision", "scenario_end")
-#: A gating metric's series on the trace being judged, by spec and params.
-_Compute = Callable[[registry.MetricSpec, Mapping], MetricSeries]
 
 
 def normalize_comparator(raw: str) -> str:
@@ -140,21 +138,12 @@ def condition(signal: str, comparator: str, bound: float, unit: str = "", **refs
     )
 
 
-def all_of(*children: ConditionNode) -> ConditionNode:
-    return ConditionNode(op="all", children=children)
-
-
-def any_of(*children: ConditionNode) -> ConditionNode:
-    return ConditionNode(op="any", children=children)
-
-
 def _check_unit(declared: str, actual: str, where: str) -> None:
     if declared and actual and declared != actual:
         raise UnitMismatchError(f"{where}: unit {declared!r} does not match {actual!r}")
 
 
-def _leaf_samples(node: ConditionNode, trace: Trace, grid: np.ndarray,
-                  compute: _Compute | None) -> np.ndarray:
+def _leaf_samples(node: ConditionNode, trace: Trace, grid: np.ndarray) -> np.ndarray:
     if node.signal in _SIGNAL_UNITS:
         _check_unit(node.unit, _SIGNAL_UNITS[node.signal], f"{node.signal} condition")
     if node.signal == "time":
@@ -174,8 +163,7 @@ def _leaf_samples(node: ConditionNode, trace: Trace, grid: np.ndarray,
             f"condition on {node.metric!r}: only per-timestep metrics can gate a period"
         )
     _check_unit(node.unit, spec.unit, f"condition on {node.metric!r}")
-    series = (compute(spec, node.metric_params) if compute
-              else spec.compute(trace, node.metric_params))
+    series = registry.compute(spec, trace, node.metric_params)
     values = np.interp(grid, series.times, series.values)
     defined = np.interp(grid, series.times, series.defined.astype(float)) >= 1.0
     values[~defined] = np.nan
@@ -183,7 +171,7 @@ def _leaf_samples(node: ConditionNode, trace: Trace, grid: np.ndarray,
 
 
 def _margins_and_holds(
-    node: ConditionNode, trace: Trace, grid: np.ndarray, compute: _Compute | None = None
+    node: ConditionNode, trace: Trace, grid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Margin and boolean hold arrays over the grid for a condition tree.
 
@@ -191,13 +179,13 @@ def _margins_and_holds(
     -inf margin so interpolation snaps edges to the sample boundary.
     """
     if node.op == "leaf":
-        samples = _leaf_samples(node, trace, grid, compute)
+        samples = _leaf_samples(node, trace, grid)
         margin = comparison_margin(node.comparator, samples, node.bound)
         bad = ~np.isfinite(samples)
         margin = np.where(bad, -math.inf, margin)
         holds = np.asarray(margin_holds(node.comparator, margin)) & ~bad
         return margin, holds
-    margins, holds = zip(*(_margins_and_holds(c, trace, grid, compute) for c in node.children))
+    margins, holds = zip(*(_margins_and_holds(c, trace, grid) for c in node.children))
     stacked = np.vstack(margins)
     held = np.vstack(holds)
     if node.op == "all":
@@ -260,22 +248,21 @@ def _event_time(trace: Trace, rule: StopRule) -> float | None:
     return float(track.times[int(np.argmax(passed))])
 
 
-def active_intervals(
-    period: ApplicationPeriod, trace: Trace, compute: _Compute | None = None
-) -> list[tuple[float, float]]:
+def active_intervals(period: ApplicationPeriod, trace: Trace) -> list[tuple[float, float]]:
     """Maximal disjoint intervals where the period applies, sorted.
 
     A period opens at a rising edge of the start condition (edge times
     interpolated between samples by margin_runs) and closes per the stop
     rule. After an elapsed or event stop, the next period needs a fresh
-    rising edge after the stop time. Gating metric series come from ``compute``.
+    rising edge after the stop time. A gating metric's series is the one kept
+    with the trace (registry.compute).
     """
     actors = period.start_condition.referenced_actors()
     if period.stop.actor:
         actors.add(period.stop.actor)
     grid_actors = tuple(sorted(actors)) if actors else tuple(trace.actor_ids())
     grid = common_grid(trace, grid_actors)
-    margins, holds = _margins_and_holds(period.start_condition, trace, grid, compute)
+    margins, holds = _margins_and_holds(period.start_condition, trace, grid)
 
     event_at: float | None = None
     if period.stop.kind == STOP_EVENT:
@@ -387,7 +374,6 @@ def evaluate_criterion(
     criterion: QualityCriterion,
     result: MetricSeries | ScalarResult,
     trace: Trace | None = None,
-    compute: _Compute | None = None,
 ) -> Verdict:
     """Judge one metric result against one criterion.
 
@@ -397,7 +383,7 @@ def evaluate_criterion(
     A scalar result is judged as a one-sample series at the start of the
     first active period (at 0.0 without a trace, where no period gates
     it). Without any defined result inside an active period the verdict
-    is not_applicable. ``compute`` goes to active_intervals.
+    is not_applicable.
     """
     spec = registry.get(criterion.metric_name)
     _check_unit(criterion.evaluation.unit, result.unit, f"criterion {criterion.criterion_id!r}")
@@ -413,7 +399,7 @@ def evaluate_criterion(
         criterion.criterion_id, "not_applicable", trace.scenario_id if trace is not None else "",
         result=result,
     )
-    intervals = active_intervals(criterion.application_period, trace, compute) if trace else []
+    intervals = active_intervals(criterion.application_period, trace) if trace else []
     if isinstance(result, ScalarResult):
         times = np.array([intervals[0][0] if intervals else 0.0])
         values = np.array([result.value], dtype=float)
@@ -482,7 +468,7 @@ def evaluate_suite(
     which criteria run. Verdict order follows criterion order, then trace
     order, so identical inputs give identical reports. Criteria and
     application period conditions on the same metric and params share one
-    compute per trace (per list at set level).
+    result per trace, kept with the trace (one per list at set level).
     """
     if isinstance(traces, Trace):
         traces = [traces]
@@ -494,15 +480,7 @@ def evaluate_suite(
     if perspective is not None and perspective not in PERSPECTIVES:
         raise CriterionError(f"unknown perspective {perspective!r}")
 
-    computed: dict[tuple[str, str], list] = {}  # results by metric name and params
-
-    def results(spec: registry.MetricSpec, params: Mapping) -> list:
-        key = (spec.name, json.dumps(params, sort_keys=True, default=repr))
-        if key not in computed:
-            computed[key] = (spec.compute(traces, params) if spec.level == registry.MACROSCOPIC
-                             else [spec.compute(trace, params) for trace in traces])
-        return computed[key]
-
+    set_results: dict[tuple[str, str], list] = {}  # set-level results by metric and params
     verdicts: list[Verdict] = []
     cell_keys: dict[tuple[str, str], list[Verdict]] = {}
     for criterion in criteria:
@@ -512,15 +490,18 @@ def evaluate_suite(
         if level is not None and spec.level != level:
             continue
         produced: list[Verdict] = []
+        params = criterion.metric_params
         if spec.level == registry.MACROSCOPIC:
-            for result_id, scalar in results(spec, criterion.metric_params):
+            key = (spec.name, json.dumps(params, sort_keys=True, default=repr))
+            if key not in set_results:
+                set_results[key] = spec.compute(traces, params)
+            for result_id, scalar in set_results[key]:
                 verdict = evaluate_criterion(criterion, scalar, trace=None)
                 produced.append(replace(verdict, scenario_id=result_id))
         else:
-            for i, result in enumerate(results(spec, criterion.metric_params)):
-                def compute(gate, params, i=i):  # a gating metric's memoized series on trace i
-                    return results(gate, params)[i]
-                produced.append(evaluate_criterion(criterion, result, traces[i], compute))
+            for trace in traces:
+                result = registry.compute(spec, trace, params)
+                produced.append(evaluate_criterion(criterion, result, trace))
         verdicts.extend(produced)
         cell_keys.setdefault((criterion.perspective, spec.level), []).extend(produced)
 

@@ -16,7 +16,7 @@ from .errors import MetricError
 from .geometry import first_polyline_crossing, point_polyline_distance
 from .results import ConflictPoint, MetricSeries
 from .simulator import EGO_ID, PED_ID
-from .trace import ActorClass, ActorTrack, Trace, common_grid, sample_track
+from .trace import ActorClass, ActorTrack, Trace, common_grid, sample_pair, sample_track
 
 CLOSING_SPEED_FLOOR = 1e-6  # m/s, below this the encounter counts as not closing
 ARRIVAL_SPEED_FLOOR = 1e-3  # m/s, below this an actor stands and has no predicted arrival
@@ -35,9 +35,7 @@ DEFAULT_MAX_ACCEL = {
 
 def _relative_motion(trace: Trace, ego: str, target: str) -> tuple[np.ndarray, ...]:
     """Shared sample times, target offset from the ego and relative velocity."""
-    times = common_grid(trace, (ego, target))
-    e = sample_track(trace.track(ego), times)
-    t = sample_track(trace.track(target), times)
+    times, e, t = sample_pair(trace, ego, target)
     dvx = t["speed"] * np.cos(t["heading"]) - e["speed"] * np.cos(e["heading"])
     dvy = t["speed"] * np.sin(t["heading"]) - e["speed"] * np.sin(e["heading"])
     return times, t["x"] - e["x"], t["y"] - e["y"], dvx, dvy
@@ -45,9 +43,7 @@ def _relative_motion(trace: Trace, ego: str, target: str) -> tuple[np.ndarray, .
 
 def euclidean_distance(trace: Trace, actor_a: str, actor_b: str) -> MetricSeries:
     """Center-to-center distance; defined on every shared sample."""
-    times = common_grid(trace, (actor_a, actor_b))
-    a = sample_track(trace.track(actor_a), times)
-    b = sample_track(trace.track(actor_b), times)
+    times, a, b = sample_pair(trace, actor_a, actor_b)
     values = np.hypot(b["x"] - a["x"], b["y"] - a["y"])
     return MetricSeries(
         metric_name="euclidean_distance",
@@ -66,9 +62,7 @@ def headway(trace: Trace, ego: str, target: str) -> MetricSeries:
     subtracted from the projection. Defined only while the projection is
     positive, so targets abeam or behind yield undefined samples.
     """
-    times = common_grid(trace, (ego, target))
-    e = sample_track(trace.track(ego), times)
-    t = sample_track(trace.track(target), times)
+    times, e, t = sample_pair(trace, ego, target)
     proj = (t["x"] - e["x"]) * np.cos(e["heading"]) + (t["y"] - e["y"]) * np.sin(e["heading"])
     r_sum = trace.track(ego).radius + trace.track(target).radius
     defined = proj > 0.0
@@ -239,7 +233,7 @@ def gap_time(trace: Trace, ego: str, target: str, conflict: ConflictPoint | None
     The series goes undefined from the first sample after either passes.
     With no conflict point the series exists but is never defined.
     """
-    times = common_grid(trace, (ego, target))
+    times, e, t = sample_pair(trace, ego, target)
     if conflict is None:
         return MetricSeries(metric_name="gap_time", actor_ids=(ego, target), unit="s",
                             times=times, values=np.zeros(len(times)),
@@ -248,8 +242,6 @@ def gap_time(trace: Trace, ego: str, target: str, conflict: ConflictPoint | None
     target_track = trace.track(target)
     _check_conflict_on_path(ego_track, conflict.ego_arc_length, conflict.position)
     _check_conflict_on_path(target_track, conflict.other_arc_length, conflict.position)
-    e = sample_track(ego_track, times)
-    t = sample_track(target_track, times)
     remaining_e = conflict.ego_arc_length - e["arc"]
     remaining_t = conflict.other_arc_length - t["arc"]
     defined = (remaining_e > 0.0) & (remaining_t > 0.0)

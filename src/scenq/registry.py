@@ -7,12 +7,15 @@ Compute signatures by level:
   macroscopic  f(traces, params) -> list[(result_id, ScalarResult)]
 
 params is a flat mapping of actor references and metric options taken from
-a quality criterion. register() accepts additional metrics at runtime.
+a quality criterion. register() accepts additional metrics at runtime;
+compute() keeps each per-trace result with its trace.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Callable, Mapping, Sequence
 
 from . import macro, micro, nano
@@ -69,90 +72,59 @@ def all_specs() -> list[MetricSpec]:
     return sorted(_REGISTRY.values(), key=lambda s: (s.level, s.name))
 
 
+def compute(spec: MetricSpec, trace: Trace, params: Mapping) -> MetricSeries | ScalarResult:
+    """A per-timestep or per-scenario metric's result on one trace. It is computed
+    once per spec and params and kept with the trace, so every criterion and gating
+    condition on them shares it; a spec registered in its place computes afresh."""
+    key = (spec, json.dumps(params, sort_keys=True, default=repr))
+    if key not in trace.derived:
+        trace.derived[key] = spec.compute(trace, params)
+    return trace.derived[key]
+
+
 def _req(params: Mapping, key: str, metric: str) -> str:
     if key not in params:
         raise MetricError(f"metric {metric!r} needs parameter {key!r}")
     return params[key]
 
 
-# --- nanoscopic wrappers ---------------------------------------------------
+def _adapter(module: ModuleType, name: str, keys: tuple[str, ...], **options: Callable) -> Callable:
+    """The compute of the metric ``name``: ``module.<name>(trace, *actors, **options)``.
+
+    The actors are the params under ``keys``, each one required. Each option is
+    made by ``option(trace, actors, params)``; one that makes a ScalarResult
+    (the metric is undefined without it) is the result. The kernel is looked up
+    on every call, so a rebound module attribute is the one called.
+    """
+    def compute(trace: Trace, params: Mapping):
+        actors = [_req(params, key, name) for key in keys]
+        kwargs = {key: option(trace, actors, params) for key, option in options.items()}
+        undefined = [v for v in kwargs.values() if isinstance(v, ScalarResult)]
+        return undefined[0] if undefined else getattr(module, name)(trace, *actors, **kwargs)
+    return compute
 
 
-def _euclidean(trace: Trace, params: Mapping) -> MetricSeries:
-    return nano.euclidean_distance(
-        trace, _req(params, "actor_a", "euclidean_distance"),
-        _req(params, "actor_b", "euclidean_distance"),
-    )
+def _param(key: str, default=None, kind: Callable = lambda value: value) -> Callable:
+    """An option read from the params, ``default`` when absent, passed through ``kind``."""
+    return lambda trace, actors, params: kind(params.get(key, default))
 
 
-def _headway(trace: Trace, params: Mapping) -> MetricSeries:
-    return nano.headway(trace, _req(params, "ego", "headway"), _req(params, "target", "headway"))
-
-
-def _ttc(trace: Trace, params: Mapping) -> MetricSeries:
-    return nano.ttc(trace, _req(params, "ego", "ttc"), _req(params, "target", "ttc"))
-
-
-def _wttc(trace: Trace, params: Mapping) -> MetricSeries:
-    return nano.wttc(
-        trace,
-        _req(params, "ego", "wttc"),
-        _req(params, "target", "wttc"),
-        a_max_ego=params.get("a_max_ego"),
-        a_max_target=params.get("a_max_target"),
-    )
-
-
-def _gap_time(trace: Trace, params: Mapping) -> MetricSeries:
-    ego = _req(params, "ego", "gap_time")
-    target = _req(params, "target", "gap_time")
-    return nano.gap_time(trace, ego, target, nano.conflict_point(trace, ego, target))
-
-
-def _braking_time(trace: Trace, params: Mapping) -> MetricSeries:
-    return nano.braking_time(trace, _req(params, "actor", "braking_time"))
-
-
-def _braking_distance(trace: Trace, params: Mapping) -> MetricSeries:
-    return nano.braking_distance(trace, _req(params, "actor", "braking_distance"))
-
-
-def _traffic_density(trace: Trace, params: Mapping) -> MetricSeries:
-    return nano.traffic_density(
-        trace, _req(params, "actor", "traffic_density"), float(params.get("radius", 50.0))
-    )
-
-
-# --- microscopic wrappers --------------------------------------------------
-
-
-def _zone(trace: Trace, actor_a: str, actor_b: str, params: Mapping) -> EncroachmentZone | str:
-    """The pair's encroachment zone, or why it has none. Built once per trace,
-    ordered pair and inflation, and kept with the trace, so pet and et share it."""
-    key = ("encroachment_zone", actor_a, actor_b, float(params.get("inflation", 0.0)))
-    if key not in trace.derived:
-        try:
-            trace.derived[key] = micro.build_encroachment_zone(trace, *key[1:])
-        except MetricError as exc:
-            trace.derived[key] = str(exc)
-    return trace.derived[key]
-
-
-def _pet(trace: Trace, params: Mapping) -> ScalarResult:
-    a = _req(params, "actor_1", "pet")
-    b = _req(params, "actor_2", "pet")
-    zone = _zone(trace, a, b, params)
-    if isinstance(zone, str):
-        return undefined_scalar("pet", "s", zone)
-    return micro.pet(trace, a, b, zone)
-
-
-def _et(trace: Trace, params: Mapping) -> ScalarResult:
-    actor = _req(params, "actor", "et")
-    zone = _zone(trace, actor, _req(params, "other", "et"), params)
-    if isinstance(zone, str):
-        return undefined_scalar("et", "s", zone)
-    return micro.et(trace, actor, zone)
+def _zone(metric: str, other: str | None = None) -> Callable:
+    """The zone option of pet and et: the encroachment zone of the first actor and
+    the second (the param ``other`` when given), or the undefined result that says
+    why the pair has none. Built once per trace, ordered pair and inflation, and
+    kept with the trace, so pet and et share it."""
+    def option(trace: Trace, actors: list, params: Mapping) -> EncroachmentZone | ScalarResult:
+        second = _req(params, other, metric) if other else actors[1]
+        key = ("encroachment_zone", actors[0], second, float(params.get("inflation", 0.0)))
+        if key not in trace.derived:
+            try:
+                trace.derived[key] = micro.build_encroachment_zone(trace, *key[1:])
+            except MetricError as exc:
+                trace.derived[key] = str(exc)
+        zone = trace.derived[key]
+        return undefined_scalar(metric, "s", zone) if isinstance(zone, str) else zone
+    return option
 
 
 # --- macroscopic wrappers --------------------------------------------------
@@ -203,25 +175,37 @@ def _collision_probability(
 
 for _spec in (
     MetricSpec("euclidean_distance", "m", NANOSCOPIC, WORSE_LOW,
-               "center distance between two actors", _euclidean),
+               "center distance between two actors",
+               _adapter(nano, "euclidean_distance", ("actor_a", "actor_b"))),
     MetricSpec("headway", "m", NANOSCOPIC, WORSE_LOW,
-               "bumper gap along the ego heading", _headway),
+               "bumper gap along the ego heading", _adapter(nano, "headway", ("ego", "target"))),
     MetricSpec("ttc", "s", NANOSCOPIC, WORSE_LOW,
-               "time to collision at constant velocities", _ttc),
+               "time to collision at constant velocities",
+               _adapter(nano, "ttc", ("ego", "target"))),
     MetricSpec("wttc", "s", NANOSCOPIC, WORSE_LOW,
-               "worst-case time to collision under bounded acceleration", _wttc),
+               "worst-case time to collision under bounded acceleration",
+               _adapter(nano, "wttc", ("ego", "target"), a_max_ego=_param("a_max_ego"),
+                        a_max_target=_param("a_max_target"))),
     MetricSpec("gap_time", "s", NANOSCOPIC, WORSE_LOW,
-               "predicted arrival gap at the path crossing", _gap_time),
+               "predicted arrival gap at the path crossing",
+               _adapter(nano, "gap_time", ("ego", "target"),
+                        conflict=lambda trace, actors, _: nano.conflict_point(trace, *actors))),
     MetricSpec("braking_time", "s", NANOSCOPIC, WORSE_HIGH,
-               "time to standstill at current deceleration", _braking_time),
+               "time to standstill at current deceleration",
+               _adapter(nano, "braking_time", ("actor",))),
     MetricSpec("braking_distance", "m", NANOSCOPIC, WORSE_HIGH,
-               "distance to standstill at current deceleration", _braking_distance),
+               "distance to standstill at current deceleration",
+               _adapter(nano, "braking_distance", ("actor",))),
     MetricSpec("traffic_density", "1/m^2", NANOSCOPIC, WORSE_HIGH,
-               "actors per area around one actor", _traffic_density),
+               "actors per area around one actor",
+               _adapter(nano, "traffic_density", ("actor",),
+                        radius=_param("radius", 50.0, float))),
     MetricSpec("pet", "s", MICROSCOPIC, WORSE_LOW,
-               "time between one actor leaving and the other entering the shared zone", _pet),
+               "time between one actor leaving and the other entering the shared zone",
+               _adapter(micro, "pet", ("actor_1", "actor_2"), zone=_zone("pet"))),
     MetricSpec("et", "s", MICROSCOPIC, WORSE_HIGH,
-               "duration of the first occupancy of the shared zone", _et),
+               "duration of the first occupancy of the shared zone",
+               _adapter(micro, "et", ("actor",), zone=_zone("et", "other"))),
     MetricSpec("dtw", "m", MACROSCOPIC, WORSE_HIGH,
                "warped trajectory distance to a reference run", _dtw),
     MetricSpec("collision_probability", "1", MACROSCOPIC, WORSE_HIGH,

@@ -205,18 +205,6 @@ def logical_from_dict(data: Mapping) -> LogicalScenario:
         raise ScenarioError(f"malformed logical scenario: {exc}") from None
 
 
-def logical_to_dict(logical: LogicalScenario) -> dict:
-    return {
-        "scenario_id": logical.scenario_id,
-        "description": logical.description,
-        "parameters": [
-            {"name": p.name, "min": p.minimum, "max": p.maximum, "step": p.step, "unit": p.unit}
-            for p in logical.parameters
-        ],
-        "fixed": dict(logical.fixed),
-    }
-
-
 def load_logical_scenario(path: str | Path) -> LogicalScenario:
     """Read a logical scenario JSON file."""
     try:
@@ -225,12 +213,6 @@ def load_logical_scenario(path: str | Path) -> LogicalScenario:
         raise ScenarioError(f"{path}: invalid JSON ({exc.msg})") from None
     except ScenarioError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
-
-
-def save_logical_scenario(logical: LogicalScenario, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(logical_to_dict(logical), indent=2) + "\n", encoding="utf-8"
-    )
 
 
 def write_concrete_set(scenarios: Sequence[ConcreteScenario], path: str | Path) -> None:

@@ -165,7 +165,7 @@ class Trace:
     time_step: float
     tracks: Mapping[str, ActorTrack]
     metadata: Mapping[str, str] = field(default_factory=dict)
-    #: Values its users derive from the tracks, such as encroachment zones, kept with the trace.
+    #: Values derived from the tracks, kept with the trace: metric results and encroachment zones.
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -278,52 +278,10 @@ def sample_track(track: ActorTrack, times: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def resample(trace: Trace, dt: float) -> Trace:
-    """Resample every track onto a shared uniform grid over the overlap.
-
-    The grid starts at the overlap start and steps by ``dt``; the last grid
-    point is the largest one not beyond the overlap end (the end itself is
-    included when it falls on the grid). Grid points that coincide with
-    original samples reproduce them exactly up to float rounding.
-
-    Args:
-        trace: Input trace.
-        dt: New sampling interval in seconds.
-
-    Returns:
-        A new trace with ``time_step == dt`` and all tracks aligned.
-
-    Raises:
-        TraceError: If ``dt`` is not positive or exceeds the overlap length.
-    """
-    if not (dt > 0.0):
-        raise TraceError("dt must be positive")
-    start, end = trace.overlap()
-    span = end - start
-    if dt > span:
-        raise TraceError(f"dt {dt} exceeds overlap length {span}")
-    count = int(math.floor(span / dt + 1e-9)) + 1
-    times = start + np.arange(count) * dt
-    tracks = {}
-    for actor_id, track in trace.tracks.items():
-        cols = sample_track(track, times)
-        tracks[actor_id] = ActorTrack(
-            actor_id=actor_id,
-            actor_class=track.actor_class,
-            radius=track.radius,
-            times=times.copy(),
-            xs=cols["x"],
-            ys=cols["y"],
-            headings=cols["heading"],
-            speeds=np.maximum(cols["speed"], 0.0),
-            accels=cols["accel"],
-        )
-    return Trace(
-        scenario_id=trace.scenario_id,
-        time_step=dt,
-        tracks=tracks,
-        metadata=dict(trace.metadata),
-    )
+def sample_pair(trace: Trace, a: str, b: str) -> tuple[np.ndarray, dict, dict]:
+    """The common grid of two actors and the samples of each on it."""
+    times = common_grid(trace, (a, b))
+    return times, sample_track(trace.track(a), times), sample_track(trace.track(b), times)
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +303,10 @@ def first_contact_time(trace: Trace) -> float | None:
 def _first_contact_times(trace: Trace, a_id: str, b_id: str) -> list[float]:
     """Start times of contiguous episodes where two circles touch or overlap,
     sampled on the pair's common grid."""
-    a, b = trace.track(a_id), trace.track(b_id)
-    times = common_grid(trace, (a_id, b_id))
-    sa = sample_track(a, times)
-    sb = sample_track(b, times)
+    times, sa, sb = sample_pair(trace, a_id, b_id)
     dist = np.hypot(sa["x"] - sb["x"], sa["y"] - sb["y"])
-    touching = np.concatenate([[False], dist <= (a.radius + b.radius)])
+    r_sum = trace.track(a_id).radius + trace.track(b_id).radius
+    touching = np.concatenate([[False], dist <= r_sum])
     return times[np.flatnonzero(touching[1:] & ~touching[:-1])].tolist()
 
 
@@ -780,6 +736,12 @@ def load_trace_file(path: str | Path) -> Trace:
             raise TraceParseError(f"{sidecar}: expected an object with an object 'metadata'")
         scenario_id = info.get("scenario_id", scenario_id)
         time_step = info.get("time_step")
+        if not isinstance(scenario_id, str) or not scenario_id:
+            raise TraceParseError(f"{sidecar}: 'scenario_id' must be a non-empty string")
+        # json gives int, float or bool for a number; a bool is not a time step
+        if time_step is not None and (type(time_step) not in (int, float)
+                                      or not 0.0 < time_step < math.inf):
+            raise TraceParseError(f"{sidecar}: 'time_step' must be a positive finite number")
         metadata = {str(k): str(v) for k, v in info.get("metadata", {}).items()}
     try:
         return load_trace(path.read_text(encoding="utf-8"), fmt, scenario_id=scenario_id,

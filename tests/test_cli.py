@@ -603,13 +603,20 @@ def _evaluate(traces, criteria, out) -> int:
 @pytest.mark.parametrize("content, expected", [
     ('{"scenario_id": ', "invalid JSON"),
     ('["cli_demo#0"]', "expected an object"),
+    ('{"scenario_id": "cli_demo#0", "time_step": "0.01"}', "'time_step' must be a positive"),
+    ('{"scenario_id": "cli_demo#0", "time_step": -1}', "'time_step' must be a positive"),
+    ('{"scenario_id": "cli_demo#0", "time_step": true}', "'time_step' must be a positive"),
+    ('{"scenario_id": 7, "time_step": 0.01}', "'scenario_id' must be a non-empty string"),
+    ('{"scenario_id": "", "time_step": 0.01}', "'scenario_id' must be a non-empty string"),
 ])
 def test_corrupt_sidecar_exits_2_naming_it(sim_out, criteria_ok, tmp_path, capsys,
                                            content, expected):
     trace = _copy_trace(sim_out, tmp_path / "traces")
     sidecar = trace.with_name(trace.name + ".meta.json")
     sidecar.write_text(content)
-    assert _evaluate(trace, criteria_ok, tmp_path / "out") == 2
+    # with plot data, whose file names are built from the scenario id
+    assert main(["evaluate", "--traces", str(trace), "--criteria", str(criteria_ok),
+                 "--out", str(tmp_path / "out"), "--emit-plot-data"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {sidecar}: {expected}")
 

@@ -21,9 +21,7 @@ from scenq import (
     UnitMismatchError,
     Verdict,
     active_intervals,
-    all_of,
     always_active,
-    any_of,
     comparison_margin,
     condition,
     evaluate_criterion,
@@ -96,10 +94,10 @@ def test_condition_tree_validation():
         condition("metric_value", ">", 0.0)  # no metric
     with pytest.raises(CriterionError):
         ConditionNode(op="all", children=(condition("time", ">=", 0.0),))
-    node = all_of(
+    node = ConditionNode(op="all", children=(
         condition("time", ">=", 0.0),
         condition("speed", ">", 1.0, actor="ego"),
-    )
+    ))
     assert node.referenced_actors() == {"ego"}
 
 
@@ -213,15 +211,15 @@ def test_pedestrian_passed_conflict_same_with_and_without_metadata(reference_out
 
 def test_condition_combinators():
     trace = one_actor_trace(TRIANGLE)
-    both = ApplicationPeriod(all_of(
+    both = ApplicationPeriod(ConditionNode(op="all", children=(
         condition("speed", ">", 5.0, actor="ego"),
         condition("time", "<", 6.0),
-    ))
+    )))
     assert active_intervals(both, trace) == [(2.5, 6.0)]
-    either = ApplicationPeriod(any_of(
+    either = ApplicationPeriod(ConditionNode(op="any", children=(
         condition("speed", ">", 5.0, actor="ego"),
         condition("time", "<", 1.0),
-    ))
+    )))
     assert active_intervals(either, trace) == [(0.0, 1.0), (2.5, 7.5)]
 
 
@@ -368,10 +366,13 @@ def test_vacuous_period_is_not_applicable_never_pass():
 
 
 def test_interval_edges_stable_under_resampling():
-    from scenq import resample
-
     trace = one_actor_trace(TRIANGLE, metadata={})
-    fine = resample(trace, 0.2)
+    coarse = trace.track("ego")
+    times = np.arange(51) * 0.2  # every 0.2 s over the 10 s of the coarse track
+    fine = Trace("t", 0.2, {"ego": replace(coarse, times=times, **{
+        name: np.interp(times, coarse.times, getattr(coarse, name))
+        for name in ("xs", "ys", "headings", "speeds", "accels")
+    })})
     period = ApplicationPeriod(condition("speed", ">", 5.0, actor="ego"))
     coarse_iv = active_intervals(period, trace)
     fine_iv = active_intervals(period, fine)
@@ -482,7 +483,7 @@ def random_leaf(rng, dt=0.1, n=60):
 def random_condition(rng, depth=0):
     if depth < 2 and rng.random() < 0.35:
         children = [random_condition(rng, depth + 1) for _ in range(int(rng.integers(2, 4)))]
-        return (all_of if rng.random() < 0.5 else any_of)(*children)
+        return ConditionNode(op="all" if rng.random() < 0.5 else "any", children=children)
     return random_leaf(rng)
 
 
@@ -784,6 +785,52 @@ def test_evaluate_suite_computes_gating_metrics_once_per_trace(compute_log):
     # run#0 never closes in below 5 s; run#1 does from 1.5 s until the ego reaches the other
     assert [v.outcome for v in report.verdicts] == ["not_applicable", "fail"] * 2
     assert report.verdicts[1].evaluated_intervals == ((1.5, 6.5),)
+
+
+def test_direct_evaluations_compute_a_gating_metric_once_per_trace(compute_log):
+    pair = {"ego": "ego", "target": "other"}
+    close = ApplicationPeriod(condition("metric_value", "<", 5.0, unit="s", metric="ttc",
+                                        metric_params=pair))
+    criterion = QualityCriterion("close_pet", "pet", Threshold(">", 0.0, unit="s"),
+                                 application_period=close)
+    trace = approach_traces()[1]
+    first = evaluate_criterion(criterion, ScalarResult("pet", 1.0, "s"), trace)
+    second = evaluate_criterion(criterion, ScalarResult("pet", 1.0, "s"), trace)
+    assert first == second
+    assert first.evaluated_intervals == ((1.5, 6.5),)
+    # the ttc series is kept with the trace, so the second call reuses it
+    assert [json.loads(key)[0] for key in compute_log] == ["ttc"]
+    assert set(compute_log.values()) == {1}
+
+
+def test_a_spec_registered_in_place_is_not_served_the_old_result():
+    trace = approach_traces()[1]  # the ego closes in from 15 m at 2 m/s
+    params = {"actor_a": "ego", "actor_b": "other"}
+    far = ApplicationPeriod(condition("metric_value", ">", 20.0, unit="m",
+                                      metric="euclidean_distance", metric_params=params))
+    criterion = QualityCriterion("far", "euclidean_distance", Threshold(">", 25.0, unit="m"),
+                                 application_period=far, metric_params=params)
+    spec = registry.get("euclidean_distance")
+    kept = registry.compute(spec, trace, params)
+    assert registry.compute(spec, trace, params) is kept
+    assert evaluate_suite([criterion], trace).verdicts[0].outcome == "not_applicable"
+
+    def doubled(t, p):
+        series = spec.compute(t, p)
+        return replace(series, values=2.0 * series.values)
+
+    registry.register(replace(spec, compute=doubled), replace=True)
+    try:
+        fresh = registry.compute(registry.get("euclidean_distance"), trace, params)
+        verdict = evaluate_suite([criterion], trace).verdicts[0]
+    finally:
+        registry.register(spec, replace=True)
+    assert np.array_equal(fresh.values, 2.0 * kept.values)
+    # the doubled distance, 30 m down to 20 m at 2.5 s, gates and is judged
+    assert verdict.evaluated_intervals == ((0.0, 2.5),)
+    assert verdict.outcome == "fail"
+    assert verdict.result is fresh
+    assert registry.compute(registry.get("euclidean_distance"), trace, params) is kept
 
 
 def test_evaluate_suite_takes_list_params(monkeypatch):

@@ -70,12 +70,32 @@ def test_spec_validation():
         MetricSpec("x", "m", "nanoscopic", "sideways", "", lambda: None)
 
 
+#: Every required param of each built-in per-trace metric, with a value that works.
+REQUIRED_PARAMS = {
+    "euclidean_distance": {"actor_a": "ego", "actor_b": "pedestrian"},
+    "headway": {"ego": "ego", "target": "pedestrian"},
+    "ttc": {"ego": "ego", "target": "pedestrian"},
+    "wttc": {"ego": "ego", "target": "pedestrian"},
+    "gap_time": {"ego": "ego", "target": "pedestrian"},
+    "braking_time": {"actor": "ego"},
+    "braking_distance": {"actor": "ego"},
+    "traffic_density": {"actor": "ego"},
+    "pet": {"actor_1": "ego", "actor_2": "pedestrian"},
+    "et": {"actor": "ego", "other": "pedestrian"},
+}
+
+
 def test_missing_params_reported(reference_outcome):
     trace = reference_outcome.trace
-    with pytest.raises(MetricError):
-        registry.get("ttc").compute(trace, {"ego": "ego"})
-    with pytest.raises(MetricError):
-        registry.get("pet").compute(trace, {"actor_1": "ego"})
+    per_trace = [s.name for s in registry.all_specs() if s.level != registry.MACROSCOPIC]
+    assert sorted(REQUIRED_PARAMS) == sorted(per_trace)
+    for metric, required in REQUIRED_PARAMS.items():
+        registry.get(metric).compute(trace, required)  # all of them are enough
+        for key in required:
+            params = {k: v for k, v in required.items() if k != key}
+            with pytest.raises(MetricError) as exc:
+                registry.get(metric).compute(trace, params)
+            assert str(exc.value) == f"metric {metric!r} needs parameter {key!r}"
 
 
 def test_gap_time_conflict_fallbacks(reference_outcome):

@@ -22,7 +22,6 @@ from scenq import (
     first_contact_time,
     load_trace,
     load_trace_file,
-    resample,
     sample_track,
     save_trace,
     simulate,
@@ -158,20 +157,6 @@ def test_sample_track_heading_wraparound():
     )
     h = sample_track(track, np.array([0.5]))["heading"][0]
     assert abs(h) > math.pi - 0.11
-
-
-def test_resample_grid_and_exactness():
-    trace = two_actor_trace()
-    out = resample(trace, 0.05)
-    assert out.time_step == 0.05
-    car = out.track("car")
-    assert car.times[0] == 0.0
-    assert math.isclose(car.times[-1], 1.0)
-    # original grid points reproduce the source samples
-    src = trace.track("car")
-    assert np.allclose(car.xs[::2], src.xs)
-    with pytest.raises(TraceError):
-        resample(trace, 100.0)
 
 
 def test_csv_roundtrip_is_exact(tmp_path):
