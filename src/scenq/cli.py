@@ -31,18 +31,11 @@ from typing import Iterator, Sequence
 
 from . import __version__, micro, registry
 from .criteria import EvaluationReport, Verdict, evaluate_suite, load_criteria
-from .errors import ScenqError, SimulationError
+from .errors import ScenqError, SimulationError, in_file
 from .macro import detect_result_gaps, repeatability_report
 from .results import MetricSeries, write_scalars, write_series_batch
 from .scenarios import iter_concretize, load_logical_scenario, write_concrete_set
-from .simulator import (
-    EGO_ID,
-    PED_ID,
-    SimConfig,
-    SimOutcome,
-    load_sim_config,
-    simulate_batch,
-)
+from .simulator import EGO_ID, PED_ID, SimOutcome, load_sim_config, simulate_batch
 from .trace import TraceFormat, load_trace_file, save_traces
 
 log = logging.getLogger("scenq")
@@ -113,6 +106,15 @@ def _output_dir(out: Path, command: str, inputs: Sequence[Path],
         shutil.rmtree(scratch, ignore_errors=True)
 
 
+def _say(line: str) -> None:
+    """Print one line of a command's summary. --out is complete by then, so a
+    reader that closed stdout loses the rest of the summary, not the exit code."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        sys.stdout = open(os.devnull, "w", encoding="utf-8")  # for the flush at exit too
+
+
 def _safe_name(scenario_id: str) -> str:
     return scenario_id.replace("#", "_").replace("/", "_")
 
@@ -122,10 +124,7 @@ def _collect_trace_paths(raw: Sequence[str]) -> list[Path]:
     for item in raw:
         p = Path(item)
         if p.is_dir():
-            found = sorted(
-                q for q in p.iterdir()
-                if q.suffix in (".csv", ".jsonl") and not q.name.endswith(".meta.json")
-            )
+            found = sorted(q for q in p.iterdir() if q.suffix in (".csv", ".jsonl"))
             if not found:
                 raise ScenqError(f"{p}: no trace files found")
             paths.extend(found)
@@ -147,19 +146,13 @@ def _outcome_row(outcome: SimOutcome) -> dict:
     }
 
 
-def _simulate_grid(path: str, scenarios: list, config: SimConfig) -> list[SimOutcome]:
-    try:
-        return simulate_batch(scenarios, config)
-    except SimulationError as exc:
-        raise SimulationError(f"{path}: {exc}") from None
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     logical = load_logical_scenario(args.scenario)
     config = load_sim_config(args.config)
     fmt = TraceFormat(args.format)
     scenarios = list(iter_concretize(logical))
-    outcomes = _simulate_grid(args.scenario, scenarios, config)
+    with in_file(args.scenario, SimulationError):
+        outcomes = simulate_batch(scenarios, config)
     log.info("simulated %d scenarios", len(outcomes))
 
     inputs = [Path(args.scenario), Path(args.config)]
@@ -172,8 +165,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "\n".join(json.dumps(_outcome_row(o)) for o in outcomes) + "\n", encoding="utf-8"
         )
     collisions = sum(o.collided for o in outcomes)
-    print(f"simulated {len(outcomes)} runs, {collisions} with collisions, "
-          f"traces in {Path(args.out) / 'traces'}")
+    _say(f"simulated {len(outcomes)} runs, {collisions} with collisions, "
+         f"traces in {Path(args.out) / 'traces'}")
     return 0
 
 
@@ -215,11 +208,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     fails = sum(v.outcome == "fail" for v in report.verdicts)
     passes = sum(v.outcome == "pass" for v in report.verdicts)
-    print(f"{len(report.verdicts)} verdicts: {passes} pass, {fails} fail, "
-          f"{sum(v.outcome == 'not_applicable' for v in report.verdicts)} not applicable")
+    _say(f"{len(report.verdicts)} verdicts: {passes} pass, {fails} fail, "
+         f"{sum(v.outcome == 'not_applicable' for v in report.verdicts)} not applicable")
     for cell in report.cells:
         rate = "n/a" if cell.pass_rate is None else f"{cell.pass_rate:.3f}"
-        print(f"  [{cell.perspective} x {cell.level}] pass rate {rate}")
+        _say(f"  [{cell.perspective} x {cell.level}] pass rate {rate}")
     return 1 if report.any_fail else 0
 
 
@@ -253,8 +246,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     drifting = report.drifting()
     for entry in report.entries:
         marker = "ok" if entry.within_threshold else "DRIFT"
-        print(f"{entry.run_id} {entry.actor_id}: dtw {entry.dtw_distance:.6g} m "
-              f"({entry.per_step:.6g} m/step) {marker}")
+        _say(f"{entry.run_id} {entry.actor_id}: dtw {entry.dtw_distance:.6g} m "
+             f"({entry.per_step:.6g} m/step) {marker}")
     return 1 if drifting else 0
 
 
@@ -277,7 +270,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if len(logical.parameters) != 1:
         raise ScenqError("sweep needs a logical scenario with exactly one varying parameter")
     param = logical.parameters[0]
-    outcomes = _simulate_grid(args.scenario, list(iter_concretize(logical)), config)
+    with in_file(args.scenario, SimulationError):
+        outcomes = simulate_batch(list(iter_concretize(logical)), config)
 
     rows: list[dict] = []
     for outcome in outcomes:
@@ -319,77 +313,86 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         write_scalars(scalar_rows, work / "sweep_scalars.jsonl")
 
     total_findings = sum(len(v) for v in findings.values())
-    print(f"swept {param.name} over {len(rows)} values, "
-          f"{total_findings} gap findings ({Path(args.out) / 'gap_findings.json'})")
+    _say(f"swept {param.name} over {len(rows)} values, "
+         f"{total_findings} gap findings ({Path(args.out) / 'gap_findings.json'})")
     for col, items in findings.items():
         for f in items:
-            print(f"  {col}: {param.name} in [{f['left_value']!r}, {f['right_value']!r}] "
-                  f"{_finding_text(f)}")
+            _say(f"  {col}: {param.name} in [{f['left_value']!r}, {f['right_value']!r}] "
+                 f"{_finding_text(f)}")
     return 0
+
+
+def _criteria_section(data: dict) -> list[str]:
+    lines = ["## criteria", "", "| perspective | level | pass | fail | score | n/a | pass rate |",
+             "|---|---|---|---|---|---|---|"]
+    for cell in data["cells"]:
+        rate = "n/a" if cell["pass_rate"] is None else f"{cell['pass_rate']:.3f}"
+        lines.append(
+            f"| {cell['perspective']} | {cell['level']} | {cell['passes']} "
+            f"| {cell['fails']} | {cell['scores']} | {cell['not_applicable']} | {rate} |"
+        )
+    fails = [v for v in data["verdicts"] if v["outcome"] == "fail"]
+    if fails:
+        lines += ["", "### failed"]
+        for v in fails:
+            worst = v.get("worst_result") or {}
+            lines.append(
+                f"- {v['criterion_id']} on {v['scenario_id']}: worst value "
+                f"{worst.get('value')} {worst.get('unit', '')}"
+            )
+    return lines
+
+
+def _repeatability_section(data: dict) -> list[str]:
+    lines = ["## repeatability", "",
+             f"reference: {data['reference_id']}, threshold {data['threshold']} m"]
+    for entry in data["entries"]:
+        marker = "ok" if entry["within_threshold"] else "DRIFT"
+        lines.append(
+            f"- {entry['run_id']} {entry['actor_id']}: {entry['dtw_distance']:.6g} m {marker}"
+        )
+    return lines
+
+
+def _gap_findings_section(data: dict) -> list[str]:
+    lines = ["## sweep gap findings", ""]
+    for metric, items in data.items():
+        for f in items:
+            lines.append(
+                f"- {metric}: [{f['left_value']!r}, {f['right_value']!r}] {_finding_text(f)}"
+            )
+    return lines
+
+
+#: file a command writes -> the report section built from it, in report order
+_REPORT_SECTIONS = {
+    "evaluation.json": _criteria_section,
+    "repeatability.json": _repeatability_section,
+    "gap_findings.json": _gap_findings_section,
+}
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     run_dir = Path(args.run)
     if not run_dir.is_dir():
         raise ScenqError(f"{run_dir}: not a directory")
-    sections: list[str] = ["# scenq run report", ""]
-    found = False
-    evaluation = run_dir / "evaluation.json"
-    if evaluation.is_file():
-        found = True
-        data = json.loads(evaluation.read_text(encoding="utf-8"))
-        sections.append("## criteria")
-        sections.append("")
-        sections.append("| perspective | level | pass | fail | score | n/a | pass rate |")
-        sections.append("|---|---|---|---|---|---|---|")
-        for cell in data["cells"]:
-            rate = "n/a" if cell["pass_rate"] is None else f"{cell['pass_rate']:.3f}"
-            sections.append(
-                f"| {cell['perspective']} | {cell['level']} | {cell['passes']} "
-                f"| {cell['fails']} | {cell['scores']} | {cell['not_applicable']} | {rate} |"
-            )
-        fails = [v for v in data["verdicts"] if v["outcome"] == "fail"]
-        if fails:
-            sections.append("")
-            sections.append("### failed")
-            for v in fails:
-                worst = v.get("worst_result") or {}
-                sections.append(
-                    f"- {v['criterion_id']} on {v['scenario_id']}: worst value "
-                    f"{worst.get('value')} {worst.get('unit', '')}"
-                )
-        sections.append("")
-    repeatability = run_dir / "repeatability.json"
-    if repeatability.is_file():
-        found = True
-        data = json.loads(repeatability.read_text(encoding="utf-8"))
-        sections.append("## repeatability")
-        sections.append("")
-        sections.append(f"reference: {data['reference_id']}, threshold {data['threshold']} m")
-        for entry in data["entries"]:
-            marker = "ok" if entry["within_threshold"] else "DRIFT"
-            sections.append(
-                f"- {entry['run_id']} {entry['actor_id']}: {entry['dtw_distance']:.6g} m {marker}"
-            )
-        sections.append("")
-    gap_findings = run_dir / "gap_findings.json"
-    if gap_findings.is_file():
-        found = True
-        data = json.loads(gap_findings.read_text(encoding="utf-8"))
-        sections.append("## sweep gap findings")
-        sections.append("")
-        for metric, items in data.items():
-            for f in items:
-                sections.append(
-                    f"- {metric}: [{f['left_value']!r}, {f['right_value']!r}] {_finding_text(f)}"
-                )
-        sections.append("")
+    found = [run_dir / name for name in _REPORT_SECTIONS if (run_dir / name).is_file()]
     if not found:
         raise ScenqError(f"{run_dir}: no evaluation.json, repeatability.json or "
                          "gap_findings.json to report on")
+    sections: list[str] = ["# scenq run report", ""]
+    for path in found:
+        with in_file(path, ScenqError):
+            data = json.loads(path.read_text(encoding="utf-8"))
+            try:
+                sections += _REPORT_SECTIONS[path.name](data) + [""]
+            except KeyError as exc:
+                raise ScenqError(f"missing key {exc.args[0]!r}") from None
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ScenqError(f"unexpected content ({exc})") from None
     with _output_dir(Path(args.out), "report", [run_dir], []) as work:
         (work / "report.md").write_text("\n".join(sections), encoding="utf-8")
-    print(f"report written to {Path(args.out) / 'report.md'}")
+    _say(f"report written to {Path(args.out) / 'report.md'}")
     return 0
 
 

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import registry
-from .errors import CriterionError, UnitMismatchError
+from .errors import CriterionError, UnitMismatchError, in_file
 from .micro import in_periods, margin_runs
 from .nano import conflict_point
 from .results import MetricResult, MetricSeries, ScalarResult
@@ -124,18 +124,8 @@ class ConditionNode:
 
 
 def condition(signal: str, comparator: str, bound: float, unit: str = "", **refs) -> ConditionNode:
-    """Shorthand leaf constructor."""
-    return ConditionNode(
-        op="leaf",
-        signal=signal,
-        comparator=comparator,
-        bound=bound,
-        unit=unit,
-        actor=refs.get("actor"),
-        actor_b=refs.get("actor_b"),
-        metric=refs.get("metric"),
-        metric_params=refs.get("metric_params", {}),
-    )
+    """Shorthand leaf constructor; refs are the other ConditionNode fields."""
+    return ConditionNode(signal=signal, comparator=comparator, bound=bound, unit=unit, **refs)
 
 
 def _check_unit(declared: str, actual: str, where: str) -> None:
@@ -602,20 +592,15 @@ def _criterion_from_dict(data: Mapping) -> QualityCriterion:
 
 def load_criteria(path: str | Path) -> list[QualityCriterion]:
     """Read a criteria suite JSON file ({"criteria": [...]} or a bare list)."""
-    try:
+    with in_file(path, CriterionError):
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CriterionError(f"{path}: invalid JSON ({exc.msg})") from None
-    items = data.get("criteria") if isinstance(data, Mapping) else data
-    if not isinstance(items, list) or not items:
-        raise CriterionError(f"{path}: expected a non-empty 'criteria' list")
-    try:
+        items = data.get("criteria") if isinstance(data, Mapping) else data
+        if not isinstance(items, list) or not items:
+            raise CriterionError("expected a non-empty 'criteria' list")
         criteria = [_criterion_from_dict(item) for item in items]
-    except CriterionError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
-    seen: set[str] = set()
-    for criterion in criteria:  # ids name plot-data files, so they must be unique
-        if criterion.criterion_id in seen:
-            raise CriterionError(f"{path}: criterion_id {criterion.criterion_id!r} is repeated")
-        seen.add(criterion.criterion_id)
+        seen: set[str] = set()
+        for criterion in criteria:  # ids name plot-data files, so they must be unique
+            if criterion.criterion_id in seen:
+                raise CriterionError(f"criterion_id {criterion.criterion_id!r} is repeated")
+            seen.add(criterion.criterion_id)
     return criteria

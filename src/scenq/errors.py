@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import json
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterator
+
 
 class ScenqError(Exception):
     """Base class for all errors raised by this package."""
@@ -43,3 +48,22 @@ class CriterionError(ScenqError):
 
 class UnitMismatchError(CriterionError):
     """Criterion bound unit does not match the metric unit."""
+
+
+@contextmanager
+def in_file(path: str | Path, error: type[ScenqError]) -> Iterator[None]:
+    """Name ``path`` in each ``error`` raised in the block: ``<path>: <message>``.
+
+    The exception keeps its type and attributes. Invalid JSON or UTF-8 read
+    in the block raises ``error`` as ``<path>: invalid JSON (<reason>)`` or
+    ``<path>: not UTF-8 text (<reason> at byte <offset>)``.
+    """
+    try:
+        yield
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON ({exc.msg})") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except error as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise

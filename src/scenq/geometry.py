@@ -164,15 +164,22 @@ def first_polyline_crossing(
     return None
 
 
+def polyline_distances(xs: np.ndarray, ys: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Distance from each point (xs[k], ys[k]) to a polyline of two or more
+    vertices; a repeated vertex makes a zero-length segment, which is a point."""
+    # axes (segment, point): the long point axis runs innermost
+    (ax, ay), (dx, dy) = points[:-1].T[..., None], np.diff(points, axis=0).T[..., None]
+    len2 = dx * dx + dy * dy
+    dot = (xs - ax) * dx + (ys - ay) * dy
+    t = np.clip(np.divide(dot, len2, out=np.zeros_like(dot), where=len2 > 0.0), 0.0, 1.0)
+    return np.min(np.hypot(xs - (ax + t * dx), ys - (ay + t * dy)), axis=0)
+
+
 def point_polyline_distance(px: float, py: float, points: np.ndarray) -> float:
     """Distance from a point to a polyline; a single vertex is a point."""
-    a = np.asarray(points, dtype=float)
     # every vertex starts a segment; the last one a zero-length one
-    d = np.diff(a, axis=0, append=a[-1:])
-    len2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-    dot = (px - a[:, 0]) * d[:, 0] + (py - a[:, 1]) * d[:, 1]
-    t = np.clip(np.divide(dot, len2, out=np.zeros_like(dot), where=len2 > 0.0), 0.0, 1.0)
-    return float(np.min(np.hypot(px - (a[:, 0] + t * d[:, 0]), py - (a[:, 1] + t * d[:, 1]))))
+    ends = np.concatenate([points, points[-1:]])
+    return float(polyline_distances(np.array([px]), np.array([py]), ends)[0])
 
 
 def polygon_area(polygon: np.ndarray) -> float:

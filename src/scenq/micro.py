@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MetricError
-from .geometry import band_intersection, first_polyline_crossing, point_at_arc
+from .geometry import (band_intersection, first_polyline_crossing, point_at_arc,
+                       polyline_distances)
 from .results import (
     EncroachmentZone,
     MetricSeries,
@@ -58,26 +59,15 @@ def _zone_margins(xs: np.ndarray, ys: np.ndarray, polygon: np.ndarray, radius: f
 
     Positive margin means the actor disc intersects the zone.
     """
-    n_edges = len(polygon)
-    edge_dist = np.full(xs.shape, np.inf)
-    inside = np.zeros(xs.shape, dtype=bool)
-    for i in range(n_edges):
-        ax, ay = polygon[i]
-        bx, by = polygon[(i + 1) % n_edges]
-        dx, dy = bx - ax, by - ay
-        len2 = dx * dx + dy * dy
-        if len2 > 0:
-            t = np.clip(((xs - ax) * dx + (ys - ay) * dy) / len2, 0.0, 1.0)
-        else:
-            t = np.zeros(xs.shape)
-        edge_dist = np.minimum(edge_dist, np.hypot(xs - (ax + t * dx), ys - (ay + t * dy)))
-        crosses = (ay > ys) != (by > ys)
-        if crosses.any():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x_cross = ax + (ys - ay) / (by - ay) * dx
-            inside ^= crosses & (xs < x_cross)
-    signed = np.where(inside, -edge_dist, edge_dist)
-    return radius - signed
+    closed = np.concatenate([polygon, polygon[:1]])
+    (ax, ay), (bx, by) = closed[:-1].T[..., None], closed[1:].T[..., None]  # axes (edge, sample)
+    # ray cast: a sample is inside when a ray to +x crosses an odd number of edges
+    crosses = (ay > ys) != (by > ys)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_cross = ax + (ys - ay) / (by - ay) * (bx - ax)
+    inside = np.logical_xor.reduce(crosses & (xs < x_cross), axis=0)
+    edge_dist = polyline_distances(xs, ys, closed)
+    return radius - np.where(inside, -edge_dist, edge_dist)
 
 
 def margin_runs(

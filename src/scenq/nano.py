@@ -16,7 +16,7 @@ from .errors import MetricError
 from .geometry import first_polyline_crossing, point_polyline_distance
 from .results import ConflictPoint, MetricSeries
 from .simulator import EGO_ID, PED_ID
-from .trace import ActorClass, ActorTrack, Trace, common_grid, sample_pair, sample_track
+from .trace import ActorClass, ActorTrack, Trace, sample_pair, sample_track
 
 CLOSING_SPEED_FLOOR = 1e-6  # m/s, below this the encounter counts as not closing
 ARRIVAL_SPEED_FLOOR = 1e-3  # m/s, below this an actor stands and has no predicted arrival
@@ -64,15 +64,13 @@ def headway(trace: Trace, ego: str, target: str) -> MetricSeries:
     """
     times, e, t = sample_pair(trace, ego, target)
     proj = (t["x"] - e["x"]) * np.cos(e["heading"]) + (t["y"] - e["y"]) * np.sin(e["heading"])
-    r_sum = trace.track(ego).radius + trace.track(target).radius
-    defined = proj > 0.0
     return MetricSeries(
         metric_name="headway",
         actor_ids=(ego, target),
         unit="m",
         times=times,
-        values=np.where(defined, proj - r_sum, 0.0),
-        defined=defined,
+        values=proj - (trace.track(ego).radius + trace.track(target).radius),
+        defined=proj > 0.0,
     )
 
 
@@ -86,20 +84,17 @@ def ttc(trace: Trace, ego: str, target: str) -> MetricSeries:
     """
     times, dx, dy, dvx, dvy = _relative_motion(trace, ego, target)
     dist = np.hypot(dx, dy)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    gap = dist - (trace.track(ego).radius + trace.track(target).radius)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         closing = -np.where(dist > 0, (dx * dvx + dy * dvy) / dist, 0.0)
-    r_sum = trace.track(ego).radius + trace.track(target).radius
-    gap = dist - r_sum
-    defined = (closing > CLOSING_SPEED_FLOOR) & (gap > 0.0)
-    values = np.zeros(len(times))
-    values[defined] = gap[defined] / closing[defined]
+        values = gap / closing  # undefined where closing is 0 or tiny
     return MetricSeries(
         metric_name="ttc",
         actor_ids=(ego, target),
         unit="s",
         times=times,
         values=values,
-        defined=defined,
+        defined=(closing > CLOSING_SPEED_FLOOR) & (gap > 0.0),
     )
 
 
@@ -184,14 +179,13 @@ def wttc(
         raise MetricError("worst-case acceleration bounds must be >= 0")
     times, *motion = _relative_motion(trace, ego, target)
     entry = _disc_entry_times(*motion, ego_track.radius + target_track.radius, 0.5 * sum(bounds))
-    defined = ~np.isnan(entry)
     return MetricSeries(
         metric_name="wttc",
         actor_ids=(ego, target),
         unit="s",
         times=times,
-        values=np.where(defined, entry, 0.0),
-        defined=defined,
+        values=entry,
+        defined=~np.isnan(entry),
     )
 
 
@@ -253,9 +247,19 @@ def gap_time(trace: Trace, ego: str, target: str, conflict: ConflictPoint | None
         actor_ids=(ego, target),
         unit="s",
         times=times,
-        values=np.where(defined, np.abs(t_e - t_t), 0.0),
+        values=np.abs(t_e - t_t),
         defined=defined,
     )
+
+
+def _braking(trace: Trace, actor: str, name: str, unit: str, formula) -> MetricSeries:
+    """formula(speed, |accel|) on the actor's own samples, defined where it brakes."""
+    track = trace.track(actor)
+    # undefined samples may divide by a zero or subnormal |accel|
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values = formula(track.speeds, np.abs(track.accels))
+    return MetricSeries(metric_name=name, actor_ids=(actor,), unit=unit, times=track.times,
+                        values=values, defined=track.accels < BRAKING_ACCEL_FLOOR)
 
 
 def braking_time(trace: Trace, actor: str) -> MetricSeries:
@@ -264,36 +268,12 @@ def braking_time(trace: Trace, actor: str) -> MetricSeries:
     Defined exactly where the recorded acceleration is negative (below
     -1e-6 m/s^2); a standing actor that is still braking stops in 0 s.
     """
-    times = common_grid(trace, (actor,))
-    s = sample_track(trace.track(actor), times)
-    defined = s["accel"] < BRAKING_ACCEL_FLOOR
-    values = np.zeros(len(times))
-    values[defined] = s["speed"][defined] / np.abs(s["accel"][defined])
-    return MetricSeries(
-        metric_name="braking_time",
-        actor_ids=(actor,),
-        unit="s",
-        times=times,
-        values=values,
-        defined=defined,
-    )
+    return _braking(trace, actor, "braking_time", "s", lambda v, a: v / a)
 
 
 def braking_distance(trace: Trace, actor: str) -> MetricSeries:
     """Distance a braking actor covers before standing still."""
-    times = common_grid(trace, (actor,))
-    s = sample_track(trace.track(actor), times)
-    defined = s["accel"] < BRAKING_ACCEL_FLOOR
-    values = np.zeros(len(times))
-    values[defined] = s["speed"][defined] ** 2 / (2.0 * np.abs(s["accel"][defined]))
-    return MetricSeries(
-        metric_name="braking_distance",
-        actor_ids=(actor,),
-        unit="m",
-        times=times,
-        values=values,
-        defined=defined,
-    )
+    return _braking(trace, actor, "braking_distance", "m", lambda v, a: v ** 2 / (2.0 * a))
 
 
 def traffic_density(trace: Trace, center_actor: str, radius: float) -> MetricSeries:
@@ -304,8 +284,8 @@ def traffic_density(trace: Trace, center_actor: str, radius: float) -> MetricSer
     """
     if not radius > 0:
         raise MetricError("radius must be > 0")
-    times = common_grid(trace, (center_actor,))
-    c = sample_track(trace.track(center_actor), times)
+    center = trace.track(center_actor)
+    times = center.times
     counts = np.zeros(len(times))
     for other_id in trace.actor_ids():
         if other_id == center_actor:
@@ -315,7 +295,7 @@ def traffic_density(trace: Trace, center_actor: str, radius: float) -> MetricSer
         if not inside_span.any():
             continue
         o = sample_track(track, times[inside_span])
-        d = np.hypot(o["x"] - c["x"][inside_span], o["y"] - c["y"][inside_span])
+        d = np.hypot(o["x"] - center.xs[inside_span], o["y"] - center.ys[inside_span])
         counts[inside_span] += (d <= radius).astype(float)
     values = counts / (math.pi * radius * radius)
     return MetricSeries(

@@ -40,7 +40,8 @@ class MetricResult:
 
 @dataclass(frozen=True)
 class MetricSeries:
-    """Time-aligned metric samples for one actor or actor pair."""
+    """Time-aligned metric samples for one actor or actor pair. Metric kernels
+    pass raw values with the mask; this class alone sets undefined ones to 0.0."""
 
     metric_name: str
     actor_ids: tuple[str, ...]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from .errors import ScenarioError
+from .errors import ScenarioError, in_file
 
 
 def _snap_tolerance(maximum: float) -> float:
@@ -207,12 +207,8 @@ def logical_from_dict(data: Mapping) -> LogicalScenario:
 
 def load_logical_scenario(path: str | Path) -> LogicalScenario:
     """Read a logical scenario JSON file."""
-    try:
+    with in_file(path, ScenarioError):
         return logical_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: invalid JSON ({exc.msg})") from None
-    except ScenarioError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
 
 
 def write_concrete_set(scenarios: Sequence[ConcreteScenario], path: str | Path) -> None:

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import SimulationError
+from .errors import SimulationError, in_file
 from .geometry import cumulative_arc, first_polyline_crossing
 from .scenarios import ConcreteScenario
 from .trace import DEFAULT_RADII, ActorClass, ActorTrack, Trace
@@ -383,9 +383,5 @@ def sim_config_from_dict(data: Mapping) -> SimConfig:
 
 
 def load_sim_config(path: str | Path) -> SimConfig:
-    try:
+    with in_file(path, SimulationError):
         return sim_config_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    except json.JSONDecodeError as exc:
-        raise SimulationError(f"{path}: invalid JSON ({exc.msg})") from None
-    except SimulationError as exc:
-        raise SimulationError(f"{path}: {exc}") from None

@@ -25,7 +25,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import MetricError, TraceError, TraceParseError
+from .errors import MetricError, TraceError, TraceParseError, in_file
 from .geometry import cumulative_arc, normalize_angles
 
 #: Numeric columns in the order the codec holds them; accel_mps2 may be absent.
@@ -719,7 +719,7 @@ def save_traces(
 def load_trace_file(path: str | Path) -> Trace:
     """Load a trace file, honoring a ``.meta.json`` sidecar when present.
 
-    A TraceParseError names the trace or sidecar file it comes from.
+    A TraceError names the trace or sidecar file it comes from.
     """
     path = Path(path)
     fmt = TraceFormat.JSONL if path.suffix == ".jsonl" else TraceFormat.CSV
@@ -728,23 +728,19 @@ def load_trace_file(path: str | Path) -> Trace:
     metadata: dict[str, str] = {}
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     if sidecar.exists():
-        try:
+        with in_file(sidecar, TraceParseError):
             info = json.loads(sidecar.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise TraceParseError(f"{sidecar}: invalid JSON ({exc.msg})") from None
-        if not isinstance(info, dict) or not isinstance(info.get("metadata", {}), dict):
-            raise TraceParseError(f"{sidecar}: expected an object with an object 'metadata'")
-        scenario_id = info.get("scenario_id", scenario_id)
-        time_step = info.get("time_step")
-        if not isinstance(scenario_id, str) or not scenario_id:
-            raise TraceParseError(f"{sidecar}: 'scenario_id' must be a non-empty string")
-        # json gives int, float or bool for a number; a bool is not a time step
-        if time_step is not None and (type(time_step) not in (int, float)
-                                      or not 0.0 < time_step < math.inf):
-            raise TraceParseError(f"{sidecar}: 'time_step' must be a positive finite number")
+            if not isinstance(info, dict) or not isinstance(info.get("metadata", {}), dict):
+                raise TraceParseError("expected an object with an object 'metadata'")
+            scenario_id = info.get("scenario_id", scenario_id)
+            time_step = info.get("time_step")
+            if not isinstance(scenario_id, str) or not scenario_id:
+                raise TraceParseError("'scenario_id' must be a non-empty string")
+            # json gives int, float or bool for a number; a bool is not a time step
+            if time_step is not None and (type(time_step) not in (int, float)
+                                          or not 0.0 < time_step < math.inf):
+                raise TraceParseError("'time_step' must be a positive finite number")
         metadata = {str(k): str(v) for k, v in info.get("metadata", {}).items()}
-    try:
+    with in_file(path, TraceError):
         return load_trace(path.read_text(encoding="utf-8"), fmt, scenario_id=scenario_id,
                           time_step=time_step, metadata=metadata)
-    except TraceParseError as exc:
-        raise TraceParseError(f"{path}: {exc}", line=exc.line, actor_id=exc.actor_id) from None

@@ -1,7 +1,9 @@
 import errno
 import hashlib
+import io
 import json
 import logging
+import sys
 from pathlib import Path
 
 import pytest
@@ -575,6 +577,94 @@ def test_report_summarizes_run_dir(workdir):
 def test_report_needs_known_artifacts(workdir, tmp_path):
     code = main(["report", "--run", str(tmp_path), "--out", str(tmp_path / "r")])
     assert code == 2
+
+
+@pytest.mark.parametrize("name, content, expected", [
+    ("evaluation.json", '{"cells": [', "invalid JSON ("),
+    ("evaluation.json", '{"cells": []}', "missing key 'verdicts'"),
+    ("evaluation.json", "[]", "unexpected content ("),
+    ("repeatability.json", '{"reference_id": "r", "threshold": 1.0, "entries": [',
+     "invalid JSON ("),
+    ("repeatability.json", '{"reference_id": "r", "threshold": 1.0}', "missing key 'entries'"),
+    ("gap_findings.json", '{"min_wttc": ', "invalid JSON ("),
+    ("gap_findings.json", '{"min_wttc": [{"left_value": 1.0}]}', "missing key 'right_value'"),
+], ids=["evaluation-corrupt", "evaluation-no-verdicts", "evaluation-list", "repeatability-corrupt",
+        "repeatability-no-entries", "gap-findings-corrupt", "gap-findings-no-right-value"])
+def test_bad_report_input_exits_2_naming_it(tmp_path, capsys, name, content, expected):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / name).write_text(content)
+    assert main(["report", "--run", str(run), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {run / name}: {expected}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("which", ["criteria", "trace", "sidecar", "report"])
+def test_input_that_is_not_utf8_exits_2_naming_it(sim_out, criteria_ok, tmp_path, capsys,
+                                                  which):
+    trace = _copy_trace(sim_out, tmp_path / "traces")
+    bad = {"criteria": tmp_path / "criteria.json", "trace": trace,
+           "sidecar": trace.with_name(trace.name + ".meta.json"),
+           "report": tmp_path / "run" / "evaluation.json"}[which]
+    bad.parent.mkdir(exist_ok=True)
+    bad.write_bytes(b"\xff\xfe{")
+    if which == "report":
+        code = main(["report", "--run", str(bad.parent), "--out", str(tmp_path / "out")])
+    else:
+        code = _evaluate(trace, criteria_ok if which != "criteria" else bad, tmp_path / "out")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: not UTF-8 text (invalid start byte at byte 0)\n")
+
+
+def _no_overlap_trace(path: Path) -> Path:
+    # the ego is recorded before the pedestrian appears
+    header = "time_s,actor_id,actor_class,x_m,y_m,heading_rad,speed_mps,accel_mps2"
+    rows = [f"{t},{actor},{cls},0.0,{y},0.0,1.0,0.0" for t, actor, cls, y in (
+        (0.0, "ego", "vehicle", 0.0), (0.1, "ego", "vehicle", 0.0),
+        (0.2, "pedestrian", "pedestrian", 9.0), (0.3, "pedestrian", "pedestrian", 9.0))]
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+def test_trace_without_overlap_exits_2_naming_it(sim_out, criteria_ok, tmp_path, capsys,
+                                                 command):
+    bad = _no_overlap_trace(tmp_path / "apart.csv")
+    args = {
+        "evaluate": ["--traces", str(bad), "--criteria", str(criteria_ok)],
+        "compare": ["--reference", str(sim_out / "traces" / "cli_demo_0.csv"),
+                    "--runs", str(bad)],
+    }[command]
+    assert main([command, *args, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: tracks share no overlap interval of positive length\n")
+    assert not (tmp_path / "out").exists()
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("gap, expected", [(0.2, 0), (100.0, 1)])
+def test_closed_stdout_keeps_the_exit_code(sim_out, tmp_path, capsys, monkeypatch,
+                                           gap, expected):
+    criteria = tmp_path / "criteria.json"
+    criteria.write_text(json.dumps({"criteria": [{
+        "criterion_id": "apart", "metric": "euclidean_distance",
+        "params": {"actor_a": "ego", "actor_b": "pedestrian"},
+        "threshold": {"comparator": ">", "value": gap, "unit": "m"},
+    }]}))
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    code = _evaluate(sim_out / "traces", criteria, tmp_path / "out")
+    sys.stdout.close()  # the stand-in the command opened once the pipe broke
+    assert code == expected
+    assert capsys.readouterr().err == ""
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["outputs"] == ["evaluation.json"]
 
 
 def test_missing_input_exits_2(workdir):

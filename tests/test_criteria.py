@@ -101,6 +101,17 @@ def test_condition_tree_validation():
     assert node.referenced_actors() == {"ego"}
 
 
+def test_condition_passes_every_ref_and_rejects_a_misspelt_one():
+    leaf = condition("metric_value", "<", 3.0, unit="s", metric="ttc",
+                     metric_params={"ego": "ego", "target": "pedestrian"})
+    assert leaf == ConditionNode(signal="metric_value", comparator="<", bound=3.0, unit="s",
+                                 metric="ttc", metric_params={"ego": "ego",
+                                                              "target": "pedestrian"})
+    assert condition("distance_between", "<", 2.0, actor="a", actor_b="b").actor_b == "b"
+    with pytest.raises(TypeError):
+        condition("speed", ">", 1.0, actr="ego")
+
+
 def test_always_active_covers_whole_trace():
     trace = one_actor_trace(TRIANGLE)
     assert active_intervals(always_active(), trace) == [(0.0, 10.0)]

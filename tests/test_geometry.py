@@ -331,6 +331,38 @@ def test_point_polyline_distance_matches_segment_loop():
         assert abs(point_polyline_distance(px, py, pts) - expect) <= 1e-12
 
 
+def point_polyline_distance_formula(px, py, points):
+    """Reference: the single-point formula point_polyline_distance had on its own."""
+    a = np.asarray(points, dtype=float)
+    d = np.diff(a, axis=0, append=a[-1:])
+    len2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    dot = (px - a[:, 0]) * d[:, 0] + (py - a[:, 1]) * d[:, 1]
+    t = np.clip(np.divide(dot, len2, out=np.zeros_like(dot), where=len2 > 0.0), 0.0, 1.0)
+    return float(np.min(np.hypot(px - (a[:, 0] + t * d[:, 0]), py - (a[:, 1] + t * d[:, 1]))))
+
+
+def _points_on_and_near(rng, pts):
+    """Vertices, points on segments and random points around a polyline."""
+    a, b = pts[:-1], pts[1:]
+    on = a + rng.uniform(0.0, 1.0, (len(a), 1)) * (b - a)
+    mid = a + 0.5 * (b - a)
+    near = rng.uniform(pts.min() - 5.0, pts.max() + 5.0, (20, 2))
+    return np.concatenate([pts, on, mid, near])
+
+
+def test_point_polyline_distance_is_its_old_formula_bitwise():
+    rng = np.random.default_rng(23)
+    cases = [np.array([[1.5, -2.0]])]  # a single vertex
+    for _ in range(200):
+        pts = rng.uniform(-50.0, 50.0, (int(rng.integers(1, 12)), 2))
+        # repeated vertices give zero-length steps
+        cases.append(np.repeat(pts, rng.integers(1, 3, len(pts)), axis=0))
+    for pts in cases:
+        for px, py in _points_on_and_near(rng, pts):
+            assert point_polyline_distance(px, py, pts) == \
+                point_polyline_distance_formula(px, py, pts)
+
+
 def test_band_intersection_rectangle():
     poly = band_intersection((5.0, 5.0), (1.0, 0.0), (0.0, 1.0), 2.0, 0.5)
     assert len(poly) == 4

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scenq import ActorClass, ActorTrack, MetricError, Trace
-from scenq.geometry import polygon_area
+from scenq.geometry import band_intersection, polygon_area
 from scenq.micro import _zone_margins, aggregate, build_encroachment_zone, et, occupancy, pet
 from scenq.nano import euclidean_distance
 from scenq.results import EncroachmentZone, MetricSeries, OccupancyInterval
@@ -74,6 +74,74 @@ def occupancy_loop(trace, actor, zone):
             intervals.append(OccupancyInterval(actor_id=actor, entry_time=entry, exit_time=exit_))
         i = j + 1
     return intervals
+
+
+def zone_margins_loop(xs, ys, polygon, radius):
+    """Reference: the per-edge loop _zone_margins had, one edge at a time."""
+    n_edges = len(polygon)
+    edge_dist = np.full(xs.shape, np.inf)
+    inside = np.zeros(xs.shape, dtype=bool)
+    for i in range(n_edges):
+        ax, ay = polygon[i]
+        bx, by = polygon[(i + 1) % n_edges]
+        dx, dy = bx - ax, by - ay
+        len2 = dx * dx + dy * dy
+        if len2 > 0:
+            t = np.clip(((xs - ax) * dx + (ys - ay) * dy) / len2, 0.0, 1.0)
+        else:
+            t = np.zeros(xs.shape)
+        edge_dist = np.minimum(edge_dist, np.hypot(xs - (ax + t * dx), ys - (ay + t * dy)))
+        crosses = (ay > ys) != (by > ys)
+        if crosses.any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x_cross = ax + (ys - ay) / (by - ay) * dx
+            inside ^= crosses & (xs < x_cross)
+    signed = np.where(inside, -edge_dist, edge_dist)
+    return radius - signed
+
+
+def _seeded_polygons(rng):
+    for _ in range(150):
+        heading_a, turn = rng.uniform(-math.pi, math.pi), rng.uniform(0.2, math.pi - 0.2)
+        yield band_intersection(
+            tuple(rng.uniform(-40.0, 40.0, 2)),
+            (math.cos(heading_a), math.sin(heading_a)),
+            (math.cos(heading_a + turn), math.sin(heading_a + turn)),
+            rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0),
+        )
+    for _ in range(100):  # any polygon, repeated vertices give zero-length edges
+        poly = rng.uniform(-10.0, 10.0, (int(rng.integers(3, 9)), 2))
+        yield np.repeat(poly, rng.integers(1, 3, len(poly)), axis=0)
+    yield np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
+
+
+def test_zone_margins_are_the_edge_loop_bitwise():
+    rng = np.random.default_rng(41)
+    for poly in _seeded_polygons(rng):
+        a, b = poly, np.roll(poly, -1, axis=0)
+        samples = np.concatenate([
+            poly,  # on the vertices
+            a + 0.5 * (b - a),  # on the edges
+            a + rng.uniform(0.0, 1.0, (len(a), 1)) * (b - a),
+            poly.mean(axis=0) + rng.normal(0.0, 4.0, (60, 2)),
+        ])
+        xs, ys = samples[:, 0].copy(), samples[:, 1].copy()
+        for radius in (0.0, 0.3, 1.0):
+            got = _zone_margins(xs, ys, poly, radius)
+            assert got.tobytes() == zone_margins_loop(xs, ys, poly, radius).tobytes()
+
+
+def test_zone_margins_are_the_edge_loop_on_bundled_grid(batch600):
+    _, outcomes, _ = batch600
+    for outcome in outcomes:
+        trace = outcome.trace
+        try:
+            zone = build_encroachment_zone(trace, "ego", "pedestrian")
+        except MetricError:
+            continue
+        for track in trace.tracks.values():
+            args = (track.xs, track.ys, zone.polygon, track.radius)
+            assert _zone_margins(*args).tobytes() == zone_margins_loop(*args).tobytes()
 
 
 def test_zone_is_the_band_overlap_rectangle():

@@ -5,9 +5,9 @@ import pytest
 
 from scenq import ActorClass, ActorTrack, ConflictPoint, MetricError, Trace
 from scenq.nano import (
+    BRAKING_ACCEL_FLOOR,
     braking_distance,
     braking_time,
-    common_grid,
     conflict_point,
     euclidean_distance,
     gap_time,
@@ -16,6 +16,7 @@ from scenq.nano import (
     ttc,
     wttc,
 )
+from scenq.trace import common_grid, sample_track
 
 DT = 0.1
 
@@ -315,6 +316,38 @@ def test_braking_zero_speed_edge():
     bt = braking_time(make_trace(track, other), "car")
     assert bt.defined.all()
     assert np.all(bt.values == 0.0)
+
+
+def braking_formulas(trace, actor):
+    """Reference: the masked formulas braking_time and braking_distance had,
+    on the actor's samples resampled onto its own common grid."""
+    times = common_grid(trace, (actor,))
+    s = sample_track(trace.track(actor), times)
+    defined = s["accel"] < BRAKING_ACCEL_FLOOR
+    bt, bd = np.zeros(len(times)), np.zeros(len(times))
+    bt[defined] = s["speed"][defined] / np.abs(s["accel"][defined])
+    bd[defined] = s["speed"][defined] ** 2 / (2.0 * np.abs(s["accel"][defined]))
+    return times, defined, bt, bd
+
+
+def test_braking_metrics_are_the_masked_formulas_bitwise():
+    rng = np.random.default_rng(5)
+    edges = [-1e-6, 0.0, -0.0, -5e-324, 5e-324, -2.2e-308, -1.0000000000000002e-6, -3.0]
+    n = 40
+    for _ in range(50):
+        speeds = rng.choice([0.0, 1e-300, 0.5, 12.0, 31.7], n) * rng.uniform(0.5, 1.0, n)
+        accels = np.where(rng.random(n) < 0.5, rng.choice(edges, n), rng.uniform(-9.0, 3.0, n))
+        speeds[:3], accels[:3] = 0.0, -4.0  # a standing actor that is braking
+        car = track_from("car", rng.uniform(0, 50, n), np.zeros(n), np.zeros(n), speeds, accels)
+        trace = make_trace(car, moving_track("x", 50, 50, 0.0, 0.0, n=n))
+        times, defined, bt, bd = braking_formulas(trace, "car")
+        for kernel, want in ((braking_time, bt), (braking_distance, bd)):
+            series = kernel(trace, "car")
+            assert series.times.tobytes() == times.tobytes()
+            assert series.defined.tolist() == defined.tolist()
+            assert series.values.tobytes() == want.tobytes()
+        assert not defined[accels >= -1e-6].any()
+        assert braking_time(trace, "car").values[:3].tolist() == [0.0] * 3
 
 
 def test_traffic_density_counts_neighbors():

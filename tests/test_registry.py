@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -96,6 +97,21 @@ def test_missing_params_reported(reference_outcome):
             with pytest.raises(MetricError) as exc:
                 registry.get(metric).compute(trace, params)
             assert str(exc.value) == f"metric {metric!r} needs parameter {key!r}"
+
+
+def test_per_trace_metrics_raise_no_runtime_warning(batch600):
+    _, outcomes, _ = batch600
+    collision = next(o for o in outcomes if o.collided)
+    stop = next(o for o in outcomes if (o.trace.track("ego").speeds == 0.0).any())
+    for outcome in (collision, stop):
+        trace = outcome.trace
+        assert (trace.track("pedestrian").speeds == 0.0).any()  # stands before it crosses
+        for metric, params in REQUIRED_PARAMS.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = registry.get(metric).compute(trace, params)
+            values = result.values if hasattr(result, "values") else result.value
+            assert np.all(np.isfinite(values)), metric
 
 
 def test_gap_time_conflict_fallbacks(reference_outcome):
