@@ -8,11 +8,15 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MetricError, ScenarioError
 from .scenarios import ConcreteScenario, LogicalScenario, grid_size
 from .results import ScalarResult
 from .trace import ActorTrack, Trace, first_contact_time
+
+
+_SLAB_DIAGONALS, _SLAB_CELLS = 48, 12288  # per dtw slab: diagonals, cells of a block
 
 
 def dtw(track_a: ActorTrack, track_b: ActorTrack) -> float:
@@ -26,61 +30,68 @@ def dtw(track_a: ActorTrack, track_b: ActorTrack) -> float:
     Pruned after Silva & Batista (SDM 2016): UB is the cost of one valid
     path, the index-proportional staircase, summed in path order as the
     recurrence sums it, so the distance is at most UB in floating point
-    too. Only cells that a live cell of the two previous anti-diagonals
-    can lead to are filled, and a diagonal's ends are trimmed while their
-    value exceeds UB. A cell whose true value is at most UB keeps its
-    cheapest predecessor live, so it gets the same operands in the same
-    order as in the full matrix, and no other cell reads below its true
-    value: the result is bit-identical to the full recurrence's, while the
-    work is proportional to the band of cells that a path no dearer than
-    UB can reach, not to n * m. Early abandoning, by contrast, stops once
-    a bound is exceeded and returns something other than the distance;
-    here nothing is capped or replaced.
+    too. Early abandoning, by contrast, stops once a bound is exceeded and
+    returns something other than the distance; here nothing is capped or
+    replaced.
 
-    Three rolling buffers indexed by row i + 1 hold diagonals k - 2,
-    k - 1 and k, so memory is O(n + m) for n x m samples; every entry
-    outside a diagonal's filled rows is +inf, index 0 (row -1) always.
-    Against a reversed copy of b, the columns k - i of a diagonal form a
-    forward slice, so its distances come from contiguous slices too.
+    The anti-diagonals k = i + j are filled in slabs of up to 48, each
+    over one fixed row window [L, H]: L is the first row of the last two
+    diagonals whose value is at most UB, and H the last such row plus the
+    slab's height, at most n - 1. The window holds every row that can be
+    live on each diagonal of the slab: a cell whose true value is at most
+    UB has a predecessor no dearer, so the lowest live row never falls
+    below the smaller of the two previous diagonals' lowest, and the
+    highest grows by at most one per diagonal. Every other cell reads
+    +inf (row L - 1, or a column off the matrix, where b is padded with
+    +inf on both sides; the tracks are finite, so never NaN) or a value
+    at or above its true value. So each cell whose true value is at most
+    UB gets the same operands in the same order as in the full matrix:
+    the result is bit-identical to the full recurrence's, while the work
+    follows the band of cells that a path no dearer than UB can reach,
+    not n * m.
+
+    Per slab, a view of the padded, reversed b (column k - i of row i is
+    then a forward index) gives the distances of all its diagonals as one
+    (height, W) block, and one (height + 2, W + 1) block holds the values,
+    the last two diagonals in its first two rows and row L - 1 in column 0.
+    A diagonal then costs three ufunc calls on row views; the window is
+    trimmed only at the end of a slab. The height shrinks as the band
+    widens, keeping height x W within 12,288 cells: memory is O(n + m).
     """
-    a = track_a.points
-    b = track_b.points
+    a, b = track_a.points, track_b.points
     n, m = len(a), len(b)
     ax, ay = a[:, 0].copy(), a[:, 1].copy()
-    rx, ry = b[::-1, 0].copy(), b[::-1, 1].copy()
     path_i, path_j = (np.linspace(0, count - 1, max(n, m)).round().astype(np.intp)
                       for count in (n, m))
     ub = float(np.cumsum(np.hypot(ax[path_i] - b[path_j, 0], ay[path_i] - b[path_j, 1]))[-1])
 
-    prev2, prev1, cur = np.full(n + 1, np.inf), np.full(n + 1, np.inf), np.full(n + 1, np.inf)
-    cur[1] = np.hypot(ax[0] - rx[m - 1], ay[0] - ry[m - 1])  # diagonal 0: cell (0, 0)
-    # live rows [l, h] of diagonals k - 2 and k - 1 (empty as [n, -1]), and
-    # the filled slice of each buffer, reset to +inf before it is refilled
-    l2, h2, l1, h1, lo, hi = n, -1, n, -1, 0, 0
-    filled2, filled1, filled = slice(0), slice(0), slice(1, 2)
-    for k in range(1, n + m - 1):
-        prev2, prev1, cur = prev1, cur, prev2
-        filled2, filled1, filled = filled1, filled, filled2
-        cur[filled] = np.inf
-        l2, h2, l1, h1 = l1, h1, lo, hi
-        lo = max(min(l1, l2 + 1), k - m + 1)
-        hi = min(max(h1, h2) + 1, n - 1)
-        if lo > hi:
-            lo, hi, filled = n, -1, slice(0)
-            continue
-        rows, filled = slice(lo, hi + 1), slice(lo + 1, hi + 2)
-        cols = slice(lo + m - 1 - k, hi + m - k)  # columns k - hi .. k - lo, reversed
-        d = np.hypot(ax[rows] - rx[cols], ay[rows] - ry[cols])
-        best = np.minimum(prev1[rows], prev1[filled])
-        np.minimum(best, prev2[rows], out=best)
-        np.add(d, best, out=cur[filled])
-        while lo <= hi and cur[lo + 1] > ub:
-            lo += 1
-        while hi >= lo and cur[hi + 1] > ub:
-            hi -= 1
-        if lo > hi:
-            lo, hi = n, -1
-    return float(cur[n])
+    # windows of n values from each index of the reversed b; +inf off the matrix
+    front, back = np.full(_SLAB_DIAGONALS + 1, np.inf), np.full(n, np.inf)
+    rx, ry = (sliding_window_view(np.concatenate((front, b[::-1, c], back)), n) for c in (0, 1))
+    # diagonals k0 - 1 and k0 over rows lo - 1 .. hi; column 0 (row lo - 1) is +inf
+    tail = np.array([[np.inf, np.inf], [np.inf, np.hypot(ax[0] - b[0, 0], ay[0] - b[0, 1])]])
+    k0, lo = 0, 0
+    while k0 < n + m - 2:
+        live = np.flatnonzero(np.minimum(tail[0], tail[1]) <= ub)
+        first, last = lo - 1 + int(live[0]), lo - 1 + int(live[-1])
+        height = min(_SLAB_DIAGONALS, n + m - 2 - k0,
+                     max(1, _SLAB_CELLS // (last - first + 1 + _SLAB_DIAGONALS)))
+        hi = min(last + height, n - 1)
+        width = hi - first + 1
+        # row first of diagonal k0 + 1 + t reads padded, reversed b at stop - 1 - t
+        stop = _SLAB_DIAGONALS + m - k0 + first
+        dist = ax[first:hi + 1] - rx[stop - height:stop, :width][::-1]
+        np.hypot(dist, ay[first:hi + 1] - ry[stop - height:stop, :width][::-1], out=dist)
+        vals = np.full((height + 2, width + 1), np.inf)
+        vals[:2, 1:last - first + 2] = tail[:, first - lo + 1:last - lo + 2]
+        up, left = vals[:, :-1], vals[:, 1:]
+        best = np.empty(width)
+        for up1, left1, up2, d, out in zip(up[1:], left[1:], up, dist, left[2:]):
+            np.minimum(up1, left1, out=best)
+            np.minimum(best, up2, out=best)
+            np.add(d, best, out=out)
+        tail, k0, lo = vals[-2:], k0 + height, first
+    return float(tail[1, n - lo])
 
 
 @dataclass(frozen=True)
@@ -119,12 +130,15 @@ def repeatability_report(
 
     Each entry carries the dtw distance, that distance divided by the
     reference track's sample count, and whether it stays at or below the
-    threshold. The reference itself is skipped if present among the runs.
+    threshold. The reference itself is skipped if present among the runs;
+    an actor listed twice is an error, not a second set of entries.
     """
     if not threshold >= 0:  # also rejects NaN
         raise MetricError(f"threshold must be >= 0, got {threshold!r}")
     ids = tuple(actor_ids) if actor_ids is not None else tuple(reference.actor_ids())
-    for actor in ids:
+    for pos, actor in enumerate(ids):
+        if actor in ids[:pos]:
+            raise MetricError(f"actor {actor!r} is listed twice")
         if actor not in reference.tracks:
             raise MetricError(f"actor {actor!r} missing from the reference trace")
     entries: list[RepeatabilityEntry] = []

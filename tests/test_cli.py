@@ -341,6 +341,16 @@ def test_compare_rejects_nan_threshold(workdir, sim_out, capsys):
     assert main(argv + ["--threshold", "inf", "--out", str(workdir / "cmp_inf")]) == 0
 
 
+def test_compare_rejects_a_repeated_actor(workdir, sim_out, capsys):
+    ref = sim_out / "traces" / "cli_demo_0.csv"
+    out = workdir / "cmp_twice"
+    code = main(["compare", "--reference", str(ref), "--runs", str(ref), "--actors", "ego,ego",
+                 "--out", str(out)])
+    assert code == 2
+    assert "error: actor 'ego' is listed twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_missing_actor_names_file_before_any_dtw(sim_out, tmp_path, capsys,
                                                          monkeypatch):
     ref = sim_out / "traces" / "cli_demo_0.csv"

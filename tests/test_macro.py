@@ -16,6 +16,8 @@ from scenq import (
     undefined_scalar,
 )
 from scenq.macro import (
+    _SLAB_CELLS,
+    _SLAB_DIAGONALS,
     collision_probability,
     detect_result_gaps,
     dtw,
@@ -100,9 +102,10 @@ def test_dtw_equals_full_matrix_reference_exactly():
     rng = np.random.default_rng(20)
     lengths = [(2, 2), (2, 400), (400, 2), (3, 397), (350, 7)]
     lengths += [tuple(rng.integers(2, 401, size=2)) for _ in range(195)]
+    lengths += [(2, m) for m in (3, 47, 48, 49, 50, 97)]  # around the slab height
     for n, m in lengths:
         a, b = random_walk_track(rng, n), random_walk_track(rng, m)
-        assert dtw(a, b) == full_matrix_dtw(a.points, b.points), (n, m)
+        assert_exact_both_ways(a, b)
 
 
 def staircase_cost(a, b):
@@ -158,6 +161,41 @@ def test_dtw_identical_recordings_is_zero(intersection_config):
     a = recording(intersection_config, 0.05)
     b = path_track("b", a.xs, a.ys)
     assert dtw(a, b) == dtw(b, a) == full_matrix_dtw(a.points, b.points) == 0.0
+
+
+@pytest.mark.parametrize("diagonals", [_SLAB_DIAGONALS - 1, _SLAB_DIAGONALS,
+                                       _SLAB_DIAGONALS + 1, 2 * _SLAB_DIAGONALS + 1])
+def test_dtw_exact_at_slab_boundaries(diagonals):
+    # n + m - 2 anti-diagonals follow cell (0, 0): the last slab is short, full or of one
+    rng = np.random.default_rng(diagonals)
+    for n in (2, 3, diagonals // 2, diagonals // 2 + 1, diagonals - 1, diagonals):
+        a, b = random_walk_track(rng, n), random_walk_track(rng, diagonals + 2 - n)
+        assert_exact_both_ways(a, b)
+
+
+def test_dtw_exact_when_the_band_outgrows_the_cell_budget():
+    rng = np.random.default_rng(24)
+    for n, m in [(300, 420), (450, 260), (380, 380)]:
+        a, b = random_walk_track(rng, n), random_walk_track(rng, m)
+        acc = full_matrix_acc(a.points, b.points)
+        rows, cols = np.nonzero(acc <= staircase_cost(a.points, b.points))
+        widest = np.bincount(rows + cols).max()  # cells at or below UB per anti-diagonal
+        # a full-height slab over such a band would exceed the budget, so slabs shrink
+        assert widest * _SLAB_DIAGONALS > _SLAB_CELLS, (n, m, widest)
+        assert_exact_both_ways(a, b)
+
+
+def test_dtw_exact_along_a_long_standstill():
+    # b waits at the start, at a midway point and at the end while a moves on:
+    # the optimal path holds one row of a for many more diagonals than a slab
+    xs = np.linspace(0.0, 60.0, 90)
+    ys = np.sin(xs / 7.0)
+    a = path_track("a", xs, ys)
+    wait = np.concatenate((np.zeros(130), np.linspace(0.0, 30.0, 40), np.full(110, 30.0),
+                           np.linspace(30.0, 60.0, 40), np.full(70, 60.0)))
+    b = path_track("b", wait + 0.25, np.sin(wait / 7.0))
+    assert_exact_both_ways(a, b)
+    assert dtw(a, b) > 0.0
 
 
 def test_dtw_memory_is_linear():
@@ -218,6 +256,12 @@ def test_repeatability_skips_reference_and_checks_actors():
     with pytest.raises(MetricError, match="got nan"):
         repeatability_report(ref, [run], threshold=float("nan"))
     assert repeatability_report(ref, [run], threshold=float("inf")).all_within
+
+
+def test_repeatability_rejects_a_repeated_actor():
+    ref, run = two_run_traces()
+    with pytest.raises(MetricError, match="actor 'ego' is listed twice"):
+        repeatability_report(ref, [run], actor_ids=["ego", "other", "ego"])
 
 
 def test_collision_probability_over_traces():

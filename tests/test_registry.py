@@ -214,3 +214,10 @@ def test_dtw_rejects_nan_threshold(reference_outcome):
         registry.get("dtw").compute(traces, {"threshold": float("nan")})
     results = registry.get("dtw").compute(traces, {"threshold": float("inf")})
     assert {r.value for _, r in results} == {0.0}
+
+
+def test_dtw_rejects_a_repeated_actor(reference_outcome):
+    ref = reference_outcome.trace
+    traces = [ref, Trace("rerun", ref.time_step, dict(ref.tracks))]
+    with pytest.raises(MetricError, match="actor 'ego' is listed twice"):
+        registry.get("dtw").compute(traces, {"actor_ids": ["ego", "pedestrian", "ego"]})
