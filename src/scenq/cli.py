@@ -120,19 +120,22 @@ def _safe_name(scenario_id: str) -> str:
 
 
 def _collect_trace_paths(raw: Sequence[str]) -> list[Path]:
-    paths: list[Path] = []
+    """The trace files named, or held by the directories named; each file once."""
+    paths: dict[Path, Path] = {}  # by resolved path
     for item in raw:
         p = Path(item)
         if p.is_dir():
             found = sorted(q for q in p.iterdir() if q.suffix in (".csv", ".jsonl"))
             if not found:
                 raise ScenqError(f"{p}: no trace files found")
-            paths.extend(found)
         elif p.is_file():
-            paths.append(p)
+            found = [p]
         else:
             raise ScenqError(f"{item}: no such file or directory")
-    return paths
+        for q in found:
+            if paths.setdefault(q.resolve(), q) is not q:
+                raise ScenqError(f"{q}: trace file is listed twice")
+    return list(paths.values())
 
 
 def _outcome_row(outcome: SimOutcome) -> dict:
@@ -218,7 +221,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     reference = load_trace_file(Path(args.reference))
-    run_paths = _collect_trace_paths(args.runs)
+    # the reference is no run of its own, also where --runs holds it
+    skipped = Path(args.reference).resolve()
+    run_paths = [p for p in _collect_trace_paths(args.runs) if p.resolve() != skipped]
     runs = [load_trace_file(p) for p in run_paths]
     log.info("loaded %d traces (reference + %d runs)", 1 + len(runs), len(runs))
     actor_ids = args.actors.split(",") if args.actors else reference.actor_ids()
@@ -270,15 +275,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if len(logical.parameters) != 1:
         raise ScenqError("sweep needs a logical scenario with exactly one varying parameter")
     param = logical.parameters[0]
+    scenarios = list(iter_concretize(logical))
     with in_file(args.scenario, SimulationError):
-        outcomes = simulate_batch(list(iter_concretize(logical)), config)
+        outcomes = simulate_batch(scenarios, config)
 
     rows: list[dict] = []
-    for outcome in outcomes:
-        trace = outcome.trace
-        row = {"value": float(trace.metadata[f"binding_{param.name}"])}
+    for scenario, outcome in zip(scenarios, outcomes):
+        row = {"value": float(scenario.bindings[param.name])}
         for col, (metric, params) in _SWEEP_COLUMNS.items():
-            row[col] = micro.aggregate(registry.get(metric).compute(trace, params), "min")
+            row[col] = micro.aggregate(registry.get(metric).compute(outcome.trace, params), "min")
         row.update(collided=outcome.collided, end_reason=outcome.end_reason)
         rows.append(row)
     rows.sort(key=lambda r: r["value"])

@@ -514,11 +514,27 @@ def evaluate_suite(
 # suite files
 
 
+_LEAF_KEYS = {"signal", "actor", "actor_b", "metric", "params", "comparator", "bound", "unit"}
+_CRITERION_KEYS = {"criterion_id", "metric", "threshold", "scale", "application_period", "params",
+                   "perspective"}
+
+
+def _fields(data, known: set[str], what: str) -> Mapping:
+    """``data``, an object holding no key outside ``known``."""
+    if not isinstance(data, Mapping):
+        raise TypeError(f"{what} must be an object, got {data!r}")
+    unknown = set(data) - known
+    if unknown:
+        raise CriterionError(f"unknown {what} keys: {sorted(unknown)}")
+    return data
+
+
 def _condition_from_dict(data: Mapping) -> ConditionNode:
-    if "all" in data:
-        return ConditionNode(op="all", children=tuple(_condition_from_dict(c) for c in data["all"]))
-    if "any" in data:
-        return ConditionNode(op="any", children=tuple(_condition_from_dict(c) for c in data["any"]))
+    data = _fields(data, _LEAF_KEYS | {"all", "any"}, "condition")
+    for op in ("all", "any"):
+        if op in data:
+            children = _fields(data, {op}, "condition")[op]
+            return ConditionNode(op=op, children=tuple(_condition_from_dict(c) for c in children))
     try:
         return ConditionNode(
             op="leaf",
@@ -538,11 +554,9 @@ def _condition_from_dict(data: Mapping) -> ConditionNode:
 def _stop_from_dict(data: Mapping | None) -> StopRule:
     if not data:
         return StopRule()
-    if not isinstance(data, Mapping):
-        raise TypeError(f"stop must be an object, got {data!r}")
-    kind = data.get("kind", STOP_ON_CONDITION)
+    data = _fields(data, {"kind", "duration", "event", "actor"}, "stop")
     return StopRule(
-        kind=kind,
+        kind=data.get("kind", STOP_ON_CONDITION),
         duration=float(data["duration"]) if "duration" in data else None,
         event=data.get("event"),
         actor=data.get("actor"),
@@ -553,23 +567,25 @@ def _criterion_from_dict(data: Mapping) -> QualityCriterion:
     if not isinstance(data, Mapping):
         raise CriterionError(f"criterion must be an object, got {data!r}")
     try:
+        _fields(data, _CRITERION_KEYS, "criterion")
         if ("threshold" in data) == ("scale" in data):
             raise CriterionError(
                 f"criterion {data.get('criterion_id')!r} needs exactly one of threshold or scale"
             )
         if "threshold" in data:
-            t = data["threshold"]
+            t = _fields(data["threshold"], {"comparator", "value", "unit"}, "threshold")
             evaluation: Threshold | Scale = Threshold(
                 comparator=t["comparator"], value=float(t["value"]), unit=str(t.get("unit", ""))
             )
         else:
-            s = data["scale"]
+            s = _fields(data["scale"], {"breakpoints", "unit"}, "scale")
             evaluation = Scale(
                 breakpoints=tuple((float(b), float(v)) for b, v in s["breakpoints"]),
                 unit=str(s.get("unit", "")),
             )
         if "application_period" in data:
-            p = data["application_period"]
+            p = _fields(data["application_period"], {"start_condition", "stop"},
+                        "application_period")
             period = ApplicationPeriod(
                 start_condition=_condition_from_dict(p["start_condition"]),
                 stop=_stop_from_dict(p.get("stop")),

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import combinations
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -288,38 +289,33 @@ def sample_pair(trace: Trace, a: str, b: str) -> tuple[np.ndarray, dict, dict]:
 # validation
 
 
+def _contacts(trace: Trace) -> Iterator[tuple[float, str, str]]:
+    """Start time and actor ids ``(t, a, b)`` of each contiguous episode in which
+    the circles of actors a < b touch or overlap, sampled on the pair's common
+    grid; pairs in actor-id order, each pair's episodes in time order."""
+    for a, b in combinations(trace.actor_ids(), 2):
+        times, sa, sb = sample_pair(trace, a, b)
+        touching = np.hypot(sa["x"] - sb["x"], sa["y"] - sb["y"]) <= (
+            trace.tracks[a].radius + trace.tracks[b].radius)
+        starts = touching & ~np.concatenate([[False], touching[:-1]])
+        yield from ((t, a, b) for t in times[starts].tolist())
+
+
 def first_contact_time(trace: Trace) -> float | None:
     """Earliest time any two actor circles touch or overlap, None when none do."""
-    ids = trace.actor_ids()
-    earliest: float | None = None
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            starts = _first_contact_times(trace, ids[i], ids[j])
-            if starts and (earliest is None or starts[0] < earliest):
-                earliest = starts[0]
-    return earliest
-
-
-def _first_contact_times(trace: Trace, a_id: str, b_id: str) -> list[float]:
-    """Start times of contiguous episodes where two circles touch or overlap,
-    sampled on the pair's common grid."""
-    times, sa, sb = sample_pair(trace, a_id, b_id)
-    dist = np.hypot(sa["x"] - sb["x"], sa["y"] - sb["y"])
-    r_sum = trace.track(a_id).radius + trace.track(b_id).radius
-    touching = np.concatenate([[False], dist <= r_sum])
-    return times[np.flatnonzero(touching[1:] & ~touching[:-1])].tolist()
+    return min((t for t, _, _ in _contacts(trace)), default=None)
 
 
 def validate_trace(trace: Trace) -> ValidationReport:
     """Check sampling uniformity, actor availability and actor contact.
 
-    Issues raised:
+    Issues raised, per actor in actor-id order and in time order:
         * ``sampling`` (warning): a step deviates from the nominal time step
           by more than 10 percent but is not a hole.
         * ``actor_availability`` (error): missing samples, a step of at
           least twice the nominal time step between first and last time.
-        * ``collision`` (warning, informational): the bounding circles of
-          two actors touch or overlap; one issue per contiguous contact episode.
+        * ``collision`` (warning, informational, after the others): the bounding
+          circles of two actors touch or overlap; one issue per contact episode.
 
     Returns:
         A report whose issue list is empty exactly when the trace passes.
@@ -327,48 +323,24 @@ def validate_trace(trace: Trace) -> ValidationReport:
     issues: list[ValidationIssue] = []
     nominal = trace.time_step
     for actor_id in trace.actor_ids():
-        track = trace.tracks[actor_id]
-        steps = np.diff(track.times)
-        for i, step in enumerate(steps):
-            if step >= GAP_FACTOR * nominal - 1e-9:
-                issues.append(
-                    ValidationIssue(
-                        severity="error",
-                        code="actor_availability",
-                        message=(
-                            f"actor {actor_id!r}: {step:.6g} s hole after t={track.times[i]:.6g} s "
-                            f"(nominal step {nominal:.6g} s)"
-                        ),
-                        time=float(track.times[i]),
-                        actor_id=actor_id,
-                    )
-                )
-            elif abs(step - nominal) > SAMPLING_TOLERANCE * nominal:
-                issues.append(
-                    ValidationIssue(
-                        severity="warning",
-                        code="sampling",
-                        message=(
-                            f"actor {actor_id!r}: step {step:.6g} s at t={track.times[i]:.6g} s "
-                            f"deviates from nominal {nominal:.6g} s by more than 10%"
-                        ),
-                        time=float(track.times[i]),
-                        actor_id=actor_id,
-                    )
-                )
-    ids = trace.actor_ids()
-    for i, a_id in enumerate(ids):
-        for b_id in ids[i + 1 :]:
-            for t in _first_contact_times(trace, a_id, b_id):
-                issues.append(
-                    ValidationIssue(
-                        severity="warning",
-                        code="collision",
-                        message=f"actors {a_id!r} and {b_id!r} overlap at t={t:.6g} s",
-                        time=t,
-                        actor_id=a_id,
-                    )
-                )
+        times = trace.tracks[actor_id].times
+        steps = np.diff(times)
+        holes = steps >= GAP_FACTOR * nominal - 1e-9
+        jitter = np.abs(steps - nominal) > SAMPLING_TOLERANCE * nominal
+        for i in np.flatnonzero(holes | jitter).tolist():
+            step, t = float(steps[i]), float(times[i])
+            if holes[i]:
+                severity, code = "error", "actor_availability"
+                detail = f"{step:.6g} s hole after t={t:.6g} s (nominal step {nominal:.6g} s)"
+            else:
+                severity, code = "warning", "sampling"
+                detail = (f"step {step:.6g} s at t={t:.6g} s deviates from nominal "
+                          f"{nominal:.6g} s by more than 10%")
+            issues.append(ValidationIssue(severity, code, f"actor {actor_id!r}: {detail}", t,
+                                          actor_id))
+    for t, a, b in _contacts(trace):
+        issues.append(ValidationIssue("warning", "collision",
+                                      f"actors {a!r} and {b!r} overlap at t={t:.6g} s", t, a))
     return ValidationReport(issues=tuple(issues))
 
 

@@ -297,7 +297,7 @@ def test_compare_identical_runs_ok(workdir, sim_out):
     code = main([
         "compare",
         "--reference", str(ref),
-        "--runs", str(ref),
+        "--runs", str(_copy_trace(sim_out, workdir / "cmp_ok_copy")),
         "--out", str(out),
     ])
     assert code == 0
@@ -370,7 +370,8 @@ def test_compare_missing_actor_names_file_before_any_dtw(sim_out, tmp_path, caps
 def test_compare_logs_stage_counts(workdir, sim_out, caplog, capsys):
     ref = sim_out / "traces" / "cli_demo_0.csv"
     other = sim_out / "traces" / "cli_demo_1.csv"
-    argv = ["compare", "--reference", str(ref), "--runs", str(ref), str(other)]
+    copy = _copy_trace(sim_out, workdir / "cmp_logs_copy")
+    argv = ["compare", "--reference", str(ref), "--runs", str(copy), str(other)]
     main(argv + ["--out", str(workdir / "cmp_quiet")])
     quiet = capsys.readouterr().out
     caplog.set_level(logging.INFO, logger="scenq")
@@ -415,6 +416,24 @@ def test_sweep_outputs(workdir, sweep_mini):
     assert set(findings) == {"min_euclidean_distance", "min_wttc", "min_gap_time"}
     scalars = (out / "sweep_scalars.jsonl").read_text().splitlines()
     assert len(scalars) == 7 * 3
+
+
+def test_sweep_values_come_from_the_scenarios(sweep_mini, tmp_path, monkeypatch):
+    """The swept value of a run is its scenario's binding, not read back from
+    the bindings the simulator notes in the trace metadata."""
+    argv = ["sweep", "--scenario", str(sweep_mini), "--config", str(DATA / "sweep_config.json")]
+    assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+
+    def without_bindings(scenarios, config):
+        outcomes = simulate_batch(scenarios, config)
+        for o in outcomes:
+            assert o.trace.metadata.pop("binding_ego_start_x")
+        return outcomes
+
+    monkeypatch.setattr("scenq.cli.simulate_batch", without_bindings)
+    assert main(argv + ["--out", str(tmp_path / "bare")]) == 0
+    for name in ("sweep.csv", "gap_findings.json", "sweep_scalars.jsonl"):
+        assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_sweep_rejects_multi_parameter_scenario(workdir):
@@ -797,6 +816,85 @@ def test_bad_criteria_file_exits_2_naming_it(sim_out, tmp_path, capsys, payload,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {criteria}: ")
     assert expected in err
+
+
+def _gated_criterion(evaluation: str) -> dict:
+    """A criterion using every key a criteria file knows, judged by a threshold or a scale."""
+    leaf = {"signal": "speed", "actor": "ego", "comparator": ">", "bound": 0.0, "unit": "m/s"}
+    return {
+        "criterion_id": "gated", "metric": "euclidean_distance", "perspective": "sut",
+        "params": {"actor_a": "ego", "actor_b": "pedestrian"},
+        evaluation: {"comparator": ">", "value": 0.2, "unit": "m"} if evaluation == "threshold"
+        else {"breakpoints": [[0.0, 0.5], [2.0, 1.0]], "unit": "m"},
+        "application_period": {
+            "start_condition": {"all": [leaf, {"any": [dict(leaf, actor="pedestrian"), {
+                "signal": "metric_value", "metric": "ttc", "params": {"ego": "ego",
+                "target": "pedestrian"}, "actor_b": "pedestrian", "comparator": "<",
+                "bound": 9.0, "unit": "s"}]}]},
+            "stop": {"kind": "event", "event": "actor_passed_conflict", "actor": "ego"}},
+    }
+
+
+@pytest.mark.parametrize("evaluation, where, what, key", [
+    ("threshold", (), "criterion", "aplication_period"),
+    ("threshold", (), "criterion", "perspectiv"),
+    ("threshold", ("threshold",), "threshold", "unti"),
+    ("scale", ("scale",), "scale", "unti"),
+    ("threshold", ("application_period",), "application_period", "sotp"),
+    ("threshold", ("application_period", "start_condition"), "condition", "any"),
+    ("threshold", ("application_period", "start_condition", "all", 0), "condition", "untis"),
+    ("threshold", ("application_period", "start_condition", "all", 1, "any", 1), "condition",
+     "metric_params"),
+    ("threshold", ("application_period", "stop"), "stop", "knid"),
+])
+def test_unknown_criteria_key_exits_2_naming_file_and_key(sim_out, tmp_path, capsys,
+                                                          evaluation, where, what, key):
+    criterion = _gated_criterion(evaluation)
+    criteria = tmp_path / "criteria.json"
+    criteria.write_text(json.dumps({"criteria": [criterion]}))
+    assert _evaluate(sim_out / "traces", criteria, tmp_path / "ok") == 0
+    node = criterion
+    for step in where:
+        node = node[step]
+    node[key] = "x"
+    criteria.write_text(json.dumps({"criteria": [criterion]}))
+    assert _evaluate(sim_out / "traces", criteria, tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: {criteria}: unknown {what} keys: ['{key}']\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+@pytest.mark.parametrize("twice", ["same_file", "other_spelling", "file_in_directory"])
+def test_trace_file_reached_twice_exits_2_naming_it(sim_out, criteria_ok, tmp_path, capsys,
+                                                    command, twice):
+    traces = sim_out / "traces"
+    other = traces / "cli_demo_1.csv"
+    given = {
+        "same_file": [other, other],
+        "other_spelling": [other, traces / ".." / "traces" / other.name],
+        "file_in_directory": [traces, other],
+    }[twice]
+    args = {
+        "evaluate": ["--criteria", str(criteria_ok), "--traces"],
+        "compare": ["--reference", str(traces / "cli_demo_0.csv"), "--runs"],
+    }[command]
+    assert main([command, *args, *map(str, given), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {given[1]}: trace file is listed twice\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_skips_the_reference_among_the_runs(sim_out, tmp_path):
+    traces = sim_out / "traces"
+    ref = traces / "cli_demo_0.csv"
+    for runs in ([traces], [ref, traces / "cli_demo_1.csv"]):
+        out = tmp_path / f"cmp_{len(runs)}"
+        argv = ["compare", "--reference", str(ref), "--runs", *map(str, runs), "--out", str(out)]
+        assert main(argv) == 1  # the ego of the faster run drifts
+        payload = json.loads((out / "repeatability.json").read_text())
+        assert [(e["run_id"], e["actor_id"]) for e in payload["entries"]] == [
+            ("cli_demo#1", "ego"), ("cli_demo#1", "pedestrian")]
+        assert json.loads((out / "manifest.json").read_text())["inputs"] == [
+            str(ref), str(traces / "cli_demo_1.csv")]
 
 
 @pytest.mark.parametrize("name, key, value, expected", [

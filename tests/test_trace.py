@@ -30,7 +30,10 @@ from scenq import (
 )
 from scenq.geometry import normalize_angles
 from scenq.nano import euclidean_distance
-from scenq.trace import CSV_COLUMNS, common_grid, write_traces
+from scenq.trace import (
+    CSV_COLUMNS, GAP_FACTOR, SAMPLING_TOLERANCE, ValidationIssue, ValidationReport, common_grid,
+    sample_pair, write_traces,
+)
 
 
 def straight_track(actor_id="car", n=11, dt=0.1, speed=5.0, y=0.0,
@@ -308,6 +311,134 @@ def test_tracks_on_different_times_are_sampled_on_the_union_of_their_times():
     assert common_grid(trace, ("car", "walker")).tolist() == [
         0.05, 0.1, 0.2, 0.25, 0.3, 0.35, 0.4]
     assert common_grid(trace, ("car",)) is car.times
+
+
+def validate_trace_loop(trace: Trace) -> ValidationReport:
+    """Reference for ``validate_trace``: one step at a time, one pair at a time."""
+    issues: list[ValidationIssue] = []
+    nominal = trace.time_step
+    for actor_id in trace.actor_ids():
+        track = trace.tracks[actor_id]
+        steps = np.diff(track.times)
+        for i, step in enumerate(steps):
+            if step >= GAP_FACTOR * nominal - 1e-9:
+                issues.append(ValidationIssue(
+                    severity="error",
+                    code="actor_availability",
+                    message=(f"actor {actor_id!r}: {step:.6g} s hole after "
+                             f"t={track.times[i]:.6g} s (nominal step {nominal:.6g} s)"),
+                    time=float(track.times[i]),
+                    actor_id=actor_id,
+                ))
+            elif abs(step - nominal) > SAMPLING_TOLERANCE * nominal:
+                issues.append(ValidationIssue(
+                    severity="warning",
+                    code="sampling",
+                    message=(f"actor {actor_id!r}: step {step:.6g} s at t={track.times[i]:.6g} "
+                             f"s deviates from nominal {nominal:.6g} s by more than 10%"),
+                    time=float(track.times[i]),
+                    actor_id=actor_id,
+                ))
+    ids = trace.actor_ids()
+    for i, a_id in enumerate(ids):
+        for b_id in ids[i + 1:]:
+            times, sa, sb = sample_pair(trace, a_id, b_id)
+            dist = np.hypot(sa["x"] - sb["x"], sa["y"] - sb["y"])
+            r_sum = trace.track(a_id).radius + trace.track(b_id).radius
+            touching = np.concatenate([[False], dist <= r_sum])
+            for t in times[np.flatnonzero(touching[1:] & ~touching[:-1])].tolist():
+                issues.append(ValidationIssue(
+                    severity="warning",
+                    code="collision",
+                    message=f"actors {a_id!r} and {b_id!r} overlap at t={t:.6g} s",
+                    time=t,
+                    actor_id=a_id,
+                ))
+    return ValidationReport(issues=tuple(issues))
+
+
+def assert_validation_is_the_loop(trace: Trace) -> tuple[ValidationIssue, ...]:
+    issues = validate_trace(trace).issues
+    assert issues == validate_trace_loop(trace).issues
+    contacts = [i.time for i in issues if i.code == "collision"]
+    assert first_contact_time(trace) == min(contacts, default=None)
+    return issues
+
+
+def test_validate_equals_loop_on_bundled_grid(batch600):
+    codes = set()
+    for outcome in batch600[1]:
+        issues = assert_validation_is_the_loop(outcome.trace)
+        codes.update(i.code for i in issues)
+        assert outcome.collided == any(i.code == "collision" for i in issues)
+    assert codes == {"collision"}  # simulated runs sample evenly
+
+
+def resampled(trace: Trace, rng: np.random.Generator, keep: float, jitter: float) -> Trace:
+    """The trace with each inner sample kept with probability ``keep`` and every
+    inner time moved by up to ``jitter`` nominal steps, still increasing."""
+    tracks = {}
+    for actor_id, track in trace.tracks.items():
+        n = len(track)
+        kept = np.flatnonzero((rng.random(n) < keep) | (np.arange(n) % (n - 1) == 0))
+        times = track.times + rng.uniform(-jitter, jitter, n) * trace.time_step
+        times[[0, -1]] = track.times[[0, -1]]
+        columns = [getattr(track, f)[kept] for f in ("xs", "ys", "headings", "speeds", "accels")]
+        tracks[actor_id] = ActorTrack(actor_id, track.actor_class, track.radius,
+                                      times[kept], *columns)
+    return Trace(trace.scenario_id, trace.time_step, tracks)
+
+
+def test_validate_equals_loop_on_thinned_and_jittered_traces(batch600):
+    rng = np.random.default_rng(2020)
+    counts = dict.fromkeys(("actor_availability", "sampling", "collision"), 0)
+    for outcome in batch600[1][::10]:
+        trace = resampled(outcome.trace, rng, keep=rng.uniform(0.6, 1.0),
+                          jitter=rng.uniform(0.0, 0.3))
+        for issue in assert_validation_is_the_loop(trace):
+            counts[issue.code] += 1
+    assert min(counts.values()) > 0, counts
+
+
+def test_validate_equals_loop_on_seeded_crossing_walks():
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        tracks = {}
+        for k in range(rng.integers(2, 5)):
+            n = int(rng.integers(5, 40))
+            times = np.cumsum(rng.choice([0.1, 0.1, 0.1, 0.12, 0.25], n)) - 0.1
+            xs = np.cumsum(rng.normal(0.0, 1.0, n)) - 3.0 * k
+            tracks[f"a{k}"] = ActorTrack(f"a{k}", ActorClass.PEDESTRIAN, 1.0, times, xs=xs,
+                                         ys=rng.normal(0.0, 1.0, n), headings=np.zeros(n),
+                                         speeds=np.zeros(n), accels=np.zeros(n))
+        try:
+            trace = Trace("walk", 0.1, tracks)
+        except TraceError:
+            continue  # no common span
+        assert_validation_is_the_loop(trace)
+
+
+@pytest.mark.parametrize("nominal", [0.1, 0.05, 0.02, 10.0])
+def test_validate_equals_loop_at_the_hole_and_jitter_edges(nominal):
+    # at 10 s the jitter edges 9 s and 11 s are off by exactly the 1 s tolerance
+    hole = GAP_FACTOR * nominal - 1e-9
+    edges = [hole, np.nextafter(hole, 0.0), np.nextafter(hole, np.inf)]
+    for sign in (-1.0, 1.0):
+        edge = nominal + sign * SAMPLING_TOLERANCE * nominal
+        edges += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]
+    # one actor per edge step, each then taking a nominal step, all from t = 0
+    tracks = {f"a{k}": ActorTrack(f"a{k}", ActorClass.VEHICLE, 0.1,
+                                  np.array([0.0, step, step + nominal]),
+                                  np.full(3, 10.0 * k), *np.zeros((4, 3)))
+              for k, step in enumerate(edges)}
+    issues = assert_validation_is_the_loop(Trace("edges", nominal, tracks))
+    first = {i.actor_id: i.code for i in issues if i.time == 0.0}
+    assert first["a0"] == "actor_availability"
+    assert first["a1"] == "sampling"
+    assert first["a2"] == "actor_availability"
+    assert first["a4"] == first["a8"] == "sampling"
+    if nominal == 10.0:
+        assert "a3" not in first and "a6" not in first
 
 
 # ---------------------------------------------------------------------------
