@@ -400,8 +400,9 @@ def test_validate_equals_loop_on_thinned_and_jittered_traces(batch600):
     assert min(counts.values()) > 0, counts
 
 
-def test_validate_equals_loop_on_seeded_crossing_walks():
+def test_validate_equals_loop_on_seeded_random_walks():
     rng = np.random.default_rng(7)
+    codes = set()
     for _ in range(40):
         tracks = {}
         for k in range(rng.integers(2, 5)):
@@ -415,7 +416,8 @@ def test_validate_equals_loop_on_seeded_crossing_walks():
             trace = Trace("walk", 0.1, tracks)
         except TraceError:
             continue  # no common span
-        assert_validation_is_the_loop(trace)
+        codes.update(i.code for i in assert_validation_is_the_loop(trace))
+    assert codes == {"actor_availability", "sampling", "collision"}
 
 
 @pytest.mark.parametrize("nominal", [0.1, 0.05, 0.02, 10.0])
