@@ -196,6 +196,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     traces = [load_trace_file(p) for p in trace_paths]
     criteria = load_criteria(args.criteria)
     report = evaluate_suite(criteria, traces, perspective=args.perspective, level=args.level)
+    if not report.verdicts:
+        raise ScenqError(f"{args.criteria}: no criterion of perspective "
+                         f"{args.perspective or 'any'} and level {args.level or 'any'}")
     del traces  # freed before the files are written, which need only the judged series
 
     params = {c.criterion_id: c.metric_params for c in criteria}
@@ -224,6 +227,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # the reference is no run of its own, also where --runs holds it
     skipped = Path(args.reference).resolve()
     run_paths = [p for p in _collect_trace_paths(args.runs) if p.resolve() != skipped]
+    if not run_paths:
+        raise ScenqError(f"{args.reference}: no run to compare but the reference")
     runs = [load_trace_file(p) for p in run_paths]
     log.info("loaded %d traces (reference + %d runs)", 1 + len(runs), len(runs))
     actor_ids = args.actors.split(",") if args.actors else reference.actor_ids()

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import registry
-from .errors import CriterionError, UnitMismatchError, in_file
+from .errors import CriterionError, UnitMismatchError, fields, in_file, number
 from .micro import in_periods, margin_runs
 from .nano import conflict_point
 from .results import MetricResult, MetricSeries, ScalarResult
@@ -519,21 +519,11 @@ _CRITERION_KEYS = {"criterion_id", "metric", "threshold", "scale", "application_
                    "perspective"}
 
 
-def _fields(data, known: set[str], what: str) -> Mapping:
-    """``data``, an object holding no key outside ``known``."""
-    if not isinstance(data, Mapping):
-        raise TypeError(f"{what} must be an object, got {data!r}")
-    unknown = set(data) - known
-    if unknown:
-        raise CriterionError(f"unknown {what} keys: {sorted(unknown)}")
-    return data
-
-
 def _condition_from_dict(data: Mapping) -> ConditionNode:
-    data = _fields(data, _LEAF_KEYS | {"all", "any"}, "condition")
+    data = fields(data, _LEAF_KEYS | {"all", "any"}, "condition", CriterionError)
     for op in ("all", "any"):
         if op in data:
-            children = _fields(data, {op}, "condition")[op]
+            children = fields(data, {op}, "condition", CriterionError)[op]
             return ConditionNode(op=op, children=tuple(_condition_from_dict(c) for c in children))
     try:
         return ConditionNode(
@@ -544,7 +534,7 @@ def _condition_from_dict(data: Mapping) -> ConditionNode:
             metric=data.get("metric"),
             metric_params=data.get("params", {}),
             comparator=data["comparator"],
-            bound=float(data["bound"]),
+            bound=number(data["bound"], "condition bound"),
             unit=str(data.get("unit", "")),
         )
     except KeyError as exc:
@@ -554,10 +544,10 @@ def _condition_from_dict(data: Mapping) -> ConditionNode:
 def _stop_from_dict(data: Mapping | None) -> StopRule:
     if not data:
         return StopRule()
-    data = _fields(data, {"kind", "duration", "event", "actor"}, "stop")
+    data = fields(data, {"kind", "duration", "event", "actor"}, "stop", CriterionError)
     return StopRule(
         kind=data.get("kind", STOP_ON_CONDITION),
-        duration=float(data["duration"]) if "duration" in data else None,
+        duration=number(data["duration"], "stop duration") if "duration" in data else None,
         event=data.get("event"),
         actor=data.get("actor"),
     )
@@ -567,25 +557,28 @@ def _criterion_from_dict(data: Mapping) -> QualityCriterion:
     if not isinstance(data, Mapping):
         raise CriterionError(f"criterion must be an object, got {data!r}")
     try:
-        _fields(data, _CRITERION_KEYS, "criterion")
+        fields(data, _CRITERION_KEYS, "criterion", CriterionError)
         if ("threshold" in data) == ("scale" in data):
             raise CriterionError(
                 f"criterion {data.get('criterion_id')!r} needs exactly one of threshold or scale"
             )
         if "threshold" in data:
-            t = _fields(data["threshold"], {"comparator", "value", "unit"}, "threshold")
+            t = fields(data["threshold"], {"comparator", "value", "unit"}, "threshold",
+                       CriterionError)
             evaluation: Threshold | Scale = Threshold(
-                comparator=t["comparator"], value=float(t["value"]), unit=str(t.get("unit", ""))
+                comparator=t["comparator"], value=number(t["value"], "threshold value"),
+                unit=str(t.get("unit", "")),
             )
         else:
-            s = _fields(data["scale"], {"breakpoints", "unit"}, "scale")
+            s = fields(data["scale"], {"breakpoints", "unit"}, "scale", CriterionError)
             evaluation = Scale(
-                breakpoints=tuple((float(b), float(v)) for b, v in s["breakpoints"]),
+                breakpoints=tuple((number(b, "breakpoint bound"), number(v, "breakpoint score"))
+                                  for b, v in s["breakpoints"]),
                 unit=str(s.get("unit", "")),
             )
         if "application_period" in data:
-            p = _fields(data["application_period"], {"start_condition", "stop"},
-                        "application_period")
+            p = fields(data["application_period"], {"start_condition", "stop"},
+                       "application_period", CriterionError)
             period = ApplicationPeriod(
                 start_condition=_condition_from_dict(p["start_condition"]),
                 stop=_stop_from_dict(p.get("stop")),

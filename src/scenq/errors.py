@@ -1,11 +1,12 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the rules input files are read by."""
 
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Iterator, Mapping
 
 
 class ScenqError(Exception):
@@ -67,3 +68,21 @@ def in_file(path: str | Path, error: type[ScenqError]) -> Iterator[None]:
     except error as exc:
         exc.args = (f"{path}: {exc}",)
         raise
+
+
+def fields(data: Any, known: set[str], what: str, error: type[ScenqError]) -> Mapping:
+    """``data``, checked to be an object (else TypeError) with known keys (else ``error``)."""
+    if not isinstance(data, Mapping):
+        raise TypeError(f"{what} must be an object, got {data!r}")
+    unknown = set(data) - known
+    if unknown:
+        raise error(f"unknown {what} keys: {sorted(unknown)}")
+    return data
+
+
+def number(value: Any, what: str) -> float:
+    """``value`` as a float if it is a finite JSON number (no bool); else ValueError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:  # exact for any int, so also one too large
+            return float(value)
+    raise ValueError(f"{what} must be a finite number, got {value!r}")

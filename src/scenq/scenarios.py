@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from .errors import ScenarioError, in_file
+from .errors import ScenarioError, fields, in_file, number
 
 
 def _snap_tolerance(maximum: float) -> float:
@@ -176,28 +176,18 @@ def logical_from_dict(data: Mapping) -> LogicalScenario:
     if not isinstance(data, Mapping):
         raise ScenarioError(f"logical scenario must be an object, got {data!r}")
     try:
-        extra = set(data) - _SCENARIO_KEYS
-        if extra:
-            raise ScenarioError(f"unknown scenario keys: {sorted(extra)}")
+        fields(data, _SCENARIO_KEYS, "scenario", ScenarioError)
+        parameters = []
         for p in data.get("parameters", []):
-            bad = set(p) - _PARAMETER_KEYS
-            if bad:
-                raise ScenarioError(f"unknown parameter keys: {sorted(bad)}")
-        parameters = tuple(
-            ParameterRange(
-                name=str(p["name"]),
-                minimum=float(p["min"]),
-                maximum=float(p["max"]),
-                step=float(p["step"]),
-                unit=str(p.get("unit", "")),
-            )
-            for p in data.get("parameters", [])
-        )
+            fields(p, _PARAMETER_KEYS, "parameter", ScenarioError)
+            name = str(p["name"])
+            bounds = [number(p[k], f"parameter {name!r} {k}") for k in ("min", "max", "step")]
+            parameters.append(ParameterRange(name, *bounds, unit=str(p.get("unit", ""))))
         return LogicalScenario(
             scenario_id=str(data["scenario_id"]),
             description=str(data.get("description", "")),
             parameters=parameters,
-            fixed={str(k): float(v) for k, v in data.get("fixed", {}).items()},
+            fixed={str(k): number(v, f"fixed {k!r}") for k, v in data.get("fixed", {}).items()},
         )
     except KeyError as exc:
         raise ScenarioError(f"logical scenario file missing key {exc.args[0]!r}") from None

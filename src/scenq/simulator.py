@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import SimulationError, in_file
+from .errors import SimulationError, fields, in_file, number
 from .geometry import cumulative_arc, first_polyline_crossing
 from .scenarios import ConcreteScenario
 from .trace import DEFAULT_RADII, ActorClass, ActorTrack, Trace
@@ -367,18 +367,17 @@ def sim_config_from_dict(data: Mapping) -> SimConfig:
         raise SimulationError(f"sim config must be an object, got {data!r}")
     floats = ("time_step", "max_duration", "street_width", "comfort_decel", "max_decel",
               "trigger_gap_time")
+    routes = ("ego_route", "ped_crossing")
     try:
-        kwargs: dict = {key: float(data[key]) for key in floats if key in data}
-        for key in ("ego_route", "ped_crossing"):
+        fields(data, {*floats, *routes, "ego_start_speed"}, "config", SimulationError)
+        kwargs: dict = {key: number(data[key], key) for key in floats if key in data}
+        for key in routes:
             if key in data:
-                kwargs[key] = tuple((float(x), float(y)) for x, y in data[key])
+                kwargs[key] = tuple((number(x, key), number(y, key)) for x, y in data[key])
         if data.get("ego_start_speed") is not None:
-            kwargs["ego_start_speed"] = float(data["ego_start_speed"])
-        unknown = set(data) - set(floats) - {"ego_route", "ped_crossing", "ego_start_speed"}
+            kwargs["ego_start_speed"] = number(data["ego_start_speed"], "ego_start_speed")
     except (TypeError, ValueError) as exc:
         raise SimulationError(f"malformed sim config: {exc}") from None
-    if unknown:
-        raise SimulationError(f"unknown config keys: {sorted(unknown)}")
     return SimConfig(**kwargs)
 
 

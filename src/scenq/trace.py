@@ -22,11 +22,11 @@ from enum import Enum
 from functools import cached_property
 from itertools import combinations
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import MetricError, TraceError, TraceParseError, in_file
+from .errors import MetricError, TraceError, TraceParseError, in_file, number
 from .geometry import cumulative_arc, normalize_angles
 
 #: Numeric columns in the order the codec holds them; accel_mps2 may be absent.
@@ -361,8 +361,9 @@ def _central_diff(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 _CSV_DIALECT = {"delimiter": ",", "quotechar": '"', "comments": None}
 #: Rows formatted per block when writing.
 _WRITE_BLOCK = 1024
-#: What a reader returns: line numbers, actor ids, actor classes and numeric columns per row.
-_Rows = tuple[Sequence[int], list[str], np.ndarray, np.ndarray]
+#: What a reader returns: line numbers, actor ids, actor classes and numeric columns of the
+#: rows up to its first bad row, and that row (line number, problem, actor id) or None.
+_Rows = tuple[Sequence[int], list[str], np.ndarray, np.ndarray, tuple[int, str, str | None] | None]
 
 
 def _split_csv_line(line: str) -> list[str]:
@@ -379,7 +380,7 @@ def _group_rows(
     Raises for the earliest offending row: a class other than the actor's
     first, or a time not after its previous one (on one row, the class)."""
     rank: dict[str, int] = {}
-    codes = np.array([rank.setdefault(actor_id, len(rank)) for actor_id in ids])
+    codes = np.array([rank.setdefault(actor_id, len(rank)) for actor_id in ids], dtype=int)
     _, first = np.unique(codes, return_index=True)
     class_rows = np.flatnonzero(classes != classes[first[codes]])
     order = np.argsort(codes, kind="stable")
@@ -401,11 +402,11 @@ def _group_rows(
     raise TraceParseError(f"line {line_nos[k]}: {problem}", line=line_nos[k], actor_id=ids[k])
 
 
-def _record_columns(line_nos: Sequence[int], records: list[dict], keys: tuple[str, ...]) -> _Rows:
-    """Columns of rows held as dicts (a missing field reads None), numbers
-    converted row by row with ``float``. At the first value ``float``
-    rejects, the rows up to it are checked first: a class change on or
-    before that row, or a bad time before it, is the error reported."""
+def _record_columns(line_nos: Sequence[int], records: list[dict], keys: tuple[str, ...],
+                    bad: tuple[int, str, str | None] | None) -> _Rows:
+    """Columns of rows held as dicts (a missing field reads None), numbers converted row by
+    row with ``float``, and ``bad``, the bad row after them, unless ``float`` rejects a value
+    first: that row is the bad one, kept with NaN values so that its class is still checked."""
     ids = [str(r.get("actor_id")) for r in records]
     classes = np.array([str(r.get("actor_class")) for r in records], dtype=object)
     values: list[list[float]] = []
@@ -413,12 +414,11 @@ def _record_columns(line_nos: Sequence[int], records: list[dict], keys: tuple[st
         try:
             values.append([float(record.get(key)) for key in keys])
         except (TypeError, ValueError) as exc:
-            times = np.array([v[0] for v in values] + [math.nan])
-            _group_rows(line_nos[: k + 1], ids[: k + 1], classes[: k + 1], times)
-            raise TraceParseError(
-                f"line {line_nos[k]}: non-numeric value ({exc})", line=line_nos[k], actor_id=ids[k]
-            ) from None
-    return line_nos, ids, classes, np.array(values)
+            values.append([math.nan] * len(keys))
+            bad = (line_nos[k], f"non-numeric value ({exc})", ids[k])
+            line_nos, ids, classes = line_nos[: k + 1], ids[: k + 1], classes[: k + 1]
+            break
+    return line_nos, ids, classes, np.array(values).reshape(-1, len(keys)), bad
 
 
 def _read_csv(text: str) -> _Rows:
@@ -447,70 +447,65 @@ def _read_csv(text: str) -> _Rows:
                             usecols=(index["actor_id"], index["actor_class"], *last))
         commas = text.count(",") - lines[0].count(",")
         if len(values) == len(labels) == len(rows) and commas == (len(names) - 1) * len(rows):
-            return line_nos, labels[:, 0].tolist(), labels[:, 1], values  # no quote joined lines
+            return line_nos, labels[:, 0].tolist(), labels[:, 1], values, None  # no lines joined
     except ValueError:
         pass
-    # error path: each line on its own; float() finds the first bad value, and the
-    # first row of the wrong width is reported once the rows before it pass
+    # error path: each line on its own, float() on the rows before the first of wrong width
     fields = [_split_csv_line(line) for line in rows]
     k = next((k for k, row in enumerate(fields) if len(row) != len(names)), len(rows))
-    parsed = _record_columns(line_nos[:k], [dict(zip(names, row)) for row in fields[:k]], keys)
-    if k == len(rows):
-        return parsed
-    if k:
-        _group_rows(*parsed[:3], parsed[3][:, 0])
-    raise TraceParseError(
-        f"line {line_nos[k]}: {len(fields[k])} fields, header has {len(names)}",
-        line=line_nos[k], actor_id=dict(zip(names, fields[k])).get("actor_id"),
-    )
+    bad = None if k == len(rows) else (
+        line_nos[k], f"{len(fields[k])} fields, header has {len(names)}",
+        dict(zip(names, fields[k])).get("actor_id"))
+    return _record_columns(line_nos[:k], [dict(zip(names, row)) for row in fields[:k]], keys, bad)
 
 
 def _read_jsonl(text: str) -> _Rows:
     """Line numbers, actor ids, actor classes and numeric columns of JSONL rows. A line
-    that is not an object with every required key is reported once the rows before pass."""
+    that is not an object with every required key is a bad row."""
     line_nos: list[int] = []
     records: list[dict] = []
-    problem = actor = None
+    bad = None
     for i, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            problem = f"invalid JSON ({exc.msg})"
+            bad = (i, f"invalid JSON ({exc.msg})", None)
             break
         if not isinstance(record, dict):
-            problem = "row is not an object"
+            bad = (i, "row is not an object", None)
             break
         missing = [c for c in CSV_COLUMNS if c != "accel_mps2" and c not in record]
         if missing:
-            problem = f"missing keys: {', '.join(missing)}"
             actor = str(record["actor_id"]) if "actor_id" in record else None
+            bad = (i, f"missing keys: {', '.join(missing)}", actor)
             break
         line_nos.append(i)
         records.append(record)
-    if not records and problem is None:
+    if not records and bad is None:
         raise TraceParseError("no data rows")
     has_accel = all("accel_mps2" in r for r in records)
     keys = _NUMERIC_COLUMNS if has_accel else _NUMERIC_COLUMNS[:-1]
-    rows = _record_columns(line_nos, records, keys)
-    if problem is None:
-        return rows
-    if records:
-        _group_rows(*rows[:3], rows[3][:, 0])
-    raise TraceParseError(f"line {i}: {problem}", line=i, actor_id=actor)
+    return _record_columns(line_nos, records, keys, bad)
 
 
-def _assemble(
-    line_nos: Sequence[int], ids: list[str], classes: np.ndarray, values: np.ndarray, *,
-    scenario_id: str, time_step: float | None, metadata: Mapping[str, str] | None,
-) -> Trace:
-    """Build a trace from per-row columns in file order.
-
-    ``values`` has one row per input row: time, x, y, heading, speed and,
-    when the input carries it, acceleration.
-    """
+def _assemble(rows: _Rows, *, scenario_id: str, time_step: float | None,
+              metadata: Mapping[str, str] | None) -> Trace:
+    """Build a trace from a reader's rows, or raise for the earliest bad row, the reader's
+    or one holding a non-finite value (found before any arithmetic on the values). The
+    values have one row per input row: time, x, y, heading, speed and, when the input
+    carries it, acceleration."""
+    line_nos, ids, classes, values, bad = rows
+    nonfinite = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if nonfinite.size and (bad is None or line_nos[nonfinite[0]] < bad[0]):
+        k, j = int(nonfinite[0]), int(np.argmin(np.isfinite(values[nonfinite[0]])))
+        bad = (line_nos[k], f"non-finite {_NUMERIC_COLUMNS[j]} ({values[k, j]})", ids[k])
+        line_nos, ids, classes, values = (c[: k + 1] for c in (line_nos, ids, classes, values))
     actors, order, counts = _group_rows(line_nos, ids, classes, values[:, 0])
+    if bad is not None:  # the rows before it are fine
+        line, problem, actor = bad
+        raise TraceParseError(f"line {line}: {problem}", line=line, actor_id=actor)
     columns = values[order].T.copy()  # one contiguous row per field, grouped by actor
     ends = np.cumsum(counts)
     meta = dict(metadata or {})
@@ -548,7 +543,7 @@ def _assemble(
 
 
 def load_trace(
-    source: str | bytes | IO,
+    source: str,
     fmt: TraceFormat | str = TraceFormat.CSV,
     *,
     scenario_id: str = "trace",
@@ -560,7 +555,7 @@ def load_trace(
     Blank lines are skipped; error line numbers count them.
 
     Args:
-        source: Text, bytes or a file object holding the serialized trace.
+        source: Text of the serialized trace.
         fmt: Serialization format of ``source``.
         scenario_id: Scenario id to stamp onto the trace.
         time_step: Nominal sampling interval; inferred as the median step
@@ -574,11 +569,8 @@ def load_trace(
         TraceParseError: On malformed rows, duplicate or non-monotonic
             timestamps, unknown actor classes or fewer than 2 states.
     """
-    fmt = TraceFormat(fmt)
-    text = source if isinstance(source, (str, bytes)) else source.read()
-    text = text.decode("utf-8") if isinstance(text, bytes) else text
-    columns = _read_csv(text) if fmt is TraceFormat.CSV else _read_jsonl(text)
-    return _assemble(*columns, scenario_id=scenario_id, time_step=time_step, metadata=metadata)
+    rows = _read_csv(source) if TraceFormat(fmt) is TraceFormat.CSV else _read_jsonl(source)
+    return _assemble(rows, scenario_id=scenario_id, time_step=time_step, metadata=metadata)
 
 
 def _csv_field(text: str) -> str:
@@ -708,10 +700,11 @@ def load_trace_file(path: str | Path) -> Trace:
             time_step = info.get("time_step")
             if not isinstance(scenario_id, str) or not scenario_id:
                 raise TraceParseError("'scenario_id' must be a non-empty string")
-            # json gives int, float or bool for a number; a bool is not a time step
-            if time_step is not None and (type(time_step) not in (int, float)
-                                          or not 0.0 < time_step < math.inf):
-                raise TraceParseError("'time_step' must be a positive finite number")
+            try:  # number() turns away a bool, a string and an int too large for a double
+                if time_step is not None and not (time_step := number(time_step, "")) > 0:
+                    raise ValueError
+            except ValueError:
+                raise TraceParseError("'time_step' must be a positive finite number") from None
         metadata = {str(k): str(v) for k, v in info.get("metadata", {}).items()}
     with in_file(path, TraceError):
         return load_trace(path.read_text(encoding="utf-8"), fmt, scenario_id=scenario_id,

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -334,7 +335,8 @@ def test_compare_flags_drift(workdir, sim_out):
 
 def test_compare_rejects_nan_threshold(workdir, sim_out, capsys):
     ref = sim_out / "traces" / "cli_demo_0.csv"
-    argv = ["compare", "--reference", str(ref), "--runs", str(ref)]
+    copy = _copy_trace(sim_out, workdir / "cmp_nan_copy")
+    argv = ["compare", "--reference", str(ref), "--runs", str(copy)]
     code = main(argv + ["--threshold", "nan", "--out", str(workdir / "cmp_nan")])
     assert code == 2
     assert "threshold must be >= 0, got nan" in capsys.readouterr().err
@@ -344,7 +346,8 @@ def test_compare_rejects_nan_threshold(workdir, sim_out, capsys):
 def test_compare_rejects_a_repeated_actor(workdir, sim_out, capsys):
     ref = sim_out / "traces" / "cli_demo_0.csv"
     out = workdir / "cmp_twice"
-    code = main(["compare", "--reference", str(ref), "--runs", str(ref), "--actors", "ego,ego",
+    copy = _copy_trace(sim_out, workdir / "cmp_twice_copy")
+    code = main(["compare", "--reference", str(ref), "--runs", str(copy), "--actors", "ego,ego",
                  "--out", str(out)])
     assert code == 2
     assert "error: actor 'ego' is listed twice" in capsys.readouterr().err
@@ -509,7 +512,8 @@ def test_failed_write_leaves_out_as_it_was(workdir, mini_scenario, sim_out, crit
                                            sweep_mini, tmp_path, monkeypatch, capsys,
                                            command, existing):
     trace = str(sim_out / "traces" / "cli_demo_0.csv")
-    compare = ["compare", "--reference", trace, "--runs", trace]
+    copy = str(_copy_trace(sim_out, workdir / f"failed_write_{command}_{existing}"))
+    compare = ["compare", "--reference", trace, "--runs", copy]
     if command == "report":
         assert main(compare + ["--out", str(workdir / "cmp_for_report")]) == 0
     args = {
@@ -588,8 +592,9 @@ def test_simulate_again_replaces_what_it_writes(mini_scenario, tmp_path):
 
 def test_out_name_of_250_characters(sim_out, tmp_path):
     ref = str(sim_out / "traces" / "cli_demo_0.csv")
+    copy = str(_copy_trace(sim_out, sim_out.parent / "long_out_copy"))
     out = tmp_path / ("o" * 250)
-    assert main(["compare", "--reference", ref, "--runs", ref, "--out", str(out)]) == 0
+    assert main(["compare", "--reference", ref, "--runs", copy, "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "repeatability.json"]
     assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
@@ -725,6 +730,8 @@ def _evaluate(traces, criteria, out) -> int:
     ('{"scenario_id": "cli_demo#0", "time_step": "0.01"}', "'time_step' must be a positive"),
     ('{"scenario_id": "cli_demo#0", "time_step": -1}', "'time_step' must be a positive"),
     ('{"scenario_id": "cli_demo#0", "time_step": true}', "'time_step' must be a positive"),
+    pytest.param('{"scenario_id": "cli_demo#0", "time_step": 1' + "0" * 400 + "}",
+                 "'time_step' must be a positive", id="time_step_of_401_digits"),
     ('{"scenario_id": 7, "time_step": 0.01}', "'scenario_id' must be a non-empty string"),
     ('{"scenario_id": "", "time_step": 0.01}', "'scenario_id' must be a non-empty string"),
 ])
@@ -764,6 +771,14 @@ def test_missing_trace_column_exits_2_naming_file(sim_out, criteria_ok, tmp_path
     assert _evaluate(trace, criteria_ok, tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {trace}: missing CSV columns: actor_id")
+
+
+def _distance_criterion(criterion_id: str, **parts) -> dict:
+    """A threshold criterion on the distance between ego and pedestrian; ``parts``
+    replace or add keys."""
+    return {"criterion_id": criterion_id, "metric": "euclidean_distance",
+            "params": {"actor_a": "ego", "actor_b": "pedestrian"},
+            "threshold": {"comparator": ">", "value": 0.2, "unit": "m"}, **parts}
 
 
 @pytest.mark.parametrize("payload, expected", [
@@ -808,6 +823,24 @@ def test_missing_trace_column_exits_2_naming_file(sim_out, criteria_ok, tmp_path
                     "params": {"ego": "ego", "target": "pedestrian"},
                     "threshold": {"comparator": ">", "value": 1.0, "unit": "s"}}]},
      "criterion_id 'x' is repeated"),
+    # a number is a finite JSON number: NaN and Infinity are no bounds
+    ({"criteria": [_distance_criterion("nan_value", threshold={
+        "comparator": ">", "value": math.nan, "unit": "m"})]},
+     "malformed criterion 'nan_value': threshold value must be a finite number, got nan"),
+    ({"criteria": [{"criterion_id": "nan_breakpoint", "metric": "euclidean_distance",
+                    "params": {"actor_a": "ego", "actor_b": "pedestrian"},
+                    "scale": {"breakpoints": [[0.0, 0.5], [math.nan, 1.0]], "unit": "m"}}]},
+     "malformed criterion 'nan_breakpoint': breakpoint bound must be a finite number, got nan"),
+    ({"criteria": [_distance_criterion("inf_bound", application_period={"start_condition": {
+        "signal": "time", "comparator": "<=", "bound": math.inf}})]},
+     "malformed criterion 'inf_bound': condition bound must be a finite number, got inf"),
+    ({"criteria": [_distance_criterion("nan_duration", application_period={
+        "start_condition": {"signal": "time", "comparator": ">=", "bound": 0.0},
+        "stop": {"kind": "elapsed", "duration": math.nan}})]},
+     "malformed criterion 'nan_duration': stop duration must be a finite number, got nan"),
+    ({"criteria": [_distance_criterion("text_value", threshold={
+        "comparator": ">", "value": "0.2", "unit": "m"})]},
+     "malformed criterion 'text_value': threshold value must be a finite number, got '0.2'"),
 ])
 def test_bad_criteria_file_exits_2_naming_it(sim_out, tmp_path, capsys, payload, expected):
     criteria = tmp_path / "criteria.json"
@@ -816,6 +849,7 @@ def test_bad_criteria_file_exits_2_naming_it(sim_out, tmp_path, capsys, payload,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {criteria}: ")
     assert expected in err
+    assert not (tmp_path / "out").exists()
 
 
 def _gated_criterion(evaluation: str) -> dict:
@@ -897,6 +931,25 @@ def test_compare_skips_the_reference_among_the_runs(sim_out, tmp_path):
             str(ref), str(traces / "cli_demo_1.csv")]
 
 
+@pytest.mark.parametrize("case", ["evaluate_filtered", "compare_reference", "compare_directory"])
+def test_nothing_to_judge_exits_2(sim_out, criteria_ok, tmp_path, capsys, case):
+    ref = sim_out / "traces" / "cli_demo_0.csv"
+    alone = _copy_trace(sim_out, tmp_path / "alone")
+    argv, expected = {
+        "evaluate_filtered": (
+            ["evaluate", "--traces", str(ref), "--criteria", str(criteria_ok),
+             "--perspective", "sut", "--level", "macroscopic"],
+            f"{criteria_ok}: no criterion of perspective sut and level macroscopic"),
+        "compare_reference": (["compare", "--reference", str(ref), "--runs", str(ref)],
+                              f"{ref}: no run to compare but the reference"),
+        "compare_directory": (["compare", "--reference", str(alone), "--runs", str(alone.parent)],
+                              f"{alone}: no run to compare but the reference"),
+    }[case]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name, key, value, expected", [
     ("config", "time_step", "fast", "malformed sim config"),
     ("config", "ego_route", [[1.75, -45.0, 0.0], [1.75, -1.75], [100.0, -1.75]],
@@ -904,6 +957,27 @@ def test_compare_skips_the_reference_among_the_runs(sim_out, tmp_path):
     ("scenario", "fixed", {"t_cross": "soon"}, "malformed logical scenario"),
     ("config", None, [], "sim config must be an object"),
     ("scenario", None, [], "logical scenario must be an object"),
+    # a number is a finite JSON number, never NaN, Infinity, a string or a bool
+    ("config", "max_duration", math.inf,
+     "malformed sim config: max_duration must be a finite number, got inf"),
+    pytest.param("config", "max_duration", 10 ** 400,
+                 "malformed sim config: max_duration must be a finite number, got 1000",
+                 id="config-max_duration-401_digits"),
+    ("config", "trigger_gap_time", math.nan,
+     "malformed sim config: trigger_gap_time must be a finite number, got nan"),
+    ("config", "comfort_decel", math.nan,
+     "malformed sim config: comfort_decel must be a finite number, got nan"),
+    ("config", "time_step", "0.01",
+     "malformed sim config: time_step must be a finite number, got '0.01'"),
+    ("config", "max_decel", True,
+     "malformed sim config: max_decel must be a finite number, got True"),
+    ("config", "ped_crossing", [[12.0, -3.5], [12.0, math.inf]],
+     "malformed sim config: ped_crossing must be a finite number, got inf"),
+    ("scenario", "parameters",
+     [{"name": "v_max", "min": 30.0, "max": math.inf, "step": 4.0, "unit": "km/h"}],
+     "malformed logical scenario: parameter 'v_max' max must be a finite number, got inf"),
+    ("scenario", "fixed", {"t_cross": 5.0, "d_start": math.nan},
+     "malformed logical scenario: fixed 'd_start' must be a finite number, got nan"),
 ])
 def test_bad_simulate_input_exits_2_naming_it(mini_scenario, tmp_path, capsys,
                                               name, key, value, expected):
@@ -924,6 +998,7 @@ def test_bad_simulate_input_exits_2_naming_it(mini_scenario, tmp_path, capsys,
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {paths[name]}: {expected}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_version_flag():

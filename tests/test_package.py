@@ -104,3 +104,28 @@ def test_trace_readers_do_not_import_the_simulator():
 def test_cli_reaches_metrics_only_through_the_registry():
     for name in _module_imports("cli"):
         assert "nano" not in name.split("."), f"cli imports {name}"
+
+
+# the JSON file loaders: each reads its numbers through errors.number and its
+# objects through errors.fields, so a bare float() lets NaN, Infinity, a
+# numeric string or a bool through again
+JSON_LOADERS = {
+    "scenarios": ("logical_from_dict",),
+    "simulator": ("sim_config_from_dict",),
+    "criteria": ("_criterion_from_dict", "_condition_from_dict", "_stop_from_dict"),
+}
+
+
+def test_json_loaders_read_numbers_and_objects_through_errors():
+    for module, functions in JSON_LOADERS.items():
+        path = Path(scenq.__file__).parent / f"{module}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        from_errors = {alias.name for node in tree.body
+                       if isinstance(node, ast.ImportFrom) and node.module == "errors"
+                       for alias in node.names}
+        assert {"fields", "number"} <= from_errors, f"{module} imports {sorted(from_errors)}"
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for name in functions:
+            calls = [node.func.id for node in ast.walk(defs[name])
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+            assert "float" not in calls, f"{module}.{name} calls float"

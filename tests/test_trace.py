@@ -515,6 +515,18 @@ ROW_ERRORS = {
         lambda rows: setting(6, time_s=0.2)(setting(3, time_s=0.0)(rows)),
         "duplicate timestamp 0.0 for actor 'walker'", 3, "walker",
     ),
+    # found before any arithmetic on the values, so no RuntimeWarning comes first
+    "heading_not_finite": (
+        setting(2, heading_rad=math.inf), "non-finite heading_rad (inf)", 2, "car"
+    ),
+    "non_finite_before_time": (
+        lambda rows: setting(6, time_s=0.1)(setting(4, speed_mps=math.nan)(rows)),
+        "non-finite speed_mps (nan)", 4, "car",
+    ),
+    "value_before_non_finite": (
+        lambda rows: setting(6, y_m=math.inf)(setting(5, x_m="oops")(rows)),
+        NOT_A_FLOAT.format("oops"), 5, "walker",
+    ),
 }
 
 
