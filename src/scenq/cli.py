@@ -16,7 +16,6 @@ detected, 2 usage or input errors. SCENQ_LOG selects the log level.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
@@ -36,7 +35,15 @@ from .macro import detect_result_gaps, repeatability_report
 from .results import MetricSeries, write_scalars, write_series_batch
 from .scenarios import iter_concretize, load_logical_scenario, write_concrete_set
 from .simulator import EGO_ID, PED_ID, SimOutcome, load_sim_config, simulate_batch
-from .trace import TraceFormat, load_trace_file, save_traces
+from .trace import Trace, TraceFormat, load_trace_file, save_traces
+
+try:  # the builtin sha256, as random.py takes it: hashlib maps OpenSSL, about 3.5 MB
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 log = logging.getLogger("scenq")
 
@@ -48,7 +55,7 @@ def _setup_logging() -> None:
 
 
 def _hash_files(paths: Sequence[Path]) -> str:
-    digest = hashlib.sha256()
+    digest = sha256()
     for p in paths:
         digest.update(p.read_bytes())
     return digest.hexdigest()
@@ -229,19 +236,27 @@ def cmd_compare(args: argparse.Namespace) -> int:
     run_paths = [p for p in _collect_trace_paths(args.runs) if p.resolve() != skipped]
     if not run_paths:
         raise ScenqError(f"{args.reference}: no run to compare but the reference")
-    runs = [load_trace_file(p) for p in run_paths]
-    log.info("loaded %d traces (reference + %d runs)", 1 + len(runs), len(runs))
     actor_ids = args.actors.split(",") if args.actors else reference.actor_ids()
-    for path, trace in [(Path(args.reference), reference), *zip(run_paths, runs)]:
+    cells = []  # per run, the cells of its dtw pairs
+
+    def checked(path: Path, trace: Trace) -> Trace:
         for actor in actor_ids:
             if actor not in trace.tracks:
-                raise ScenqError(
-                    f"{path}: actor {actor!r} missing from run {trace.scenario_id!r}"
-                )
-    log.info("dtw: %d pairs, %d cells", len(runs) * len(actor_ids), sum(
-        len(reference.track(a)) * len(run.track(a)) for run in runs for a in actor_ids))
-    report = repeatability_report(reference, runs, actor_ids=actor_ids,
-                                  threshold=args.threshold)
+                raise ScenqError(f"{path}: actor {actor!r} missing from run {trace.scenario_id!r}")
+        return trace
+
+    def runs() -> Iterator[Trace]:
+        # in --runs order, one at a time; a run stays bound until the next has loaded,
+        # as freed first its pages would go back to the system and fault in again
+        for path in run_paths:
+            run = checked(path, load_trace_file(path))
+            cells.append(sum(len(reference.track(a)) * len(run.track(a)) for a in actor_ids))
+            yield run
+
+    report = repeatability_report(checked(Path(args.reference), reference), runs(),
+                                  actor_ids=actor_ids, threshold=args.threshold)
+    log.info("loaded %d traces (reference + %d runs)", 1 + len(run_paths), len(run_paths))
+    log.info("dtw: %d pairs, %d cells", len(run_paths) * len(actor_ids), sum(cells))
 
     payload = {
         "reference_id": report.reference_id,

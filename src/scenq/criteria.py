@@ -98,6 +98,8 @@ class ConditionNode:
             object.__setattr__(self, "comparator", normalize_comparator(self.comparator or ""))
             if self.signal == "metric_value" and not self.metric:
                 raise CriterionError("metric_value condition needs a metric name")
+            if self.signal == "metric_value" and not registry.is_registered(self.metric):
+                raise CriterionError(f"condition on unknown metric {self.metric!r}")
             if self.signal in ("speed", "acceleration") and not self.actor:
                 raise CriterionError(f"{self.signal} condition needs an actor")
             if self.signal == "distance_between" and not (self.actor and self.actor_b):
@@ -519,6 +521,15 @@ _CRITERION_KEYS = {"criterion_id", "metric", "threshold", "scale", "application_
                    "perspective"}
 
 
+def _check_params(metric: str, params: Mapping) -> None:
+    """Raise for a param the metric does not read (CriterionError) or one that breaks
+    the input rule of its key (ValueError); a metric that declares none takes any."""
+    rules = registry.get(metric).params
+    if rules is not None:
+        for key, value in fields(params, set(rules), f"{metric} params", CriterionError).items():
+            rules[key](value, f"{metric} param {key!r}")
+
+
 def _condition_from_dict(data: Mapping) -> ConditionNode:
     data = fields(data, _LEAF_KEYS | {"all", "any"}, "condition", CriterionError)
     for op in ("all", "any"):
@@ -526,7 +537,7 @@ def _condition_from_dict(data: Mapping) -> ConditionNode:
             children = fields(data, {op}, "condition", CriterionError)[op]
             return ConditionNode(op=op, children=tuple(_condition_from_dict(c) for c in children))
     try:
-        return ConditionNode(
+        node = ConditionNode(
             op="leaf",
             signal=data["signal"],
             actor=data.get("actor"),
@@ -539,6 +550,9 @@ def _condition_from_dict(data: Mapping) -> ConditionNode:
         )
     except KeyError as exc:
         raise CriterionError(f"condition missing key {exc.args[0]!r}") from None
+    if node.signal == "metric_value":
+        _check_params(node.metric, node.metric_params)
+    return node
 
 
 def _stop_from_dict(data: Mapping | None) -> StopRule:
@@ -585,7 +599,7 @@ def _criterion_from_dict(data: Mapping) -> QualityCriterion:
             )
         else:
             period = always_active()
-        return QualityCriterion(
+        criterion = QualityCriterion(
             criterion_id=str(data["criterion_id"]),
             metric_name=str(data["metric"]),
             evaluation=evaluation,
@@ -593,6 +607,8 @@ def _criterion_from_dict(data: Mapping) -> QualityCriterion:
             metric_params=data.get("params", {}),
             perspective=str(data.get("perspective", "sut")),
         )
+        _check_params(criterion.metric_name, criterion.metric_params)
+        return criterion
     except KeyError as exc:
         raise CriterionError(f"criterion missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
@@ -606,6 +622,8 @@ def load_criteria(path: str | Path) -> list[QualityCriterion]:
         items = data.get("criteria") if isinstance(data, Mapping) else data
         if not isinstance(items, list) or not items:
             raise CriterionError("expected a non-empty 'criteria' list")
+        if items is not data:
+            fields(data, {"criteria"}, "criteria file", CriterionError)
         criteria = [_criterion_from_dict(item) for item in items]
         seen: set[str] = set()
         for criterion in criteria:  # ids name plot-data files, so they must be unique

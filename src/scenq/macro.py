@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -122,11 +122,11 @@ class RepeatabilityReport:
 
 def repeatability_report(
     reference: Trace,
-    runs: Sequence[Trace],
+    runs: Iterable[Trace],
     actor_ids: Sequence[str] | None = None,
     threshold: float = 10.0,
 ) -> RepeatabilityReport:
-    """Compare repeated runs against a reference trace, per actor.
+    """Compare repeated runs, any iterable of traces, against a reference trace, per actor.
 
     Each entry carries the dtw distance, that distance divided by the
     reference track's sample count, and whether it stays at or below the

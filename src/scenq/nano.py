@@ -172,7 +172,7 @@ def wttc(
     ego_track = trace.track(ego)
     target_track = trace.track(target)
     bounds = [
-        DEFAULT_MAX_ACCEL[track.actor_class] if a_max is None else float(a_max)
+        DEFAULT_MAX_ACCEL[track.actor_class] if a_max is None else a_max
         for track, a_max in ((ego_track, a_max_ego), (target_track, a_max_target))
     ]
     if min(bounds) < 0:

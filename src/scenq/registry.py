@@ -7,19 +7,21 @@ Compute signatures by level:
   macroscopic  f(traces, params) -> list[(result_id, ScalarResult)]
 
 params is a flat mapping of actor references and metric options taken from
-a quality criterion. register() accepts additional metrics at runtime;
-compute() keeps each per-trace result with its trace.
+a quality criterion; each built-in spec declares the params it reads and their
+input rules, which a criteria file is checked against when it loads.
+register() accepts additional metrics at runtime; compute() keeps each
+per-trace result with its trace.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import ModuleType
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from . import macro, micro, nano
-from .errors import MetricError
+from .errors import MetricError, number
 from .results import EncroachmentZone, MetricSeries, ScalarResult, undefined_scalar
 from .trace import Trace
 
@@ -40,6 +42,9 @@ class MetricSpec:
     worse: str
     description: str
     compute: Callable
+    #: each param the compute reads -> its input rule, ``rule(value, what)``, which raises
+    #: ValueError for a value it rejects; None takes any params
+    params: Mapping[str, Callable] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.level not in LEVELS:
@@ -88,25 +93,43 @@ def _req(params: Mapping, key: str, metric: str) -> str:
     return params[key]
 
 
-def _adapter(module: ModuleType, name: str, keys: tuple[str, ...], **options: Callable) -> Callable:
-    """The compute of the metric ``name``: ``module.<name>(trace, *actors, **options)``.
+def _actor(value: Any, what: str) -> None:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be an actor id, got {value!r}")
+
+
+def _actors(value: Any, what: str) -> None:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{what} must be a list of actor ids, got {value!r}")
+
+
+def _adapter(module: ModuleType, name: str, keys: tuple[str, ...], **options: Callable) -> dict:
+    """The compute of the metric ``name``, ``module.<name>(trace, *actors, **options)``,
+    and the params it reads, as the ``compute`` and ``params`` of a MetricSpec.
 
     The actors are the params under ``keys``, each one required. Each option is
-    made by ``option(trace, actors, params)``; one that makes a ScalarResult
-    (the metric is undefined without it) is the result. The kernel is looked up
-    on every call, so a rebound module attribute is the one called.
+    made by ``option(trace, actors, params)``, and reads the params in its
+    ``reads``; one that makes a ScalarResult (the metric is undefined without it)
+    is the result. The kernel is looked up on every call, so a rebound module
+    attribute is the one called.
     """
     def compute(trace: Trace, params: Mapping):
         actors = [_req(params, key, name) for key in keys]
         kwargs = {key: option(trace, actors, params) for key, option in options.items()}
         undefined = [v for v in kwargs.values() if isinstance(v, ScalarResult)]
         return undefined[0] if undefined else getattr(module, name)(trace, *actors, **kwargs)
-    return compute
+    reads = dict.fromkeys(keys, _actor)
+    for option in options.values():
+        reads.update(getattr(option, "reads", {}))
+    return {"compute": compute, "params": reads}
 
 
-def _param(key: str, default=None, kind: Callable = lambda value: value) -> Callable:
-    """An option read from the params, ``default`` when absent, passed through ``kind``."""
-    return lambda trace, actors, params: kind(params.get(key, default))
+def _param(key: str, default: float | None = None) -> Callable:
+    """An option read from the number param ``key``, ``default`` when absent."""
+    def option(trace: Trace, actors: list, params: Mapping) -> float | None:
+        return params.get(key, default)
+    option.reads = {key: number}
+    return option
 
 
 def _zone(metric: str, other: str | None = None) -> Callable:
@@ -116,7 +139,7 @@ def _zone(metric: str, other: str | None = None) -> Callable:
     kept with the trace, so pet and et share it."""
     def option(trace: Trace, actors: list, params: Mapping) -> EncroachmentZone | ScalarResult:
         second = _req(params, other, metric) if other else actors[1]
-        key = ("encroachment_zone", actors[0], second, float(params.get("inflation", 0.0)))
+        key = ("encroachment_zone", actors[0], second, params.get("inflation", 0.0))
         if key not in trace.derived:
             try:
                 trace.derived[key] = micro.build_encroachment_zone(trace, *key[1:])
@@ -124,6 +147,7 @@ def _zone(metric: str, other: str | None = None) -> Callable:
                 trace.derived[key] = str(exc)
         zone = trace.derived[key]
         return undefined_scalar(metric, "s", zone) if isinstance(zone, str) else zone
+    option.reads = {"inflation": number, **({other: _actor} if other else {})}
     return option
 
 
@@ -138,7 +162,7 @@ def _dtw(traces: Sequence[Trace], params: Mapping) -> list[tuple[str, ScalarResu
         reference,
         list(traces[1:]),
         actor_ids=params.get("actor_ids"),
-        threshold=float(params.get("threshold", 10.0)),
+        threshold=params.get("threshold", 10.0),
     )
     return [
         (
@@ -176,39 +200,39 @@ def _collision_probability(
 for _spec in (
     MetricSpec("euclidean_distance", "m", NANOSCOPIC, WORSE_LOW,
                "center distance between two actors",
-               _adapter(nano, "euclidean_distance", ("actor_a", "actor_b"))),
+               **_adapter(nano, "euclidean_distance", ("actor_a", "actor_b"))),
     MetricSpec("headway", "m", NANOSCOPIC, WORSE_LOW,
-               "bumper gap along the ego heading", _adapter(nano, "headway", ("ego", "target"))),
+               "bumper gap along the ego heading", **_adapter(nano, "headway", ("ego", "target"))),
     MetricSpec("ttc", "s", NANOSCOPIC, WORSE_LOW,
                "time to collision at constant velocities",
-               _adapter(nano, "ttc", ("ego", "target"))),
+               **_adapter(nano, "ttc", ("ego", "target"))),
     MetricSpec("wttc", "s", NANOSCOPIC, WORSE_LOW,
                "worst-case time to collision under bounded acceleration",
-               _adapter(nano, "wttc", ("ego", "target"), a_max_ego=_param("a_max_ego"),
-                        a_max_target=_param("a_max_target"))),
+               **_adapter(nano, "wttc", ("ego", "target"), a_max_ego=_param("a_max_ego"),
+                          a_max_target=_param("a_max_target"))),
     MetricSpec("gap_time", "s", NANOSCOPIC, WORSE_LOW,
                "predicted arrival gap at the path crossing",
-               _adapter(nano, "gap_time", ("ego", "target"),
-                        conflict=lambda trace, actors, _: nano.conflict_point(trace, *actors))),
+               **_adapter(nano, "gap_time", ("ego", "target"),
+                          conflict=lambda trace, actors, _: nano.conflict_point(trace, *actors))),
     MetricSpec("braking_time", "s", NANOSCOPIC, WORSE_HIGH,
                "time to standstill at current deceleration",
-               _adapter(nano, "braking_time", ("actor",))),
+               **_adapter(nano, "braking_time", ("actor",))),
     MetricSpec("braking_distance", "m", NANOSCOPIC, WORSE_HIGH,
                "distance to standstill at current deceleration",
-               _adapter(nano, "braking_distance", ("actor",))),
+               **_adapter(nano, "braking_distance", ("actor",))),
     MetricSpec("traffic_density", "1/m^2", NANOSCOPIC, WORSE_HIGH,
                "actors per area around one actor",
-               _adapter(nano, "traffic_density", ("actor",),
-                        radius=_param("radius", 50.0, float))),
+               **_adapter(nano, "traffic_density", ("actor",), radius=_param("radius", 50.0))),
     MetricSpec("pet", "s", MICROSCOPIC, WORSE_LOW,
                "time between one actor leaving and the other entering the shared zone",
-               _adapter(micro, "pet", ("actor_1", "actor_2"), zone=_zone("pet"))),
+               **_adapter(micro, "pet", ("actor_1", "actor_2"), zone=_zone("pet"))),
     MetricSpec("et", "s", MICROSCOPIC, WORSE_HIGH,
                "duration of the first occupancy of the shared zone",
-               _adapter(micro, "et", ("actor",), zone=_zone("et", "other"))),
+               **_adapter(micro, "et", ("actor",), zone=_zone("et", "other"))),
     MetricSpec("dtw", "m", MACROSCOPIC, WORSE_HIGH,
-               "warped trajectory distance to a reference run", _dtw),
+               "warped trajectory distance to a reference run", _dtw,
+               {"actor_ids": _actors, "threshold": number}),
     MetricSpec("collision_probability", "1", MACROSCOPIC, WORSE_HIGH,
-               "fraction of runs with touching actor discs", _collision_probability),
+               "fraction of runs with touching actor discs", _collision_probability, {}),
 ):
     register(_spec)

@@ -177,6 +177,9 @@ def logical_from_dict(data: Mapping) -> LogicalScenario:
         raise ScenarioError(f"logical scenario must be an object, got {data!r}")
     try:
         fields(data, _SCENARIO_KEYS, "scenario", ScenarioError)
+        fixed = data.get("fixed", {})
+        if not isinstance(fixed, Mapping):  # of any names, so no fields() key check
+            raise TypeError(f"fixed must be an object, got {fixed!r}")
         parameters = []
         for p in data.get("parameters", []):
             fields(p, _PARAMETER_KEYS, "parameter", ScenarioError)
@@ -187,7 +190,7 @@ def logical_from_dict(data: Mapping) -> LogicalScenario:
             scenario_id=str(data["scenario_id"]),
             description=str(data.get("description", "")),
             parameters=parameters,
-            fixed={str(k): number(v, f"fixed {k!r}") for k, v in data.get("fixed", {}).items()},
+            fixed={str(k): number(v, f"fixed {k!r}") for k, v in fixed.items()},
         )
     except KeyError as exc:
         raise ScenarioError(f"logical scenario file missing key {exc.args[0]!r}") from None

@@ -1,10 +1,12 @@
 import errno
+import gc
 import hashlib
 import io
 import json
 import logging
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -368,6 +370,64 @@ def test_compare_missing_actor_names_file_before_any_dtw(sim_out, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith(f"error: {solo}: actor 'pedestrian' missing from run 'solo#0'")
     assert calls == []
+
+
+def test_compare_later_run_missing_actor_names_file_after_earlier_dtws(sim_out, tmp_path, capsys,
+                                                                       monkeypatch):
+    ref = sim_out / "traces" / "cli_demo_0.csv"
+    trace = load_trace_file(ref)
+    solo = tmp_path / "solo.csv"
+    save_trace(Trace("solo#0", trace.time_step, {"ego": trace.track("ego")}), solo)
+    unreadable = tmp_path / "unreadable.csv"
+    unreadable.write_text("not a trace\n")
+    calls = []
+    monkeypatch.setattr("scenq.macro.dtw", lambda a, b: calls.append(1) or 0.0)
+    # each run is checked as it loads: the first run's pairs come first, and a load
+    # error in a run after solo does not take precedence over solo's missing actor
+    first = sim_out / "traces" / "cli_demo_1.csv"
+    code = main(["compare", "--reference", str(ref), "--runs", str(first), str(solo),
+                 str(unreadable), "--out", str(tmp_path / "cmp")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {solo}: actor 'pedestrian' missing from run 'solo#0'\n"
+    assert calls == [1, 1]
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_compare_holds_one_run_at_a_time(sim_out, tmp_path, capsys):
+    ref = sim_out / "traces" / "cli_demo_1.csv"
+    runs = [_copy_trace(sim_out, tmp_path / f"run_{k}") for k in range(6)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = load_trace_file(runs[0])
+        for actor in trace.actor_ids():
+            trace.track(actor).points  # as its dtw leaves a run
+        run_size = tracemalloc.get_traced_memory()[0] - before
+        del trace
+        peaks = {}
+        for count in (1, 1, 6):  # the first call warms what stays between calls
+            gc.collect()
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert main(["compare", "--reference", str(ref), "--runs", *map(str, runs[:count]),
+                         "--threshold", "inf", "--out", str(tmp_path / f"cmp_{count}")]) == 0
+            peaks[count] = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # a run stays bound until the next has loaded, so six runs peak one run above one
+    # run, plus the reference's points and the entries; holding all six is five runs above
+    assert peaks[6] - peaks[1] < 1.5 * run_size, (peaks, run_size)
+
+
+def test_config_hash_is_the_sha256_of_the_config_bytes(mini_scenario, sim_out, criteria_ok,
+                                                       tmp_path):
+    scenario_config = mini_scenario.read_bytes() + (DATA / "intersection_config.json").read_bytes()
+    manifest = json.loads((sim_out / "manifest.json").read_text())
+    assert manifest["config_hash"] == hashlib.sha256(scenario_config).hexdigest()
+    assert _evaluate(sim_out / "traces", criteria_ok, tmp_path / "out") == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config_hash"] == hashlib.sha256(criteria_ok.read_bytes()).hexdigest()
 
 
 def test_compare_logs_stage_counts(workdir, sim_out, caplog, capsys):
@@ -781,6 +841,15 @@ def _distance_criterion(criterion_id: str, **parts) -> dict:
             "threshold": {"comparator": ">", "value": 0.2, "unit": "m"}, **parts}
 
 
+def _metric_criterion(criterion_id: str, metric: str, unit: str, **params) -> dict:
+    """A threshold criterion on ``metric`` with ``params``."""
+    return {"criterion_id": criterion_id, "metric": metric, "params": params,
+            "threshold": {"comparator": ">", "value": 0.5, "unit": unit}}
+
+
+PAIR = {"ego": "ego", "target": "pedestrian"}
+
+
 @pytest.mark.parametrize("payload, expected", [
     ({"suite": []}, "non-empty 'criteria' list"),
     ({"criteria": [{"criterion_id": "odd_params", "metric": "euclidean_distance",
@@ -841,6 +910,36 @@ def _distance_criterion(criterion_id: str, **parts) -> dict:
     ({"criteria": [_distance_criterion("text_value", threshold={
         "comparator": ">", "value": "0.2", "unit": "m"})]},
      "malformed criterion 'text_value': threshold value must be a finite number, got '0.2'"),
+    # the top-level object knows one key
+    ({"criteria": [_distance_criterion("ok")], "extra": 1},
+     "unknown criteria file keys: ['extra']"),
+    # a metric's params: only the keys it reads, each by the input rule of its key
+    ({"criteria": [_metric_criterion("misspelt", "wttc", "s", **PAIR, a_max=3.0)]},
+     "unknown wttc params keys: ['a_max']"),
+    ({"criteria": [_metric_criterion("text_a_max", "wttc", "s", **PAIR, a_max_ego="9")]},
+     "malformed criterion 'text_a_max': wttc param 'a_max_ego' must be a finite number, got '9'"),
+    ({"criteria": [_metric_criterion("nan_a_max", "wttc", "s", **PAIR, a_max_target=math.nan)]},
+     "malformed criterion 'nan_a_max': wttc param 'a_max_target' must be a finite number"),
+    ({"criteria": [_metric_criterion("bool_radius", "traffic_density", "1/m^2", actor="ego",
+                                     radius=True)]},
+     "malformed criterion 'bool_radius': traffic_density param 'radius' must be a finite number"),
+    ({"criteria": [_metric_criterion("text_inflation", "pet", "s", actor_1="ego",
+                                     actor_2="pedestrian", inflation="0.5")]},
+     "malformed criterion 'text_inflation': pet param 'inflation' must be a finite number"),
+    ({"criteria": [_metric_criterion("odd_other", "et", "s", actor="ego", other=5)]},
+     "malformed criterion 'odd_other': et param 'other' must be an actor id, got 5"),
+    ({"criteria": [_metric_criterion("text_threshold", "dtw", "m", threshold="10")]},
+     "malformed criterion 'text_threshold': dtw param 'threshold' must be a finite number"),
+    ({"criteria": [_metric_criterion("odd_actor_ids", "dtw", "m", actor_ids="ego")]},
+     "malformed criterion 'odd_actor_ids': dtw param 'actor_ids' must be a list of actor ids"),
+    ({"criteria": [_distance_criterion("gated_misspelt", application_period={"start_condition": {
+        "signal": "metric_value", "metric": "ttc", "params": {**PAIR, "radius": 5.0},
+        "comparator": "<", "bound": 3.0, "unit": "s"}})]},
+     "unknown ttc params keys: ['radius']"),
+    ({"criteria": [_distance_criterion("gated_unknown", application_period={"start_condition": {
+        "signal": "metric_value", "metric": "tcc", "params": PAIR,
+        "comparator": "<", "bound": 3.0, "unit": "s"}})]},
+     "condition on unknown metric 'tcc'"),
 ])
 def test_bad_criteria_file_exits_2_naming_it(sim_out, tmp_path, capsys, payload, expected):
     criteria = tmp_path / "criteria.json"
@@ -978,6 +1077,7 @@ def test_nothing_to_judge_exits_2(sim_out, criteria_ok, tmp_path, capsys, case):
      "malformed logical scenario: parameter 'v_max' max must be a finite number, got inf"),
     ("scenario", "fixed", {"t_cross": 5.0, "d_start": math.nan},
      "malformed logical scenario: fixed 'd_start' must be a finite number, got nan"),
+    ("scenario", "fixed", [1], "malformed logical scenario: fixed must be an object, got [1]"),
 ])
 def test_bad_simulate_input_exits_2_naming_it(mini_scenario, tmp_path, capsys,
                                               name, key, value, expected):

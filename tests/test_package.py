@@ -1,5 +1,9 @@
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import scenq
@@ -75,12 +79,24 @@ def _module_imports(module: str):
             yield from (alias.name for alias in node.names)
 
 
+def _run_at_import(body: list) -> list:
+    """The statements of ``body``, with those of its try statements' blocks."""
+    found = []
+    for node in body:
+        found.append(node)
+        if isinstance(node, ast.Try):  # e.g. a builtin module with a fallback
+            found += _run_at_import([*node.body, *(s for h in node.handlers for s in h.body),
+                                     *node.orelse, *node.finalbody])
+    return found
+
+
 def test_imports_are_at_module_level():
     nested = []
     for path in sorted(Path(scenq.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        top = _run_at_import(tree.body)
         nested += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                   if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body]
+                   if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in top]
     assert nested == []
 
 
@@ -129,3 +145,28 @@ def test_json_loaders_read_numbers_and_objects_through_errors():
             calls = [node.func.id for node in ast.walk(defs[name])
                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
             assert "float" not in calls, f"{module}.{name} calls float"
+
+
+def test_no_command_loads_openssl(tmp_path):
+    """The manifest's config hash takes CPython's builtin sha256: hashlib loads
+    OpenSSL, which costs every command about 3.5 MB of resident memory."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "scenario_id": "two", "fixed": {"t_cross": 5.0, "d_start": 16.0},
+        "parameters": [{"name": "v_max", "min": 30.0, "max": 34.0, "step": 4.0}]}))
+    config = Path(scenq.__file__).parent / "data" / "intersection_config.json"
+    traces = tmp_path / "sim" / "traces"
+    script = f"""
+import sys
+import scenq.cli
+assert scenq.cli.main(["simulate", "--scenario", {str(scenario)!r}, "--config", {str(config)!r},
+                       "--out", {str(tmp_path / "sim")!r}]) == 0
+code = scenq.cli.main(["compare", "--reference", {str(traces / "two_0.csv")!r},
+                       "--runs", {str(traces / "two_1.csv")!r}, "--threshold", "inf",
+                       "--out", {str(tmp_path / "cmp")!r}])
+print(code, sorted({{"_hashlib", "_ssl"}} & set(sys.modules)))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(scenq.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 []"

@@ -86,6 +86,26 @@ REQUIRED_PARAMS = {
 }
 
 
+#: Every optional param of a built-in metric.
+OPTIONAL_PARAMS = {
+    "wttc": {"a_max_ego", "a_max_target"},
+    "traffic_density": {"radius"},
+    "pet": {"inflation"},
+    "et": {"inflation"},
+    "dtw": {"actor_ids", "threshold"},
+}
+
+
+def test_every_builtin_metric_declares_the_params_it_reads():
+    for spec in registry.all_specs():
+        assert set(spec.params) == (set(REQUIRED_PARAMS.get(spec.name, ()))
+                                    | OPTIONAL_PARAMS.get(spec.name, set())), spec.name
+    # the declaration does not take part in equality, and a spec without one takes any
+    spec = registry.get("ttc")
+    assert replace(spec, params=None) == spec
+    assert MetricSpec("x", "m", "nanoscopic", "low", "", lambda: None).params is None
+
+
 def test_missing_params_reported(reference_outcome):
     trace = reference_outcome.trace
     per_trace = [s.name for s in registry.all_specs() if s.level != registry.MACROSCOPIC]
