@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 
 from . import __version__, micro, registry
 from .criteria import EvaluationReport, Verdict, evaluate_suite, load_criteria
-from .errors import ScenqError, SimulationError, in_file
+from .errors import MetricError, ScenqError, SimulationError, in_file
 from .macro import detect_result_gaps, repeatability_report
 from .results import MetricSeries, write_scalars, write_series_batch
 from .scenarios import iter_concretize, load_logical_scenario, write_concrete_set
@@ -199,9 +199,9 @@ def _report_dict(report: EvaluationReport) -> dict:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    criteria = load_criteria(args.criteria)
     trace_paths = _collect_trace_paths(args.traces)
     traces = [load_trace_file(p) for p in trace_paths]
-    criteria = load_criteria(args.criteria)
     report = evaluate_suite(criteria, traces, perspective=args.perspective, level=args.level)
     if not report.verdicts:
         raise ScenqError(f"{args.criteria}: no criterion of perspective "
@@ -276,9 +276,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 1 if drifting else 0
 
 
-def _finding_text(finding: dict) -> str:
-    jump = finding["metric_jump"]
-    return "defined/undefined flip" if jump is None else f"jump {jump:.6g}"
+def _finding_lines(items: list | dict, where: str = "") -> list[str]:
+    """A line per gap finding of one sweep column, or the reason it was not judged."""
+    if isinstance(items, dict):
+        return [f"not judged: {items['reason']}"]
+    return [f"{where}[{f['left_value']!r}, {f['right_value']!r}] " + (
+        "defined/undefined flip" if f["metric_jump"] is None else f"jump {f['metric_jump']:.6g}")
+        for f in items]
 
 
 #: sweep.csv column -> (registered metric, params) whose minimum it holds
@@ -299,51 +303,40 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with in_file(args.scenario, SimulationError):
         outcomes = simulate_batch(scenarios, config)
 
-    rows: list[dict] = []
-    for scenario, outcome in zip(scenarios, outcomes):
-        row = {"value": float(scenario.bindings[param.name])}
-        for col, (metric, params) in _SWEEP_COLUMNS.items():
-            row[col] = micro.aggregate(registry.get(metric).compute(outcome.trace, params), "min")
-        row.update(collided=outcome.collided, end_reason=outcome.end_reason)
-        rows.append(row)
-    rows.sort(key=lambda r: r["value"])
+    values, outcomes = zip(*sorted(zip([float(s.bindings[param.name]) for s in scenarios],
+                                       outcomes), key=lambda run: run[0]))
+    # per column, each run's minimum in value order
+    table = {col: [micro.aggregate(registry.get(metric).compute(o.trace, params), "min")
+                   for o in outcomes] for col, (metric, params) in _SWEEP_COLUMNS.items()}
+    findings: dict[str, list | dict] = {}
+    for col, scalars in table.items():
+        try:  # a column that cannot be judged records why, and the others go on
+            findings[col] = [asdict(f) for f in detect_result_gaps(
+                list(zip(values, scalars)), gap_factor=args.gap_factor, parameter=param.name)]
+        except MetricError as exc:
+            findings[col] = {"reason": str(exc)}
+    if all(isinstance(items, dict) for items in findings.values()):
+        raise MetricError(next(iter(findings.values()))["reason"])
 
-    findings = {}
-    for col in _SWEEP_COLUMNS:
-        sweep_points = [(row["value"], row[col]) for row in rows]
-        findings[col] = [
-            asdict(f)
-            for f in detect_result_gaps(sweep_points, gap_factor=args.gap_factor,
-                                        parameter=param.name)
-        ]
-
-    csv_lines = [param.name + "," + ",".join(_SWEEP_COLUMNS) + ",collided,end_reason"]
-    for row in rows:
-        cells = [repr(float(row["value"]))]
-        for col in _SWEEP_COLUMNS:
-            scalar = row[col]
-            cells.append(repr(float(scalar.value)) if scalar.defined else "")
-        cells.append("true" if row["collided"] else "false")
-        cells.append(row["end_reason"])
-        csv_lines.append(",".join(cells))
-    scalar_rows = []
-    for row in rows:
-        for col in _SWEEP_COLUMNS:
-            scalar_rows.append((f"{param.name}={row['value']!r}", row[col]))
+    runs = list(zip(values, outcomes, zip(*table.values())))  # value, outcome and minima of a run
+    csv_lines = [",".join([param.name, *table, "collided", "end_reason"])] + [",".join([
+        repr(value), *(repr(float(s.value)) if s.defined else "" for s in scalars),
+        "true" if outcome.collided else "false", outcome.end_reason])
+        for value, outcome, scalars in runs]
     inputs = [Path(args.scenario), Path(args.config)]
     with _output_dir(Path(args.out), "sweep", inputs, inputs) as work:
         (work / "sweep.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
         (work / "gap_findings.json").write_text(json.dumps(findings, indent=2) + "\n",
                                                 encoding="utf-8")
-        write_scalars(scalar_rows, work / "sweep_scalars.jsonl")
+        write_scalars([(f"{param.name}={value!r}", s) for value, _, scalars in runs
+                       for s in scalars], work / "sweep_scalars.jsonl")
 
-    total_findings = sum(len(v) for v in findings.values())
-    _say(f"swept {param.name} over {len(rows)} values, "
-         f"{total_findings} gap findings ({Path(args.out) / 'gap_findings.json'})")
+    total = sum(len(items) for items in findings.values() if isinstance(items, list))
+    _say(f"swept {param.name} over {len(runs)} values, "
+         f"{total} gap findings ({Path(args.out) / 'gap_findings.json'})")
     for col, items in findings.items():
-        for f in items:
-            _say(f"  {col}: {param.name} in [{f['left_value']!r}, {f['right_value']!r}] "
-                 f"{_finding_text(f)}")
+        for line in _finding_lines(items, f"{param.name} in "):
+            _say(f"  {col}: {line}")
     return 0
 
 
@@ -382,10 +375,7 @@ def _repeatability_section(data: dict) -> list[str]:
 def _gap_findings_section(data: dict) -> list[str]:
     lines = ["## sweep gap findings", ""]
     for metric, items in data.items():
-        for f in items:
-            lines.append(
-                f"- {metric}: [{f['left_value']!r}, {f['right_value']!r}] {_finding_text(f)}"
-            )
+        lines += [f"- {metric}: {line}" for line in _finding_lines(items)]
     return lines
 
 

@@ -135,9 +135,20 @@ def _check_unit(declared: str, actual: str, where: str) -> None:
         raise UnitMismatchError(f"{where}: unit {declared!r} does not match {actual!r}")
 
 
-def _leaf_samples(node: ConditionNode, trace: Trace, grid: np.ndarray) -> np.ndarray:
-    if node.signal in _SIGNAL_UNITS:
+def _check_leaf(node: ConditionNode) -> None:
+    """Raise for a leaf unit other than its signal's or gating metric's, or a gating
+    metric that is not per-timestep."""
+    if node.signal != "metric_value":
         _check_unit(node.unit, _SIGNAL_UNITS[node.signal], f"{node.signal} condition")
+        return
+    spec, where = registry.get(node.metric), f"condition on {node.metric!r}"
+    if spec.level != registry.NANOSCOPIC:
+        raise CriterionError(f"{where}: only per-timestep metrics can gate a period")
+    _check_unit(node.unit, spec.unit, where)
+
+
+def _leaf_samples(node: ConditionNode, trace: Trace, grid: np.ndarray) -> np.ndarray:
+    _check_leaf(node)
     if node.signal == "time":
         return grid
     if node.signal == "speed":
@@ -149,13 +160,7 @@ def _leaf_samples(node: ConditionNode, trace: Trace, grid: np.ndarray) -> np.nda
         b = sample_track(trace.track(node.actor_b), grid)
         return np.hypot(b["x"] - a["x"], b["y"] - a["y"])
     # metric_value
-    spec = registry.get(node.metric)
-    if spec.level != registry.NANOSCOPIC:
-        raise CriterionError(
-            f"condition on {node.metric!r}: only per-timestep metrics can gate a period"
-        )
-    _check_unit(node.unit, spec.unit, f"condition on {node.metric!r}")
-    series = registry.compute(spec, trace, node.metric_params)
+    series = registry.compute(registry.get(node.metric), trace, node.metric_params)
     values = np.interp(grid, series.times, series.values)
     defined = np.interp(grid, series.times, series.defined.astype(float)) >= 1.0
     values[~defined] = np.nan
@@ -307,13 +312,7 @@ class Scale:
             raise CriterionError("scale breakpoints must be strictly increasing")
 
     def score(self, value: float) -> float:
-        result = 0.0
-        for bound, score in self.breakpoints:
-            if value >= bound:
-                result = score
-            else:
-                break
-        return result
+        return next((score for bound, score in reversed(self.breakpoints) if value >= bound), 0.0)
 
 
 @dataclass(frozen=True)
@@ -522,12 +521,15 @@ _CRITERION_KEYS = {"criterion_id", "metric", "threshold", "scale", "application_
 
 
 def _check_params(metric: str, params: Mapping) -> None:
-    """Raise for a param the metric does not read (CriterionError) or one that breaks
-    the input rule of its key (ValueError); a metric that declares none takes any."""
+    """Raise for a param the metric does not read or a missing actor param (CriterionError),
+    or one that breaks the input rule of its key (ValueError); a metric declaring none takes any."""
     rules = registry.get(metric).params
     if rules is not None:
         for key, value in fields(params, set(rules), f"{metric} params", CriterionError).items():
             rules[key](value, f"{metric} param {key!r}")
+        missing = [k for k, rule in rules.items() if rule is registry._actor and k not in params]
+        if missing:
+            raise CriterionError(f"metric {metric!r} needs parameter {missing[0]!r}")
 
 
 def _condition_from_dict(data: Mapping) -> ConditionNode:
@@ -550,6 +552,7 @@ def _condition_from_dict(data: Mapping) -> ConditionNode:
         )
     except KeyError as exc:
         raise CriterionError(f"condition missing key {exc.args[0]!r}") from None
+    _check_leaf(node)
     if node.signal == "metric_value":
         _check_params(node.metric, node.metric_params)
     return node
@@ -607,6 +610,8 @@ def _criterion_from_dict(data: Mapping) -> QualityCriterion:
             metric_params=data.get("params", {}),
             perspective=str(data.get("perspective", "sut")),
         )
+        _check_unit(evaluation.unit, registry.get(criterion.metric_name).unit,
+                    f"criterion {criterion.criterion_id!r}")
         _check_params(criterion.metric_name, criterion.metric_params)
         return criterion
     except KeyError as exc:

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import MetricError, TraceError, TraceParseError, in_file, number
+from .errors import MetricError, TraceError, TraceParseError, fields, in_file, number
 from .geometry import cumulative_arc, normalize_angles
 
 #: Numeric columns in the order the codec holds them; accel_mps2 may be absent.
@@ -438,30 +438,30 @@ def _read_csv(text: str) -> _Rows:
     line_nos = range(2, len(lines) + 1) if len(rows) == len(lines) - 1 else [
         i for i, line in enumerate(lines, start=1) if i > 1 and line.strip()]
     keys = tuple(c for c in _NUMERIC_COLUMNS if c in index)
-    try:
-        values = np.loadtxt(rows, usecols=[index[c] for c in keys], ndmin=2, **_CSV_DIALECT)
-        # loadtxt reads no field past its usecols: reading the last column rejects a short
-        # row, and with none short, the comma count rules out a long one (and a quoted comma)
-        last = [len(names) - 1] if len(names) > len(keys) + 2 else []  # not read otherwise
-        labels = np.loadtxt(rows, dtype=object, ndmin=2, **_CSV_DIALECT,
-                            usecols=(index["actor_id"], index["actor_class"], *last))
-        commas = text.count(",") - lines[0].count(",")
-        if len(values) == len(labels) == len(rows) and commas == (len(names) - 1) * len(rows):
-            return line_nos, labels[:, 0].tolist(), labels[:, 1], values, None  # no lines joined
+    numeric = [index[c] for c in keys]
+    # one field per header column, named by position, so a repeated name reads its last column
+    dtype = [(f"f{i}", float if i in numeric else object) for i in range(len(names))]
+    try:  # loadtxt rejects a row of the wrong width and a non-numeric value
+        table = np.loadtxt(rows, dtype=dtype, ndmin=1, **_CSV_DIALECT)
+        if len(table) == len(rows):  # else a quote left open joined lines
+            values = np.column_stack([table[f"f{i}"] for i in numeric])
+            return (line_nos, table[f"f{index['actor_id']}"].tolist(),
+                    table[f"f{index['actor_class']}"], values, None)
     except ValueError:
         pass
     # error path: each line on its own, float() on the rows before the first of wrong width
-    fields = [_split_csv_line(line) for line in rows]
-    k = next((k for k, row in enumerate(fields) if len(row) != len(names)), len(rows))
+    cells = [_split_csv_line(line) for line in rows]
+    k = next((k for k, row in enumerate(cells) if len(row) != len(names)), len(rows))
     bad = None if k == len(rows) else (
-        line_nos[k], f"{len(fields[k])} fields, header has {len(names)}",
-        dict(zip(names, fields[k])).get("actor_id"))
-    return _record_columns(line_nos[:k], [dict(zip(names, row)) for row in fields[:k]], keys, bad)
+        line_nos[k], f"{len(cells[k])} fields, header has {len(names)}",
+        dict(zip(names, cells[k])).get("actor_id"))
+    return _record_columns(line_nos[:k], [dict(zip(names, row)) for row in cells[:k]], keys, bad)
 
 
 def _read_jsonl(text: str) -> _Rows:
     """Line numbers, actor ids, actor classes and numeric columns of JSONL rows. A line
-    that is not an object with every required key is a bad row."""
+    that is not an object with every required key, or that gives accel_mps2 where the
+    first row does not or the other way round, is a bad row."""
     line_nos: list[int] = []
     records: list[dict] = []
     bad = None
@@ -481,12 +481,15 @@ def _read_jsonl(text: str) -> _Rows:
             actor = str(record["actor_id"]) if "actor_id" in record else None
             bad = (i, f"missing keys: {', '.join(missing)}", actor)
             break
+        if records and ("accel_mps2" in record) != ("accel_mps2" in records[0]):
+            bad = (i, f"accel_mps2 {'given' if 'accel_mps2' in record else 'missing'}, "
+                      f"unlike line {line_nos[0]}", str(record["actor_id"]))
+            break
         line_nos.append(i)
         records.append(record)
     if not records and bad is None:
         raise TraceParseError("no data rows")
-    has_accel = all("accel_mps2" in r for r in records)
-    keys = _NUMERIC_COLUMNS if has_accel else _NUMERIC_COLUMNS[:-1]
+    keys = _NUMERIC_COLUMNS if records and "accel_mps2" in records[0] else _NUMERIC_COLUMNS[:-1]
     return _record_columns(line_nos, records, keys, bad)
 
 
@@ -625,8 +628,8 @@ def _format_trace(trace: Trace, fmt: TraceFormat, float_texts: FloatTexts) -> st
     """One trace's text, its floats formatted by ``float_texts``."""
     tracks = [trace.tracks[actor_id] for actor_id in trace.actor_ids()]
     rank = np.repeat(np.arange(len(tracks)), [len(track) for track in tracks])
-    fields = ("times", "xs", "ys", "headings", "speeds", "accels")
-    columns = np.array([np.concatenate([getattr(tr, f) for tr in tracks]) for f in fields])
+    attrs = ("times", "xs", "ys", "headings", "speeds", "accels")
+    columns = np.array([np.concatenate([getattr(tr, a) for tr in tracks]) for a in attrs])
     order = np.lexsort((rank, columns[0]))
     texts, inverse = float_texts(columns)
     as_csv = fmt is TraceFormat.CSV
@@ -696,6 +699,7 @@ def load_trace_file(path: str | Path) -> Trace:
             info = json.loads(sidecar.read_text(encoding="utf-8"))
             if not isinstance(info, dict) or not isinstance(info.get("metadata", {}), dict):
                 raise TraceParseError("expected an object with an object 'metadata'")
+            fields(info, {"scenario_id", "time_step", "metadata"}, "sidecar", TraceParseError)
             scenario_id = info.get("scenario_id", scenario_id)
             time_step = info.get("time_step")
             if not isinstance(scenario_id, str) or not scenario_id:

@@ -526,6 +526,25 @@ def test_failed_sweep_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_judges_each_column_on_its_own(sweep_mini, tmp_path):
+    """A column with fewer than 3 defined points records why, and the others are judged."""
+    scenario = json.loads(sweep_mini.read_text())
+    scenario["fixed"]["d_start"] = 0.0  # the pedestrian never starts: no gap time is defined
+    path = tmp_path / "standing.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(path), "--config", str(DATA / "sweep_config.json"),
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 7 and {row[3] for row in rows} == {""}
+    reason = "gap detection needs at least 3 defined sweep points"
+    assert json.loads((out / "gap_findings.json").read_text()) == {
+        "min_euclidean_distance": [], "min_wttc": [], "min_gap_time": {"reason": reason}}
+    assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 0
+    report = (tmp_path / "report" / "report.md").read_text()
+    assert f"- min_gap_time: not judged: {reason}\n" in report
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 @pytest.mark.parametrize("fixed, expected", [
     ({"t_cross": 0.0, "d_start": 16.0}, "cli_demo#0: t_cross must be > 0"),
@@ -673,6 +692,25 @@ def test_report_needs_known_artifacts(workdir, tmp_path):
     assert code == 2
 
 
+def test_report_run_on_a_file_exits_2(tmp_path, capsys):
+    run = tmp_path / "evaluation.json"
+    run.write_text("{}")
+    assert main(["report", "--run", str(run), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {run}: not a directory\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("given, expected", [
+    ("empty", "no trace files found"), ("missing", "no such file or directory")])
+def test_traces_naming_no_trace_file_exit_2(criteria_ok, tmp_path, capsys, given, expected):
+    traces = tmp_path / given
+    if given == "empty":
+        traces.mkdir()
+    assert _evaluate(traces, criteria_ok, tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: {traces}: {expected}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name, content, expected", [
     ("evaluation.json", '{"cells": [', "invalid JSON ("),
     ("evaluation.json", '{"cells": []}', "missing key 'verdicts'"),
@@ -794,6 +832,8 @@ def _evaluate(traces, criteria, out) -> int:
                  "'time_step' must be a positive", id="time_step_of_401_digits"),
     ('{"scenario_id": 7, "time_step": 0.01}', "'scenario_id' must be a non-empty string"),
     ('{"scenario_id": "", "time_step": 0.01}', "'scenario_id' must be a non-empty string"),
+    # a misspelt key is no silent default: the time step would be inferred instead
+    ('{"scenario_id": "cli_demo#0", "timestep": 0.01}', "unknown sidecar keys: ['timestep']"),
 ])
 def test_corrupt_sidecar_exits_2_naming_it(sim_out, criteria_ok, tmp_path, capsys,
                                            content, expected):
@@ -940,10 +980,50 @@ PAIR = {"ego": "ego", "target": "pedestrian"}
         "signal": "metric_value", "metric": "tcc", "params": PAIR,
         "comparator": "<", "bound": 3.0, "unit": "s"}})]},
      "condition on unknown metric 'tcc'"),
+    # units, gates and actor params are checked when the file loads, before any trace
+    ({"criteria": [_metric_criterion("ttc_floor", "ttc", "m", **PAIR)]},
+     "criterion 'ttc_floor': unit 'm' does not match 's'"),
+    ({"criteria": [{"criterion_id": "scale_unit", "metric": "euclidean_distance",
+                    "params": {"actor_a": "ego", "actor_b": "pedestrian"},
+                    "scale": {"breakpoints": [[0.0, 1.0]], "unit": "s"}}]},
+     "criterion 'scale_unit': unit 's' does not match 'm'"),
+    ({"criteria": [_distance_criterion("accel_unit", application_period={"start_condition": {
+        "signal": "acceleration", "actor": "ego", "comparator": "<", "bound": -1.0,
+        "unit": "m/s"}})]},
+     "acceleration condition: unit 'm/s' does not match 'm/s^2'"),
+    ({"criteria": [_distance_criterion("gate_unit", application_period={"start_condition": {
+        "signal": "metric_value", "metric": "ttc", "params": PAIR,
+        "comparator": "<", "bound": 3.0, "unit": "m"}})]},
+     "condition on 'ttc': unit 'm' does not match 's'"),
+    ({"criteria": [_distance_criterion("gate_on_pet", application_period={"start_condition": {
+        "signal": "metric_value", "metric": "pet", "params": {"actor_1": "ego",
+        "actor_2": "pedestrian"}, "comparator": "<", "bound": 3.0, "unit": "s"}})]},
+     "condition on 'pet': only per-timestep metrics can gate a period"),
+    ({"criteria": [_metric_criterion("no_ego", "ttc", "s", target="pedestrian")]},
+     "metric 'ttc' needs parameter 'ego'"),
+    ({"criteria": [_metric_criterion("no_other", "et", "s", actor="ego")]},
+     "metric 'et' needs parameter 'other'"),
+    ({"criteria": [_distance_criterion("gate_no_target", application_period={"start_condition": {
+        "signal": "metric_value", "metric": "ttc", "params": {"ego": "ego"},
+        "comparator": "<", "bound": 3.0, "unit": "s"}})]},
+     "metric 'ttc' needs parameter 'target'"),
+    # the stop rule's own checks
+    *[({"criteria": [_distance_criterion("stop", application_period={
+        "start_condition": {"signal": "time", "comparator": ">=", "bound": 0.0}, "stop": stop})]},
+       expected) for stop, expected in [
+        ({"kind": "elapsed"}, "elapsed stop rule needs a duration > 0"),
+        ({"kind": "event", "event": "halt"}, "unknown event 'halt'"),
+        ({"kind": "event", "event": "actor_passed_conflict"},
+         "actor_passed_conflict stop rule needs an actor"),
+        ({"kind": "pause"}, "unknown stop rule 'pause'"),
+    ]],
 ])
-def test_bad_criteria_file_exits_2_naming_it(sim_out, tmp_path, capsys, payload, expected):
+def test_bad_criteria_file_exits_2_naming_it(sim_out, tmp_path, capsys, monkeypatch,
+                                             payload, expected):
     criteria = tmp_path / "criteria.json"
     criteria.write_text(json.dumps(payload))
+    monkeypatch.setattr("scenq.cli.load_trace_file",
+                        lambda path: pytest.fail("a trace loaded before the criteria"))
     assert _evaluate(sim_out / "traces", criteria, tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {criteria}: ")
@@ -1078,6 +1158,20 @@ def test_nothing_to_judge_exits_2(sim_out, criteria_ok, tmp_path, capsys, case):
     ("scenario", "fixed", {"t_cross": 5.0, "d_start": math.nan},
      "malformed logical scenario: fixed 'd_start' must be a finite number, got nan"),
     ("scenario", "fixed", [1], "malformed logical scenario: fixed must be an object, got [1]"),
+    # the sim config's own checks
+    ("config", "time_step", 0.0, "time_step must be > 0"),
+    ("config", "max_duration", 0.005, "max_duration must cover at least one step"),
+    ("config", "street_width", 0.0, "street_width must be > 0"),
+    ("config", "ego_route", [[1.75, -45.0]], "ego_route needs at least 2 points"),
+    ("config", "ped_crossing", [[12.0, -3.5], [12.0, 0.0], [12.0, 3.5]],
+     "ped_crossing must be a single segment (2 points)"),
+    ("config", "ego_route", [[1.75, -45.0], [1.75, -45.0]], "ego_route must have positive length"),
+    ("config", "ped_crossing", [[12.0, 3.5], [12.0, 3.5]],
+     "ped_crossing must have positive length"),
+    ("config", "comfort_decel", 0.0, "deceleration limits must be > 0"),
+    ("config", "max_decel", 2.0, "max_decel must be >= comfort_decel"),
+    ("config", "trigger_gap_time", -1.0, "trigger_gap_time must be >= 0"),
+    ("config", "ego_start_speed", -1.0, "ego_start_speed must be >= 0"),
 ])
 def test_bad_simulate_input_exits_2_naming_it(mini_scenario, tmp_path, capsys,
                                               name, key, value, expected):

@@ -129,6 +129,7 @@ JSON_LOADERS = {
     "scenarios": ("logical_from_dict",),
     "simulator": ("sim_config_from_dict",),
     "criteria": ("_criterion_from_dict", "_condition_from_dict", "_stop_from_dict"),
+    "trace": ("load_trace_file",),
 }
 
 

@@ -28,6 +28,7 @@ from scenq import (
     validate_trace,
     write_trace,
 )
+from scenq import trace as trace_module
 from scenq.geometry import normalize_angles
 from scenq.nano import euclidean_distance
 from scenq.trace import (
@@ -616,6 +617,13 @@ JSONL_LINE_ERRORS = {
         {3: without("x_m"), 5: lambda line: line.replace("pedestrian", "vehicle")},
         "missing keys: x_m", 3, "walker",
     ),
+    # every row gives accel_mps2 or none does: one actor's rows must not derive every actor's
+    "accel_missing_after_first": (
+        {3: without("accel_mps2")}, "accel_mps2 missing, unlike line 1", 3, "walker"
+    ),
+    "accel_given_after_first": (
+        {0: without("accel_mps2")}, "accel_mps2 given, unlike line 1", 1, "walker"
+    ),
 }
 
 
@@ -679,6 +687,41 @@ def test_open_quote_stays_on_its_line():
     assert exc.value.line == 4
     assert exc.value.actor_id == "car"
     assert str(exc.value) == "line 4: 2 fields, header has 8"
+
+
+def central_difference(times, values):
+    """Central differences, one-sided at the ends, one sample at a time."""
+    n = len(times)
+    return [(values[min(i + 1, n - 1)] - values[max(i - 1, 0)])
+            / (times[min(i + 1, n - 1)] - times[max(i - 1, 0)]) for i in range(n)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_missing_accel_is_the_central_difference_of_speed(fmt):
+    rows = base_rows()
+    for k, row in enumerate(rows):  # uneven steps and speeds
+        row.update(time_s=[0.0, 0.1, 0.25, 0.3][k // 2], speed_mps=[1.0, 2.0, 2.5, 4.5][k // 2])
+    trace = load_trace(rows_text(rows, fmt, CSV_COLUMNS[:-1]), fmt)
+    assert trace.metadata["accel_derived"] == "car,walker"
+    for track in trace.tracks.values():
+        assert track.accels.tolist() == central_difference(track.times.tolist(),
+                                                           track.speeds.tolist())
+        assert track.accels.tolist() != [0.0] * 4  # not the recorded column
+
+
+@pytest.mark.parametrize("actor_id", ["ego,1", 'say "hi"'])
+def test_quoted_actor_id_loads_in_the_one_pass(monkeypatch, actor_id):
+    """A quoted comma or quote is read by the one loadtxt pass: only the header is split
+    line by line."""
+    trace = Trace("quoted", 0.1, {actor_id: straight_track(actor_id),
+                                  "walker": straight_track("walker", y=10.0)})
+    text = write_trace(trace)
+    split = trace_module._split_csv_line
+    calls = []
+    monkeypatch.setattr(trace_module, "_split_csv_line",
+                        lambda line: calls.append(line) or split(line))
+    assert_same_tracks(load_trace(text), trace)
+    assert calls == [text.splitlines()[0]]
 
 
 def test_csv_values_parse_like_float():
