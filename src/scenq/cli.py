@@ -202,6 +202,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     criteria = load_criteria(args.criteria)
     trace_paths = _collect_trace_paths(args.traces)
     traces = [load_trace_file(p) for p in trace_paths]
+    named: dict[str, Path] = {}  # plot files are named by scenario id: the first file per name
+    for path, trace in zip(trace_paths, traces):
+        if (first := named.setdefault(_safe_name(trace.scenario_id), path)) is not path:
+            raise ScenqError(f"{path}: scenario id {trace.scenario_id!r} names the plot files "
+                             f"of {first} too")
     report = evaluate_suite(criteria, traces, perspective=args.perspective, level=args.level)
     if not report.verdicts:
         raise ScenqError(f"{args.criteria}: no criterion of perspective "

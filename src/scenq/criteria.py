@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -32,6 +33,8 @@ _SIGNAL_UNITS = {"speed": "m/s", "acceleration": "m/s^2", "distance_between": "m
 SIGNALS = (*_SIGNAL_UNITS, "metric_value")
 
 PERSPECTIVES = ("simulation", "sut", "scenario")
+
+OUTCOMES = ("pass", "fail", "score", "not_applicable")
 
 EQ_RELATIVE_TOL = 1e-9
 
@@ -104,6 +107,7 @@ class ConditionNode:
                 raise CriterionError(f"{self.signal} condition needs an actor")
             if self.signal == "distance_between" and not (self.actor and self.actor_b):
                 raise CriterionError("distance_between condition needs two actors")
+            _check_leaf(self)
         elif self.op in ("all", "any"):
             if len(self.children) < 2:
                 raise CriterionError(f"{self.op} node needs at least 2 children")
@@ -111,15 +115,10 @@ class ConditionNode:
             raise CriterionError(f"unknown condition op {self.op!r}")
 
     def referenced_actors(self) -> set[str]:
-        actors: set[str] = set()
-        if self.op == "leaf":
-            for a in (self.actor, self.actor_b):
-                if a:
-                    actors.add(a)
-            for key in ("actor", "actor_a", "actor_b", "ego", "target", "actor_1", "actor_2", "other"):
-                value = self.metric_params.get(key)
-                if isinstance(value, str):
-                    actors.add(value)
+        actors = {a for a in (self.actor, self.actor_b) if a}
+        if self.signal == "metric_value":
+            params = self.metric_params
+            actors |= {params[k] for k in registry.get(self.metric).actors if k in params}
         for child in self.children:
             actors |= child.referenced_actors()
         return actors
@@ -148,7 +147,8 @@ def _check_leaf(node: ConditionNode) -> None:
 
 
 def _leaf_samples(node: ConditionNode, trace: Trace, grid: np.ndarray) -> np.ndarray:
-    _check_leaf(node)
+    """The leaf's signal on the grid, NaN where undefined: for a gating metric, where
+    its series is undefined and outside the span its series covers."""
     if node.signal == "time":
         return grid
     if node.signal == "speed":
@@ -162,7 +162,7 @@ def _leaf_samples(node: ConditionNode, trace: Trace, grid: np.ndarray) -> np.nda
     # metric_value
     series = registry.compute(registry.get(node.metric), trace, node.metric_params)
     values = np.interp(grid, series.times, series.values)
-    defined = np.interp(grid, series.times, series.defined.astype(float)) >= 1.0
+    defined = np.interp(grid, series.times, series.defined.astype(float), left=0, right=0) >= 1
     values[~defined] = np.nan
     return values
 
@@ -336,6 +336,8 @@ class QualityCriterion:
         if not isinstance(self.metric_params, Mapping):
             raise CriterionError(f"criterion {self.criterion_id!r}: params must be an object")
         object.__setattr__(self, "metric_params", dict(self.metric_params))
+        _check_unit(self.evaluation.unit, registry.get(self.metric_name).unit,
+                    f"criterion {self.criterion_id!r}")
 
     @property
     def level(self) -> str:
@@ -354,7 +356,7 @@ class Verdict:
     result: MetricSeries | ScalarResult | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.outcome not in ("pass", "fail", "score", "not_applicable"):
+        if self.outcome not in OUTCOMES:
             raise CriterionError(f"unknown outcome {self.outcome!r}")
         object.__setattr__(
             self, "evaluated_intervals", tuple(tuple(i) for i in self.evaluated_intervals)
@@ -386,10 +388,6 @@ def evaluate_criterion(
     if trace is None and isinstance(result, MetricSeries):
         raise CriterionError("evaluating a series requires its trace")
 
-    verdict = Verdict(
-        criterion.criterion_id, "not_applicable", trace.scenario_id if trace is not None else "",
-        result=result,
-    )
     intervals = active_intervals(criterion.application_period, trace) if trace else []
     if isinstance(result, ScalarResult):
         times = np.array([intervals[0][0] if intervals else 0.0])
@@ -398,26 +396,22 @@ def evaluate_criterion(
     else:
         times, values, mask = result.times, result.values, result.defined
     if trace is not None:
-        if not intervals:
-            return verdict
         mask = mask & in_periods(times, intervals)
-    verdict = replace(verdict, evaluated_intervals=intervals)
-    if not mask.any():
-        return verdict
-    times, values = times[mask], values[mask]
-
-    evaluation = criterion.evaluation
-    if isinstance(evaluation, Scale):
-        worst = int(np.argmin(values) if spec.worse == registry.WORSE_LOW else np.argmax(values))
-        verdict = replace(verdict, outcome="score", score=evaluation.score(float(values[worst])))
-    else:
-        margins = comparison_margin(evaluation.comparator, values, evaluation.value)
-        worst = int(np.argmin(margins))
-        passed = bool(np.all(margin_holds(evaluation.comparator, margins)))
-        verdict = replace(verdict, outcome="pass" if passed else "fail")
-    return replace(verdict, worst_result=MetricResult(
-        time=float(times[worst]), value=float(values[worst]), unit=result.unit, defined=True,
-    ))
+    outcome, score, worst = "not_applicable", None, None
+    if mask.any():
+        times, values = times[mask], values[mask]
+        evaluation = criterion.evaluation
+        if isinstance(evaluation, Scale):
+            i = int(np.argmin(values) if spec.worse == registry.WORSE_LOW else np.argmax(values))
+            outcome, score = "score", evaluation.score(float(values[i]))
+        else:
+            margins = comparison_margin(evaluation.comparator, values, evaluation.value)
+            i = int(np.argmin(margins))
+            outcome = "pass" if np.all(margin_holds(evaluation.comparator, margins)) else "fail"
+        worst = MetricResult(time=float(times[i]), value=float(values[i]), unit=result.unit,
+                             defined=True)
+    scenario_id = trace.scenario_id if trace is not None else ""
+    return Verdict(criterion.criterion_id, outcome, scenario_id, score, intervals, worst, result)
 
 
 @dataclass(frozen=True)
@@ -498,16 +492,8 @@ def evaluate_suite(
 
     cells = []
     for (persp, lvl), cell_verdicts in sorted(cell_keys.items()):
-        cells.append(
-            CellSummary(
-                perspective=persp,
-                level=lvl,
-                passes=sum(v.outcome == "pass" for v in cell_verdicts),
-                fails=sum(v.outcome == "fail" for v in cell_verdicts),
-                scores=sum(v.outcome == "score" for v in cell_verdicts),
-                not_applicable=sum(v.outcome == "not_applicable" for v in cell_verdicts),
-            )
-        )
+        counts = Counter(v.outcome for v in cell_verdicts)
+        cells.append(CellSummary(persp, lvl, *(counts[o] for o in OUTCOMES)))
     return EvaluationReport(verdicts=tuple(verdicts), cells=tuple(cells))
 
 
@@ -527,7 +513,7 @@ def _check_params(metric: str, params: Mapping) -> None:
     if rules is not None:
         for key, value in fields(params, set(rules), f"{metric} params", CriterionError).items():
             rules[key](value, f"{metric} param {key!r}")
-        missing = [k for k, rule in rules.items() if rule is registry._actor and k not in params]
+        missing = [k for k in registry.get(metric).actors if k not in params]
         if missing:
             raise CriterionError(f"metric {metric!r} needs parameter {missing[0]!r}")
 
@@ -552,7 +538,6 @@ def _condition_from_dict(data: Mapping) -> ConditionNode:
         )
     except KeyError as exc:
         raise CriterionError(f"condition missing key {exc.args[0]!r}") from None
-    _check_leaf(node)
     if node.signal == "metric_value":
         _check_params(node.metric, node.metric_params)
     return node
@@ -610,8 +595,6 @@ def _criterion_from_dict(data: Mapping) -> QualityCriterion:
             metric_params=data.get("params", {}),
             perspective=str(data.get("perspective", "sut")),
         )
-        _check_unit(evaluation.unit, registry.get(criterion.metric_name).unit,
-                    f"criterion {criterion.criterion_id!r}")
         _check_params(criterion.metric_name, criterion.metric_params)
         return criterion
     except KeyError as exc:

@@ -169,24 +169,15 @@ def et(trace: Trace, actor: str, zone: EncroachmentZone) -> ScalarResult:
     )
 
 
-def aggregate(
-    series: MetricSeries,
-    op: str,
-    periods: list[tuple[float, float]] | None = None,
-) -> ScalarResult:
+def aggregate(series: MetricSeries, op: str) -> ScalarResult:
     """Collapse a per-timestep series to one scalar.
 
-    op is one of min, max, mean, applied over defined samples; with periods
-    given, only samples inside one of the (start, end) intervals (endpoints
-    inclusive) count. Undefined when no defined sample qualifies.
+    op is one of min, max, mean, applied over defined samples. Undefined when
+    no sample is defined.
     """
     if op not in AGGREGATE_OPS:
         raise MetricError(f"unknown aggregation {op!r}, expected one of {AGGREGATE_OPS}")
-    mask = series.defined.copy()
-    if periods is not None:
-        if any(end < start for start, end in periods):
-            raise MetricError("aggregation period must have start <= end")
-        mask &= in_periods(series.times, periods)
+    mask = series.defined
     name = f"{op}_{series.metric_name}"
     if not mask.any():
         return undefined_scalar(name, series.unit, "no_defined_samples")

@@ -52,6 +52,11 @@ class MetricSpec:
         if self.worse not in (WORSE_LOW, WORSE_HIGH):
             raise MetricError(f"unknown worse direction {self.worse!r}")
 
+    @property
+    def actors(self) -> tuple[str, ...]:
+        """The declared params that name an actor, each one required."""
+        return tuple(key for key, rule in (self.params or {}).items() if rule is _actor)
+
 
 _REGISTRY: dict[str, MetricSpec] = {}
 

@@ -80,9 +80,6 @@ class MetricSeries:
     def defined_fraction(self) -> float:
         return float(np.count_nonzero(self.defined)) / len(self)
 
-    def defined_values(self) -> np.ndarray:
-        return self.values[self.defined]
-
 
 @dataclass(frozen=True)
 class ScalarResult:

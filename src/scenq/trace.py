@@ -230,9 +230,6 @@ class ValidationReport:
     def errors(self) -> tuple[ValidationIssue, ...]:
         return tuple(i for i in self.issues if i.severity == "error")
 
-    def warnings(self) -> tuple[ValidationIssue, ...]:
-        return tuple(i for i in self.issues if i.severity == "warning")
-
 
 # ---------------------------------------------------------------------------
 # interpolation

@@ -1096,6 +1096,23 @@ def test_trace_file_reached_twice_exits_2_naming_it(sim_out, criteria_ok, tmp_pa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("names", [("run.csv", "run.csv"), ("run#0.csv", "run_0.csv")])
+def test_evaluate_scenario_ids_naming_the_same_plot_files_exit_2(sim_out, criteria_ok, tmp_path,
+                                                                capsys, names):
+    src = sim_out / "traces" / "cli_demo_0.csv"
+    given = []
+    for folder, name in zip("ab", names):  # no sidecar: the file name is the scenario id
+        (tmp_path / folder).mkdir()
+        given.append(tmp_path / folder / name)
+        given[-1].write_bytes(src.read_bytes())
+    out = tmp_path / "out"
+    assert main(["evaluate", "--criteria", str(criteria_ok), "--traces", *map(str, given),
+                 "--out", str(out), "--emit-plot-data"]) == 2
+    assert capsys.readouterr().err == (f"error: {given[1]}: scenario id {given[1].stem!r} names "
+                                       f"the plot files of {given[0]} too\n")
+    assert not out.exists()
+
+
 def test_compare_skips_the_reference_among_the_runs(sim_out, tmp_path):
     traces = sim_out / "traces"
     ref = traces / "cli_demo_0.csv"

@@ -256,17 +256,21 @@ def test_metric_value_condition():
 
 
 def test_unit_mismatch_rejected():
-    trace = one_actor_trace(TRIANGLE)
-    period = ApplicationPeriod(condition("speed", ">", 5.0, unit="km/h", actor="ego"))
     with pytest.raises(UnitMismatchError):
-        active_intervals(period, trace)
-    crit = QualityCriterion(
-        criterion_id="c1",
-        metric_name="pet",
-        evaluation=Threshold(">", 1.5, unit="ms"),
-    )
+        condition("speed", ">", 5.0, unit="km/h", actor="ego")
     with pytest.raises(UnitMismatchError):
-        evaluate_criterion(crit, ScalarResult("pet", 3.0, "s"))
+        QualityCriterion(criterion_id="c1", metric_name="pet",
+                         evaluation=Threshold(">", 1.5, unit="ms"))
+    # the judged result's unit is a different input, checked when it is judged
+    crit = QualityCriterion("c1", "pet", Threshold(">", 1.5, unit="s"))
+    with pytest.raises(UnitMismatchError):
+        evaluate_criterion(crit, ScalarResult("pet", 3.0, "ms"))
+
+
+def test_only_per_timestep_metrics_gate_at_construction():
+    with pytest.raises(CriterionError, match="only per-timestep metrics can gate"):
+        condition("metric_value", ">", 1.0, unit="s", metric="pet",
+                  metric_params={"actor_1": "ego", "actor_2": "other"})
 
 
 def test_scale_scoring():
@@ -842,6 +846,36 @@ def test_a_spec_registered_in_place_is_not_served_the_old_result():
     assert verdict.outcome == "fail"
     assert verdict.result is fresh
     assert registry.compute(registry.get("euclidean_distance"), trace, params) is kept
+
+
+def test_a_gating_metric_is_undefined_past_its_series(monkeypatch):
+    """The grid comes from the ego alone, as the metric declares no actor params; past
+    the lead's last sample the gap is undefined, not held at its last value."""
+    dt, n = 0.1, 101
+    times = np.arange(n) * dt
+    ego = ActorTrack("ego", ActorClass.VEHICLE, 1.0, times, xs=2.0 * times, ys=np.zeros(n),
+                     headings=np.zeros(n), speeds=np.full(n, 2.0), accels=np.zeros(n))
+    short = times[:51]  # the lead is recorded until 5 s
+    lead = ActorTrack("lead", ActorClass.VEHICLE, 1.0, short, xs=np.full(51, 30.0),
+                      ys=np.zeros(51), headings=np.zeros(51), speeds=np.zeros(51),
+                      accels=np.zeros(51))
+    trace = Trace("t", dt, {"ego": ego, "lead": lead})
+
+    def lead_gap(trace, params):
+        return replace(euclidean_distance(trace, params["host"], params["lead"]),
+                       metric_name="lead_gap")
+
+    monkeypatch.setitem(registry._REGISTRY, "lead_gap", registry.MetricSpec(
+        "lead_gap", "m", registry.NANOSCOPIC, registry.WORSE_LOW, "gap to a lead", lead_gap))
+    close = ConditionNode(op="all", children=(
+        condition("metric_value", "<", 25.0, unit="m", metric="lead_gap",
+                  metric_params={"host": "ego", "lead": "lead"}),
+        condition("speed", ">", 1.0, unit="m/s", actor="ego"),
+    ))
+    assert close.referenced_actors() == {"ego"}
+    [(start, stop)] = active_intervals(ApplicationPeriod(close), trace)
+    assert start == pytest.approx(2.5)
+    assert stop == pytest.approx(5.1)  # the first grid sample past the lead's series
 
 
 def test_evaluate_suite_takes_list_params(monkeypatch):

@@ -122,6 +122,33 @@ def test_cli_reaches_metrics_only_through_the_registry():
         assert "nano" not in name.split("."), f"cli imports {name}"
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    """A module's _-prefixed names are its own: no other scenq module reads one,
+    by attribute access on the imported module or by importing the name."""
+    package = Path(scenq.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    reads = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()  # the names the module binds to scenq modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module is None and alias.name in modules:
+                        imported.add(alias.asname or alias.name)
+                    elif _private(alias.name):
+                        reads.append(f"{path.name}:{node.lineno} imports {alias.name}")
+        reads += [f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in imported and _private(node.attr)]
+    assert reads == []
+
+
 # the JSON file loaders: each reads its numbers through errors.number and its
 # objects through errors.fields, so a bare float() lets NaN, Infinity, a
 # numeric string or a bool through again

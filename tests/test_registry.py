@@ -106,6 +106,12 @@ def test_every_builtin_metric_declares_the_params_it_reads():
     assert MetricSpec("x", "m", "nanoscopic", "low", "", lambda: None).params is None
 
 
+def test_actor_params_are_the_required_ones():
+    for spec in registry.all_specs():
+        assert spec.actors == tuple(REQUIRED_PARAMS.get(spec.name, ())), spec.name
+    assert MetricSpec("x", "m", "nanoscopic", "low", "", lambda: None).actors == ()
+
+
 def test_missing_params_reported(reference_outcome):
     trace = reference_outcome.trace
     per_trace = [s.name for s in registry.all_specs() if s.level != registry.MACROSCOPIC]
