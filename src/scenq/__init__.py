@@ -61,6 +61,7 @@ from .scenarios import (
 from .simulator import (
     SimConfig,
     SimOutcome,
+    iter_simulate,
     load_sim_config,
     sim_config_from_dict,
     simulate,

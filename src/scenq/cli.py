@@ -32,9 +32,9 @@ from . import __version__, micro, registry
 from .criteria import EvaluationReport, Verdict, evaluate_suite, load_criteria
 from .errors import MetricError, ScenqError, SimulationError, in_file
 from .macro import detect_result_gaps, repeatability_report
-from .results import MetricSeries, write_scalars, write_series_batch
+from .results import MetricSeries, safe_name, write_scalars, write_series_batch
 from .scenarios import iter_concretize, load_logical_scenario, write_concrete_set
-from .simulator import EGO_ID, PED_ID, SimOutcome, load_sim_config, simulate_batch
+from .simulator import EGO_ID, PED_ID, SimOutcome, iter_simulate, load_sim_config
 from .trace import Trace, TraceFormat, load_trace_file, save_traces
 
 try:  # the builtin sha256, as random.py takes it: hashlib maps OpenSSL, about 3.5 MB
@@ -122,10 +122,6 @@ def _say(line: str) -> None:
         sys.stdout = open(os.devnull, "w", encoding="utf-8")  # for the flush at exit too
 
 
-def _safe_name(scenario_id: str) -> str:
-    return scenario_id.replace("#", "_").replace("/", "_")
-
-
 def _collect_trace_paths(raw: Sequence[str]) -> list[Path]:
     """The trace files named, or held by the directories named; each file once."""
     paths: dict[Path, Path] = {}  # by resolved path
@@ -162,20 +158,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     fmt = TraceFormat(args.format)
     scenarios = list(iter_concretize(logical))
     with in_file(args.scenario, SimulationError):
-        outcomes = simulate_batch(scenarios, config)
-    log.info("simulated %d scenarios", len(outcomes))
+        runs = iter_simulate(scenarios, config)
+    rows: dict[int, dict] = {}
+
+    def traces(folder: Path) -> Iterator[tuple[Trace, Path]]:
+        for i, outcome in runs:  # each trace is written as its run ends, then freed
+            rows[i] = _outcome_row(outcome)
+            yield outcome.trace, folder / f"{safe_name(outcome.trace.scenario_id)}.{fmt.value}"
 
     inputs = [Path(args.scenario), Path(args.config)]
     with _output_dir(Path(args.out), "simulate", inputs, inputs, ["traces"]) as work:
-        traces = [o.trace for o in outcomes]
-        names = [f"{_safe_name(t.scenario_id)}.{fmt.value}" for t in traces]
-        save_traces(traces, [work / "traces" / name for name in names], fmt)
+        save_traces(traces(work / "traces"), fmt)
         write_concrete_set(scenarios, work / "scenarios.jsonl")
         (work / "outcomes.jsonl").write_text(
-            "\n".join(json.dumps(_outcome_row(o)) for o in outcomes) + "\n", encoding="utf-8"
+            "\n".join(json.dumps(rows[i]) for i in sorted(rows)) + "\n", encoding="utf-8"
         )
-    collisions = sum(o.collided for o in outcomes)
-    _say(f"simulated {len(outcomes)} runs, {collisions} with collisions, "
+    log.info("simulated %d scenarios", len(rows))
+    collisions = sum(row["collided"] for row in rows.values())
+    _say(f"simulated {len(rows)} runs, {collisions} with collisions, "
          f"traces in {Path(args.out) / 'traces'}")
     return 0
 
@@ -204,7 +204,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     traces = [load_trace_file(p) for p in trace_paths]
     named: dict[str, Path] = {}  # plot files are named by scenario id: the first file per name
     for path, trace in zip(trace_paths, traces):
-        if (first := named.setdefault(_safe_name(trace.scenario_id), path)) is not path:
+        if (first := named.setdefault(safe_name(trace.scenario_id), path)) is not path:
             raise ScenqError(f"{path}: scenario id {trace.scenario_id!r} names the plot files "
                              f"of {first} too")
     report = evaluate_suite(criteria, traces, perspective=args.perspective, level=args.level)
@@ -221,7 +221,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         (work / "evaluation.json").write_text(json.dumps(_report_dict(report), indent=2) + "\n",
                                               encoding="utf-8")
         write_series_batch((v.scenario_id, v.result, work / "plot_data" / (
-            f"{_safe_name(v.criterion_id)}_{_safe_name(v.scenario_id)}.csv"
+            f"{safe_name(v.criterion_id)}_{safe_name(v.scenario_id)}.csv"
         ), params[v.criterion_id]) for v in plotted)
 
     fails = sum(v.outcome == "fail" for v in report.verdicts)
@@ -306,13 +306,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     param = logical.parameters[0]
     scenarios = list(iter_concretize(logical))
     with in_file(args.scenario, SimulationError):
-        outcomes = simulate_batch(scenarios, config)
-
-    values, outcomes = zip(*sorted(zip([float(s.bindings[param.name]) for s in scenarios],
-                                       outcomes), key=lambda run: run[0]))
-    # per column, each run's minimum in value order
-    table = {col: [micro.aggregate(registry.get(metric).compute(o.trace, params), "min")
-                   for o in outcomes] for col, (metric, params) in _SWEEP_COLUMNS.items()}
+        stream = iter_simulate(scenarios, config)
+    # in value order, each run's value, index, how it ended and minimum per column
+    runs = sorted((float(scenarios[i].bindings[param.name]), i, o.collided, o.end_reason,
+                   [micro.aggregate(registry.get(metric).compute(o.trace, params), "min")
+                    for metric, params in _SWEEP_COLUMNS.values()]) for i, o in stream)
+    values = [value for value, *_ in runs]
+    table = dict(zip(_SWEEP_COLUMNS, zip(*(minima for *_, minima in runs))))
     findings: dict[str, list | dict] = {}
     for col, scalars in table.items():
         try:  # a column that cannot be judged records why, and the others go on
@@ -323,17 +323,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if all(isinstance(items, dict) for items in findings.values()):
         raise MetricError(next(iter(findings.values()))["reason"])
 
-    runs = list(zip(values, outcomes, zip(*table.values())))  # value, outcome and minima of a run
     csv_lines = [",".join([param.name, *table, "collided", "end_reason"])] + [",".join([
         repr(value), *(repr(float(s.value)) if s.defined else "" for s in scalars),
-        "true" if outcome.collided else "false", outcome.end_reason])
-        for value, outcome, scalars in runs]
+        "true" if collided else "false", end_reason])
+        for value, _, collided, end_reason, scalars in runs]
     inputs = [Path(args.scenario), Path(args.config)]
     with _output_dir(Path(args.out), "sweep", inputs, inputs) as work:
         (work / "sweep.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
         (work / "gap_findings.json").write_text(json.dumps(findings, indent=2) + "\n",
                                                 encoding="utf-8")
-        write_scalars([(f"{param.name}={value!r}", s) for value, _, scalars in runs
+        write_scalars([(f"{param.name}={value!r}", s) for value, *_, scalars in runs
                        for s in scalars], work / "sweep_scalars.jsonl")
 
     total = sum(len(items) for items in findings.values() if isinstance(items, list))

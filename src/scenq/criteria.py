@@ -23,7 +23,7 @@ from . import registry
 from .errors import CriterionError, UnitMismatchError, fields, in_file, number
 from .micro import in_periods, margin_runs
 from .nano import conflict_point
-from .results import MetricResult, MetricSeries, ScalarResult
+from .results import MetricResult, MetricSeries, ScalarResult, safe_name
 from .trace import Trace, common_grid, first_contact_time, sample_track
 
 COMPARATORS = ("<", "<=", ">", ">=", "=")
@@ -613,9 +613,10 @@ def load_criteria(path: str | Path) -> list[QualityCriterion]:
         if items is not data:
             fields(data, {"criteria"}, "criteria file", CriterionError)
         criteria = [_criterion_from_dict(item) for item in items]
-        seen: set[str] = set()
-        for criterion in criteria:  # ids name plot-data files, so they must be unique
-            if criterion.criterion_id in seen:
-                raise CriterionError(f"criterion_id {criterion.criterion_id!r} is repeated")
-            seen.add(criterion.criterion_id)
+        named: dict[str, str] = {}  # ids name plot-data files, so no two may name the same
+        for cid in (criterion.criterion_id for criterion in criteria):
+            if (first := named.get(safe_name(cid))) is not None:
+                raise CriterionError(f"criterion_id {cid!r} is repeated" if first == cid
+                                     else f"criterion ids {first!r} and {cid!r} name one plot file")
+            named[safe_name(cid)] = cid
     return criteria

@@ -159,6 +159,11 @@ class OccupancyInterval:
 # serialization
 
 
+def safe_name(name: str) -> str:
+    """The file-name stem of a scenario or criterion id: '#' and '/' become '_'."""
+    return name.replace("#", "_").replace("/", "_")
+
+
 def write_series(series: MetricSeries, path: str | Path, parameters: Mapping | None = None) -> None:
     """Write a metric series as CSV plus a JSON sidecar.
 

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -180,9 +180,21 @@ def _prepare(scenario: ConcreteScenario | Mapping[str, float], config: SimConfig
     )
 
 
+def _places(s: np.ndarray, segment: np.ndarray, ped_arc: np.ndarray, ped_start: np.ndarray,
+            ped_dir: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Ego x, y at route arc s on its segment (one column of _Run.segments per s) and
+    pedestrian x, y at crossing arc ped_arc: one formula for the step loop and the trace."""
+    seg_arc, seg_len, seg_x, seg_y, seg_dx, seg_dy = segment[:6]
+    # s never falls behind the segment's start, so the loop's max(., 0.0) is a no-op
+    frac = np.minimum(s - seg_arc, seg_len) / seg_len
+    return (seg_x + frac * seg_dx, seg_y + frac * seg_dy,
+            ped_start[0] + ped_arc * ped_dir[0], ped_start[1] + ped_arc * ped_dir[1])
+
+
 def _step_runs(runs: list[_Run], config: SimConfig, ped_start: np.ndarray, ped_dir: np.ndarray,
-               ped_len: float) -> None:
-    """Step every run in lock-step until each has ended, recording into run.columns.
+               ped_len: float) -> Iterator[int]:
+    """Step every run in lock-step until each has ended, recording s, v, acceleration,
+    pedestrian arc and speed into run.columns; yield its index once its last block is in.
 
     Element by element this is the per-run loop's arithmetic: + - * / and
     Python's min and max, which numpy's minimum and maximum match here (a
@@ -191,7 +203,6 @@ def _step_runs(runs: list[_Run], config: SimConfig, ped_start: np.ndarray, ped_d
     """
     dt = config.time_step
     n_max = int(round(config.max_duration / dt)) + 1
-    (ped_x0, ped_y0), (ped_dx, ped_dy) = ped_start, ped_dir
     comfort_stop, full_stop = 2.0 * config.comfort_decel, 2.0 * config.max_decel
 
     m, ids = len(runs), np.arange(len(runs))
@@ -200,16 +211,16 @@ def _step_runs(runs: list[_Run], config: SimConfig, ped_start: np.ndarray, ped_d
     seg = np.zeros(m, dtype=int)
     s, v, ped_arc = np.zeros(m), np.array([r.speed for r in runs]), np.zeros(m)
     started, braking, escalated = np.zeros(m, bool), np.zeros(m, bool), np.zeros(m, bool)
-    block = np.empty((_BLOCK_STEPS, 8, m))
+    block = np.empty((_BLOCK_STEPS, 5, m))
     for run in runs:
-        run.columns, run.n = np.empty((8, n_max)), n_max
+        run.columns, run.n = np.empty((5, n_max)), n_max
 
     k = 0
     while m and k < n_max:
         alive = np.ones(m, bool)
         v_max, v_cap, walk, s_conflict, ped_conflict_arc, stop_target, ped_clear = const
         dist_mark, ego_mark, ped_mark, route_end, ego_clear = marks
-        seg_arc, seg_len, seg_x, seg_y, seg_dx, seg_dy, seg_head, seg_next = current
+        seg_next = current[-1]
         first, live = k, m
         while k < min(first + _BLOCK_STEPS, n_max) and live:
             t = k * dt
@@ -221,13 +232,8 @@ def _step_runs(runs: list[_Run], config: SimConfig, ped_start: np.ndarray, ped_d
                     i += 1
                 seg[j] = i
                 current[:, j] = segments[i]
-            # s never falls behind the segment's start, so the loop's max(., 0.0) is a no-op
-            frac = np.minimum(s - seg_arc, seg_len) / seg_len
-            ex = np.add(seg_x, frac * seg_dx, out=row[0])
-            ey = np.add(seg_y, frac * seg_dy, out=row[1])
-            px = np.add(ped_x0, ped_arc * ped_dx, out=row[5])
-            py = np.add(ped_y0, ped_arc * ped_dy, out=row[6])
-            row[2], row[3] = seg_head, v
+            ex, ey, px, py = _places(s, current, ped_arc, ped_start, ped_dir)
+            row[0], row[1], row[3] = s, v, ped_arc
 
             ddx, ddy = ex - px, ey - py
             contacts = []
@@ -240,7 +246,7 @@ def _step_runs(runs: list[_Run], config: SimConfig, ped_start: np.ndarray, ped_d
                 if dist <= _R_SUM:
                     contacts.append(j)
             ped_speed = np.where(started & (ped_arc < ped_len), walk, 0.0)
-            row[7] = ped_speed
+            row[4] = ped_speed
 
             # controller: a run keeps braking while the pedestrian walks toward
             # a conflict that neither has cleared
@@ -264,7 +270,7 @@ def _step_runs(runs: list[_Run], config: SimConfig, ped_start: np.ndarray, ped_d
                     a = np.where(braking, np.where(escalated, -config.max_decel,
                                                    -config.comfort_decel), a)
             v_next = np.minimum(np.maximum(v + a * dt, 0.0), v_cap)
-            np.divide(v_next - v, dt, out=row[4])
+            np.divide(v_next - v, dt, out=row[2])
 
             for name, at, mark in (("ego_passed_conflict", s, ego_mark),
                                    ("ped_passed_conflict", ped_arc, ped_mark)):
@@ -290,15 +296,19 @@ def _step_runs(runs: list[_Run], config: SimConfig, ped_start: np.ndarray, ped_d
         for j, i in enumerate(ids):
             stop = min(runs[i].n, k)
             runs[i].columns[:, first:stop] = block[:stop - first, :, j].T
+        yield from ids[~alive].tolist()
         ids, seg, s, v, ped_arc, started, braking, escalated = (
             x[alive] for x in (ids, seg, s, v, ped_arc, started, braking, escalated))
         const, marks, current = const[:, alive], marks[:, alive], current[:, alive]
         m = len(ids)
+    yield from ids.tolist()  # still going at max_duration: timed out
 
 
-def _outcome(run: _Run, dt: float, ped_heading: float) -> SimOutcome:
-    n, scenario = run.n, run.scenario
-    ego_x, ego_y, ego_h, ego_v, ego_a, ped_x, ped_y, ped_v = (c[:n] for c in run.columns)
+def _outcome(run: _Run, dt: float, ped_start: np.ndarray, ped_dir: np.ndarray) -> SimOutcome:
+    n, scenario, columns, run.columns = run.n, run.scenario, run.columns, None  # to the trace
+    s, ego_v, ego_a, ped_arc, ped_v = columns[:, :n]
+    at = np.searchsorted(run.segments[:, -1], s)  # as the loop: the first segment ending at s or on
+    ego_x, ego_y, ped_x, ped_y = _places(s, run.segments[at].T, ped_arc, ped_start, ped_dir)
     events = run.events
     events["scenario_end"] = (n - 1) * dt
 
@@ -313,9 +323,10 @@ def _outcome(run: _Run, dt: float, ped_heading: float) -> SimOutcome:
 
     times = np.arange(n) * dt
     ego_track = ActorTrack(EGO_ID, ActorClass.VEHICLE, DEFAULT_RADII[ActorClass.VEHICLE], times,
-                           ego_x, ego_y, ego_h, ego_v, ego_a)
+                           ego_x, ego_y, run.segments[at, 6], ego_v, ego_a)
     ped_track = ActorTrack(PED_ID, ActorClass.PEDESTRIAN, DEFAULT_RADII[ActorClass.PEDESTRIAN],
-                           times, ped_x, ped_y, np.full(n, ped_heading), ped_v, np.zeros(n))
+                           times, ped_x, ped_y, np.full(n, math.atan2(ped_dir[1], ped_dir[0])),
+                           ped_v, np.zeros(n))
     trace = Trace(scenario.scenario_id, dt, {EGO_ID: ego_track, PED_ID: ped_track}, metadata)
     # validated tracks are finite: settle the near-minimal distances with math.hypot
     ddx, ddy = ego_x - ped_x, ego_y - ped_y
@@ -340,22 +351,28 @@ def simulate(scenario: ConcreteScenario | Mapping[str, float], config: SimConfig
     return simulate_batch([scenario], config)[0]
 
 
-def simulate_batch(scenarios: Sequence[ConcreteScenario | Mapping[str, float]],
-                   config: SimConfig) -> list[SimOutcome]:
-    """Simulate concrete scenarios, such as the grid of a logical one, in order.
+def iter_simulate(scenarios: Iterable[ConcreteScenario | Mapping[str, float]],
+                  config: SimConfig) -> Iterator[tuple[int, SimOutcome]]:
+    """Simulate concrete scenarios, such as the grid of a logical one, yielding
+    (index, outcome) of each run in the block of steps where it ends.
 
-    Every run's bindings are checked before the first step. The runs then
-    advance together in lock-step, as arrays over the runs, each recording
-    until its own end; every outcome is bit-identical to simulate() of its
-    scenario alone.
+    Every run's bindings are checked before this returns. The runs advance in
+    lock-step, as arrays over the runs; a run's recording lives on only in its
+    outcome's trace. Every outcome is bit-identical to simulate() of its scenario alone.
     """
     crossing = np.asarray(config.ped_crossing, dtype=float)
     route_hit = first_polyline_crossing(np.array(config.ego_route, dtype=float), crossing)
     runs = [_prepare(scenario, config, crossing, route_hit) for scenario in scenarios]
     ped_len = float(math.dist(config.ped_crossing[0], config.ped_crossing[1]))
     ped_dir = (crossing[1] - crossing[0]) / ped_len
-    _step_runs(runs, config, crossing[0], ped_dir, ped_len)
-    return [_outcome(run, config.time_step, math.atan2(ped_dir[1], ped_dir[0])) for run in runs]
+    return ((i, _outcome(runs[i], config.time_step, crossing[0], ped_dir))
+            for i in _step_runs(runs, config, crossing[0], ped_dir, ped_len))
+
+
+def simulate_batch(scenarios: Iterable[ConcreteScenario | Mapping[str, float]],
+                   config: SimConfig) -> list[SimOutcome]:
+    """The outcomes of iter_simulate, in the order of the scenarios."""
+    return [o for _, o in sorted(iter_simulate(scenarios, config), key=lambda item: item[0])]
 
 
 # ---------------------------------------------------------------------------

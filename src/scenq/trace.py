@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import MetricError, TraceError, TraceParseError, fields, in_file, number
 from .geometry import cumulative_arc, normalize_angles
@@ -436,12 +437,17 @@ def _read_csv(text: str) -> _Rows:
         i for i, line in enumerate(lines, start=1) if i > 1 and line.strip()]
     keys = tuple(c for c in _NUMERIC_COLUMNS if c in index)
     numeric = [index[c] for c in keys]
-    # one field per header column, named by position, so a repeated name reads its last column
-    dtype = [(f"f{i}", float if i in numeric else object) for i in range(len(names))]
+    # one field per header column, named by position, so a repeated name reads its last
+    # column; the numeric fields lead each record in key order, so they read as one array
+    placed = numeric + [i for i in range(len(names)) if i not in numeric]
+    dtype = np.dtype({"names": [f"f{i}" for i in range(len(names))],
+                      "formats": [float if i in numeric else object for i in range(len(names))],
+                      "offsets": [8 * placed.index(i) for i in range(len(names))]})
     try:  # loadtxt rejects a row of the wrong width and a non-numeric value
         table = np.loadtxt(rows, dtype=dtype, ndmin=1, **_CSV_DIALECT)
         if len(table) == len(rows):  # else a quote left open joined lines
-            values = np.column_stack([table[f"f{i}"] for i in numeric])
+            values = as_strided(table[f"f{numeric[0]}"], (len(table), len(keys)),
+                                (dtype.itemsize, 8), writeable=False)
             return (line_nos, table[f"f{index['actor_id']}"].tolist(),
                     table[f"f{index['actor_class']}"], values, None)
     except ValueError:
@@ -588,18 +594,7 @@ def write_trace(trace: Trace, fmt: TraceFormat | str = TraceFormat.CSV) -> str:
     field bit for bit. ``repr`` runs once per distinct bit pattern of the
     trace; the bytes are those a per-value ``repr`` writes.
     """
-    return next(write_traces([trace], fmt))
-
-
-def write_traces(
-    traces: Iterable[Trace], fmt: TraceFormat | str = TraceFormat.CSV
-) -> Iterator[str]:
-    """The text ``write_trace`` gives each trace, one trace at a time. A trace calls
-    ``repr`` only for the bit patterns that the trace before it did not hold."""
-    fmt = TraceFormat(fmt)
-    float_texts = FloatTexts()
-    for trace in traces:
-        yield _format_trace(trace, fmt, float_texts)  # unbound, so freed once the caller drops it
+    return _format_trace(trace, TraceFormat(fmt), FloatTexts())
 
 
 class FloatTexts:
@@ -613,12 +608,14 @@ class FloatTexts:
     def __call__(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Texts of the bit patterns of (non-empty) ``values``, and each value's text index."""
         # keyed by bits, not by value: float unique merges -0.0 and 0.0, whose reprs differ
-        patterns, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+        bits = values.view(np.uint64)
+        patterns = np.sort(bits, axis=None)
+        patterns = patterns[np.append(True, patterns[1:] != patterns[:-1])]
         at = np.minimum(np.searchsorted(self.patterns, patterns), len(self.patterns) - 1)
         texts, fresh = self.texts[at], self.patterns[at] != patterns
         texts[fresh] = [repr(v) for v in patterns[fresh].view(np.float64).tolist()]
         self.patterns, self.texts = patterns, texts
-        return texts, inverse.reshape(values.shape)  # flat before numpy 2
+        return texts, np.searchsorted(patterns, bits)
 
 
 def _format_trace(trace: Trace, fmt: TraceFormat, float_texts: FloatTexts) -> str:
@@ -661,18 +658,18 @@ def save_trace(trace: Trace, path: str | Path, fmt: TraceFormat | str | None = N
     path = Path(path)
     if fmt is None:
         fmt = TraceFormat.JSONL if path.suffix == ".jsonl" else TraceFormat.CSV
-    save_traces([trace], [path], fmt)
+    save_traces([(trace, path)], fmt)
     return path
 
 
-def save_traces(
-    traces: Sequence[Trace], paths: Sequence[str | Path], fmt: TraceFormat | str
-) -> None:
-    """Write each trace to its path, with its sidecar, as ``save_trace``
-    does; the texts come from one ``write_traces`` batch."""
-    texts = write_traces(traces, fmt)
-    for trace, path in zip(traces, map(Path, paths), strict=True):
-        path.write_text(next(texts), encoding="utf-8")
+def save_traces(items: Iterable[tuple[Trace, str | Path]], fmt: TraceFormat | str) -> None:
+    """Write each (trace, path) pair, with its sidecar, as ``save_trace`` does, one pair
+    at a time, so that a trace the iterable makes can be freed before it makes the next.
+    A trace calls ``repr`` only for the bit patterns that the trace before it did not hold."""
+    fmt, float_texts = TraceFormat(fmt), FloatTexts()
+    for trace, path in items:
+        path = Path(path)
+        path.write_text(_format_trace(trace, fmt, float_texts), encoding="utf-8")
         sidecar = {"scenario_id": trace.scenario_id, "time_step": trace.time_step,
                    "metadata": dict(trace.metadata)}
         path.with_suffix(path.suffix + ".meta.json").write_text(

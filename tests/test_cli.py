@@ -12,12 +12,13 @@ from pathlib import Path
 import pytest
 
 from scenq import (
-    ActorTrack, Trace, TraceParseError, concretize, load_criteria, load_logical_scenario,
-    load_sim_config, load_trace_file, registry, save_trace, simulate_batch, write_series,
-    write_concrete_set, write_trace,
+    ActorTrack, Trace, TraceParseError, concretize, iter_simulate, load_criteria,
+    load_logical_scenario, load_sim_config, load_trace_file, registry, save_trace, simulate_batch,
+    write_series, write_concrete_set, write_trace,
 )
 from scenq import scenarios
-from scenq.cli import _collect_trace_paths, _safe_name, main
+from scenq.cli import _collect_trace_paths, main
+from scenq.results import safe_name
 
 from conftest import DATA
 
@@ -167,7 +168,7 @@ def test_simulate_writes_each_trace_as_write_trace(tmp_path, fmt):
                               load_sim_config(config))
     assert len(outcomes) == 6 and 0 < sum(o.collided for o in outcomes) < 6
     for outcome in outcomes:
-        path = out / "traces" / f"{_safe_name(outcome.trace.scenario_id)}.{fmt}"
+        path = out / "traces" / f"{safe_name(outcome.trace.scenario_id)}.{fmt}"
         assert path.read_text(encoding="utf-8") == write_trace(outcome.trace, fmt)
         alone = save_trace(outcome.trace, tmp_path / path.name)
         sidecar = path.name + ".meta.json"
@@ -236,7 +237,7 @@ def reference_plot_data(criteria_path, trace_dir, plot_dir):
         for trace in traces:
             series = spec.compute(trace, criterion.metric_params)
             path = plot_dir / (
-                f"{_safe_name(criterion.criterion_id)}_{_safe_name(trace.scenario_id)}.csv"
+                f"{safe_name(criterion.criterion_id)}_{safe_name(trace.scenario_id)}.csv"
             )
             write_series(series, path, parameters=criterion.metric_params)
             paths.append(path)
@@ -488,12 +489,11 @@ def test_sweep_values_come_from_the_scenarios(sweep_mini, tmp_path, monkeypatch)
     assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
 
     def without_bindings(scenarios, config):
-        outcomes = simulate_batch(scenarios, config)
-        for o in outcomes:
+        for i, o in iter_simulate(scenarios, config):
             assert o.trace.metadata.pop("binding_ego_start_x")
-        return outcomes
+            yield i, o
 
-    monkeypatch.setattr("scenq.cli.simulate_batch", without_bindings)
+    monkeypatch.setattr("scenq.cli.iter_simulate", without_bindings)
     assert main(argv + ["--out", str(tmp_path / "bare")]) == 0
     for name in ("sweep.csv", "gap_findings.json", "sweep_scalars.jsonl"):
         assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
@@ -556,12 +556,12 @@ def test_bad_binding_names_file_and_run_and_writes_nothing(mini_scenario, tmp_pa
     scenario["fixed"] = fixed
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
-    out = tmp_path / "out"
+    out = tmp_path / "runs" / "out"
     code = main([command, "--scenario", str(path), "--config",
                  str(DATA / "intersection_config.json"), "--out", str(out), "--jobs", "4"])
     assert code == 2
     assert capsys.readouterr().err == f"error: {path}: {expected}\n"
-    assert not out.exists()
+    assert not out.parent.exists()  # every binding is checked before --out is touched
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -1017,6 +1017,9 @@ PAIR = {"ego": "ego", "target": "pedestrian"}
          "actor_passed_conflict stop rule needs an actor"),
         ({"kind": "pause"}, "unknown stop rule 'pause'"),
     ]],
+    # plot files are named by the id with '#' and '/' made '_'
+    ({"criteria": [_distance_criterion("gap#1"), _distance_criterion("gap_1")]},
+     "criterion ids 'gap#1' and 'gap_1' name one plot file"),
 ])
 def test_bad_criteria_file_exits_2_naming_it(sim_out, tmp_path, capsys, monkeypatch,
                                              payload, expected):

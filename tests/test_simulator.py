@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from scenq import (
     TraceError,
     concretize,
     conflict_point,
+    iter_simulate,
     simulate,
     simulate_batch,
     sim_config_from_dict,
@@ -429,6 +431,32 @@ def test_batch_equals_scalar_reference_on_random_bindings(intersection_config, v
     for scenario, outcome in zip(scenarios, outcomes):
         assert_same_outcome(outcome, reference_simulate(scenario, config))
     assert any(reaches(o) for o in outcomes)
+
+
+#: Runs that end at 19.12 s, in a collision at 3.27 s and at 14.36 s, in that order
+STREAMED = ({"v_max": 30.0, "t_cross": 5.0, "d_start": 16.0},
+            {"v_max": 58.0, "t_cross": 5.0, "d_start": 10.0},
+            {"v_max": 50.0, "t_cross": 9.0, "d_start": 40.0})
+
+
+def test_iter_simulate_yields_each_run_as_it_ends(intersection_config):
+    scenarios = [ConcreteScenario(f"s#{i}", "s", b, i) for i, b in enumerate(STREAMED)]
+    stream = list(iter_simulate(scenarios, intersection_config))
+    # each once, in the order they end: the early collision before the long runs
+    assert [i for i, _ in stream] == [1, 2, 0]
+    assert [o.end_reason for _, o in stream] == ["collision", "route_completed", "route_completed"]
+    for i, outcome in stream:
+        assert_same_outcome(outcome, simulate(scenarios[i], intersection_config))
+
+
+def test_iter_simulate_frees_a_recording_with_its_outcome(intersection_config):
+    stream = iter_simulate(STREAMED, intersection_config)
+    _, outcome = next(stream)
+    recording = weakref.ref(outcome.trace.track("ego").speeds.base)
+    assert recording().shape == (5, 4001)  # s, v, accel, pedestrian arc and speed per step
+    del outcome
+    next(stream)
+    assert recording() is None
 
 
 def test_contact_at_step_0_fails_as_in_the_reference(intersection_config):

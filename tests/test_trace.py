@@ -2,7 +2,6 @@ import io
 import json
 import math
 import tracemalloc
-from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -33,7 +32,7 @@ from scenq.geometry import normalize_angles
 from scenq.nano import euclidean_distance
 from scenq.trace import (
     CSV_COLUMNS, GAP_FACTOR, SAMPLING_TOLERANCE, ValidationIssue, ValidationReport, common_grid,
-    sample_pair, write_traces,
+    sample_pair, save_traces,
 )
 
 
@@ -868,8 +867,16 @@ def zero_trace(zero):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-def test_batch_writer_matches_one_at_a_time_and_reference(fmt, intersection_config):
+def test_batch_writer_matches_one_at_a_time_and_reference(fmt, intersection_config, tmp_path):
     """Each trace of a batch is written as alone, whatever the trace before it held."""
+
+    def saved(batch, name):
+        """The texts of the files save_traces writes for a batch."""
+        (tmp_path / name).mkdir()
+        paths = [tmp_path / name / f"{i}.{fmt}" for i in range(len(batch))]
+        save_traces(zip(batch, paths), fmt)
+        return [path.read_bytes().decode("utf-8") for path in paths]
+
     runs = [
         simulate({"v_max": v_max, "t_cross": 5.0, "d_start": d_start}, intersection_config)
         for v_max, d_start in ((30.0, 16.0), (30.0, 16.0), (34.0, 16.0), (58.0, 10.0),
@@ -881,15 +888,15 @@ def test_batch_writer_matches_one_at_a_time_and_reference(fmt, intersection_conf
     batch = [run.trace for run in runs]
     batch += [zero_trace(0.0), zero_trace(-0.0), zero_trace(0.0), signed_zero_trace()]
     batch += [random_trace(rng, size) for size in (60, 2000, 60, 60, 1500)]
-    texts = list(write_traces(batch, fmt))
+    texts = saved(batch, "batch")
     assert texts == [write_trace(trace, fmt) for trace in batch]
     assert texts == [reference_write(trace, fmt) for trace in batch]
     assert "-0.0" not in texts[5] and "-0.0" in texts[6] and "-0.0" not in texts[7]
-    assert list(write_traces(batch[3:4], fmt)) == [reference_write(batch[3], fmt)]
-    assert list(write_traces([], fmt)) == []
+    assert saved(batch[3:4], "one") == [reference_write(batch[3], fmt)]
+    assert saved([], "none") == []
 
 
-def test_batch_writer_calls_repr_only_for_patterns_new_to_the_trace_before(monkeypatch):
+def test_batch_writer_calls_repr_only_for_patterns_new_to_the_trace_before(monkeypatch, tmp_path):
     calls = []
     monkeypatch.setattr("scenq.trace.repr", lambda v: calls.append(v) or repr(v), raising=False)
     a, b = two_actor_trace(), two_actor_trace(speed=4.0)
@@ -899,15 +906,20 @@ def test_batch_writer_calls_repr_only_for_patterns_new_to_the_trace_before(monke
             [tr.times, tr.xs, tr.ys, tr.headings, tr.speeds, tr.accels])}
 
     counts = []
-    for _ in write_traces([a, a, b, a]):
-        counts.append(len(calls))
-        calls.clear()
+
+    def pairs():  # a trace's calls are counted when the writer asks for the next pair
+        for i, trace in enumerate([a, a, b, a]):
+            yield trace, tmp_path / f"{i}.csv"
+            counts.append(len(calls))
+            calls.clear()
+
+    save_traces(pairs(), "csv")
     zero = np.float64(0.0).tobytes()  # the table starts out holding 0.0
     assert counts == [len(bits(a) - {zero}), 0, len(bits(b) - bits(a)), len(bits(a) - bits(b))]
     assert 0 not in counts[2:]
 
 
-def test_batch_writer_memory_is_bounded_by_one_trace(batch600):
+def test_batch_writer_memory_is_bounded_by_one_trace(batch600, tmp_path):
     """The table of known texts holds one trace's patterns, so writing a batch
     peaks near writing its largest trace alone, not with the batch size."""
     traces = [outcome.trace for outcome in batch600[1][::12]]
@@ -916,7 +928,7 @@ def test_batch_writer_memory_is_bounded_by_one_trace(batch600):
     def peak(batch):
         tracemalloc.start()
         try:
-            deque(write_traces(batch), maxlen=0)  # keeps no text alive
+            save_traces(((trace, tmp_path / "run.csv") for trace in batch), "csv")
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
