@@ -36,7 +36,6 @@ from .trace import (
     ActorClass,
     ActorTrack,
     Trace,
-    TraceFormat,
     ValidationIssue,
     ValidationReport,
     first_contact_time,

@@ -35,7 +35,7 @@ from .macro import detect_result_gaps, repeatability_report
 from .results import MetricSeries, safe_name, write_scalars, write_series_batch
 from .scenarios import iter_concretize, load_logical_scenario, write_concrete_set
 from .simulator import EGO_ID, PED_ID, SimOutcome, iter_simulate, load_sim_config
-from .trace import Trace, TraceFormat, load_trace_file, save_traces
+from .trace import Trace, load_trace_file, save_traces
 
 try:  # the builtin sha256, as random.py takes it: hashlib maps OpenSSL, about 3.5 MB
     from _sha2 import sha256  # Python 3.12+
@@ -128,7 +128,7 @@ def _collect_trace_paths(raw: Sequence[str]) -> list[Path]:
     for item in raw:
         p = Path(item)
         if p.is_dir():
-            found = sorted(q for q in p.iterdir() if q.suffix in (".csv", ".jsonl"))
+            found = sorted(q for q in p.iterdir() if q.suffix == ".csv")
             if not found:
                 raise ScenqError(f"{p}: no trace files found")
         elif p.is_file():
@@ -155,7 +155,6 @@ def _outcome_row(outcome: SimOutcome) -> dict:
 def cmd_simulate(args: argparse.Namespace) -> int:
     logical = load_logical_scenario(args.scenario)
     config = load_sim_config(args.config)
-    fmt = TraceFormat(args.format)
     scenarios = list(iter_concretize(logical))
     with in_file(args.scenario, SimulationError):
         runs = iter_simulate(scenarios, config)
@@ -164,11 +163,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     def traces(folder: Path) -> Iterator[tuple[Trace, Path]]:
         for i, outcome in runs:  # each trace is written as its run ends, then freed
             rows[i] = _outcome_row(outcome)
-            yield outcome.trace, folder / f"{safe_name(outcome.trace.scenario_id)}.{fmt.value}"
+            yield outcome.trace, folder / f"{safe_name(outcome.trace.scenario_id)}.csv"
 
     inputs = [Path(args.scenario), Path(args.config)]
     with _output_dir(Path(args.out), "simulate", inputs, inputs, ["traces"]) as work:
-        save_traces(traces(work / "traces"), fmt)
+        save_traces(traces(work / "traces"))
         write_concrete_set(scenarios, work / "scenarios.jsonl")
         (work / "outcomes.jsonl").write_text(
             "\n".join(json.dumps(rows[i]) for i in sorted(rows)) + "\n", encoding="utf-8"
@@ -427,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--scenario", required=True, help="logical scenario JSON")
     p_sim.add_argument("--config", required=True, help="simulator config JSON")
     p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    p_sim.add_argument("--format", choices=("csv",), default="csv",
+                       help="ignored: traces are CSV; kept while the benchmark passes it")
     p_sim.add_argument("--jobs", type=int,
                        help="ignored: runs step together; kept while the benchmark passes it")
     p_sim.set_defaults(func=cmd_simulate)

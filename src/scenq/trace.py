@@ -1,9 +1,8 @@
-"""Multi-actor trajectory traces: data model, file formats, validation.
+"""Multi-actor trajectory traces: data model, CSV file format, validation.
 
 A trace holds one track per actor, each track a time-ordered series of
-kinematic states sampled from a drive or a simulation run. Two on-disk
-layouts are supported, a long-format CSV and JSON lines, both carrying one
-actor state per row with the columns
+kinematic states sampled from a drive or a simulation run. On disk a trace
+is a long-format CSV file with one actor state per row and the columns
 
     time_s, actor_id, actor_class, x_m, y_m, heading_rad, speed_mps, accel_mps2
 
@@ -38,13 +37,6 @@ CSV_COLUMNS = ("time_s", "actor_id", "actor_class", *_NUMERIC_COLUMNS[1:])
 SAMPLING_TOLERANCE = 0.1
 #: Factor on the nominal time step from which a hole counts as a gap.
 GAP_FACTOR = 2.0
-
-
-class TraceFormat(str, Enum):
-    """Supported trace serialization formats."""
-
-    CSV = "csv"
-    JSONL = "jsonl"
 
 
 class ActorClass(str, Enum):
@@ -359,7 +351,7 @@ def _central_diff(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 _CSV_DIALECT = {"delimiter": ",", "quotechar": '"', "comments": None}
 #: Rows formatted per block when writing.
 _WRITE_BLOCK = 1024
-#: What a reader returns: line numbers, actor ids, actor classes and numeric columns of the
+#: What the reader returns: line numbers, actor ids, actor classes and numeric columns of the
 #: rows up to its first bad row, and that row (line number, problem, actor id) or None.
 _Rows = tuple[Sequence[int], list[str], np.ndarray, np.ndarray, tuple[int, str, str | None] | None]
 
@@ -367,6 +359,16 @@ _Rows = tuple[Sequence[int], list[str], np.ndarray, np.ndarray, tuple[int, str, 
 def _split_csv_line(line: str) -> list[str]:
     """Unquoted fields of one non-blank CSV line."""
     return np.loadtxt([line], dtype=object, ndmin=1, **_CSV_DIALECT).tolist()
+
+
+def _is_number(cell: str) -> bool:
+    """Whether loadtxt reads a CSV field holding ``cell`` as a float. The field is always
+    quoted: an empty cell unquoted would be a blank line, which loadtxt skips."""
+    try:
+        np.loadtxt(['"' + cell.replace('"', '""') + '"'], dtype=float, **_CSV_DIALECT)
+    except ValueError:
+        return False
+    return True
 
 
 def _group_rows(
@@ -400,27 +402,9 @@ def _group_rows(
     raise TraceParseError(f"line {line_nos[k]}: {problem}", line=line_nos[k], actor_id=ids[k])
 
 
-def _record_columns(line_nos: Sequence[int], records: list[dict], keys: tuple[str, ...],
-                    bad: tuple[int, str, str | None] | None) -> _Rows:
-    """Columns of rows held as dicts (a missing field reads None), numbers converted row by
-    row with ``float``, and ``bad``, the bad row after them, unless ``float`` rejects a value
-    first: that row is the bad one, kept with NaN values so that its class is still checked."""
-    ids = [str(r.get("actor_id")) for r in records]
-    classes = np.array([str(r.get("actor_class")) for r in records], dtype=object)
-    values: list[list[float]] = []
-    for k, record in enumerate(records):
-        try:
-            values.append([float(record.get(key)) for key in keys])
-        except (TypeError, ValueError) as exc:
-            values.append([math.nan] * len(keys))
-            bad = (line_nos[k], f"non-numeric value ({exc})", ids[k])
-            line_nos, ids, classes = line_nos[: k + 1], ids[: k + 1], classes[: k + 1]
-            break
-    return line_nos, ids, classes, np.array(values).reshape(-1, len(keys)), bad
-
-
 def _read_csv(text: str) -> _Rows:
-    """Line numbers, actor ids, actor classes and numeric columns of CSV rows."""
+    """Line numbers, actor ids, actor classes and numeric columns of CSV rows. A row is
+    bad when loadtxt rejects it: a row of the wrong width, or a value that is no number."""
     lines = text.splitlines()
     if not lines:
         raise TraceParseError("empty CSV input")
@@ -443,66 +427,73 @@ def _read_csv(text: str) -> _Rows:
     dtype = np.dtype({"names": [f"f{i}" for i in range(len(names))],
                       "formats": [float if i in numeric else object for i in range(len(names))],
                       "offsets": [8 * placed.index(i) for i in range(len(names))]})
-    try:  # loadtxt rejects a row of the wrong width and a non-numeric value
-        table = np.loadtxt(rows, dtype=dtype, ndmin=1, **_CSV_DIALECT)
+
+    def parse(lines: list[str]) -> np.ndarray:
+        return np.loadtxt(lines, dtype=dtype, ndmin=1, **_CSV_DIALECT)
+
+    def columns(table: np.ndarray, bad: tuple[int, str, str | None] | None) -> _Rows:
+        values = as_strided(table[f"f{numeric[0]}"], (len(table), len(keys)),
+                            (dtype.itemsize, 8), writeable=False)
+        return (line_nos[: len(table)], table[f"f{index['actor_id']}"].tolist(),
+                table[f"f{index['actor_class']}"], values, bad)
+
+    try:
+        table = parse(rows)
         if len(table) == len(rows):  # else a quote left open joined lines
-            values = as_strided(table[f"f{numeric[0]}"], (len(table), len(keys)),
-                                (dtype.itemsize, 8), writeable=False)
-            return (line_nos, table[f"f{index['actor_id']}"].tolist(),
-                    table[f"f{index['actor_class']}"], values, None)
+            return columns(table, None)
     except ValueError:
         pass
-    # error path: each line on its own, float() on the rows before the first of wrong width
-    cells = [_split_csv_line(line) for line in rows]
-    k = next((k for k, row in enumerate(cells) if len(row) != len(names)), len(rows))
-    bad = None if k == len(rows) else (
-        line_nos[k], f"{len(cells[k])} fields, header has {len(names)}",
-        dict(zip(names, cells[k])).get("actor_id"))
-    return _record_columns(line_nos[:k], [dict(zip(names, row)) for row in cells[:k]], keys, bad)
-
-
-def _read_jsonl(text: str) -> _Rows:
-    """Line numbers, actor ids, actor classes and numeric columns of JSONL rows. A line
-    that is not an object with every required key, or that gives accel_mps2 where the
-    first row does not or the other way round, is a bad row."""
-    line_nos: list[int] = []
-    records: list[dict] = []
-    bad = None
-    for i, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    # error path: line by line, up to the first line that loadtxt rejects
+    tables = [np.empty(0, dtype)]
+    for line in rows:
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            bad = (i, f"invalid JSON ({exc.msg})", None)
+            tables.append(parse([line]))
+        except ValueError:
             break
-        if not isinstance(record, dict):
-            bad = (i, "row is not an object", None)
-            break
-        missing = [c for c in CSV_COLUMNS if c != "accel_mps2" and c not in record]
-        if missing:
-            actor = str(record["actor_id"]) if "actor_id" in record else None
-            bad = (i, f"missing keys: {', '.join(missing)}", actor)
-            break
-        if records and ("accel_mps2" in record) != ("accel_mps2" in records[0]):
-            bad = (i, f"accel_mps2 {'given' if 'accel_mps2' in record else 'missing'}, "
-                      f"unlike line {line_nos[0]}", str(record["actor_id"]))
-            break
-        line_nos.append(i)
-        records.append(record)
-    if not records and bad is None:
-        raise TraceParseError("no data rows")
-    keys = _NUMERIC_COLUMNS if records and "accel_mps2" in records[0] else _NUMERIC_COLUMNS[:-1]
-    return _record_columns(line_nos, records, keys, bad)
+    k, bad = len(tables) - 1, None
+    if k < len(rows):
+        cells = _split_csv_line(rows[k])
+        actor = cells[index["actor_id"]] if index["actor_id"] < len(cells) else None
+        if len(cells) != len(names):
+            bad = (line_nos[k], f"{len(cells)} fields, header has {len(names)}", actor)
+        else:  # kept with NaN values, so that its class is still checked
+            cell = next(cells[i] for i in numeric if not _is_number(cells[i]))
+            bad = (line_nos[k], f"non-numeric value (could not convert string to float: "
+                                f"{cell!r})", actor)
+            tables.append(np.array([tuple(math.nan if i in numeric else c
+                                          for i, c in enumerate(cells))], dtype))
+    return columns(np.concatenate(tables), bad)
 
 
-def _assemble(rows: _Rows, *, scenario_id: str, time_step: float | None,
-              metadata: Mapping[str, str] | None) -> Trace:
-    """Build a trace from a reader's rows, or raise for the earliest bad row, the reader's
-    or one holding a non-finite value (found before any arithmetic on the values). The
-    values have one row per input row: time, x, y, heading, speed and, when the input
-    carries it, acceleration."""
-    line_nos, ids, classes, values, bad = rows
+def load_trace(
+    source: str,
+    *,
+    scenario_id: str = "trace",
+    time_step: float | None = None,
+    metadata: Mapping[str, str] | None = None,
+) -> Trace:
+    """Parse a trace from CSV content.
+
+    Blank lines are skipped; error line numbers count them. A value is a number
+    when ``np.loadtxt`` reads it as one, on every row.
+
+    Args:
+        source: Text of the serialized trace.
+        scenario_id: Scenario id to stamp onto the trace.
+        time_step: Nominal sampling interval; inferred as the median step
+            when omitted.
+        metadata: Extra annotations merged into the trace metadata.
+
+    Returns:
+        The parsed trace, tracks time-sorted per actor.
+
+    Raises:
+        TraceParseError: For the earliest bad row, the reader's or one holding a
+            non-finite value (found before any arithmetic on the values), for
+            duplicate or non-monotonic timestamps, unknown actor classes or
+            fewer than 2 states.
+    """
+    line_nos, ids, classes, values, bad = _read_csv(source)
     nonfinite = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if nonfinite.size and (bad is None or line_nos[nonfinite[0]] < bad[0]):
         k, j = int(nonfinite[0]), int(np.argmin(np.isfinite(values[nonfinite[0]])))
@@ -548,37 +539,6 @@ def _assemble(rows: _Rows, *, scenario_id: str, time_step: float | None,
     return Trace(scenario_id=scenario_id, time_step=time_step, tracks=tracks, metadata=meta)
 
 
-def load_trace(
-    source: str,
-    fmt: TraceFormat | str = TraceFormat.CSV,
-    *,
-    scenario_id: str = "trace",
-    time_step: float | None = None,
-    metadata: Mapping[str, str] | None = None,
-) -> Trace:
-    """Parse a trace from CSV or JSONL content.
-
-    Blank lines are skipped; error line numbers count them.
-
-    Args:
-        source: Text of the serialized trace.
-        fmt: Serialization format of ``source``.
-        scenario_id: Scenario id to stamp onto the trace.
-        time_step: Nominal sampling interval; inferred as the median step
-            when omitted.
-        metadata: Extra annotations merged into the trace metadata.
-
-    Returns:
-        The parsed trace, tracks time-sorted per actor.
-
-    Raises:
-        TraceParseError: On malformed rows, duplicate or non-monotonic
-            timestamps, unknown actor classes or fewer than 2 states.
-    """
-    rows = _read_csv(source) if TraceFormat(fmt) is TraceFormat.CSV else _read_jsonl(source)
-    return _assemble(rows, scenario_id=scenario_id, time_step=time_step, metadata=metadata)
-
-
 def _csv_field(text: str) -> str:
     """A CSV field, quoted when it holds the delimiter or the quote character."""
     if "," in text or '"' in text:
@@ -586,15 +546,18 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def write_trace(trace: Trace, fmt: TraceFormat | str = TraceFormat.CSV) -> str:
-    """Serialize a trace to CSV or JSONL text.
+def write_trace(trace: Trace, fmt: str = "csv") -> str:
+    """Serialize a trace to CSV text. ``fmt`` accepts only ``"csv"``; it stays while the
+    benchmark passes it.
 
     Rows are in time order, ties broken by actor id. Floats are written
     with ``repr`` so a load/serialize/load round trip reproduces every
     field bit for bit. ``repr`` runs once per distinct bit pattern of the
     trace; the bytes are those a per-value ``repr`` writes.
     """
-    return _format_trace(trace, TraceFormat(fmt), FloatTexts())
+    if fmt != "csv":
+        raise ValueError(f"unknown trace format {fmt!r}: traces are CSV")
+    return _format_trace(trace, FloatTexts())
 
 
 class FloatTexts:
@@ -618,58 +581,39 @@ class FloatTexts:
         return texts, np.searchsorted(patterns, bits)
 
 
-def _format_trace(trace: Trace, fmt: TraceFormat, float_texts: FloatTexts) -> str:
-    """One trace's text, its floats formatted by ``float_texts``."""
+def _format_trace(trace: Trace, float_texts: FloatTexts) -> str:
+    """One trace's CSV text, its floats formatted by ``float_texts``."""
     tracks = [trace.tracks[actor_id] for actor_id in trace.actor_ids()]
     rank = np.repeat(np.arange(len(tracks)), [len(track) for track in tracks])
     attrs = ("times", "xs", "ys", "headings", "speeds", "accels")
     columns = np.array([np.concatenate([getattr(tr, a) for tr in tracks]) for a in attrs])
     order = np.lexsort((rank, columns[0]))
     texts, inverse = float_texts(columns)
-    as_csv = fmt is TraceFormat.CSV
-    if as_csv:
-        heads = [f",{_csv_field(tr.actor_id)},{tr.actor_class.value}," for tr in tracks]
-    else:
-        labels = ({"actor_id": tr.actor_id, "actor_class": tr.actor_class.value} for tr in tracks)
-        heads = [f', {json.dumps(d, ensure_ascii=False)[1:-1]}, "x_m": ' for d in labels]
-    chunks = [",".join(CSV_COLUMNS) + "\n"] if as_csv else []
+    heads = [f",{_csv_field(tr.actor_id)},{tr.actor_class.value}," for tr in tracks]
+    chunks = [",".join(CSV_COLUMNS) + "\n"]
     # a block at a time, so the float lists and row strings alive at once stay small
     for block in np.split(order, range(_WRITE_BLOCK, len(order), _WRITE_BLOCK)):
         times, *values = texts[inverse[:, block]].tolist()
         rows = zip(times, [heads[r] for r in rank[block].tolist()], *values)
-        if as_csv:
-            text = "".join(f"{t}{head}{x},{y},{h},{v},{a}\n" for t, head, x, y, h, v, a in rows)
-        else:
-            text = "".join(
-                f'{{"time_s": {t}{head}{x}, "y_m": {y}, "heading_rad": {h}, '
-                f'"speed_mps": {v}, "accel_mps2": {a}}}\n'
-                for t, head, x, y, h, v, a in rows
-            )
-        chunks.append(text)
+        chunks.append("".join(f"{t}{head}{x},{y},{h},{v},{a}\n" for t, head, x, y, h, v, a in rows))
     return "".join(chunks)
 
 
-def save_trace(trace: Trace, path: str | Path, fmt: TraceFormat | str | None = None) -> Path:
-    """Write a trace file plus its ``.meta.json`` sidecar.
-
-    The format is taken from the file suffix when not given explicitly.
-    Returns the path written.
-    """
-    path = Path(path)
-    if fmt is None:
-        fmt = TraceFormat.JSONL if path.suffix == ".jsonl" else TraceFormat.CSV
-    save_traces([(trace, path)], fmt)
-    return path
+def save_trace(trace: Trace, path: str | Path) -> Path:
+    """Write a trace's CSV file plus its ``.meta.json`` sidecar, as ``save_traces`` writes
+    one pair; returns the path written."""
+    save_traces([(trace, path)])
+    return Path(path)
 
 
-def save_traces(items: Iterable[tuple[Trace, str | Path]], fmt: TraceFormat | str) -> None:
+def save_traces(items: Iterable[tuple[Trace, str | Path]]) -> None:
     """Write each (trace, path) pair, with its sidecar, as ``save_trace`` does, one pair
     at a time, so that a trace the iterable makes can be freed before it makes the next.
     A trace calls ``repr`` only for the bit patterns that the trace before it did not hold."""
-    fmt, float_texts = TraceFormat(fmt), FloatTexts()
+    float_texts = FloatTexts()
     for trace, path in items:
         path = Path(path)
-        path.write_text(_format_trace(trace, fmt, float_texts), encoding="utf-8")
+        path.write_text(_format_trace(trace, float_texts), encoding="utf-8")
         sidecar = {"scenario_id": trace.scenario_id, "time_step": trace.time_step,
                    "metadata": dict(trace.metadata)}
         path.with_suffix(path.suffix + ".meta.json").write_text(
@@ -683,7 +627,6 @@ def load_trace_file(path: str | Path) -> Trace:
     A TraceError names the trace or sidecar file it comes from.
     """
     path = Path(path)
-    fmt = TraceFormat.JSONL if path.suffix == ".jsonl" else TraceFormat.CSV
     scenario_id = path.stem
     time_step = None
     metadata: dict[str, str] = {}
@@ -705,5 +648,5 @@ def load_trace_file(path: str | Path) -> Trace:
                 raise TraceParseError("'time_step' must be a positive finite number") from None
         metadata = {str(k): str(v) for k, v in info.get("metadata", {}).items()}
     with in_file(path, TraceError):
-        return load_trace(path.read_text(encoding="utf-8"), fmt, scenario_id=scenario_id,
+        return load_trace(path.read_text(encoding="utf-8"), scenario_id=scenario_id,
                           time_step=time_step, metadata=metadata)

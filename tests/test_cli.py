@@ -114,41 +114,7 @@ def test_evaluate_passes_and_is_deterministic(workdir, sim_out, criteria_ok):
     assert (out1 / "evaluation.json").read_bytes() == (out2 / "evaluation.json").read_bytes()
 
 
-def test_simulate_jsonl_matches_csv(workdir, mini_scenario, sim_out, criteria_ok):
-    out = workdir / "sim_jsonl"
-    code = main([
-        "simulate",
-        "--scenario", str(mini_scenario),
-        "--config", str(DATA / "intersection_config.json"),
-        "--out", str(out),
-        "--format", "jsonl",
-    ])
-    assert code == 0
-    csv_paths = sorted((sim_out / "traces").glob("*.csv"))
-    jsonl_paths = sorted((out / "traces").glob("*.jsonl"))
-    assert [p.stem for p in jsonl_paths] == [p.stem for p in csv_paths] == ["cli_demo_0",
-                                                                            "cli_demo_1"]
-    for csv_path, jsonl_path in zip(csv_paths, jsonl_paths):
-        a, b = load_trace_file(csv_path), load_trace_file(jsonl_path)
-        assert (b.scenario_id, b.time_step, b.metadata) == (a.scenario_id, a.time_step,
-                                                            a.metadata)
-        assert b.actor_ids() == a.actor_ids()
-        for actor_id in a.actor_ids():
-            for name in ("times", "xs", "ys", "headings", "speeds", "accels"):
-                assert getattr(b.track(actor_id), name).tobytes() == \
-                    getattr(a.track(actor_id), name).tobytes(), (jsonl_path, actor_id, name)
-    reports = []
-    for fmt, traces in (("csv", sim_out / "traces"), ("jsonl", out / "traces")):
-        eval_out = workdir / f"eval_from_{fmt}"
-        code = main(["evaluate", "--traces", str(traces), "--criteria", str(criteria_ok),
-                     "--out", str(eval_out)])
-        assert code == 0
-        reports.append((eval_out / "evaluation.json").read_bytes())
-    assert reports[0] == reports[1]
-
-
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-def test_simulate_writes_each_trace_as_write_trace(tmp_path, fmt):
+def test_simulate_writes_each_trace_as_write_trace(tmp_path):
     """One batch writes the grid's traces; each file holds what write_trace gives
     that run alone, and each sidecar what save_trace writes."""
     scenario = tmp_path / "grid.json"
@@ -163,16 +129,27 @@ def test_simulate_writes_each_trace_as_write_trace(tmp_path, fmt):
     config = DATA / "intersection_config.json"
     out = tmp_path / "out"
     assert main(["simulate", "--scenario", str(scenario), "--config", str(config),
-                 "--out", str(out), "--format", fmt]) == 0
+                 "--out", str(out), "--format", "csv"]) == 0
     outcomes = simulate_batch(concretize(load_logical_scenario(scenario)),
                               load_sim_config(config))
     assert len(outcomes) == 6 and 0 < sum(o.collided for o in outcomes) < 6
     for outcome in outcomes:
-        path = out / "traces" / f"{safe_name(outcome.trace.scenario_id)}.{fmt}"
-        assert path.read_text(encoding="utf-8") == write_trace(outcome.trace, fmt)
+        path = out / "traces" / f"{safe_name(outcome.trace.scenario_id)}.csv"
+        assert path.read_text(encoding="utf-8") == write_trace(outcome.trace)
         alone = save_trace(outcome.trace, tmp_path / path.name)
         sidecar = path.name + ".meta.json"
         assert (path.parent / sidecar).read_bytes() == (alone.parent / sidecar).read_bytes()
+
+
+def test_simulate_format_jsonl_exits_2(mini_scenario, tmp_path, capsys):
+    """Traces are CSV: --format keeps the one choice the benchmark passes, csv."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", str(mini_scenario), "--config",
+              str(DATA / "intersection_config.json"), "--out", str(out), "--format", "jsonl"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'jsonl'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_concretizes_the_grid_once(mini_scenario, tmp_path, monkeypatch):
@@ -701,11 +678,15 @@ def test_report_run_on_a_file_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("given, expected", [
-    ("empty", "no trace files found"), ("missing", "no such file or directory")])
-def test_traces_naming_no_trace_file_exit_2(criteria_ok, tmp_path, capsys, given, expected):
+    ("empty", "no trace files found"), ("missing", "no such file or directory"),
+    ("jsonl_only", "no trace files found")])
+def test_traces_naming_no_trace_file_exit_2(sim_out, criteria_ok, tmp_path, capsys, given,
+                                            expected):
     traces = tmp_path / given
-    if given == "empty":
+    if given != "missing":
         traces.mkdir()
+    if given == "jsonl_only":  # traces are CSV: a directory yields its *.csv files only
+        (traces / "run.jsonl").write_text(_jsonl_lines(sim_out))
     assert _evaluate(traces, criteria_ok, tmp_path / "out") == 2
     assert capsys.readouterr().err == f"error: {traces}: {expected}\n"
     assert not (tmp_path / "out").exists()
@@ -861,6 +842,29 @@ def test_bad_trace_row_exits_2_naming_file_and_line(sim_out, criteria_ok, tmp_pa
     assert _evaluate(trace, criteria_ok, tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {trace}: line 50: non-numeric value")
+
+
+def _jsonl_lines(sim_out) -> str:
+    """A run's rows as JSON lines, the layout of the removed JSONL trace format."""
+    lines = (sim_out / "traces" / "cli_demo_0.csv").read_text().splitlines()
+    keys = lines[0].split(",")
+    rows = ({k: v if k in ("actor_id", "actor_class") else float(v)
+             for k, v in zip(keys, line.split(","))} for line in lines[1:])
+    return "".join(json.dumps(row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+def test_jsonl_trace_exits_2_naming_it(sim_out, criteria_ok, tmp_path, capsys, command):
+    trace = tmp_path / "run.jsonl"
+    trace.write_text(_jsonl_lines(sim_out))
+    out = tmp_path / "out"
+    if command == "evaluate":
+        assert _evaluate(trace, criteria_ok, out) == 2
+    else:
+        assert main(["compare", "--reference", str(sim_out / "traces" / "cli_demo_0.csv"),
+                     "--runs", str(trace), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {trace}: missing CSV columns: ")
+    assert not out.exists()
 
 
 def test_missing_trace_column_exits_2_naming_file(sim_out, criteria_ok, tmp_path, capsys):

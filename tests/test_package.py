@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "ParameterRange", "QualityCriterion", "RepeatabilityEntry",
     "RepeatabilityReport", "ScalarResult", "Scale", "ScenarioError",
     "ScenqError", "SimConfig", "SimOutcome", "SimulationError", "StopRule",
-    "Threshold", "Trace", "TraceError", "TraceFormat", "TraceParseError",
+    "Threshold", "Trace", "TraceError", "TraceParseError",
     "UnitMismatchError", "ValidationIssue", "ValidationReport", "Verdict",
     "active_intervals", "aggregate", "always_active", "braking_distance",
     "braking_time", "build_encroachment_zone", "collision_probability",
@@ -36,7 +36,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names():
-    assert len(PUBLIC_NAMES) == 88
+    assert len(PUBLIC_NAMES) == 87
     assert len(set(scenq.__all__)) == len(scenq.__all__)
     assert sorted(scenq.__all__) == PUBLIC_NAMES
     for name in scenq.__all__:
