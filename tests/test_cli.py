@@ -114,7 +114,8 @@ def test_evaluate_passes_and_is_deterministic(workdir, sim_out, criteria_ok):
     assert (out1 / "evaluation.json").read_bytes() == (out2 / "evaluation.json").read_bytes()
 
 
-def test_simulate_writes_each_trace_as_write_trace(tmp_path):
+@pytest.mark.parametrize("fmt", ["csv"])  # the one choice of simulate --format
+def test_simulate_writes_each_trace_as_write_trace(tmp_path, fmt):
     """One batch writes the grid's traces; each file holds what write_trace gives
     that run alone, and each sidecar what save_trace writes."""
     scenario = tmp_path / "grid.json"
@@ -129,13 +130,13 @@ def test_simulate_writes_each_trace_as_write_trace(tmp_path):
     config = DATA / "intersection_config.json"
     out = tmp_path / "out"
     assert main(["simulate", "--scenario", str(scenario), "--config", str(config),
-                 "--out", str(out), "--format", "csv"]) == 0
+                 "--out", str(out), "--format", fmt]) == 0
     outcomes = simulate_batch(concretize(load_logical_scenario(scenario)),
                               load_sim_config(config))
     assert len(outcomes) == 6 and 0 < sum(o.collided for o in outcomes) < 6
     for outcome in outcomes:
-        path = out / "traces" / f"{safe_name(outcome.trace.scenario_id)}.csv"
-        assert path.read_text(encoding="utf-8") == write_trace(outcome.trace)
+        path = out / "traces" / f"{safe_name(outcome.trace.scenario_id)}.{fmt}"
+        assert path.read_text(encoding="utf-8") == write_trace(outcome.trace, fmt)
         alone = save_trace(outcome.trace, tmp_path / path.name)
         sidecar = path.name + ".meta.json"
         assert (path.parent / sidecar).read_bytes() == (alone.parent / sidecar).read_bytes()

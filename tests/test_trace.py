@@ -463,6 +463,9 @@ def rows_text(rows, columns=CSV_COLUMNS):
 #: The line of row 0 of rows_text(): the header is line 1.
 FIRST_DATA_LINE = 2
 
+#: The formats write_trace takes: CSV alone. Codec tests run once per format, under its id.
+TRACE_FORMATS = ["csv"]
+
 
 def setting(row, **fields):
     return lambda rows: [dict(r, **fields) if i == row else r for i, r in enumerate(rows)]
@@ -527,8 +530,9 @@ ROW_ERRORS = {
 }
 
 
+@pytest.mark.parametrize("fmt", TRACE_FORMATS)
 @pytest.mark.parametrize("case", sorted(ROW_ERRORS))
-def test_parse_errors_name_line_and_actor(case):
+def test_parse_errors_name_line_and_actor(fmt, case):
     mutate, message, row, actor = ROW_ERRORS[case]
     with pytest.raises(TraceParseError) as exc:
         load_trace(rows_text(mutate(base_rows())))
@@ -593,21 +597,22 @@ def test_csv_width_checked_past_the_used_columns():
     assert str(exc.value) == "line 4: 8 fields, header has 9"
 
 
-@pytest.mark.parametrize("text, message", [
-    pytest.param(rows_text(base_rows(), [c for c in CSV_COLUMNS if c != "y_m"]),
-                 "missing CSV columns: y_m", id="missing_column"),
-    pytest.param(",".join(CSV_COLUMNS) + "\n\n", "no data rows", id="no_data_rows"),
-    pytest.param("", "empty CSV input", id="empty_input"),
+@pytest.mark.parametrize("fmt, text, message, line", [
+    ("csv", rows_text(base_rows(), [c for c in CSV_COLUMNS if c != "y_m"]),
+     "missing CSV columns: y_m", None),
+    ("csv", ",".join(CSV_COLUMNS) + "\n\n", "no data rows", None),
+    ("csv", "", "empty CSV input", None),
 ])
-def test_parse_errors_without_rows(text, message):
+def test_parse_errors_without_rows(fmt, text, message, line):
     with pytest.raises(TraceParseError) as exc:
         load_trace(text)
     assert str(exc.value) == message
-    assert exc.value.line is None
+    assert exc.value.line == line
     assert exc.value.actor_id is None
 
 
-def test_error_line_counts_blank_lines():
+@pytest.mark.parametrize("fmt", TRACE_FORMATS)
+def test_error_line_counts_blank_lines(fmt):
     rows = setting(3, x_m="oops")(base_rows())
     rows.insert(2, None)  # a blank line before the bad row
     with pytest.raises(TraceParseError) as exc:
@@ -634,7 +639,8 @@ def central_difference(times, values):
             / (times[min(i + 1, n - 1)] - times[max(i - 1, 0)]) for i in range(n)]
 
 
-def test_missing_accel_is_the_central_difference_of_speed():
+@pytest.mark.parametrize("fmt", TRACE_FORMATS)
+def test_missing_accel_is_the_central_difference_of_speed(fmt):
     rows = base_rows()
     for k, row in enumerate(rows):  # uneven steps and speeds
         row.update(time_s=[0.0, 0.1, 0.25, 0.3][k // 2], speed_mps=[1.0, 2.0, 2.5, 4.5][k // 2])
@@ -742,12 +748,13 @@ def assert_same_tracks(back, trace):
         assert normalize_angles(a.headings).tobytes() == b.headings.tobytes()
 
 
-def test_write_matches_reference_writer_and_round_trips():
+@pytest.mark.parametrize("fmt", TRACE_FORMATS)
+def test_write_matches_reference_writer_and_round_trips(fmt):
     rng = np.random.default_rng(8)
     # the large traces span several write blocks
     for size in [60] * 40 + [2000] * 3:
         trace = random_trace(rng, size)
-        text = write_trace(trace)
+        text = write_trace(trace, fmt)
         assert text == reference_write(trace)
         assert_same_tracks(load_trace(text), trace)
 
@@ -764,7 +771,8 @@ def signed_zero_trace():
     return Trace("zeros", 0.1, tracks)
 
 
-def test_write_matches_reference_writer_on_repeated_values(intersection_config):
+@pytest.mark.parametrize("fmt", TRACE_FORMATS)
+def test_write_matches_reference_writer_on_repeated_values(fmt, intersection_config):
     """Simulator traces repeat most of their values, which random_trace does not."""
     runs = [
         simulate({"v_max": 58.0, "t_cross": 5.0, "d_start": 10.0}, intersection_config),
@@ -775,7 +783,7 @@ def test_write_matches_reference_writer_on_repeated_values(intersection_config):
     assert [run.end_reason for run in runs] == ["collision", "route_completed", "timeout"]
     assert runs[1].trace.track("ego").speeds.min() == 0.0  # the ego brakes to a stop
     for trace in [run.trace for run in runs] + [signed_zero_trace()]:
-        text = write_trace(trace)
+        text = write_trace(trace, fmt)
         assert text == reference_write(trace)
         assert_same_tracks(load_trace(text), trace)
 
@@ -792,13 +800,14 @@ def zero_trace(zero):
     return Trace("zeros", 0.1, tracks)
 
 
-def test_batch_writer_matches_one_at_a_time_and_reference(intersection_config, tmp_path):
+@pytest.mark.parametrize("fmt", TRACE_FORMATS)
+def test_batch_writer_matches_one_at_a_time_and_reference(fmt, intersection_config, tmp_path):
     """Each trace of a batch is written as alone, whatever the trace before it held."""
 
     def saved(batch, name):
         """The texts of the files save_traces writes for a batch."""
         (tmp_path / name).mkdir()
-        paths = [tmp_path / name / f"{i}.csv" for i in range(len(batch))]
+        paths = [tmp_path / name / f"{i}.{fmt}" for i in range(len(batch))]
         save_traces(zip(batch, paths))
         return [path.read_bytes().decode("utf-8") for path in paths]
 
@@ -814,7 +823,7 @@ def test_batch_writer_matches_one_at_a_time_and_reference(intersection_config, t
     batch += [zero_trace(0.0), zero_trace(-0.0), zero_trace(0.0), signed_zero_trace()]
     batch += [random_trace(rng, size) for size in (60, 2000, 60, 60, 1500)]
     texts = saved(batch, "batch")
-    assert texts == [write_trace(trace) for trace in batch]
+    assert texts == [write_trace(trace, fmt) for trace in batch]
     assert texts == [reference_write(trace) for trace in batch]
     assert "-0.0" not in texts[5] and "-0.0" in texts[6] and "-0.0" not in texts[7]
     assert saved(batch[3:4], "one") == [reference_write(batch[3])]
@@ -862,13 +871,14 @@ def test_batch_writer_memory_is_bounded_by_one_trace(batch600, tmp_path):
     assert peak(traces) < 1.5 * peak([largest])
 
 
-def test_awkward_actor_ids_round_trip():
+@pytest.mark.parametrize("fmt", TRACE_FORMATS)
+def test_awkward_actor_ids_round_trip(fmt):
     ids = ["e,go", 'say "hi"', ' "a,b" ', "tab\there", "émile"]
     tracks = {
         actor_id: straight_track(actor_id, y=10.0 * i) for i, actor_id in enumerate(ids)
     }
     trace = Trace("ids", 0.1, tracks)
-    back = load_trace(write_trace(trace))
+    back = load_trace(write_trace(trace, fmt))
     assert_same_tracks(back, trace)
 
 
