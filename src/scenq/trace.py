@@ -14,17 +14,18 @@ scenario id, the nominal time step and free-form metadata.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, partial
+from itertools import chain, combinations
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import MetricError, TraceError, TraceParseError, fields, in_file, number
 from .geometry import cumulative_arc, normalize_angles
@@ -351,9 +352,22 @@ def _central_diff(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 _CSV_DIALECT = {"delimiter": ",", "quotechar": '"', "comments": None}
 #: Rows formatted per block when writing.
 _WRITE_BLOCK = 1024
-#: What the reader returns: line numbers, actor ids, actor classes and numeric columns of the
-#: rows up to its first bad row, and that row (line number, problem, actor id) or None.
-_Rows = tuple[Sequence[int], list[str], np.ndarray, np.ndarray, tuple[int, str, str | None] | None]
+#: Bytes (characters, for text) read at a time; each block is parsed on its own.
+_READ_BLOCK = 1 << 16
+
+
+def _pieces(blocks: Iterable[str]) -> Iterator[str]:
+    """``blocks`` re-cut after their last line end, but not a last ``\r`` (``\n`` may follow)."""
+    held: list[str] = []
+    for block in blocks:
+        cut = max(block.rfind("\n"), block.rfind("\r", 0, -1)) + 1
+        if cut:
+            yield "".join([*held, block[:cut]])
+            held = [block[cut:]]
+        else:
+            held.append(block)
+    if any(held):
+        yield "".join(held)
 
 
 def _split_csv_line(line: str) -> list[str]:
@@ -371,41 +385,13 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _group_rows(
-    line_nos: Sequence[int], ids: list[str], classes: np.ndarray, times: np.ndarray
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Group rows by actor in order of first appearance: the actor ids, the
-    stable permutation that groups the rows, and the row count per actor.
-
-    Raises for the earliest offending row: a class other than the actor's
-    first, or a time not after its previous one (on one row, the class)."""
-    rank: dict[str, int] = {}
-    codes = np.array([rank.setdefault(actor_id, len(rank)) for actor_id in ids], dtype=int)
-    _, first = np.unique(codes, return_index=True)
-    class_rows = np.flatnonzero(classes != classes[first[codes]])
-    order = np.argsort(codes, kind="stable")
-    grouped, t = codes[order], times[order]
-    # steps[j] marks the pair of rows order[j], order[j + 1] of one actor
-    steps = np.flatnonzero((grouped[1:] == grouped[:-1]) & (t[1:] <= t[:-1]))
-    step = steps[np.argmin(order[steps + 1])] if steps.size else None
-    if class_rows.size and (step is None or class_rows[0] <= order[step + 1]):
-        k, problem = class_rows[0], f"actor {ids[class_rows[0]]!r} changes class"
-    elif step is not None:
-        k = order[step + 1]
-        now, previous = float(times[k]), float(times[order[step]])
-        if now == previous:
-            problem = f"duplicate timestamp {now} for actor {ids[k]!r}"
-        else:
-            problem = f"non-monotonic time for actor {ids[k]!r} ({now} after {previous})"
-    else:
-        return list(rank), order, np.bincount(codes)
-    raise TraceParseError(f"line {line_nos[k]}: {problem}", line=line_nos[k], actor_id=ids[k])
-
-
-def _read_csv(text: str) -> _Rows:
-    """Line numbers, actor ids, actor classes and numeric columns of CSV rows. A row is
-    bad when loadtxt rejects it: a row of the wrong width, or a value that is no number."""
-    lines = text.splitlines()
+def _read_csv(pieces: Iterator[str]) -> tuple[list[str], list[str], list[np.ndarray]]:
+    """Read CSV text a piece at a time: the actor ids in order of first appearance, and each
+    actor's class and numeric columns (one row per field, rows in file order). Raises for the
+    earliest bad row: one that loadtxt rejects (the wrong width, or a value that is no number),
+    a non-finite value, a class other than the actor's first, or a time not after the actor's
+    previous one; on one row the class comes first, then the time."""
+    lines = next(pieces, "").removeprefix("\ufeff").splitlines()
     if not lines:
         raise TraceParseError("empty CSV input")
     names = [name.strip() for name in _split_csv_line(lines[0])] if lines[0].strip() else []
@@ -413,56 +399,90 @@ def _read_csv(text: str) -> _Rows:
     missing = [c for c in CSV_COLUMNS if c != "accel_mps2" and c not in index]
     if missing:
         raise TraceParseError(f"missing CSV columns: {', '.join(missing)}")
-    rows = [line for line in lines[1:] if line.strip()]
-    if not rows:
-        raise TraceParseError("no data rows")
-    # a range, no int object per row, unless blank lines were skipped
-    line_nos = range(2, len(lines) + 1) if len(rows) == len(lines) - 1 else [
-        i for i, line in enumerate(lines, start=1) if i > 1 and line.strip()]
-    keys = tuple(c for c in _NUMERIC_COLUMNS if c in index)
-    numeric = [index[c] for c in keys]
-    # one field per header column, named by position, so a repeated name reads its last
-    # column; the numeric fields lead each record in key order, so they read as one array
-    placed = numeric + [i for i in range(len(names)) if i not in numeric]
-    dtype = np.dtype({"names": [f"f{i}" for i in range(len(names))],
-                      "formats": [float if i in numeric else object for i in range(len(names))],
-                      "offsets": [8 * placed.index(i) for i in range(len(names))]})
+    numeric = [index[c] for c in _NUMERIC_COLUMNS if c in index]
+    # one field per header column, named by position, so a repeated name reads its last column
+    dtype = np.dtype([(f"f{i}", float if i in numeric else object) for i in range(len(names))])
+    parse = partial(np.loadtxt, dtype=dtype, ndmin=1, **_CSV_DIALECT)
+    rank: dict[str, int] = {}
+    firsts: list[str] = []  # each actor's first class, by actor code
+    codes, values = [], []  # actor codes and numeric columns, per block
+    # bad rows (row, rank, problem, actor): the earliest is raised, on one row the lowest rank
+    found: list[tuple[int, int, str, str | None]] = []
 
-    def parse(lines: list[str]) -> np.ndarray:
-        return np.loadtxt(lines, dtype=dtype, ndmin=1, **_CSV_DIALECT)
-
-    def columns(table: np.ndarray, bad: tuple[int, str, str | None] | None) -> _Rows:
-        values = as_strided(table[f"f{numeric[0]}"], (len(table), len(keys)),
-                            (dtype.itemsize, 8), writeable=False)
-        return (line_nos[: len(table)], table[f"f{index['actor_id']}"].tolist(),
-                table[f"f{index['actor_class']}"], values, bad)
-
-    try:
-        table = parse(rows)
-        if len(table) == len(rows):  # else a quote left open joined lines
-            return columns(table, None)
-    except ValueError:
-        pass
-    # error path: line by line, up to the first line that loadtxt rejects
-    tables = [np.empty(0, dtype)]
-    for line in rows:
+    def read_block(rows: list[str], n: int) -> None:
+        """Read a block's rows, ``n`` rows after the first, up to the first that loadtxt rejects,
+        which goes to ``found``; one holding a value that is no number is kept, as NaN values."""
         try:
-            tables.append(parse([line]))
-        except ValueError:
+            table = parse(rows)
+            if len(table) < len(rows):  # a quote left open joined lines
+                raise ValueError
+        except ValueError:  # error path: line by line, up to the first that loadtxt rejects
+            tables = [np.empty(0, dtype)]
+            for line in rows:
+                try:
+                    tables.append(parse([line]))
+                except ValueError:
+                    break
+            k = len(tables) - 1
+            if k < len(rows):
+                cells = _split_csv_line(rows[k])
+                actor = cells[index["actor_id"]] if index["actor_id"] < len(cells) else None
+                if len(cells) != len(names):
+                    found.append((n + k, 2, f"{len(cells)} fields, header has {len(names)}", actor))
+                else:
+                    cell = next(cells[i] for i in numeric if not _is_number(cells[i]))
+                    found.append((n + k, 2, f"non-numeric value (could not convert string to "
+                                            f"float: {cell!r})", actor))
+                    tables.append(np.array([tuple(math.nan if i in numeric else c
+                                                  for i, c in enumerate(cells))], dtype))
+            table = np.concatenate(tables)
+        ids, classes = table[f"f{index['actor_id']}"].tolist(), table[f"f{index['actor_class']}"]
+        block = np.array([rank.setdefault(actor_id, len(rank)) for actor_id in ids], dtype=int)
+        new = np.flatnonzero(block >= len(firsts))
+        firsts.extend(classes[new[np.unique(block[new], return_index=True)[1]]].tolist())
+        if (changed := np.flatnonzero(classes != np.array(firsts, dtype=object)[block])).size:
+            k = int(changed[0])
+            found.append((n + k, 0, f"actor {ids[k]!r} changes class", ids[k]))
+        codes.append(block)
+        values.append(np.array([table[f"f{i}"] for i in numeric]))
+
+    blanks, n = [], 0  # the number of rows before each blank line, to number lines; rows read
+    for lines in chain([lines[1:]], map(str.splitlines, pieces)):
+        rows = [line for line in lines if line.strip()]
+        if len(rows) < len(lines):
+            blank = [i for i, line in enumerate(lines) if not line.strip()]
+            blanks += [n + i - j for j, i in enumerate(blank)]
+        if rows:
+            read_block(rows, n)
+        n += len(rows)
+        del lines, rows  # before the next block is read
+        if found:  # no row after a bad row can come first
             break
-    k, bad = len(tables) - 1, None
-    if k < len(rows):
-        cells = _split_csv_line(rows[k])
-        actor = cells[index["actor_id"]] if index["actor_id"] < len(cells) else None
-        if len(cells) != len(names):
-            bad = (line_nos[k], f"{len(cells)} fields, header has {len(names)}", actor)
-        else:  # kept with NaN values, so that its class is still checked
-            cell = next(cells[i] for i in numeric if not _is_number(cells[i]))
-            bad = (line_nos[k], f"non-numeric value (could not convert string to float: "
-                                f"{cell!r})", actor)
-            tables.append(np.array([tuple(math.nan if i in numeric else c
-                                          for i, c in enumerate(cells))], dtype))
-    return columns(np.concatenate(tables), bad)
+    if not codes:
+        raise TraceParseError("no data rows")
+    actors, codes, values = list(rank), np.concatenate(codes), np.concatenate(values, axis=1)
+    if (nonfinite := np.flatnonzero(~np.isfinite(values).all(axis=0))).size:
+        k, j = int(nonfinite[0]), int(np.argmin(np.isfinite(values[:, nonfinite[0]])))
+        found.append((k, 3, f"non-finite {_NUMERIC_COLUMNS[j]} ({values[j, k]})", actors[codes[k]]))
+    order = np.argsort(codes, kind="stable")
+    grouped, t = codes[order], values[0, order]
+    # steps[j] marks the pair of rows order[j], order[j + 1] of one actor
+    steps = np.flatnonzero((grouped[1:] == grouped[:-1]) & (t[1:] <= t[:-1]))
+    if steps.size:
+        step = steps[np.argmin(order[steps + 1])]
+        k, actor_id = int(order[step + 1]), actors[codes[order[step + 1]]]
+        now, previous = float(values[0, k]), float(values[0, order[step]])
+        if now == previous:
+            problem = f"duplicate timestamp {now} for actor {actor_id!r}"
+        else:
+            problem = f"non-monotonic time for actor {actor_id!r} ({now} after {previous})"
+        found.append((k, 1, problem, actor_id))
+    if found:
+        k, _, problem, actor_id = min(found)
+        line = k + 2 + bisect_right(blanks, k)  # the header is line 1
+        raise TraceParseError(f"line {line}: {problem}", line=line, actor_id=actor_id)
+    ends = np.cumsum(np.bincount(codes))[:-1]
+    return actors, firsts, np.split(np.take(values, order, axis=1), ends, axis=1)
 
 
 def load_trace(
@@ -475,7 +495,8 @@ def load_trace(
     """Parse a trace from CSV content.
 
     Blank lines are skipped; error line numbers count them. A value is a number
-    when ``np.loadtxt`` reads it as one, on every row.
+    when ``np.loadtxt`` reads it as one, on every row. One leading byte order
+    mark is dropped.
 
     Args:
         source: Text of the serialized trace.
@@ -493,34 +514,34 @@ def load_trace(
             duplicate or non-monotonic timestamps, unknown actor classes or
             fewer than 2 states.
     """
-    line_nos, ids, classes, values, bad = _read_csv(source)
-    nonfinite = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if nonfinite.size and (bad is None or line_nos[nonfinite[0]] < bad[0]):
-        k, j = int(nonfinite[0]), int(np.argmin(np.isfinite(values[nonfinite[0]])))
-        bad = (line_nos[k], f"non-finite {_NUMERIC_COLUMNS[j]} ({values[k, j]})", ids[k])
-        line_nos, ids, classes, values = (c[: k + 1] for c in (line_nos, ids, classes, values))
-    actors, order, counts = _group_rows(line_nos, ids, classes, values[:, 0])
-    if bad is not None:  # the rows before it are fine
-        line, problem, actor = bad
-        raise TraceParseError(f"line {line}: {problem}", line=line, actor_id=actor)
-    columns = values[order].T.copy()  # one contiguous row per field, grouped by actor
-    ends = np.cumsum(counts)
+    blocks = (source[i : i + _READ_BLOCK] for i in range(0, len(source), _READ_BLOCK))
+    return _load(_pieces(blocks), scenario_id, time_step, metadata)
+
+
+def _load(pieces: Iterator[str], scenario_id: str, time_step: float | None,
+          metadata: Mapping[str, str] | None) -> Trace:
+    """``load_trace`` of the text that ``pieces`` holds, a piece at a time."""
+    try:
+        actors, classes, columns = _read_csv(pieces)
+    except TraceParseError:
+        for _ in pieces:  # invalid UTF-8 anywhere in a file comes before a bad row
+            pass
+        raise
     meta = dict(metadata or {})
     derived: list[str] = []
     tracks: dict[str, ActorTrack] = {}
-    for actor_id, start, end in zip(actors, (ends - counts).tolist(), ends.tolist()):
-        if end - start < 2:
+    for actor_id, name, series in zip(actors, classes, columns):
+        if series.shape[1] < 2:
             raise TraceParseError(f"actor {actor_id!r} has fewer than 2 states", actor_id=actor_id)
-        name = classes[order[start]]
         try:
             actor_class = ActorClass(name)
         except ValueError:
             raise TraceParseError(
                 f"actor {actor_id!r}: unknown actor_class {name!r}", actor_id=actor_id
             ) from None
-        times, xs, ys, headings, speeds = columns[:5, start:end]
-        if len(columns) == len(_NUMERIC_COLUMNS):
-            accels = columns[5, start:end]
+        times, xs, ys, headings, speeds = series[:5]
+        if len(series) == len(_NUMERIC_COLUMNS):
+            accels = series[5]
         else:
             accels = _central_diff(times, speeds)
             derived.append(actor_id)
@@ -647,6 +668,10 @@ def load_trace_file(path: str | Path) -> Trace:
             except ValueError:
                 raise TraceParseError("'time_step' must be a positive finite number") from None
         metadata = {str(k): str(v) for k, v in info.get("metadata", {}).items()}
-    with in_file(path, TraceError):
-        return load_trace(path.read_text(encoding="utf-8"), scenario_id=scenario_id,
-                          time_step=time_step, metadata=metadata)
+    with in_file(path, TraceError), path.open("rb") as file:
+        text = codecs.iterdecode(iter(partial(file.read, _READ_BLOCK), b""), "utf-8")
+        try:
+            return _load(_pieces(text), scenario_id, time_step, metadata)
+        except UnicodeDecodeError as exc:  # its bytes end with the last block read
+            exc.start += file.tell() - len(exc.object)
+            raise
