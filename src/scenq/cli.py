@@ -190,6 +190,10 @@ def _verdict_dict(v: Verdict) -> dict:
     }
 
 
+def _plot_file(criterion_id: str, scenario_id: str) -> str:
+    return f"{safe_name(criterion_id)}_{safe_name(scenario_id)}.csv"
+
+
 def _report_dict(report: EvaluationReport) -> dict:
     return {
         "verdicts": [_verdict_dict(v) for v in report.verdicts],
@@ -206,6 +210,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if (first := named.setdefault(safe_name(trace.scenario_id), path)) is not path:
             raise ScenqError(f"{path}: scenario id {trace.scenario_id!r} names the plot files "
                              f"of {first} too")
+    pairs: dict[str, tuple[str, Path]] = {}  # each plot file's first (criterion id, trace file)
+    for cid in (criterion.criterion_id for criterion in criteria):
+        for path, trace in zip(trace_paths, traces):
+            first = pairs.setdefault(name := _plot_file(cid, trace.scenario_id), (cid, path))
+            if first != (cid, path):
+                raise ScenqError(f"{path}: criterion {cid!r} names the plot file {name} of "
+                                 f"criterion {first[0]!r} on {first[1]} too")
     report = evaluate_suite(criteria, traces, perspective=args.perspective, level=args.level)
     if not report.verdicts:
         raise ScenqError(f"{args.criteria}: no criterion of perspective "
@@ -219,9 +230,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                      [Path(args.criteria)], ["plot_data"] if args.emit_plot_data else []) as work:
         (work / "evaluation.json").write_text(json.dumps(_report_dict(report), indent=2) + "\n",
                                               encoding="utf-8")
-        write_series_batch((v.scenario_id, v.result, work / "plot_data" / (
-            f"{safe_name(v.criterion_id)}_{safe_name(v.scenario_id)}.csv"
-        ), params[v.criterion_id]) for v in plotted)
+        write_series_batch((v.scenario_id, v.result, work / "plot_data" / _plot_file(
+            v.criterion_id, v.scenario_id), params[v.criterion_id]) for v in plotted)
 
     fails = sum(v.outcome == "fail" for v in report.verdicts)
     passes = sum(v.outcome == "pass" for v in report.verdicts)

@@ -14,7 +14,7 @@ scenario id, the nominal time step and free-form metadata.
 
 from __future__ import annotations
 
-import codecs
+import io
 import json
 import math
 from bisect import bisect_right
@@ -23,7 +23,7 @@ from enum import Enum
 from functools import cached_property, partial
 from itertools import chain, combinations
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -352,22 +352,8 @@ def _central_diff(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 _CSV_DIALECT = {"delimiter": ",", "quotechar": '"', "comments": None}
 #: Rows formatted per block when writing.
 _WRITE_BLOCK = 1024
-#: Bytes (characters, for text) read at a time; each block is parsed on its own.
+#: Characters read at a time, then up to the next line end; each block is parsed on its own.
 _READ_BLOCK = 1 << 16
-
-
-def _pieces(blocks: Iterable[str]) -> Iterator[str]:
-    """``blocks`` re-cut after their last line end, but not a last ``\r`` (``\n`` may follow)."""
-    held: list[str] = []
-    for block in blocks:
-        cut = max(block.rfind("\n"), block.rfind("\r", 0, -1)) + 1
-        if cut:
-            yield "".join([*held, block[:cut]])
-            held = [block[cut:]]
-        else:
-            held.append(block)
-    if any(held):
-        yield "".join(held)
 
 
 def _split_csv_line(line: str) -> list[str]:
@@ -385,13 +371,13 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _read_csv(pieces: Iterator[str]) -> tuple[list[str], list[str], list[np.ndarray]]:
-    """Read CSV text a piece at a time: the actor ids in order of first appearance, and each
-    actor's class and numeric columns (one row per field, rows in file order). Raises for the
-    earliest bad row: one that loadtxt rejects (the wrong width, or a value that is no number),
-    a non-finite value, a class other than the actor's first, or a time not after the actor's
-    previous one; on one row the class comes first, then the time."""
-    lines = next(pieces, "").removeprefix("\ufeff").splitlines()
+def _read_csv(stream: TextIO) -> tuple[list[str], list[str], list[np.ndarray]]:
+    """Read CSV text from ``stream``, opened with ``newline=""``, a block at a time: the actor
+    ids in order of first appearance, and each actor's class and numeric columns (one row per
+    field, rows in file order). Raises for the earliest bad row: one that loadtxt rejects (the
+    wrong width, or a value that is no number), a non-finite value, a class other than the
+    actor's first, or a time not after the actor's previous one; on one row, class before time."""
+    lines = stream.readline().removeprefix("\ufeff").splitlines()
     if not lines:
         raise TraceParseError("empty CSV input")
     names = [name.strip() for name in _split_csv_line(lines[0])] if lines[0].strip() else []
@@ -447,7 +433,8 @@ def _read_csv(pieces: Iterator[str]) -> tuple[list[str], list[str], list[np.ndar
         values.append(np.array([table[f"f{i}"] for i in numeric]))
 
     blanks, n = [], 0  # the number of rows before each blank line, to number lines; rows read
-    for lines in chain([lines[1:]], map(str.splitlines, pieces)):
+    blocks = iter(lambda: (stream.read(_READ_BLOCK) + stream.readline()).splitlines(), [])
+    for lines in chain([lines[1:]], blocks):
         rows = [line for line in lines if line.strip()]
         if len(rows) < len(lines):
             blank = [i for i, line in enumerate(lines) if not line.strip()]
@@ -485,28 +472,13 @@ def _read_csv(pieces: Iterator[str]) -> tuple[list[str], list[str], list[np.ndar
     return actors, firsts, np.split(np.take(values, order, axis=1), ends, axis=1)
 
 
-def load_trace(
-    source: str,
-    *,
-    scenario_id: str = "trace",
-    time_step: float | None = None,
-    metadata: Mapping[str, str] | None = None,
-) -> Trace:
-    """Parse a trace from CSV content.
+def load_trace(source: str) -> Trace:
+    """Parse a trace from CSV text, as scenario ``"trace"`` sampled at its median time step,
+    tracks time-sorted per actor.
 
     Blank lines are skipped; error line numbers count them. A value is a number
     when ``np.loadtxt`` reads it as one, on every row. One leading byte order
     mark is dropped.
-
-    Args:
-        source: Text of the serialized trace.
-        scenario_id: Scenario id to stamp onto the trace.
-        time_step: Nominal sampling interval; inferred as the median step
-            when omitted.
-        metadata: Extra annotations merged into the trace metadata.
-
-    Returns:
-        The parsed trace, tracks time-sorted per actor.
 
     Raises:
         TraceParseError: For the earliest bad row, the reader's or one holding a
@@ -514,20 +486,19 @@ def load_trace(
             duplicate or non-monotonic timestamps, unknown actor classes or
             fewer than 2 states.
     """
-    blocks = (source[i : i + _READ_BLOCK] for i in range(0, len(source), _READ_BLOCK))
-    return _load(_pieces(blocks), scenario_id, time_step, metadata)
+    return _load(io.StringIO(source, newline=""), "trace", None, {})
 
 
-def _load(pieces: Iterator[str], scenario_id: str, time_step: float | None,
-          metadata: Mapping[str, str] | None) -> Trace:
-    """``load_trace`` of the text that ``pieces`` holds, a piece at a time."""
+def _load(stream: TextIO, scenario_id: str, time_step: float | None,
+          metadata: Mapping[str, str]) -> Trace:
+    """The trace that ``stream`` holds; a ``time_step`` of None is the median step."""
     try:
-        actors, classes, columns = _read_csv(pieces)
+        actors, classes, columns = _read_csv(stream)
     except TraceParseError:
-        for _ in pieces:  # invalid UTF-8 anywhere in a file comes before a bad row
+        while stream.read(_READ_BLOCK):  # invalid UTF-8 anywhere in a file comes before a bad row
             pass
         raise
-    meta = dict(metadata or {})
+    meta = dict(metadata)
     derived: list[str] = []
     tracks: dict[str, ActorTrack] = {}
     for actor_id, name, series in zip(actors, classes, columns):
@@ -668,10 +639,9 @@ def load_trace_file(path: str | Path) -> Trace:
             except ValueError:
                 raise TraceParseError("'time_step' must be a positive finite number") from None
         metadata = {str(k): str(v) for k, v in info.get("metadata", {}).items()}
-    with in_file(path, TraceError), path.open("rb") as file:
-        text = codecs.iterdecode(iter(partial(file.read, _READ_BLOCK), b""), "utf-8")
+    with in_file(path, TraceError), path.open(encoding="utf-8", newline="") as file:
         try:
-            return _load(_pieces(text), scenario_id, time_step, metadata)
-        except UnicodeDecodeError as exc:  # its bytes end with the last block read
-            exc.start += file.tell() - len(exc.object)
+            return _load(file, scenario_id, time_step, metadata)
+        except UnicodeDecodeError as exc:  # the bytes it decoded end where the buffer stands
+            exc.start += file.buffer.tell() - len(exc.object)
             raise

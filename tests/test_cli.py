@@ -1121,6 +1121,28 @@ def test_evaluate_scenario_ids_naming_the_same_plot_files_exit_2(sim_out, criter
     assert not out.exists()
 
 
+def test_evaluate_criterion_and_scenario_ids_naming_one_plot_file_exit_2(sim_out, tmp_path,
+                                                                         capsys):
+    """Criterion 'gap' on scenario 'x_s' and criterion 'gap_x' on scenario 's' both name
+    gap_x_s.csv; no two pairs may write one plot file."""
+    criteria = tmp_path / "criteria.json"
+    criteria.write_text(json.dumps({"criteria": [{
+        "criterion_id": cid, "metric": "euclidean_distance",
+        "params": {"actor_a": "ego", "actor_b": "pedestrian"},
+        "threshold": {"comparator": ">", "value": 0.2, "unit": "m"},
+    } for cid in ("gap", "gap_x")]}))
+    src = sim_out / "traces" / "cli_demo_0.csv"
+    given = [tmp_path / "x_s.csv", tmp_path / "s.csv"]  # no sidecar: the file name is the id
+    for path in given:
+        path.write_bytes(src.read_bytes())
+    out = tmp_path / "out"
+    assert main(["evaluate", "--criteria", str(criteria), "--traces", *map(str, given),
+                 "--out", str(out), "--emit-plot-data"]) == 2
+    assert capsys.readouterr().err == (f"error: {given[1]}: criterion 'gap_x' names the plot "
+                                       f"file gap_x_s.csv of criterion 'gap' on {given[0]} too\n")
+    assert not out.exists()
+
+
 def test_compare_skips_the_reference_among_the_runs(sim_out, tmp_path):
     traces = sim_out / "traces"
     ref = traces / "cli_demo_0.csv"

@@ -175,6 +175,31 @@ def test_json_loaders_read_numbers_and_objects_through_errors():
             assert "float" not in calls, f"{module}.{name} calls float"
 
 
+def test_text_files_name_their_encoding():
+    """Every file scenq opens, reads or writes as text names its encoding, so none is read
+    or written in the locale's: each open, read_text and write_text call passes
+    ``encoding=`` or opens in a binary mode."""
+    calls, unnamed = 0, []
+    for path in sorted(Path(scenq.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name not in ("open", "read_text", "write_text"):
+                continue
+            calls += 1
+            keywords = {keyword.arg: keyword.value for keyword in node.keywords}
+            # the mode: open(file, mode) or path.open(mode)
+            at = 1 if isinstance(node.func, ast.Name) else 0
+            mode = keywords.get("mode", node.args[at] if name == "open" and len(node.args) > at
+                                else None)
+            binary = isinstance(mode, ast.Constant) and "b" in mode.value
+            if "encoding" not in keywords and not binary:
+                unnamed.append(f"{path.name}:{node.lineno} {name}")
+    assert calls >= 15
+    assert unnamed == []
+
+
 def test_no_command_loads_openssl(tmp_path):
     """The manifest's config hash takes CPython's builtin sha256: hashlib loads
     OpenSSL, which costs every command about 3.5 MB of resident memory."""

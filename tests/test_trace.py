@@ -732,6 +732,29 @@ def test_invalid_utf8_in_a_later_block_names_its_byte_before_a_bad_row(small_blo
     assert str(exc.value) == f"{path}: not UTF-8 text (invalid start byte at byte {at})"
 
 
+@pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x82", b"\xf0\x9f\x98"], ids=["1", "2", "3"])
+def test_invalid_utf8_names_its_byte_past_the_first_chunks(batch600, tmp_path, bad):
+    """The decoder reads 8 KiB chunks, then 64 KiB ones: a bad sequence of 1, 2 or 3 bytes
+    across or past their edges, or at the file's end, is named at its byte in the file, also
+    where the first row is bad."""
+    longest = max((o.trace for o in batch600[1]), key=lambda t: sum(map(len, t.tracks.values())))
+    data = write_trace(longest).encode("utf-8")
+    lines = data.split(b"\n")
+    cells = lines[1].split(b",")
+    lines[1] = b",".join([*cells[:3], b"oops", *cells[4:]])
+    path = tmp_path / "trace.csv"
+    for text in (data, b"\n".join(lines)):
+        for at in (8191, 8192, 8193, 1 << 16, len(text) - 1, len(text)):
+            corrupt = text[:at] + bad + text[at:]
+            path.write_bytes(corrupt)
+            with pytest.raises(UnicodeDecodeError) as whole:
+                corrupt.decode("utf-8")
+            assert whole.value.start == at
+            with pytest.raises(TraceError) as exc:
+                load_trace_file(path)
+            assert str(exc.value) == f"{path}: not UTF-8 text ({whole.value.reason} at byte {at})"
+
+
 def test_a_leading_byte_order_mark_is_dropped(tmp_path):
     text = rows_text(base_rows())
     path = tmp_path / "trace.csv"
@@ -753,7 +776,7 @@ def test_a_bad_last_row_parses_one_block_line_by_line(batch600, monkeypatch):
     monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(1) or loadtxt(*args, **kw))
     with pytest.raises(TraceParseError, match=f"^line {len(lines)}: non-numeric value"):
         load_trace(text)
-    block = 1 << 16  # the reader's 64 KiB
+    block = trace_module._READ_BLOCK
     blocks = -(-len(text) // block)
     assert blocks > 2
     assert len(calls) <= text[:block].count("\n") + blocks + 1
