@@ -32,7 +32,7 @@ from . import __version__, micro, registry
 from .criteria import EvaluationReport, Verdict, evaluate_suite, load_criteria
 from .errors import MetricError, ScenqError, SimulationError, in_file
 from .macro import detect_result_gaps, repeatability_report
-from .results import MetricSeries, safe_name, write_scalars, write_series_batch
+from .results import safe_name, write_scalars, write_series_batch
 from .scenarios import iter_concretize, load_logical_scenario, write_concrete_set
 from .simulator import EGO_ID, PED_ID, SimOutcome, iter_simulate, load_sim_config
 from .trace import Trace, load_trace_file, save_traces
@@ -202,36 +202,36 @@ def _report_dict(report: EvaluationReport) -> dict:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    criteria = load_criteria(args.criteria)
+    criteria = [c for c in load_criteria(args.criteria)
+                if args.perspective in (None, c.perspective) and args.level in (None, c.level)]
+    if not criteria:
+        raise ScenqError(f"{args.criteria}: no criterion of perspective "
+                         f"{args.perspective or 'any'} and level {args.level or 'any'}")
     trace_paths = _collect_trace_paths(args.traces)
     traces = [load_trace_file(p) for p in trace_paths]
-    named: dict[str, Path] = {}  # plot files are named by scenario id: the first file per name
-    for path, trace in zip(trace_paths, traces):
-        if (first := named.setdefault(safe_name(trace.scenario_id), path)) is not path:
-            raise ScenqError(f"{path}: scenario id {trace.scenario_id!r} names the plot files "
-                             f"of {first} too")
     pairs: dict[str, tuple[str, Path]] = {}  # each plot file's first (criterion id, trace file)
     for cid in (criterion.criterion_id for criterion in criteria):
         for path, trace in zip(trace_paths, traces):
             first = pairs.setdefault(name := _plot_file(cid, trace.scenario_id), (cid, path))
-            if first != (cid, path):
-                raise ScenqError(f"{path}: criterion {cid!r} names the plot file {name} of "
+            if first != (cid, path):  # two scenario ids clash first, under the first criterion
+                raise ScenqError(f"{path}: scenario id {trace.scenario_id!r} names the plot files "
+                                 f"of {first[1]} too" if first[0] == cid else
+                                 f"{path}: criterion {cid!r} names the plot file {name} of "
                                  f"criterion {first[0]!r} on {first[1]} too")
-    report = evaluate_suite(criteria, traces, perspective=args.perspective, level=args.level)
-    if not report.verdicts:
-        raise ScenqError(f"{args.criteria}: no criterion of perspective "
-                         f"{args.perspective or 'any'} and level {args.level or 'any'}")
+    report = evaluate_suite(criteria, traces)
+    # the series judged, which registry.compute kept with each trace
+    plotted = [(t.scenario_id, registry.compute(registry.get(c.metric_name), t, c.metric_params),
+                _plot_file(c.criterion_id, t.scenario_id), c.metric_params)
+               for c in criteria if args.emit_plot_data and c.level == registry.NANOSCOPIC
+               for t in traces]
     del traces  # freed before the files are written, which need only the judged series
 
-    params = {c.criterion_id: c.metric_params for c in criteria}
-    plotted = [v for v in report.verdicts
-               if args.emit_plot_data and isinstance(v.result, MetricSeries)]
     with _output_dir(Path(args.out), "evaluate", [*trace_paths, Path(args.criteria)],
                      [Path(args.criteria)], ["plot_data"] if args.emit_plot_data else []) as work:
         (work / "evaluation.json").write_text(json.dumps(_report_dict(report), indent=2) + "\n",
                                               encoding="utf-8")
-        write_series_batch((v.scenario_id, v.result, work / "plot_data" / _plot_file(
-            v.criterion_id, v.scenario_id), params[v.criterion_id]) for v in plotted)
+        write_series_batch((sid, series, work / "plot_data" / name, params)
+                           for sid, series, name, params in plotted)
 
     fails = sum(v.outcome == "fail" for v in report.verdicts)
     passes = sum(v.outcome == "pass" for v in report.verdicts)
@@ -466,8 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--scenario", required=True)
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--gap-factor", type=float, default=5.0)
-    p_sweep.add_argument("--jobs", type=int,
-                         help="ignored: runs step together; kept while the benchmark passes it")
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=cmd_sweep)
 

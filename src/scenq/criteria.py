@@ -352,8 +352,6 @@ class Verdict:
     score: float | None = None
     evaluated_intervals: tuple[tuple[float, float], ...] = ()
     worst_result: MetricResult | None = None
-    #: The metric result judged; kept for plot data, not compared or serialized.
-    result: MetricSeries | ScalarResult | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.outcome not in OUTCOMES:
@@ -411,7 +409,7 @@ def evaluate_criterion(
         worst = MetricResult(time=float(times[i]), value=float(values[i]), unit=result.unit,
                              defined=True)
     scenario_id = trace.scenario_id if trace is not None else ""
-    return Verdict(criterion.criterion_id, outcome, scenario_id, score, intervals, worst, result)
+    return Verdict(criterion.criterion_id, outcome, scenario_id, score, intervals, worst)
 
 
 @dataclass(frozen=True)
@@ -442,38 +440,29 @@ class EvaluationReport:
 def evaluate_suite(
     criteria: Sequence[QualityCriterion],
     traces: Trace | Sequence[Trace],
-    perspective: str | None = None,
-    level: str | None = None,
 ) -> EvaluationReport:
     """Evaluate criteria over one or many traces.
 
     Per-timestep and per-scenario criteria produce one verdict per trace;
     set-level criteria produce verdicts over the whole trace list (their
-    application periods are not time-gated). perspective and level filter
-    which criteria run. Verdict order follows criterion order, then trace
-    order, so identical inputs give identical reports. Criteria and
-    application period conditions on the same metric and params share one
-    result per trace, kept with the trace (one per list at set level).
+    application periods are not time-gated). Every criterion given runs: to
+    judge one perspective or level, pass only its criteria. Verdict order
+    follows criterion order, then trace order, so identical inputs give
+    identical reports. Criteria and application period conditions on the same
+    metric and params share one result per trace, kept with the trace (one per
+    list at set level).
     """
     if isinstance(traces, Trace):
         traces = [traces]
     traces = list(traces)
     if not traces:
         raise CriterionError("evaluation needs at least one trace")
-    if level is not None and level not in registry.LEVELS:
-        raise CriterionError(f"unknown level {level!r}")
-    if perspective is not None and perspective not in PERSPECTIVES:
-        raise CriterionError(f"unknown perspective {perspective!r}")
 
     set_results: dict[tuple[str, str], list] = {}  # set-level results by metric and params
     verdicts: list[Verdict] = []
     cell_keys: dict[tuple[str, str], list[Verdict]] = {}
     for criterion in criteria:
-        if perspective is not None and criterion.perspective != perspective:
-            continue
         spec = registry.get(criterion.metric_name)
-        if level is not None and spec.level != level:
-            continue
         produced: list[Verdict] = []
         params = criterion.metric_params
         if spec.level == registry.MACROSCOPIC:

@@ -374,9 +374,9 @@ def _is_number(cell: str) -> bool:
 def _read_csv(stream: TextIO) -> tuple[list[str], list[str], list[np.ndarray]]:
     """Read CSV text from ``stream``, opened with ``newline=""``, a block at a time: the actor
     ids in order of first appearance, and each actor's class and numeric columns (one row per
-    field, rows in file order). Raises for the earliest bad row: one that loadtxt rejects (the
-    wrong width, or a value that is no number), a non-finite value, a class other than the
-    actor's first, or a time not after the actor's previous one; on one row, class before time."""
+    field, rows in file order). Raises for the earliest bad row, on one row for the first of: a
+    class other than the actor's first, a time not after the actor's previous one, a row
+    loadtxt rejects (the wrong width, or no number), a non-finite value, a negative speed."""
     lines = stream.readline().removeprefix("\ufeff").splitlines()
     if not lines:
         raise TraceParseError("empty CSV input")
@@ -451,6 +451,9 @@ def _read_csv(stream: TextIO) -> tuple[list[str], list[str], list[np.ndarray]]:
     if (nonfinite := np.flatnonzero(~np.isfinite(values).all(axis=0))).size:
         k, j = int(nonfinite[0]), int(np.argmin(np.isfinite(values[:, nonfinite[0]])))
         found.append((k, 3, f"non-finite {_NUMERIC_COLUMNS[j]} ({values[j, k]})", actors[codes[k]]))
+    if (negative := np.flatnonzero(values[4] < 0.0)).size:  # speed_mps
+        k = int(negative[0])
+        found.append((k, 4, f"negative speed_mps ({values[4, k]})", actors[codes[k]]))
     order = np.argsort(codes, kind="stable")
     grouped, t = codes[order], values[0, order]
     # steps[j] marks the pair of rows order[j], order[j + 1] of one actor
@@ -482,9 +485,9 @@ def load_trace(source: str) -> Trace:
 
     Raises:
         TraceParseError: For the earliest bad row, the reader's or one holding a
-            non-finite value (found before any arithmetic on the values), for
-            duplicate or non-monotonic timestamps, unknown actor classes or
-            fewer than 2 states.
+            non-finite value (found before any arithmetic on the values) or a
+            negative speed, for duplicate or non-monotonic timestamps, unknown
+            actor classes or fewer than 2 states.
     """
     return _load(io.StringIO(source, newline=""), "trace", None, {})
 

@@ -536,7 +536,8 @@ def test_bad_binding_names_file_and_run_and_writes_nothing(mini_scenario, tmp_pa
     path.write_text(json.dumps(scenario))
     out = tmp_path / "runs" / "out"
     code = main([command, "--scenario", str(path), "--config",
-                 str(DATA / "intersection_config.json"), "--out", str(out), "--jobs", "4"])
+                 str(DATA / "intersection_config.json"), "--out", str(out),
+                 *(["--jobs", "4"] if command == "simulate" else [])])
     assert code == 2
     assert capsys.readouterr().err == f"error: {path}: {expected}\n"
     assert not out.parent.exists()  # every binding is checked before --out is touched
@@ -845,6 +846,20 @@ def test_bad_trace_row_exits_2_naming_file_and_line(sim_out, criteria_ok, tmp_pa
     assert err.startswith(f"error: {trace}: line 50: non-numeric value")
 
 
+def test_negative_speed_exits_2_naming_file_and_line(sim_out, criteria_ok, tmp_path, capsys):
+    trace = _copy_trace(sim_out, tmp_path / "traces")
+    lines = trace.read_text().splitlines()
+    fields = lines[49].split(",")
+    fields[lines[0].split(",").index("speed_mps")] = "-0.5"  # on line 50
+    lines[49] = ",".join(fields)
+    trace.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert _evaluate(trace, criteria_ok, out) == 2
+    assert capsys.readouterr().err == (f"error: {trace}: line 50: negative speed_mps "
+                                       f"(-0.5)\n")
+    assert not out.exists()
+
+
 def _jsonl_lines(sim_out) -> str:
     """A run's rows as JSON lines, the layout of the removed JSONL trace format."""
     lines = (sim_out / "traces" / "cli_demo_0.csv").read_text().splitlines()
@@ -1143,6 +1158,27 @@ def test_evaluate_criterion_and_scenario_ids_naming_one_plot_file_exit_2(sim_out
     assert not out.exists()
 
 
+def test_evaluate_checks_the_plot_files_of_the_selected_criteria_only(sim_out, tmp_path):
+    """'gap_x' would clash with 'gap' as above, but --perspective leaves it out."""
+    criteria = tmp_path / "criteria.json"
+    criteria.write_text(json.dumps({"criteria": [{
+        "criterion_id": cid, "metric": "euclidean_distance", "perspective": perspective,
+        "params": {"actor_a": "ego", "actor_b": "pedestrian"},
+        "threshold": {"comparator": ">", "value": 0.2, "unit": "m"},
+    } for cid, perspective in (("gap", "sut"), ("gap_x", "simulation"))]}))
+    src = sim_out / "traces" / "cli_demo_0.csv"
+    given = [tmp_path / "x_s.csv", tmp_path / "s.csv"]  # no sidecar: the file name is the id
+    for path in given:
+        path.write_bytes(src.read_bytes())
+    out = tmp_path / "out"
+    assert main(["evaluate", "--criteria", str(criteria), "--traces", *map(str, given),
+                 "--out", str(out), "--emit-plot-data", "--perspective", "sut"]) == 0
+    assert sorted(p.name for p in (out / "plot_data").glob("*.csv")) == ["gap_s.csv",
+                                                                         "gap_x_s.csv"]
+    assert [v["criterion_id"] for v in json.loads(
+        (out / "evaluation.json").read_text())["verdicts"]] == ["gap", "gap"]
+
+
 def test_compare_skips_the_reference_among_the_runs(sim_out, tmp_path):
     traces = sim_out / "traces"
     ref = traces / "cli_demo_0.csv"
@@ -1157,7 +1193,8 @@ def test_compare_skips_the_reference_among_the_runs(sim_out, tmp_path):
             str(ref), str(traces / "cli_demo_1.csv")]
 
 
-@pytest.mark.parametrize("case", ["evaluate_filtered", "compare_reference", "compare_directory"])
+@pytest.mark.parametrize("case", ["evaluate_filtered", "compare_reference", "compare_directory",
+                                  "evaluate_filtered_before_traces"])
 def test_nothing_to_judge_exits_2(sim_out, criteria_ok, tmp_path, capsys, case):
     ref = sim_out / "traces" / "cli_demo_0.csv"
     alone = _copy_trace(sim_out, tmp_path / "alone")
@@ -1165,6 +1202,11 @@ def test_nothing_to_judge_exits_2(sim_out, criteria_ok, tmp_path, capsys, case):
         "evaluate_filtered": (
             ["evaluate", "--traces", str(ref), "--criteria", str(criteria_ok),
              "--perspective", "sut", "--level", "macroscopic"],
+            f"{criteria_ok}: no criterion of perspective sut and level macroscopic"),
+        # an empty selection is found before any trace is read
+        "evaluate_filtered_before_traces": (
+            ["evaluate", "--traces", str(tmp_path / "missing.csv"), "--criteria",
+             str(criteria_ok), "--level", "macroscopic", "--perspective", "sut"],
             f"{criteria_ok}: no criterion of perspective sut and level macroscopic"),
         "compare_reference": (["compare", "--reference", str(ref), "--runs", str(ref)],
                               f"{ref}: no run to compare but the reference"),

@@ -18,8 +18,8 @@ from scenq import (
     StopRule,
     Threshold,
     Trace,
+    TraceError,
     UnitMismatchError,
-    Verdict,
     active_intervals,
     always_active,
     comparison_margin,
@@ -206,6 +206,39 @@ def test_event_stop_actor_passed_conflict():
     # ego reaches the crossing at x=6 after 3 s
     assert len(intervals) == 1
     assert math.isclose(intervals[0][1], 3.0)
+
+
+def test_actor_passed_conflict_needs_the_actor_and_one_other():
+    """The stop-rule actor and exactly one other; an ego that stops short of the planned
+    crossing never passes it, so the period runs to the end of the grid."""
+    dt, n = 0.5, 11
+    times = np.arange(n) * dt
+    ego = ActorTrack("ego", ActorClass.VEHICLE, 1.0, times,
+                     xs=np.minimum(2.0 * times, 4.0), ys=np.zeros(n), headings=np.zeros(n),
+                     speeds=np.where(times < 2.0, 2.0, 0.0), accels=np.zeros(n))
+    walker = ActorTrack("pedestrian", ActorClass.PEDESTRIAN, 0.3, times,
+                        xs=np.full(n, 6.0), ys=-4.0 + 1.0 * times,
+                        headings=np.full(n, math.pi / 2),
+                        speeds=np.full(n, 1.0), accels=np.zeros(n))
+    planned = {"conflict_x": "6.0", "conflict_y": "0.0", "conflict_ego_arc": "6.0",
+               "conflict_other_arc": "4.0"}
+    trace = Trace("t", dt, {"ego": ego, "pedestrian": walker}, planned)
+    passed = StopRule(kind="event", event="actor_passed_conflict", actor="ego")
+    assert _event_time(trace, passed) is None
+    assert active_intervals(ApplicationPeriod(condition("time", ">=", 0.0), passed),
+                            trace) == [(0.0, 5.0)]
+
+    ghost = StopRule(kind="event", event="actor_passed_conflict", actor="ghost")
+    with pytest.raises(CriterionError, match="stop rule actor 'ghost' not in trace"):
+        _event_time(trace, ghost)
+    # active_intervals builds its grid over the stop-rule actor first
+    with pytest.raises(TraceError, match="unknown actor 'ghost'"):
+        active_intervals(ApplicationPeriod(condition("time", ">=", 0.0), ghost), trace)
+
+    crowded = Trace("t", dt, {"ego": ego, "pedestrian": walker,
+                              "bike": replace(walker, actor_id="bike")}, planned)
+    with pytest.raises(CriterionError, match="needs a trace with exactly 2 actors"):
+        active_intervals(ApplicationPeriod(condition("time", ">=", 0.0), passed), crowded)
 
 
 def test_pedestrian_passed_conflict_same_with_and_without_metadata(reference_outcome):
@@ -641,10 +674,12 @@ def test_evaluate_suite_cells_and_filters():
     assert cell[("sut", "nanoscopic")].pass_rate == 0.5
     assert cell[("scenario", "macroscopic")].fails == 1
 
-    only_sut = evaluate_suite(criteria, traces, perspective="sut")
-    assert {v.criterion_id for v in only_sut.verdicts} == {"apart"}
-    only_macro = evaluate_suite(criteria, traces, level="macroscopic")
-    assert {v.criterion_id for v in only_macro.verdicts} == {"no_hits"}
+    # a caller judging one perspective or level passes only its criteria
+    only_sut = evaluate_suite([c for c in criteria if c.perspective == "sut"], traces)
+    assert only_sut.verdicts == report.verdicts[:2]
+    assert [(c.perspective, c.level) for c in only_sut.cells] == [("sut", "nanoscopic")]
+    only_macro = evaluate_suite([c for c in criteria if c.level == "macroscopic"], traces)
+    assert only_macro.verdicts == report.verdicts[2:]
     with pytest.raises(CriterionError):
         evaluate_suite(criteria, [])
 
@@ -763,17 +798,19 @@ def test_evaluate_suite_computes_each_metric_once_per_trace(compute_log):
         QualityCriterion("hits", "collision_probability", Threshold("<=", 0.0, unit="1")),
         QualityCriterion("hits_again", "collision_probability", Threshold("<", 1.0, unit="1")),
     ]
-    report = evaluate_suite(criteria, approach_traces())
+    traces = approach_traces()
+    report = evaluate_suite(criteria, traces)
     assert len(report.verdicts) == 4 * 2 + 2
     assert set(compute_log.values()) == {1}
     names = Counter(json.loads(key)[0] for key in compute_log)
     assert names == {"ttc": 4, "gap_time": 2, "collision_probability": 1}
-    # criteria on one (metric, params) judge the very same result
-    by_id = {(v.criterion_id, v.scenario_id): v.result for v in report.verdicts}
-    for sid in ("run#0", "run#1"):
-        assert by_id[("ttc_min", sid)] is by_id[("ttc_scale", sid)]
-        assert by_id[("ttc_min", sid)] is not by_id[("ttc_back", sid)]
-    assert by_id[("hits", "scenario_set")] is by_id[("hits_again", "scenario_set")]
+    # criteria on one (metric, params) judged the very same result, kept with the trace
+    for trace in traces:
+        kept = {c.criterion_id: registry.compute(registry.get(c.metric_name), trace,
+                                                 c.metric_params) for c in criteria[:4]}
+        assert kept["ttc_min"] is kept["ttc_scale"]
+        assert kept["ttc_min"] is not kept["ttc_back"]
+    assert set(compute_log.values()) == {1}  # nothing computed afresh
 
 
 def test_evaluate_suite_computes_gating_metrics_once_per_trace(compute_log):
@@ -830,7 +867,10 @@ def test_a_spec_registered_in_place_is_not_served_the_old_result():
     assert registry.compute(spec, trace, params) is kept
     assert evaluate_suite([criterion], trace).verdicts[0].outcome == "not_applicable"
 
+    doubles = []
+
     def doubled(t, p):
+        doubles.append(t.scenario_id)
         series = spec.compute(t, p)
         return replace(series, values=2.0 * series.values)
 
@@ -844,7 +884,7 @@ def test_a_spec_registered_in_place_is_not_served_the_old_result():
     # the doubled distance, 30 m down to 20 m at 2.5 s, gates and is judged
     assert verdict.evaluated_intervals == ((0.0, 2.5),)
     assert verdict.outcome == "fail"
-    assert verdict.result is fresh
+    assert doubles == ["run#1"]  # the suite judged the fresh series, kept with the trace
     assert registry.compute(registry.get("euclidean_distance"), trace, params) is kept
 
 
@@ -893,17 +933,11 @@ def test_evaluate_suite_takes_list_params(monkeypatch):
         QualityCriterion("apart", "span", Threshold(">", 10.0, unit="m"), metric_params=params),
         QualityCriterion("close", "span", Threshold("<", 50.0, unit="m"), metric_params=params),
     ]
-    report = evaluate_suite(criteria, approach_traces())
+    traces = approach_traces()
+    report = evaluate_suite(criteria, traces)
     assert calls == ["run#0", "run#1"]
     assert [v.outcome for v in report.verdicts] == ["pass", "fail", "pass", "pass"]
-    assert [v.result.metric_name for v in report.verdicts] == ["span"] * 4
-
-
-def test_verdict_equality_and_repr_ignore_result():
-    series = euclidean_distance(approach_traces()[0], "ego", "other")
-    bare = Verdict("apart", "pass", "run#0")
-    judged = Verdict("apart", "pass", "run#0", result=series)
-    assert judged == bare
-    assert hash(judged) == hash(bare)
-    assert repr(judged) == repr(bare)
-    assert judged.result is series
+    # the series judged, kept with each trace under the list params
+    assert [registry.compute(registry.get("span"), t, params).metric_name
+            for t in traces] == ["span"] * 2
+    assert calls == ["run#0", "run#1"]

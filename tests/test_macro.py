@@ -258,6 +258,13 @@ def test_repeatability_skips_reference_and_checks_actors():
     assert repeatability_report(ref, [run], threshold=float("inf")).all_within
 
 
+def test_repeatability_rejects_a_run_without_an_actor():
+    ref, run = two_run_traces()
+    lone = Trace("lone", run.time_step, {"ego": run.track("ego")})
+    with pytest.raises(MetricError, match="actor 'other' missing from run 'lone'"):
+        repeatability_report(ref, [run, lone])
+
+
 def test_repeatability_rejects_a_repeated_actor():
     ref, run = two_run_traces()
     with pytest.raises(MetricError, match="actor 'ego' is listed twice"):

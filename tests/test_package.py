@@ -4,9 +4,11 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import scenq
+from scenq.cli import _verdict_dict
 
 PUBLIC_NAMES = [
     "ActorClass", "ActorTrack", "ApplicationPeriod", "ConcreteScenario",
@@ -223,3 +225,9 @@ print(code, sorted({{"_hashlib", "_ssl"}} & set(sys.modules)))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def test_a_verdict_holds_what_evaluation_json_holds():
+    """Every Verdict field is written to evaluation.json, so no field rides along unseen."""
+    written = _verdict_dict(scenq.Verdict("c", "pass"))
+    assert {f.name for f in fields(scenq.Verdict)} == set(written)

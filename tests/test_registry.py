@@ -242,6 +242,11 @@ def test_dtw_rejects_nan_threshold(reference_outcome):
     assert {r.value for _, r in results} == {0.0}
 
 
+def test_dtw_needs_a_reference_and_a_run(reference_outcome):
+    with pytest.raises(MetricError, match="dtw needs a reference trace plus at least one run"):
+        registry.get("dtw").compute([reference_outcome.trace], {})
+
+
 def test_dtw_rejects_a_repeated_actor(reference_outcome):
     ref = reference_outcome.trace
     traces = [ref, Trace("rerun", ref.time_step, dict(ref.tracks))]

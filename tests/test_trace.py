@@ -524,6 +524,17 @@ ROW_ERRORS = {
         lambda rows: setting(6, y_m=math.inf)(setting(5, x_m="oops")(rows)),
         NOT_A_FLOAT.format("oops"), 5, "walker",
     ),
+    "negative_speed": (setting(4, speed_mps=-0.5), "negative speed_mps (-0.5)", 4, "car"),
+    "negative_speed_before_time": (
+        lambda rows: setting(6, time_s=0.1)(setting(3, speed_mps=-0.5)(rows)),
+        "negative speed_mps (-0.5)", 3, "walker",
+    ),
+    "time_before_negative_speed_on_one_row": (
+        setting(4, time_s=0.1, speed_mps=-0.5), "duplicate timestamp 0.1 for actor 'car'", 4, "car"
+    ),
+    "non_finite_before_negative_speed_on_one_row": (
+        setting(4, x_m=math.inf, speed_mps=-0.5), "non-finite x_m (inf)", 4, "car"
+    ),
     # float() reads these spellings and np.loadtxt does not: a number is what loadtxt reads
     "underscore_in_number": (setting(2, x_m="1_000"), NOT_A_FLOAT.format("1_000"), 2, "car"),
     "fullwidth_digit": (setting(3, y_m="\uff11"), NOT_A_FLOAT.format("\uff11"), 3, "walker"),
@@ -663,6 +674,12 @@ def test_parse_errors_without_rows_in_small_blocks(small_blocks, fmt, text, mess
 
 def test_error_line_counts_blank_lines_in_small_blocks(small_blocks):
     test_error_line_counts_blank_lines("csv")
+
+
+def test_negative_speed_in_a_file_names_its_line(small_blocks, tmp_path):
+    path = tmp_path / "run.csv"
+    path.write_text(rows_text(setting(7, speed_mps=-0.5)(base_rows())), encoding="utf-8")
+    assert load_outcome(path) == ("line 9: negative speed_mps (-0.5)", 9, "walker")
 
 
 def load_outcome(source):
