@@ -39,7 +39,6 @@ from .trace import (
     ValidationIssue,
     ValidationReport,
     first_contact_time,
-    load_trace,
     load_trace_file,
     sample_track,
     save_trace,

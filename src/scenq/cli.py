@@ -210,8 +210,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     trace_paths = _collect_trace_paths(args.traces)
     traces = [load_trace_file(p) for p in trace_paths]
     pairs: dict[str, tuple[str, Path]] = {}  # each plot file's first (criterion id, trace file)
-    for cid in (criterion.criterion_id for criterion in criteria):
+    for criterion in criteria:
+        cid = criterion.criterion_id
         for path, trace in zip(trace_paths, traces):
+            if absent := sorted(criterion.actors - trace.tracks.keys()):
+                raise ScenqError(f"{path}: criterion {cid!r}: unknown actor {absent[0]!r}")
             first = pairs.setdefault(name := _plot_file(cid, trace.scenario_id), (cid, path))
             if first != (cid, path):  # two scenario ids clash first, under the first criterion
                 raise ScenqError(f"{path}: scenario id {trace.scenario_id!r} names the plot files "

@@ -117,11 +117,15 @@ class ConditionNode:
     def referenced_actors(self) -> set[str]:
         actors = {a for a in (self.actor, self.actor_b) if a}
         if self.signal == "metric_value":
-            params = self.metric_params
-            actors |= {params[k] for k in registry.get(self.metric).actors if k in params}
+            actors |= _param_actors(self.metric, self.metric_params)
         for child in self.children:
             actors |= child.referenced_actors()
         return actors
+
+
+def _param_actors(metric: str, params: Mapping) -> set[str]:
+    """The actors that a metric's params name."""
+    return {params[k] for k in registry.get(metric).actors if k in params}
 
 
 def condition(signal: str, comparator: str, bound: float, unit: str = "", **refs) -> ConditionNode:
@@ -342,6 +346,16 @@ class QualityCriterion:
     @property
     def level(self) -> str:
         return registry.get(self.metric_name).level
+
+    @property
+    def actors(self) -> set[str]:
+        """The actors a trace must hold to be judged: those the metric params, the start
+        condition and the stop rule name; none at set level, where no period gates."""
+        if self.level == registry.MACROSCOPIC:
+            return set()
+        period = self.application_period
+        return (_param_actors(self.metric_name, self.metric_params)
+                | period.start_condition.referenced_actors() | ({period.stop.actor} - {None}))
 
 
 @dataclass(frozen=True)

@@ -103,8 +103,9 @@ class SimOutcome:
         object.__setattr__(self, "events", dict(self.events))
 
 
-#: Steps recorded time-major for the whole batch before they are copied into
-#: each run's own columns, so the shared buffer stays small for any batch.
+#: Steps recorded time-major for the whole batch before each run's slice is
+#: copied out to it, so the shared buffer stays small for any batch, and a run
+#: holds only the blocks it has stepped through, never max_duration's steps.
 _BLOCK_STEPS = 256
 #: np.hypot and math.hypot can differ in the last bit: a distance within this
 #: relative slack of a threshold is settled with math.hypot, as the loop took it.
@@ -125,10 +126,10 @@ class _Run:
     constants: tuple[float, ...]  # unpacked in this order at the top of each block
     marks: tuple[float, ...]  # thresholds that fire an event; _ENDED's order
     speed: float  # at the first step
-    n: int = 0  # steps recorded once it ends; max steps until then
+    n: int = 0  # steps recorded, once it ends before max_duration; 0 until then
     end_reason: str = "timeout"
     events: dict[str, float] = field(default_factory=dict)
-    columns: np.ndarray | None = None
+    blocks: list[np.ndarray] = field(default_factory=list)  # its (5, steps) slice of each block
 
 
 def _prepare(scenario: ConcreteScenario | Mapping[str, float], config: SimConfig,
@@ -194,7 +195,7 @@ def _places(s: np.ndarray, segment: np.ndarray, ped_arc: np.ndarray, ped_start: 
 def _step_runs(runs: list[_Run], config: SimConfig, ped_start: np.ndarray, ped_dir: np.ndarray,
                ped_len: float) -> Iterator[int]:
     """Step every run in lock-step until each has ended, recording s, v, acceleration,
-    pedestrian arc and speed into run.columns; yield its index once its last block is in.
+    pedestrian arc and speed into run.blocks; yield its index once its last block is in.
 
     Element by element this is the per-run loop's arithmetic: + - * / and
     Python's min and max, which numpy's minimum and maximum match here (a
@@ -212,8 +213,6 @@ def _step_runs(runs: list[_Run], config: SimConfig, ped_start: np.ndarray, ped_d
     s, v, ped_arc = np.zeros(m), np.array([r.speed for r in runs]), np.zeros(m)
     started, braking, escalated = np.zeros(m, bool), np.zeros(m, bool), np.zeros(m, bool)
     block = np.empty((_BLOCK_STEPS, 5, m))
-    for run in runs:
-        run.columns, run.n = np.empty((5, n_max)), n_max
 
     k = 0
     while m and k < n_max:
@@ -294,8 +293,7 @@ def _step_runs(runs: list[_Run], config: SimConfig, ped_start: np.ndarray, ped_d
             k += 1
 
         for j, i in enumerate(ids):
-            stop = min(runs[i].n, k)
-            runs[i].columns[:, first:stop] = block[:stop - first, :, j].T
+            runs[i].blocks.append(block[:(runs[i].n or k) - first, :, j].T.copy())
         yield from ids[~alive].tolist()
         ids, seg, s, v, ped_arc, started, braking, escalated = (
             x[alive] for x in (ids, seg, s, v, ped_arc, started, braking, escalated))
@@ -305,8 +303,9 @@ def _step_runs(runs: list[_Run], config: SimConfig, ped_start: np.ndarray, ped_d
 
 
 def _outcome(run: _Run, dt: float, ped_start: np.ndarray, ped_dir: np.ndarray) -> SimOutcome:
-    n, scenario, columns, run.columns = run.n, run.scenario, run.columns, None  # to the trace
-    s, ego_v, ego_a, ped_arc, ped_v = columns[:, :n]
+    columns, scenario, run.blocks = np.concatenate(run.blocks, axis=1), run.scenario, []
+    n = columns.shape[1]
+    s, ego_v, ego_a, ped_arc, ped_v = columns  # to the trace
     at = np.searchsorted(run.segments[:, -1], s)  # as the loop: the first segment ending at s or on
     ego_x, ego_y, ped_x, ped_y = _places(s, run.segments[at].T, ped_arc, ped_start, ped_dir)
     events = run.events

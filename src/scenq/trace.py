@@ -14,7 +14,6 @@ scenario id, the nominal time step and free-form metadata.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from bisect import bisect_right
@@ -339,15 +338,6 @@ def validate_trace(trace: Trace) -> ValidationReport:
 # parsing and serialization
 
 
-def _central_diff(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Central differences with one-sided stencils at the ends."""
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (times[2:] - times[:-2])
-    out[0] = (values[1] - values[0]) / (times[1] - times[0])
-    out[-1] = (values[-1] - values[-2]) / (times[-1] - times[-2])
-    return out
-
-
 #: The CSV dialect: comma-separated, '"' quotes a field ('""' is a literal quote), no comments.
 _CSV_DIALECT = {"delimiter": ",", "quotechar": '"', "comments": None}
 #: Rows formatted per block when writing.
@@ -371,12 +361,13 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _read_csv(stream: TextIO) -> tuple[list[str], list[str], list[np.ndarray]]:
+def _read_csv(stream: TextIO) -> tuple[list[str], list[str], list[np.ndarray], bool]:
     """Read CSV text from ``stream``, opened with ``newline=""``, a block at a time: the actor
-    ids in order of first appearance, and each actor's class and numeric columns (one row per
-    field, rows in file order). Raises for the earliest bad row, on one row for the first of: a
-    class other than the actor's first, a time not after the actor's previous one, a row
-    loadtxt rejects (the wrong width, or no number), a non-finite value, a negative speed."""
+    ids in order of first appearance, each actor's class and _NUMERIC_COLUMNS (rows in file
+    order), and whether accel_mps2 is derived, as central differences of speed. Raises for the
+    earliest bad row, on one row for the first of: a class other than the actor's first, a time
+    not after the actor's previous one, a row loadtxt rejects (the wrong width, or no number),
+    a non-finite value, a negative speed, a non-finite derived acceleration."""
     lines = stream.readline().removeprefix("\ufeff").splitlines()
     if not lines:
         raise TraceParseError("empty CSV input")
@@ -455,9 +446,9 @@ def _read_csv(stream: TextIO) -> tuple[list[str], list[str], list[np.ndarray]]:
         k = int(negative[0])
         found.append((k, 4, f"negative speed_mps ({values[4, k]})", actors[codes[k]]))
     order = np.argsort(codes, kind="stable")
-    grouped, t = codes[order], values[0, order]
+    grouped, columns = codes[order], np.take(values, order, axis=1)
     # steps[j] marks the pair of rows order[j], order[j + 1] of one actor
-    steps = np.flatnonzero((grouped[1:] == grouped[:-1]) & (t[1:] <= t[:-1]))
+    steps = np.flatnonzero((grouped[1:] == grouped[:-1]) & (columns[0, 1:] <= columns[0, :-1]))
     if steps.size:
         step = steps[np.argmin(order[steps + 1])]
         k, actor_id = int(order[step + 1]), actors[codes[order[step + 1]]]
@@ -467,42 +458,35 @@ def _read_csv(stream: TextIO) -> tuple[list[str], list[str], list[np.ndarray]]:
         else:
             problem = f"non-monotonic time for actor {actor_id!r} ({now} after {previous})"
         found.append((k, 1, problem, actor_id))
+    ends = np.cumsum(counts := np.bincount(codes))
+    if derived := len(columns) < len(_NUMERIC_COLUMNS):  # one-sided at an actor's first, last row
+        at = np.arange(len(order))
+        lo, hi = np.maximum(at - 1, (ends - counts)[grouped]), np.minimum(at + 1, ends[grouped] - 1)
+        with np.errstate(all="ignore"):  # a bad value is reported on the later row, hi
+            accels = (columns[4, hi] - columns[4, lo]) / (columns[0, hi] - columns[0, lo])
+        # an actor's one row has no difference: it has fewer than 2 states
+        if (bad := np.flatnonzero(~np.isfinite(accels) & (lo < hi))).size:
+            j = bad[np.argmin(order[hi[bad]])]
+            k = int(order[hi[j]])
+            found.append((k, 5, f"non-finite derived accel_mps2 ({accels[j]})", actors[codes[k]]))
+        columns = np.vstack([columns, accels])
     if found:
         k, _, problem, actor_id = min(found)
         line = k + 2 + bisect_right(blanks, k)  # the header is line 1
         raise TraceParseError(f"line {line}: {problem}", line=line, actor_id=actor_id)
-    ends = np.cumsum(np.bincount(codes))[:-1]
-    return actors, firsts, np.split(np.take(values, order, axis=1), ends, axis=1)
-
-
-def load_trace(source: str) -> Trace:
-    """Parse a trace from CSV text, as scenario ``"trace"`` sampled at its median time step,
-    tracks time-sorted per actor.
-
-    Blank lines are skipped; error line numbers count them. A value is a number
-    when ``np.loadtxt`` reads it as one, on every row. One leading byte order
-    mark is dropped.
-
-    Raises:
-        TraceParseError: For the earliest bad row, the reader's or one holding a
-            non-finite value (found before any arithmetic on the values) or a
-            negative speed, for duplicate or non-monotonic timestamps, unknown
-            actor classes or fewer than 2 states.
-    """
-    return _load(io.StringIO(source, newline=""), "trace", None, {})
+    return actors, firsts, np.split(columns, ends[:-1], axis=1), derived
 
 
 def _load(stream: TextIO, scenario_id: str, time_step: float | None,
           metadata: Mapping[str, str]) -> Trace:
     """The trace that ``stream`` holds; a ``time_step`` of None is the median step."""
     try:
-        actors, classes, columns = _read_csv(stream)
+        actors, classes, columns, derived = _read_csv(stream)
     except TraceParseError:
         while stream.read(_READ_BLOCK):  # invalid UTF-8 anywhere in a file comes before a bad row
             pass
         raise
     meta = dict(metadata)
-    derived: list[str] = []
     tracks: dict[str, ActorTrack] = {}
     for actor_id, name, series in zip(actors, classes, columns):
         if series.shape[1] < 2:
@@ -513,12 +497,7 @@ def _load(stream: TextIO, scenario_id: str, time_step: float | None,
             raise TraceParseError(
                 f"actor {actor_id!r}: unknown actor_class {name!r}", actor_id=actor_id
             ) from None
-        times, xs, ys, headings, speeds = series[:5]
-        if len(series) == len(_NUMERIC_COLUMNS):
-            accels = series[5]
-        else:
-            accels = _central_diff(times, speeds)
-            derived.append(actor_id)
+        times, xs, ys, headings, speeds, accels = series
         try:
             tracks[actor_id] = ActorTrack(
                 actor_id, actor_class, DEFAULT_RADII[actor_class],
@@ -527,7 +506,7 @@ def _load(stream: TextIO, scenario_id: str, time_step: float | None,
         except TraceError as exc:
             raise TraceParseError(str(exc), actor_id=actor_id) from None
     if derived:
-        meta["accel_derived"] = ",".join(derived)
+        meta["accel_derived"] = ",".join(actors)
     if time_step is None:
         diffs = np.concatenate([np.diff(t.times) for t in tracks.values()])
         time_step = float(np.median(diffs))
@@ -552,7 +531,7 @@ def write_trace(trace: Trace, fmt: str = "csv") -> str:
     """
     if fmt != "csv":
         raise ValueError(f"unknown trace format {fmt!r}: traces are CSV")
-    return _format_trace(trace, FloatTexts())
+    return "".join(_format_trace(trace, FloatTexts()))
 
 
 class FloatTexts:
@@ -576,8 +555,9 @@ class FloatTexts:
         return texts, np.searchsorted(patterns, bits)
 
 
-def _format_trace(trace: Trace, float_texts: FloatTexts) -> str:
-    """One trace's CSV text, its floats formatted by ``float_texts``."""
+def _format_trace(trace: Trace, float_texts: FloatTexts) -> Iterator[str]:
+    """One trace's CSV text, the header and then a block of rows at a time, its floats
+    formatted by ``float_texts``."""
     tracks = [trace.tracks[actor_id] for actor_id in trace.actor_ids()]
     rank = np.repeat(np.arange(len(tracks)), [len(track) for track in tracks])
     attrs = ("times", "xs", "ys", "headings", "speeds", "accels")
@@ -585,13 +565,12 @@ def _format_trace(trace: Trace, float_texts: FloatTexts) -> str:
     order = np.lexsort((rank, columns[0]))
     texts, inverse = float_texts(columns)
     heads = [f",{_csv_field(tr.actor_id)},{tr.actor_class.value}," for tr in tracks]
-    chunks = [",".join(CSV_COLUMNS) + "\n"]
+    yield ",".join(CSV_COLUMNS) + "\n"
     # a block at a time, so the float lists and row strings alive at once stay small
     for block in np.split(order, range(_WRITE_BLOCK, len(order), _WRITE_BLOCK)):
         times, *values = texts[inverse[:, block]].tolist()
         rows = zip(times, [heads[r] for r in rank[block].tolist()], *values)
-        chunks.append("".join(f"{t}{head}{x},{y},{h},{v},{a}\n" for t, head, x, y, h, v, a in rows))
-    return "".join(chunks)
+        yield "".join(f"{t}{head}{x},{y},{h},{v},{a}\n" for t, head, x, y, h, v, a in rows)
 
 
 def save_trace(trace: Trace, path: str | Path) -> Path:
@@ -604,11 +583,13 @@ def save_trace(trace: Trace, path: str | Path) -> Path:
 def save_traces(items: Iterable[tuple[Trace, str | Path]]) -> None:
     """Write each (trace, path) pair, with its sidecar, as ``save_trace`` does, one pair
     at a time, so that a trace the iterable makes can be freed before it makes the next.
-    A trace calls ``repr`` only for the bit patterns that the trace before it did not hold."""
+    A trace calls ``repr`` only for the bit patterns that the trace before it did not hold,
+    and is written a block of rows at a time, never held as one text."""
     float_texts = FloatTexts()
     for trace, path in items:
         path = Path(path)
-        path.write_text(_format_trace(trace, float_texts), encoding="utf-8")
+        with path.open("w", encoding="utf-8") as file:
+            file.writelines(_format_trace(trace, float_texts))
         sidecar = {"scenario_id": trace.scenario_id, "time_step": trace.time_step,
                    "metadata": dict(trace.metadata)}
         path.with_suffix(path.suffix + ".meta.json").write_text(
@@ -617,9 +598,11 @@ def save_traces(items: Iterable[tuple[Trace, str | Path]]) -> None:
 
 
 def load_trace_file(path: str | Path) -> Trace:
-    """Load a trace file, honoring a ``.meta.json`` sidecar when present.
-
-    A TraceError names the trace or sidecar file it comes from.
+    """Load a trace file, honoring a ``.meta.json`` sidecar when present; without one the
+    scenario id is the file's stem and the time step the median step. Blank lines are skipped
+    and one leading byte order mark is dropped. A TraceError names the trace or sidecar file
+    it comes from; a TraceParseError for a bad row (see ``_read_csv``) gives its line, blank
+    lines counted, and its actor; one for an unknown actor class or too few states its actor.
     """
     path = Path(path)
     scenario_id = path.stem

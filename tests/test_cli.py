@@ -1179,6 +1179,27 @@ def test_evaluate_checks_the_plot_files_of_the_selected_criteria_only(sim_out, t
         (out / "evaluation.json").read_text())["verdicts"]] == ["gap", "gap"]
 
 
+@pytest.mark.parametrize("criterion", [
+    pytest.param(_metric_criterion("ghost_ttc", "ttc", "s", ego="ego", target="ghost"),
+                 id="metric_params"),
+    pytest.param(_distance_criterion("ghost_start", application_period={
+        "start_condition": {"signal": "speed", "actor": "ghost", "comparator": ">",
+                            "bound": 0.0, "unit": "m/s"}}), id="start_condition"),
+    pytest.param(_distance_criterion("ghost_stop", application_period={
+        "start_condition": {"signal": "time", "comparator": ">=", "bound": 0.0, "unit": "s"},
+        "stop": {"kind": "event", "event": "actor_passed_conflict", "actor": "ghost"}}),
+        id="stop_rule"),
+])
+def test_unknown_actor_names_trace_file_and_criterion(sim_out, tmp_path, capsys, criterion):
+    criteria = tmp_path / "criteria.json"
+    criteria.write_text(json.dumps({"criteria": [criterion]}))
+    trace, out = sim_out / "traces" / "cli_demo_0.csv", tmp_path / "out"
+    assert _evaluate(trace, criteria, out) == 2
+    assert capsys.readouterr().err == (f"error: {trace}: criterion {criterion['criterion_id']!r}: "
+                                       f"unknown actor 'ghost'\n")
+    assert not out.exists()
+
+
 def test_compare_skips_the_reference_among_the_runs(sim_out, tmp_path):
     traces = sim_out / "traces"
     ref = traces / "cli_demo_0.csv"

@@ -26,7 +26,7 @@ PUBLIC_NAMES = [
     "detect_result_gaps", "dtw", "et", "euclidean_distance",
     "evaluate_criterion", "evaluate_suite", "first_contact_time",
     "gap_time", "grid_size", "headway", "iter_concretize", "iter_simulate",
-    "load_criteria", "load_logical_scenario", "load_sim_config", "load_trace",
+    "load_criteria", "load_logical_scenario", "load_sim_config",
     "load_trace_file", "logical_from_dict", "margin_holds",
     "normalize_comparator", "occupancy", "parameter_coverage", "pet",
     "registry", "repeatability_report", "sample_track", "save_trace",
@@ -38,7 +38,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names():
-    assert len(PUBLIC_NAMES) == 87
+    assert len(PUBLIC_NAMES) == 86
     assert len(set(scenq.__all__)) == len(scenq.__all__)
     assert sorted(scenq.__all__) == PUBLIC_NAMES
     for name in scenq.__all__:

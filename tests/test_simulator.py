@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -453,10 +454,30 @@ def test_iter_simulate_frees_a_recording_with_its_outcome(intersection_config):
     stream = iter_simulate(STREAMED, intersection_config)
     _, outcome = next(stream)
     recording = weakref.ref(outcome.trace.track("ego").speeds.base)
-    assert recording().shape == (5, 4001)  # s, v, accel, pedestrian arc and speed per step
+    # s, v, accel, pedestrian arc and speed for each step the run took, not max_duration's
+    assert recording().shape == (5, len(outcome.trace.track("ego")))
     del outcome
     next(stream)
     assert recording() is None
+
+
+def test_iter_simulate_holds_only_the_steps_taken(intersection_logical, intersection_config):
+    runs = list(concretize(intersection_logical))[::75]
+
+    def peak(max_duration: float) -> int:
+        config = replace(intersection_config, max_duration=max_duration)
+        tracemalloc.start()
+        try:
+            for _ in iter_simulate(runs, config):
+                pass  # each outcome freed as the next run is taken
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # every run ends within 40 s: recordings sized by max_duration would grow tenfold
+    assert max(o.trace.overlap()[1] for o in simulate_batch(runs, intersection_config)) < 40.0
+    peaks = [peak(40.0), peak(400.0)]
+    assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 def test_contact_at_step_0_fails_as_in_the_reference(intersection_config):

@@ -1,6 +1,8 @@
 import io
 import math
+import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +21,6 @@ from scenq import (
     always_active,
     collision_probability,
     first_contact_time,
-    load_trace,
     load_trace_file,
     sample_track,
     save_trace,
@@ -34,6 +35,19 @@ from scenq.trace import (
     CSV_COLUMNS, GAP_FACTOR, SAMPLING_TOLERANCE, ValidationIssue, ValidationReport, common_grid,
     sample_pair, save_traces,
 )
+
+
+def load_text(text: str) -> Trace:
+    """``text`` loaded from a file ``trace.csv``, so its scenario id is ``trace``; an error
+    is raised without the file's name in front of its message."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "trace.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            return load_trace_file(path)
+        except TraceError as exc:
+            exc.args = (str(exc).removeprefix(f"{path}: "),)
+            raise
 
 
 def straight_track(actor_id="car", n=11, dt=0.1, speed=5.0, y=0.0,
@@ -189,7 +203,7 @@ def test_csv_header_with_spaces_loads():
     trace = two_actor_trace()
     lines = write_trace(trace).splitlines()
     lines[0] = ", ".join(lines[0].split(","))
-    back = load_trace("\n".join(lines) + "\n")
+    back = load_text("\n".join(lines) + "\n")
     assert back.actor_ids() == trace.actor_ids()
     assert np.array_equal(back.track("car").xs, trace.track("car").xs)
 
@@ -547,7 +561,7 @@ ROW_ERRORS = {
 def test_parse_errors_name_line_and_actor(fmt, case):
     mutate, message, row, actor = ROW_ERRORS[case]
     with pytest.raises(TraceParseError) as exc:
-        load_trace(rows_text(mutate(base_rows())))
+        load_text(rows_text(mutate(base_rows())))
     line = None if row is None else row + FIRST_DATA_LINE
     assert str(exc.value) == (message if line is None else f"line {line}: {message}")
     assert exc.value.line == line
@@ -592,7 +606,7 @@ def test_csv_rows_must_match_header_width(case):
     for k, edit in edits.items():
         lines[k + 1] = edit(lines[k + 1])
     with pytest.raises(TraceParseError) as exc:
-        load_trace("\n".join(lines) + "\n")
+        load_text("\n".join(lines) + "\n")
     line = row + FIRST_DATA_LINE
     assert str(exc.value) == f"line {line}: {message}"
     assert exc.value.line == line
@@ -602,10 +616,10 @@ def test_csv_rows_must_match_header_width(case):
 def test_csv_width_checked_past_the_used_columns():
     # an unused last column: a short and a long row leave the comma count as it should be
     lines = [line + ",n" for line in rows_text(base_rows()).splitlines()]
-    assert load_trace("\n".join(lines)).actor_ids() == ("car", "walker")
+    assert load_text("\n".join(lines)).actor_ids() == ("car", "walker")
     lines[3], lines[5] = lines[3][:-2], extra_field(lines[5])
     with pytest.raises(TraceParseError) as exc:
-        load_trace("\n".join(lines))
+        load_text("\n".join(lines))
     assert str(exc.value) == "line 4: 8 fields, header has 9"
 
 
@@ -620,7 +634,7 @@ NO_ROW_ERRORS = [
 @pytest.mark.parametrize("fmt, text, message, line", NO_ROW_ERRORS)
 def test_parse_errors_without_rows(fmt, text, message, line):
     with pytest.raises(TraceParseError) as exc:
-        load_trace(text)
+        load_text(text)
     assert str(exc.value) == message
     assert exc.value.line == line
     assert exc.value.actor_id is None
@@ -631,7 +645,7 @@ def test_error_line_counts_blank_lines(fmt):
     rows = setting(3, x_m="oops")(base_rows())
     rows.insert(2, None)  # a blank line before the bad row
     with pytest.raises(TraceParseError) as exc:
-        load_trace(rows_text(rows))
+        load_text(rows_text(rows))
     line = 4 + FIRST_DATA_LINE  # blank line 4, bad row on line 6
     assert str(exc.value) == f"line {line}: " + NOT_A_FLOAT.format("oops")
     assert exc.value.line == line
@@ -641,7 +655,7 @@ def test_open_quote_stays_on_its_line():
     # a quote opened on line 4 and closed on line 5 must not join the two
     text = rows_text(base_rows()).replace("0.1,car,", '0.1,"car\nx",')
     with pytest.raises(TraceParseError) as exc:
-        load_trace(text)
+        load_text(text)
     assert exc.value.line == 4
     assert exc.value.actor_id == "car"
     assert str(exc.value) == "line 4: 2 fields, header has 8"
@@ -686,7 +700,7 @@ def load_outcome(source):
     """What loading ``source``, text or a file's path, gives: each track's class and array
     bytes, or the error's message (after the file's path), line and actor."""
     try:
-        trace = load_trace_file(source) if isinstance(source, Path) else load_trace(source)
+        trace = load_trace_file(source) if isinstance(source, Path) else load_text(source)
     except TraceParseError as exc:
         return str(exc).removeprefix(f"{source}: "), exc.line, exc.actor_id
     return trace.metadata, {
@@ -792,7 +806,7 @@ def test_a_bad_last_row_parses_one_block_line_by_line(batch600, monkeypatch):
     loadtxt = np.loadtxt
     monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(1) or loadtxt(*args, **kw))
     with pytest.raises(TraceParseError, match=f"^line {len(lines)}: non-numeric value"):
-        load_trace(text)
+        load_text(text)
     block = trace_module._READ_BLOCK
     blocks = -(-len(text) // block)
     assert blocks > 2
@@ -858,12 +872,43 @@ def test_missing_accel_is_the_central_difference_of_speed(fmt):
     rows = base_rows()
     for k, row in enumerate(rows):  # uneven steps and speeds
         row.update(time_s=[0.0, 0.1, 0.25, 0.3][k // 2], speed_mps=[1.0, 2.0, 2.5, 4.5][k // 2])
-    trace = load_trace(rows_text(rows, CSV_COLUMNS[:-1]))
+    trace = load_text(rows_text(rows, CSV_COLUMNS[:-1]))
     assert trace.metadata["accel_derived"] == "car,walker"
     for track in trace.tracks.values():
         assert track.accels.tolist() == central_difference(track.times.tolist(),
                                                            track.speeds.tolist())
         assert track.accels.tolist() != [0.0] * 4  # not the recorded column
+
+
+# edits of base_rows() (car on rows 0, 2, 4, 6, walker on 1, 3, 5, 7), row and actor reported
+ACCEL_OVERFLOWS = {
+    "speed_jump_over_a_tiny_step": (
+        {0: {"speed_mps": 0.0}, 2: {"time_s": 1e-300, "speed_mps": 1e308}}, 2, "car"),
+    "speed_jump": ({2: {"speed_mps": 1e308}}, 2, "car"),
+    # the walker's jump comes first in the file, the car's first among the actors
+    "earliest_row_across_actors": ({6: {"speed_mps": 1e308}, 3: {"speed_mps": 1e308}}, 3,
+                                   "walker"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACCEL_OVERFLOWS))
+def test_derived_accel_that_overflows_names_the_later_row(case):
+    edits, row, actor = ACCEL_OVERFLOWS[case]
+    rows = [dict(r, **edits.get(k, {})) for k, r in enumerate(base_rows())]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(TraceParseError) as exc:
+            load_text(rows_text(rows, CSV_COLUMNS[:-1]))
+    line = row + FIRST_DATA_LINE
+    assert str(exc.value) == f"line {line}: non-finite derived accel_mps2 (inf)"
+    assert (exc.value.line, exc.value.actor_id) == (line, actor)
+    assert load_text(rows_text(rows)).track(actor).speeds.max() == 1e308  # recorded accel
+
+
+def test_derived_accel_of_one_row_is_no_bad_row():
+    rows = base_rows() + [dict(base_rows()[0], actor_id="bike")]
+    with pytest.raises(TraceParseError, match="^actor 'bike' has fewer than 2 states$"):
+        load_text(rows_text(rows, CSV_COLUMNS[:-1]))
 
 
 @pytest.mark.parametrize("actor_id", ["ego,1", 'say "hi"'])
@@ -877,7 +922,7 @@ def test_quoted_actor_id_loads_in_the_one_pass(monkeypatch, actor_id):
     calls = []
     monkeypatch.setattr(trace_module, "_split_csv_line",
                         lambda line: calls.append(line) or split(line))
-    assert_same_tracks(load_trace(text), trace)
+    assert_same_tracks(load_text(text), trace)
     assert calls == [text.splitlines()[0]]
 
 
@@ -970,7 +1015,7 @@ def test_write_matches_reference_writer_and_round_trips(fmt):
         trace = random_trace(rng, size)
         text = write_trace(trace, fmt)
         assert text == reference_write(trace)
-        assert_same_tracks(load_trace(text), trace)
+        assert_same_tracks(load_text(text), trace)
 
 
 def signed_zero_trace():
@@ -999,7 +1044,7 @@ def test_write_matches_reference_writer_on_repeated_values(fmt, intersection_con
     for trace in [run.trace for run in runs] + [signed_zero_trace()]:
         text = write_trace(trace, fmt)
         assert text == reference_write(trace)
-        assert_same_tracks(load_trace(text), trace)
+        assert_same_tracks(load_text(text), trace)
 
 
 def zero_trace(zero):
@@ -1092,7 +1137,7 @@ def test_awkward_actor_ids_round_trip(fmt):
         actor_id: straight_track(actor_id, y=10.0 * i) for i, actor_id in enumerate(ids)
     }
     trace = Trace("ids", 0.1, tracks)
-    back = load_trace(write_trace(trace, fmt))
+    back = load_text(write_trace(trace, fmt))
     assert_same_tracks(back, trace)
 
 
