@@ -30,12 +30,12 @@ from typing import Iterator, Sequence
 
 from . import __version__, micro, registry
 from .criteria import EvaluationReport, Verdict, evaluate_suite, load_criteria
-from .errors import MetricError, ScenqError, SimulationError, in_file
+from .errors import CriterionError, MetricError, ScenqError, SimulationError, in_file
 from .macro import detect_result_gaps, repeatability_report
 from .results import safe_name, write_scalars, write_series_batch
 from .scenarios import iter_concretize, load_logical_scenario, write_concrete_set
 from .simulator import EGO_ID, PED_ID, SimOutcome, iter_simulate, load_sim_config
-from .trace import Trace, load_trace_file, save_traces
+from .trace import FloatTexts, Trace, load_trace_file, save_traces
 
 try:  # the builtin sha256, as random.py takes it: hashlib maps OpenSSL, about 3.5 MB
     from _sha2 import sha256  # Python 3.12+
@@ -208,33 +208,39 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ScenqError(f"{args.criteria}: no criterion of perspective "
                          f"{args.perspective or 'any'} and level {args.level or 'any'}")
     trace_paths = _collect_trace_paths(args.traces)
-    traces = [load_trace_file(p) for p in trace_paths]
+    plotted = [(c, registry.get(c.metric_name)) for c in criteria
+               if args.emit_plot_data and c.level == registry.NANOSCOPIC]
     pairs: dict[str, tuple[str, Path]] = {}  # each plot file's first (criterion id, trace file)
-    for criterion in criteria:
-        cid = criterion.criterion_id
-        for path, trace in zip(trace_paths, traces):
-            if absent := sorted(criterion.actors - trace.tracks.keys()):
-                raise ScenqError(f"{path}: criterion {cid!r}: unknown actor {absent[0]!r}")
-            first = pairs.setdefault(name := _plot_file(cid, trace.scenario_id), (cid, path))
-            if first != (cid, path):  # two scenario ids clash first, under the first criterion
-                raise ScenqError(f"{path}: scenario id {trace.scenario_id!r} names the plot files "
-                                 f"of {first[1]} too" if first[0] == cid else
-                                 f"{path}: criterion {cid!r} names the plot file {name} of "
-                                 f"criterion {first[0]!r} on {first[1]} too")
-    report = evaluate_suite(criteria, traces)
-    # the series judged, which registry.compute kept with each trace
-    plotted = [(t.scenario_id, registry.compute(registry.get(c.metric_name), t, c.metric_params),
-                _plot_file(c.criterion_id, t.scenario_id), c.metric_params)
-               for c in criteria if args.emit_plot_data and c.level == registry.NANOSCOPIC
-               for t in traces]
-    del traces  # freed before the files are written, which need only the judged series
+    judging: list = []  # the trace file and scenario id evaluate_suite is judging
+    float_texts = FloatTexts()  # for all plot files: a trace's times mostly repeat the last's
+
+    def traces(folder: Path) -> Iterator[Trace]:
+        for path in trace_paths:  # each trace is loaded, checked, judged, plotted and let go
+            trace = load_trace_file(path)
+            for cid in (criterion.criterion_id for criterion in criteria):
+                first = pairs.setdefault(name := _plot_file(cid, trace.scenario_id), (cid, path))
+                if first != (cid, path):  # two scenario ids clash first, under the first criterion
+                    raise ScenqError(f"{path}: scenario id {trace.scenario_id!r} names the plot "
+                                     f"files of {first[1]} too" if first[0] == cid else
+                                     f"{path}: criterion {cid!r} names the plot file {name} of "
+                                     f"criterion {first[0]!r} on {first[1]} too")
+            judging[:] = path, trace.scenario_id
+            yield trace  # judged: the series judged are kept with it (registry.compute)
+            write_series_batch([(trace.scenario_id, registry.compute(spec, trace, c.metric_params),
+                                 folder / _plot_file(c.criterion_id, trace.scenario_id),
+                                 c.metric_params) for c, spec in plotted], float_texts)
+        judging.clear()  # the set-level criteria are judged after the last trace
 
     with _output_dir(Path(args.out), "evaluate", [*trace_paths, Path(args.criteria)],
                      [Path(args.criteria)], ["plot_data"] if args.emit_plot_data else []) as work:
+        try:
+            report = evaluate_suite(criteria, traces(work / "plot_data"))
+        except CriterionError as exc:  # raised on a trace: name its file, not its scenario id
+            if judging:
+                exc.args = (f"{judging[0]}: {str(exc).removeprefix(f'{judging[1]}: ')}",)
+            raise
         (work / "evaluation.json").write_text(json.dumps(_report_dict(report), indent=2) + "\n",
                                               encoding="utf-8")
-        write_series_batch((sid, series, work / "plot_data" / name, params)
-                           for sid, series, name, params in plotted)
 
     fails = sum(v.outcome == "fail" for v in report.verdicts)
     passes = sum(v.outcome == "pass" for v in report.verdicts)

@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -453,51 +453,53 @@ class EvaluationReport:
 
 def evaluate_suite(
     criteria: Sequence[QualityCriterion],
-    traces: Trace | Sequence[Trace],
+    traces: Trace | Iterable[Trace],
 ) -> EvaluationReport:
-    """Evaluate criteria over one or many traces.
+    """Evaluate criteria over one trace or any iterable of traces, walked once.
 
-    Per-timestep and per-scenario criteria produce one verdict per trace;
-    set-level criteria produce verdicts over the whole trace list (their
-    application periods are not time-gated). Every criterion given runs: to
-    judge one perspective or level, pass only its criteria. Verdict order
-    follows criterion order, then trace order, so identical inputs give
-    identical reports. Criteria and application period conditions on the same
-    metric and params share one result per trace, kept with the trace (one per
-    list at set level).
+    Each trace is judged on every per-timestep and per-scenario criterion, one
+    verdict each, before the next is taken, so the caller may let it go then.
+    Set-level criteria are judged once the traces are done, over what their
+    metrics kept of each (see the registry), not time-gated. Every criterion given
+    runs: to judge one perspective or level, pass only its criteria. Verdict order
+    follows criterion order, then trace order. Criteria and application period
+    conditions on the same metric and params share one result per trace, kept with
+    the trace (one per set at set level). A criterion naming an actor that a trace
+    lacks raises ``<scenario id>: criterion '<id>': unknown actor '<actor>'``.
     """
     if isinstance(traces, Trace):
         traces = [traces]
-    traces = list(traces)
-    if not traces:
+    specs = [registry.get(c.metric_name) for c in criteria]
+    keys = [(spec.name, json.dumps(c.metric_params, sort_keys=True, default=repr))
+            for c, spec in zip(criteria, specs)]
+    verdicts: list[list[Verdict]] = [[] for _ in criteria]  # per criterion, in trace order
+    per_trace = [(c, spec, c.actors, produced) for c, spec, produced in
+                 zip(criteria, specs, verdicts) if spec.level != registry.MACROSCOPIC]
+    # per set-level metric and params: its spec, params and what it keeps of each trace
+    kept = {key: (spec, c.metric_params, []) for c, spec, key in zip(criteria, specs, keys)
+            if spec.level == registry.MACROSCOPIC}
+    count = 0
+    for count, trace in enumerate(traces, 1):
+        for criterion, spec, actors, produced in per_trace:
+            if absent := sorted(actors - trace.tracks.keys()):
+                raise CriterionError(f"{trace.scenario_id}: criterion {criterion.criterion_id!r}: "
+                                     f"unknown actor {absent[0]!r}")
+            result = registry.compute(spec, trace, criterion.metric_params)
+            produced.append(evaluate_criterion(criterion, result, trace))
+        for spec, params, items in kept.values():
+            items.append(spec.keep(trace, params) if spec.keep else trace)
+    if not count:
         raise CriterionError("evaluation needs at least one trace")
-
-    set_results: dict[tuple[str, str], list] = {}  # set-level results by metric and params
-    verdicts: list[Verdict] = []
-    cell_keys: dict[tuple[str, str], list[Verdict]] = {}
-    for criterion in criteria:
-        spec = registry.get(criterion.metric_name)
-        produced: list[Verdict] = []
-        params = criterion.metric_params
-        if spec.level == registry.MACROSCOPIC:
-            key = (spec.name, json.dumps(params, sort_keys=True, default=repr))
-            if key not in set_results:
-                set_results[key] = spec.compute(traces, params)
-            for result_id, scalar in set_results[key]:
-                verdict = evaluate_criterion(criterion, scalar, trace=None)
-                produced.append(replace(verdict, scenario_id=result_id))
-        else:
-            for trace in traces:
-                result = registry.compute(spec, trace, params)
-                produced.append(evaluate_criterion(criterion, result, trace))
-        verdicts.extend(produced)
-        cell_keys.setdefault((criterion.perspective, spec.level), []).extend(produced)
-
-    cells = []
-    for (persp, lvl), cell_verdicts in sorted(cell_keys.items()):
-        counts = Counter(v.outcome for v in cell_verdicts)
-        cells.append(CellSummary(persp, lvl, *(counts[o] for o in OUTCOMES)))
-    return EvaluationReport(verdicts=tuple(verdicts), cells=tuple(cells))
+    set_results = {key: spec.compute(items, params) for key, (spec, params, items) in kept.items()}
+    counts: dict[tuple[str, str], Counter] = {}
+    for criterion, spec, key, produced in zip(criteria, specs, keys, verdicts):
+        produced.extend(replace(evaluate_criterion(criterion, scalar), scenario_id=result_id)
+                        for result_id, scalar in set_results.get(key, ()))
+        counts.setdefault((criterion.perspective, spec.level), Counter()).update(
+            v.outcome for v in produced)
+    cells = tuple(CellSummary(persp, lvl, *(c[o] for o in OUTCOMES))
+                  for (persp, lvl), c in sorted(counts.items()))
+    return EvaluationReport(tuple(v for produced in verdicts for v in produced), cells)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,11 @@ resolution level, worse direction, and how to compute it.
 Compute signatures by level:
   nanoscopic   f(trace, params) -> MetricSeries
   microscopic  f(trace, params) -> ScalarResult
-  macroscopic  f(traces, params) -> list[(result_id, ScalarResult)]
+  macroscopic  f(kept, params) -> list[(result_id, ScalarResult)]
+
+kept holds what the spec's keep(trace, params) took of each trace, in trace
+order, so that each trace can go once it is judged: collision_probability keeps
+a contact time, and only a spec without keep, as dtw, keeps whole traces.
 
 params is a flat mapping of actor references and metric options taken from
 a quality criterion; each built-in spec declares the params it reads and their
@@ -18,12 +22,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from types import ModuleType
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from . import macro, micro, nano
 from .errors import MetricError, number
 from .results import EncroachmentZone, MetricSeries, ScalarResult, undefined_scalar
-from .trace import Trace
+from .trace import Trace, first_contact_time
 
 NANOSCOPIC = "nanoscopic"
 MICROSCOPIC = "microscopic"
@@ -45,6 +49,9 @@ class MetricSpec:
     #: each param the compute reads -> its input rule, ``rule(value, what)``, which raises
     #: ValueError for a value it rejects; None takes any params
     params: Mapping[str, Callable] | None = field(default=None, compare=False)
+    #: at set level, what the compute takes of each trace, ``keep(trace, params)``; None
+    #: takes the trace itself
+    keep: Callable | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.level not in LEVELS:
@@ -162,44 +169,25 @@ def _zone(metric: str, other: str | None = None) -> Callable:
 def _dtw(traces: Sequence[Trace], params: Mapping) -> list[tuple[str, ScalarResult]]:
     if len(traces) < 2:
         raise MetricError("dtw needs a reference trace plus at least one run")
-    reference = traces[0]
-    report = macro.repeatability_report(
-        reference,
-        list(traces[1:]),
-        actor_ids=params.get("actor_ids"),
-        threshold=params.get("threshold", 10.0),
-    )
-    return [
-        (
-            f"{e.run_id}/{e.actor_id}",
-            ScalarResult(
-                metric_name="dtw",
-                value=e.dtw_distance,
-                unit="m",
-                defined=True,
-                context={"actor": e.actor_id, "per_step": repr(e.per_step)},
-            ),
-        )
-        for e in report.entries
-    ]
+    report = macro.repeatability_report(traces[0], traces[1:], actor_ids=params.get("actor_ids"),
+                                        threshold=params.get("threshold", 10.0))
+    return [(f"{e.run_id}/{e.actor_id}", ScalarResult(
+        "dtw", e.dtw_distance, "m", context={"actor": e.actor_id, "per_step": repr(e.per_step)}))
+        for e in report.entries]
 
 
-def _collision_probability(
-    traces: Sequence[Trace], params: Mapping
-) -> list[tuple[str, ScalarResult]]:
-    value = macro.collision_probability(list(traces))
-    return [
-        (
-            "scenario_set",
-            ScalarResult(
-                metric_name="collision_probability",
-                value=value,
-                unit="1",
-                defined=True,
-                context={"runs": str(len(traces))},
-            ),
-        )
-    ]
+class _Contact(NamedTuple):  # what collision_probability keeps of a trace
+    scenario_id: str
+    time: float | None  # the first contact, None without one
+
+
+def _collision_probability(contacts: Sequence[_Contact],
+                           params: Mapping) -> list[tuple[str, ScalarResult]]:
+    if not contacts:
+        raise MetricError("collision probability needs at least one trace")
+    value = sum(c.time is not None for c in contacts) / len(contacts)
+    return [("scenario_set", ScalarResult("collision_probability", value, "1",
+                                          context={"runs": str(len(contacts))}))]
 
 
 for _spec in (
@@ -238,6 +226,7 @@ for _spec in (
                "warped trajectory distance to a reference run", _dtw,
                {"actor_ids": _actors, "threshold": number}),
     MetricSpec("collision_probability", "1", MACROSCOPIC, WORSE_HIGH,
-               "fraction of runs with touching actor discs", _collision_probability, {}),
+               "fraction of runs with touching actor discs", _collision_probability, {},
+               lambda trace, params: _Contact(trace.scenario_id, first_contact_time(trace))),
 ):
     register(_spec)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -174,16 +176,17 @@ def write_series(series: MetricSeries, path: str | Path, parameters: Mapping | N
     write_series_batch([("", series, path, parameters)])
 
 
-def write_series_batch(
-        files: Iterable[tuple[str, MetricSeries, str | Path, Mapping | None]]) -> None:
-    """Write each (trace id, series, path, parameters) as ``write_series`` does. The series
-    of one trace id share one ``FloatTexts`` call, which holds one trace id's texts at a
-    time; a series listed twice is formatted once."""
-    by_trace: dict[str, list] = {}
-    for trace_id, *item in files:
-        by_trace.setdefault(trace_id, []).append(item)
-    float_texts = FloatTexts()
-    for items in by_trace.values():
+def write_series_batch(files: Iterable[tuple[str, MetricSeries, str | Path, Mapping | None]],
+                       float_texts: FloatTexts | None = None) -> None:
+    """Write each (trace id, series, path, parameters) as ``write_series`` does, a run of
+    consecutive items of one trace id at a time, so that an iterable that makes them can free
+    each trace's series before it makes the next. The series of one run share one call of
+    ``float_texts`` (a fresh ``FloatTexts`` when None), which holds one run's texts at a time;
+    pass one across calls to keep the last run's texts for the next. A series listed twice in
+    one run is formatted once."""
+    float_texts = float_texts or FloatTexts()
+    for _, run in groupby(files, key=itemgetter(0)):
+        items = [item for _, *item in run]
         distinct = list({id(series): series for series, *_ in items}.values())  # all alive
         columns = [c for s in distinct for c in (s.times, s.values[s.defined])]
         texts, inverse = float_texts(np.concatenate(columns))

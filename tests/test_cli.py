@@ -12,12 +12,12 @@ from pathlib import Path
 import pytest
 
 from scenq import (
-    ActorTrack, Trace, TraceParseError, concretize, iter_simulate, load_criteria,
+    ActorTrack, Trace, TraceParseError, concretize, evaluate_suite, iter_simulate, load_criteria,
     load_logical_scenario, load_sim_config, load_trace_file, registry, save_trace, simulate_batch,
     write_series, write_concrete_set, write_trace,
 )
 from scenq import scenarios
-from scenq.cli import _collect_trace_paths, main
+from scenq.cli import _collect_trace_paths, _report_dict, main
 from scenq.results import safe_name
 
 from conftest import DATA
@@ -1198,6 +1198,61 @@ def test_unknown_actor_names_trace_file_and_criterion(sim_out, tmp_path, capsys,
     assert capsys.readouterr().err == (f"error: {trace}: criterion {criterion['criterion_id']!r}: "
                                        f"unknown actor 'ghost'\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("given, expected", [
+    # an earlier trace's unknown actor comes before a later trace's bad row
+    pytest.param(("plain", "bad"), "{plain}: criterion 'near_ghost': unknown actor 'ghost'",
+                 id="actor_before_a_later_bad_row"),
+    pytest.param(("bad", "plain"), "{bad}: line 50: non-numeric value", id="bad_row_first"),
+    # on one trace, its load comes first, then its plot files, then its criteria's actors
+    pytest.param(("ghost", "plain"), "{plain}: scenario id 'run' names the plot files of "
+                 "{ghost} too", id="clash_before_actor"),
+    pytest.param(("ghost", "bad"), "{bad}: line 50: non-numeric value",
+                 id="bad_row_before_clash"),
+])
+def test_evaluate_errors_come_trace_by_trace(sim_out, tmp_path, capsys, given, expected):
+    """Each trace is loaded, its plot files are checked and its criteria judged before the
+    next trace loads; each error leaves --out untouched."""
+    text = (sim_out / "traces" / "cli_demo_0.csv").read_text()
+    lines = text.splitlines()
+    fields = lines[49].split(",")
+    fields[3] = "oops"  # x_m of the row on line 50
+    lines[49] = ",".join(fields)
+    paths = {}
+    for kind, content in (("plain", text), ("bad", "\n".join(lines) + "\n"),
+                          ("ghost", text.replace(",pedestrian,pedestrian,", ",ghost,pedestrian,"))):
+        (tmp_path / kind).mkdir()
+        paths[kind] = tmp_path / kind / "run.csv"  # no sidecar: each scenario id is 'run'
+        paths[kind].write_text(content)
+    criteria = tmp_path / "criteria.json"
+    criteria.write_text(json.dumps({"criteria": [_distance_criterion(
+        "near_ghost", params={"actor_a": "ego", "actor_b": "ghost"})]}))
+    out = tmp_path / "out"
+    assert main(["evaluate", "--traces", *(str(paths[kind]) for kind in given), "--criteria",
+                 str(criteria), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {expected.format(**paths)}")
+    assert not out.exists()
+
+
+def test_evaluation_json_is_the_report_of_evaluate_suite(sim_out, tmp_path):
+    criteria = tmp_path / "criteria.json"
+    criteria.write_text(json.dumps({"criteria": [
+        _distance_criterion("apart"),
+        _metric_criterion("pet_margin", "pet", "s", actor_1="ego", actor_2="pedestrian"),
+        {"criterion_id": "hits", "metric": "collision_probability",
+         "threshold": {"comparator": "<=", "value": 0.0, "unit": "1"}},
+        {"criterion_id": "drift", "metric": "dtw", "params": {"actor_ids": ["ego"]},
+         "scale": {"breakpoints": [[0.0, 1.0], [5.0, 0.5]], "unit": "m"}},
+    ]}))
+    out = tmp_path / "out"
+    assert main(["evaluate", "--traces", str(sim_out / "traces"), "--criteria", str(criteria),
+                 "--out", str(out), "--emit-plot-data"]) in (0, 1)
+    report = evaluate_suite(load_criteria(criteria), [
+        load_trace_file(p) for p in sorted((sim_out / "traces").glob("*.csv"))])
+    assert json.loads((out / "evaluation.json").read_text()) == json.loads(
+        json.dumps(_report_dict(report)))
+    assert {v.criterion_id for v in report.verdicts} == {"apart", "pet_margin", "hits", "drift"}
 
 
 def test_compare_skips_the_reference_among_the_runs(sim_out, tmp_path):

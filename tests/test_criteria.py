@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -23,13 +24,18 @@ from scenq import (
     active_intervals,
     always_active,
     comparison_margin,
+    concretize,
     condition,
     evaluate_criterion,
     evaluate_suite,
+    first_contact_time,
     load_criteria,
+    load_trace_file,
     margin_holds,
     normalize_comparator,
     registry,
+    save_trace,
+    simulate_batch,
     undefined_scalar,
 )
 from scenq.criteria import (
@@ -682,6 +688,105 @@ def test_evaluate_suite_cells_and_filters():
     assert only_macro.verdicts == report.verdicts[2:]
     with pytest.raises(CriterionError):
         evaluate_suite(criteria, [])
+
+
+@pytest.mark.parametrize("criterion", [
+    pytest.param(QualityCriterion("ghost_ttc", "ttc", Threshold(">", 1.0, unit="s"),
+                                  metric_params={"ego": "ego", "target": "ghost"}),
+                 id="metric_params"),
+    pytest.param(QualityCriterion(
+        "ghost_start", "euclidean_distance", Threshold(">", 1.0, unit="m"),
+        ApplicationPeriod(condition("speed", ">", 0.0, unit="m/s", actor="ghost")),
+        metric_params={"actor_a": "ego", "actor_b": "other"}), id="start_condition"),
+    pytest.param(QualityCriterion(
+        "ghost_stop", "euclidean_distance", Threshold(">", 1.0, unit="m"),
+        ApplicationPeriod(condition("time", ">=", 0.0, unit="s"),
+                          StopRule(kind="event", event="actor_passed_conflict", actor="ghost")),
+        metric_params={"actor_a": "ego", "actor_b": "other"}), id="stop_rule"),
+])
+def test_evaluate_suite_names_the_criterion_and_trace_of_an_unknown_actor(criterion):
+    fine = QualityCriterion("apart", "euclidean_distance", Threshold(">", 10.0, unit="m"),
+                            metric_params={"actor_a": "ego", "actor_b": "other"})
+    with pytest.raises(CriterionError) as info:
+        evaluate_suite([fine, criterion], approach_traces())
+    assert str(info.value) == (f"run#0: criterion {criterion.criterion_id!r}: "
+                               f"unknown actor 'ghost'")
+
+
+@pytest.fixture(scope="module")
+def grid_traces(intersection_logical, intersection_config):
+    """Four runs of the bundled grid: a collision, and three that complete the route, the
+    second of them the longest."""
+    by_id = {s.scenario_id: s for s in concretize(intersection_logical)}
+    scenarios = [by_id[f"urban_intersection#{i}"] for i in (400, 0, 401, 7)]
+    traces = [o.trace for o in simulate_batch(scenarios, intersection_config)]
+    assert first_contact_time(traces[0]) is not None
+    return traces
+
+
+def grid_criteria(*extra):
+    pair = {"ego": "ego", "target": "pedestrian"}
+    return [
+        QualityCriterion("ttc_floor", "ttc", Threshold(">", 1.0, unit="s"), metric_params=pair),
+        QualityCriterion("gap_while_crossing", "gap_time", Threshold(">", 1.0, unit="s"),
+                         ApplicationPeriod(
+                             condition("speed", ">", 0.0, unit="m/s", actor="pedestrian"),
+                             StopRule(kind="event", event="actor_passed_conflict", actor="ego")),
+                         metric_params=pair),
+        QualityCriterion("pet_margin", "pet", Threshold(">", 1.0, unit="s"),
+                         metric_params={"actor_1": "ego", "actor_2": "pedestrian"},
+                         perspective="scenario"),
+        QualityCriterion("collision_rate", "collision_probability",
+                         Threshold("<=", 0.1, unit="1"), perspective="simulation"),
+        *extra,
+    ]
+
+
+def fresh(traces):
+    """Each trace again, sharing its tracks but none of the results kept with it."""
+    return [replace(t) for t in traces]
+
+
+def test_evaluate_suite_walks_any_iterable_once(grid_traces):
+    drift = QualityCriterion("ego_drift", "dtw", Scale(((0.0, 1.0), (50.0, 0.0)), unit="m"),
+                             metric_params={"actor_ids": ["ego"]}, perspective="simulation")
+    criteria = grid_criteria(drift)
+    listed = evaluate_suite(criteria, fresh(grid_traces))
+    taken = []
+
+    def one_at_a_time():
+        for trace in fresh(grid_traces):
+            taken.append(trace.scenario_id)
+            yield trace
+
+    assert evaluate_suite(criteria, one_at_a_time()) == listed
+    assert taken == [t.scenario_id for t in grid_traces]
+    assert [v.criterion_id for v in listed.verdicts] == [
+        *(c.criterion_id for c in criteria[:3] for _ in grid_traces), "collision_rate",
+        *["ego_drift"] * 3]
+    rate = listed.verdicts[12]
+    assert (rate.scenario_id, rate.worst_result.value) == (
+        "scenario_set", sum(first_contact_time(t) is not None for t in grid_traces) / 4)
+
+
+def test_evaluate_suite_memory_does_not_grow_with_the_traces(grid_traces, tmp_path):
+    """Without a dtw criterion each trace and its results can go once it is judged: over
+    16 copies of a trace, loaded one at a time, the traced peak stays within 1.2x of the
+    peak over 2."""
+    path = tmp_path / "run.csv"
+    save_trace(grid_traces[1], path)
+    criteria = grid_criteria()
+    evaluate_suite(criteria, load_trace_file(path))  # lazy imports and caches first
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            evaluate_suite(criteria, (load_trace_file(path) for _ in range(count)))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16) < 1.2 * peak(2)
 
 
 def test_load_criteria_file(tmp_path):

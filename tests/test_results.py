@@ -1,4 +1,6 @@
 import json
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from scenq import (
     write_series,
 )
 from scenq.results import write_series_batch
+from scenq.trace import FloatTexts
 
 
 def series(values, defined=None, name="ttc"):
@@ -176,14 +179,24 @@ def test_batch_series_writer_matches_the_per_row_writer(tmp_path, monkeypatch):
         assert meta == {"metric_name": series.metric_name, "unit": series.unit,
                         "actor_ids": list(series.actor_ids), "parameters": parameters or {}}
 
-    def bits(trace_id):
-        return {v.tobytes() for t, s, _, _ in files if t == trace_id
-                for v in np.concatenate([s.times, s.values])}
+    def bits(run):
+        return {v.tobytes() for _, s, _, _ in run for v in np.concatenate([s.times, s.values])}
 
-    # repr once per distinct bit pattern of a trace's series, none the trace before held
-    zero = np.float64(0.0).tobytes()
-    assert len(calls) == len(bits("t1") - {zero}) + len(bits("t2") - bits("t1")) + len(
-        bits("t3") - bits("t2"))
+    # repr once per distinct bit pattern of a run of consecutive items of one trace id, none
+    # the run before held: t1, t2, t1 again, t2 again, t3
+    runs = [bits(run) for _, run in groupby(files, key=itemgetter(0))]
+    assert len(runs) == 5
+    held = [{np.float64(0.0).tobytes()}, *runs]
+    assert len(calls) == sum(len(run - before) for run, before in zip(runs, held))
+
+    # a FloatTexts passed along keeps the last run's texts for the next call
+    float_texts, calls[:] = FloatTexts(), []
+    later = drawn(grid)
+    write_series_batch(files[:1], float_texts)
+    write_series_batch([("t9", later, tmp_path / "later.csv", None)], float_texts)
+    assert (tmp_path / "later.csv").read_text() == per_row_series_csv(later)
+    first = bits(files[:1])
+    assert len(calls) == len(first - held[0]) + len(bits([("t9", later, None, None)]) - first)
 
 
 def test_scalar_serialization(tmp_path):
