@@ -35,7 +35,7 @@ from .macro import detect_result_gaps, repeatability_report
 from .results import safe_name, write_scalars, write_series_batch
 from .scenarios import iter_concretize, load_logical_scenario, write_concrete_set
 from .simulator import EGO_ID, PED_ID, SimOutcome, iter_simulate, load_sim_config
-from .trace import FloatTexts, Trace, load_trace_file, save_traces
+from .trace import FloatTexts, Trace, csv_field, load_trace_file, save_traces
 
 try:  # the builtin sha256, as random.py takes it: hashlib maps OpenSSL, about 3.5 MB
     from _sha2 import sha256  # Python 3.12+
@@ -226,9 +226,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                                      f"criterion {first[0]!r} on {first[1]} too")
             judging[:] = path, trace.scenario_id
             yield trace  # judged: the series judged are kept with it (registry.compute)
-            write_series_batch([(trace.scenario_id, registry.compute(spec, trace, c.metric_params),
-                                 folder / _plot_file(c.criterion_id, trace.scenario_id),
-                                 c.metric_params) for c, spec in plotted], float_texts)
+            if plotted:
+                write_series_batch([(registry.compute(spec, trace, c.metric_params),
+                                     folder / _plot_file(c.criterion_id, trace.scenario_id),
+                                     c.metric_params) for c, spec in plotted], float_texts)
         judging.clear()  # the set-level criteria are judged after the last trace
 
     with _output_dir(Path(args.out), "evaluate", [*trace_paths, Path(args.criteria)],
@@ -341,7 +342,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if all(isinstance(items, dict) for items in findings.values()):
         raise MetricError(next(iter(findings.values()))["reason"])
 
-    csv_lines = [",".join([param.name, *table, "collided", "end_reason"])] + [",".join([
+    csv_lines = [",".join([csv_field(param.name), *table, "collided", "end_reason"])] + [",".join([
         repr(value), *(repr(float(s.value)) if s.defined else "" for s in scalars),
         "true" if collided else "false", end_reason])
         for value, _, collided, end_reason, scalars in runs]

@@ -221,6 +221,11 @@ class ApplicationPeriod:
     start_condition: ConditionNode
     stop: StopRule = field(default_factory=StopRule)
 
+    @property
+    def actors(self) -> set[str]:
+        """The actors the start condition and the stop rule name."""
+        return self.start_condition.referenced_actors() | ({self.stop.actor} - {None})
+
 
 def always_active() -> ApplicationPeriod:
     return ApplicationPeriod(start_condition=condition("time", ">=", 0.0, unit="s"))
@@ -233,10 +238,7 @@ def _event_time(trace: Trace, rule: StopRule) -> float | None:
     if rule.event == "collision":
         return first_contact_time(trace)
     # actor_passed_conflict
-    ids = trace.actor_ids()
-    if rule.actor not in ids:
-        raise CriterionError(f"stop rule actor {rule.actor!r} not in trace")
-    others = [a for a in ids if a != rule.actor]
+    others = [a for a in trace.actor_ids() if a != rule.actor]
     if len(others) != 1:
         raise CriterionError("actor_passed_conflict needs a trace with exactly 2 actors")
     conflict = conflict_point(trace, rule.actor, others[0])
@@ -258,9 +260,7 @@ def active_intervals(period: ApplicationPeriod, trace: Trace) -> list[tuple[floa
     rising edge after the stop time. A gating metric's series is the one kept
     with the trace (registry.compute).
     """
-    actors = period.start_condition.referenced_actors()
-    if period.stop.actor:
-        actors.add(period.stop.actor)
+    actors = period.actors
     grid_actors = tuple(sorted(actors)) if actors else tuple(trace.actor_ids())
     grid = common_grid(trace, grid_actors)
     margins, holds = _margins_and_holds(period.start_condition, trace, grid)
@@ -349,13 +349,9 @@ class QualityCriterion:
 
     @property
     def actors(self) -> set[str]:
-        """The actors a trace must hold to be judged: those the metric params, the start
-        condition and the stop rule name; none at set level, where no period gates."""
-        if self.level == registry.MACROSCOPIC:
-            return set()
-        period = self.application_period
-        return (_param_actors(self.metric_name, self.metric_params)
-                | period.start_condition.referenced_actors() | ({period.stop.actor} - {None}))
+        """The actors a trace must hold to be judged on a per-trace criterion: those the
+        metric params and the application period name."""
+        return _param_actors(self.metric_name, self.metric_params) | self.application_period.actors
 
 
 @dataclass(frozen=True)

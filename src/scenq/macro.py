@@ -13,7 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import MetricError, ScenarioError
 from .scenarios import ConcreteScenario, LogicalScenario, grid_size
 from .results import ScalarResult
-from .trace import ActorTrack, Trace, first_contact_time
+from .trace import ActorTrack, Trace
 
 
 _SLAB_DIAGONALS, _SLAB_CELLS = 48, 12288  # per dtw slab: diagonals, cells of a block
@@ -165,11 +165,13 @@ def repeatability_report(
     )
 
 
-def collision_probability(traces: Sequence[Trace]) -> float:
-    """Fraction of traces in which two actor discs touched or overlapped."""
-    if not traces:
+def collision_probability(first_contacts: Sequence[float | None]) -> float:
+    """Fraction of runs in which two actor discs touched or overlapped, from each run's
+    ``trace.first_contact_time``: None where the run had no contact."""
+    times = np.array(first_contacts, dtype=float)  # None is NaN; a Trace raises TypeError
+    if not times.size:
         raise MetricError("collision probability needs at least one trace")
-    return sum(first_contact_time(trace) is not None for trace in traces) / len(traces)
+    return float(np.count_nonzero(~np.isnan(times))) / times.size
 
 
 @dataclass(frozen=True)

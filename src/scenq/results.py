@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -173,35 +171,30 @@ def write_series(series: MetricSeries, path: str | Path, parameters: Mapping | N
     written. The sidecar ``<path>.meta.json`` records metric name, unit,
     actor ids and optional free-form parameters.
     """
-    write_series_batch([("", series, path, parameters)])
+    write_series_batch([(series, path, parameters)], FloatTexts())
 
 
-def write_series_batch(files: Iterable[tuple[str, MetricSeries, str | Path, Mapping | None]],
-                       float_texts: FloatTexts | None = None) -> None:
-    """Write each (trace id, series, path, parameters) as ``write_series`` does, a run of
-    consecutive items of one trace id at a time, so that an iterable that makes them can free
-    each trace's series before it makes the next. The series of one run share one call of
-    ``float_texts`` (a fresh ``FloatTexts`` when None), which holds one run's texts at a time;
-    pass one across calls to keep the last run's texts for the next. A series listed twice in
-    one run is formatted once."""
-    float_texts = float_texts or FloatTexts()
-    for _, run in groupby(files, key=itemgetter(0)):
-        items = [item for _, *item in run]
-        distinct = list({id(series): series for series, *_ in items}.values())  # all alive
-        columns = [c for s in distinct for c in (s.times, s.values[s.defined])]
-        texts, inverse = float_texts(np.concatenate(columns))
-        pieces = np.split(inverse, np.cumsum([len(c) for c in columns]))
-        for s, times_at, values_at in zip(distinct, pieces[0::2], pieces[1::2]):
-            rows = np.full((len(s), 4), "", dtype=object)  # time, ",", value, flag and "\n"
-            rows[:, 0], rows[:, 1], rows[s.defined, 2] = texts[times_at], ",", texts[values_at]
-            rows[:, 3] = np.array([",false\n", ",true\n"], dtype=object)[s.defined.view(np.uint8)]
-            text = "time_s,value,defined\n" + "".join(rows.ravel().tolist())
-            for _, path, parameters in (item for item in items if item[0] is s):
-                Path(path).write_text(text, encoding="utf-8")
-                sidecar = {"metric_name": s.metric_name, "unit": s.unit,
-                           "actor_ids": list(s.actor_ids), "parameters": dict(parameters or {})}
-                Path(f"{path}.meta.json").write_text(json.dumps(sidecar, indent=2) + "\n",
-                                                     encoding="utf-8")
+def write_series_batch(files: Sequence[tuple[MetricSeries, str | Path, Mapping | None]],
+                       float_texts: FloatTexts) -> None:
+    """Write each (series, path, parameters) of one trace as ``write_series`` does. The series
+    share one call of ``float_texts``, which holds one call's texts at a time; pass one across
+    the traces to keep the last trace's texts for the next. A series listed twice is formatted
+    once. ``files`` must not be empty."""
+    distinct = list({id(series): series for series, *_ in files}.values())  # all alive
+    columns = [c for s in distinct for c in (s.times, s.values[s.defined])]
+    texts, inverse = float_texts(np.concatenate(columns))
+    pieces = np.split(inverse, np.cumsum([len(c) for c in columns]))
+    for s, times_at, values_at in zip(distinct, pieces[0::2], pieces[1::2]):
+        rows = np.full((len(s), 4), "", dtype=object)  # time, ",", value, flag and "\n"
+        rows[:, 0], rows[:, 1], rows[s.defined, 2] = texts[times_at], ",", texts[values_at]
+        rows[:, 3] = np.array([",false\n", ",true\n"], dtype=object)[s.defined.view(np.uint8)]
+        text = "time_s,value,defined\n" + "".join(rows.ravel().tolist())
+        for _, path, parameters in (item for item in files if item[0] is s):
+            Path(path).write_text(text, encoding="utf-8")
+            sidecar = {"metric_name": s.metric_name, "unit": s.unit,
+                       "actor_ids": list(s.actor_ids), "parameters": dict(parameters or {})}
+            Path(f"{path}.meta.json").write_text(json.dumps(sidecar, indent=2) + "\n",
+                                                 encoding="utf-8")
 
 
 def scalar_to_dict(scalar: ScalarResult, scenario_id: str = "") -> dict:

@@ -365,9 +365,10 @@ def _read_csv(stream: TextIO) -> tuple[list[str], list[str], list[np.ndarray], b
     """Read CSV text from ``stream``, opened with ``newline=""``, a block at a time: the actor
     ids in order of first appearance, each actor's class and _NUMERIC_COLUMNS (rows in file
     order), and whether accel_mps2 is derived, as central differences of speed. Raises for the
-    earliest bad row, on one row for the first of: a class other than the actor's first, a time
-    not after the actor's previous one, a row loadtxt rejects (the wrong width, or no number),
-    a non-finite value, a negative speed, a non-finite derived acceleration."""
+    earliest bad row, on one row for the first of: an empty actor id or a class other than the
+    actor's first, a time not after the actor's previous one, a row loadtxt rejects (the wrong
+    width, or no number), a non-finite value, a negative speed, a non-finite derived
+    acceleration."""
     lines = stream.readline().removeprefix("\ufeff").splitlines()
     if not lines:
         raise TraceParseError("empty CSV input")
@@ -414,6 +415,8 @@ def _read_csv(stream: TextIO) -> tuple[list[str], list[str], list[np.ndarray], b
                                                   for i, c in enumerate(cells))], dtype))
             table = np.concatenate(tables)
         ids, classes = table[f"f{index['actor_id']}"].tolist(), table[f"f{index['actor_class']}"]
+        if "" in ids:
+            found.append((n + ids.index(""), 0, "empty actor_id", ""))
         block = np.array([rank.setdefault(actor_id, len(rank)) for actor_id in ids], dtype=int)
         new = np.flatnonzero(block >= len(firsts))
         firsts.extend(classes[new[np.unique(block[new], return_index=True)[1]]].tolist())
@@ -498,13 +501,8 @@ def _load(stream: TextIO, scenario_id: str, time_step: float | None,
                 f"actor {actor_id!r}: unknown actor_class {name!r}", actor_id=actor_id
             ) from None
         times, xs, ys, headings, speeds, accels = series
-        try:
-            tracks[actor_id] = ActorTrack(
-                actor_id, actor_class, DEFAULT_RADII[actor_class],
-                times, xs, ys, normalize_angles(headings), speeds, accels,
-            )
-        except TraceError as exc:
-            raise TraceParseError(str(exc), actor_id=actor_id) from None
+        tracks[actor_id] = ActorTrack(actor_id, actor_class, DEFAULT_RADII[actor_class],
+                                      times, xs, ys, normalize_angles(headings), speeds, accels)
     if derived:
         meta["accel_derived"] = ",".join(actors)
     if time_step is None:
@@ -513,7 +511,7 @@ def _load(stream: TextIO, scenario_id: str, time_step: float | None,
     return Trace(scenario_id=scenario_id, time_step=time_step, tracks=tracks, metadata=meta)
 
 
-def _csv_field(text: str) -> str:
+def csv_field(text: str) -> str:
     """A CSV field, quoted when it holds the delimiter or the quote character."""
     if "," in text or '"' in text:
         return '"' + text.replace('"', '""') + '"'
@@ -564,7 +562,7 @@ def _format_trace(trace: Trace, float_texts: FloatTexts) -> Iterator[str]:
     columns = np.array([np.concatenate([getattr(tr, a) for tr in tracks]) for a in attrs])
     order = np.lexsort((rank, columns[0]))
     texts, inverse = float_texts(columns)
-    heads = [f",{_csv_field(tr.actor_id)},{tr.actor_class.value}," for tr in tracks]
+    heads = [f",{csv_field(tr.actor_id)},{tr.actor_class.value}," for tr in tracks]
     yield ",".join(CSV_COLUMNS) + "\n"
     # a block at a time, so the float lists and row strings alive at once stay small
     for block in np.split(order, range(_WRITE_BLOCK, len(order), _WRITE_BLOCK)):

@@ -1,3 +1,4 @@
+import csv
 import errno
 import gc
 import hashlib
@@ -523,6 +524,25 @@ def test_sweep_judges_each_column_on_its_own(sweep_mini, tmp_path):
     assert f"- min_gap_time: not judged: {reason}\n" in report
 
 
+def test_sweep_csv_quotes_the_parameter_name(sweep_mini, tmp_path):
+    """A swept parameter whose name holds the delimiter or the quote character is one field."""
+    scenario = json.loads(sweep_mini.read_text())
+    scenario["parameters"][0]["name"] = 'a,"b'  # a binding the simulator does not read
+    scenario["parameters"][0]["max"] = 66.0
+    scenario["fixed"]["ego_start_x"] = 66.0
+    path = tmp_path / "quoted.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(path), "--config", str(DATA / "sweep_config.json"),
+                 "--out", str(out)]) == 0
+    with (out / "sweep.csv").open(newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ['a,"b', "min_euclidean_distance", "min_wttc", "min_gap_time",
+                       "collided", "end_reason"]
+    assert len(rows) == 4 and {len(row) for row in rows} == {6}
+    assert [row[0] for row in rows[1:]] == ["64.0", "65.0", "66.0"]
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 @pytest.mark.parametrize("fixed, expected", [
     ({"t_cross": 0.0, "d_start": 16.0}, "cli_demo#0: t_cross must be > 0"),
@@ -857,6 +877,19 @@ def test_negative_speed_exits_2_naming_file_and_line(sim_out, criteria_ok, tmp_p
     assert _evaluate(trace, criteria_ok, out) == 2
     assert capsys.readouterr().err == (f"error: {trace}: line 50: negative speed_mps "
                                        f"(-0.5)\n")
+    assert not out.exists()
+
+
+def test_empty_actor_id_exits_2_naming_file_and_line(sim_out, criteria_ok, tmp_path, capsys):
+    trace = _copy_trace(sim_out, tmp_path / "traces")
+    lines = trace.read_text().splitlines()
+    fields = lines[49].split(",")
+    fields[lines[0].split(",").index("actor_id")] = ""  # on line 50
+    lines[49] = ",".join(fields)
+    trace.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert _evaluate(trace, criteria_ok, out) == 2
+    assert capsys.readouterr().err == f"error: {trace}: line 50: empty actor_id\n"
     assert not out.exists()
 
 

@@ -12,6 +12,7 @@ from scenq import (
     ScalarResult,
     ScenarioError,
     Trace,
+    first_contact_time,
     simulate,
     undefined_scalar,
 )
@@ -281,10 +282,15 @@ def test_collision_probability_over_traces():
         "a": path_track("a", np.arange(5.0), np.zeros(5), dt),
         "b": path_track("b", np.arange(5.0), np.full(5, 10.0), dt),
     })
-    assert collision_probability([touching, apart]) == 0.5
-    assert collision_probability([apart]) == 0.0
+    contacts = [first_contact_time(touching), first_contact_time(apart)]
+    assert contacts[0] is not None and contacts[1] is None
+    assert collision_probability(contacts) == 0.5
+    assert collision_probability(contacts[1:]) == 0.0
     with pytest.raises(MetricError):
         collision_probability([])
+    # first-contact times, not traces: a list of traces is no silent count of collisions
+    with pytest.raises(TypeError):
+        collision_probability([touching, apart])
 
 
 def grid_logical():

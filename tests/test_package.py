@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 import json
 import os
 import re
@@ -231,3 +233,30 @@ def test_a_verdict_holds_what_evaluation_json_holds():
     """Every Verdict field is written to evaluation.json, so no field rides along unseen."""
     written = _verdict_dict(scenq.Verdict("c", "pass"))
     assert {f.name for f in fields(scenq.Verdict)} == set(written)
+
+
+def _benchmark_spans():
+    """perfbench/spans.py, which imports only the standard library, loaded by its path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_function_the_benchmark_times_exists():
+    """The benchmark's traced view wraps each (module, attribute) of spans.TIMED: one that
+    is gone fails every traced pass."""
+    missing = [f"{mod_name}.{attr}" for mod_name, attr in _benchmark_spans().TIMED.values()
+               if not callable(getattr(importlib.import_module(mod_name), attr, None))]
+    assert missing == []
+
+
+def test_what_a_set_level_metric_keeps_names_its_run(reference_outcome):
+    """The benchmark's traced view keys each set-level compute by the scenario_id of each
+    item it is given, which is what the spec's keep took of each trace."""
+    trace = reference_outcome.trace
+    for spec in scenq.registry.all_specs():
+        if spec.level == scenq.registry.MACROSCOPIC:
+            kept = spec.keep(trace, {}) if spec.keep else trace
+            assert kept.scenario_id == trace.scenario_id, spec.name

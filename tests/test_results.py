@@ -1,6 +1,4 @@
 import json
-from itertools import groupby
-from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -159,44 +157,35 @@ def test_batch_series_writer_matches_the_per_row_writer(tmp_path, monkeypatch):
     signed = MetricSeries("gap_time", ("a", "b"), "s", [-0.0, 0.5, 1.0], [-0.0, 0.0, 2.0],
                           [True, True, False])  # time -0.0 next to the 0.0 of the grid
     one = MetricSeries("wttc", ("a",), "s", [0.25], [-0.0], [True])
-    files = [
-        ("t1", shared, tmp_path / "floor_t1.csv", {"ego": "a"}),
-        ("t2", drawn(grid.copy()), tmp_path / "floor_t2.csv", {"ego": "a"}),
-        ("t1", shared, tmp_path / "braking_t1.csv", None),
-        ("t1", drawn(grid, "wttc"), tmp_path / "wttc_t1.csv", None),
-        ("t1", signed, tmp_path / "gap_t1.csv", None),
-        ("t2", one, tmp_path / "one_t2.csv", None),
-        ("t2", MetricSeries("ttc", ("a",), "s", grid[:9], np.ones(9), np.zeros(9, bool)),
-         tmp_path / "undefined_t2.csv", None),
-        ("t3", drawn(grid[::3]), tmp_path / "floor_t3.csv", None),
-    ]
-    calls = []
+    traces = {  # the plot files of each trace, as evaluate writes them
+        "t1": [(shared, tmp_path / "floor_t1.csv", {"ego": "a"}),
+               (shared, tmp_path / "braking_t1.csv", None),
+               (drawn(grid, "wttc"), tmp_path / "wttc_t1.csv", None),
+               (signed, tmp_path / "gap_t1.csv", None)],
+        "t2": [(drawn(grid.copy()), tmp_path / "floor_t2.csv", {"ego": "a"}),
+               (one, tmp_path / "one_t2.csv", None),
+               (MetricSeries("ttc", ("a",), "s", grid[:9], np.ones(9), np.zeros(9, bool)),
+                tmp_path / "undefined_t2.csv", None)],
+        "t3": [(drawn(grid[::3]), tmp_path / "floor_t3.csv", None)],
+    }
+
+    def bits(files):
+        return {v.tobytes() for s, _, _ in files for v in np.concatenate([s.times, s.values])}
+
+    # repr once per distinct bit pattern of a trace that the trace before did not hold
+    float_texts, calls = FloatTexts(), []
     monkeypatch.setattr("scenq.trace.repr", lambda v: calls.append(v) or repr(v), raising=False)
-    write_series_batch(files)
-    for _, series, path, parameters in files:
-        assert path.read_text() == per_row_series_csv(series)
-        meta = json.loads(path.with_name(path.name + ".meta.json").read_text())
-        assert meta == {"metric_name": series.metric_name, "unit": series.unit,
-                        "actor_ids": list(series.actor_ids), "parameters": parameters or {}}
-
-    def bits(run):
-        return {v.tobytes() for _, s, _, _ in run for v in np.concatenate([s.times, s.values])}
-
-    # repr once per distinct bit pattern of a run of consecutive items of one trace id, none
-    # the run before held: t1, t2, t1 again, t2 again, t3
-    runs = [bits(run) for _, run in groupby(files, key=itemgetter(0))]
-    assert len(runs) == 5
-    held = [{np.float64(0.0).tobytes()}, *runs]
-    assert len(calls) == sum(len(run - before) for run, before in zip(runs, held))
-
-    # a FloatTexts passed along keeps the last run's texts for the next call
-    float_texts, calls[:] = FloatTexts(), []
-    later = drawn(grid)
-    write_series_batch(files[:1], float_texts)
-    write_series_batch([("t9", later, tmp_path / "later.csv", None)], float_texts)
-    assert (tmp_path / "later.csv").read_text() == per_row_series_csv(later)
-    first = bits(files[:1])
-    assert len(calls) == len(first - held[0]) + len(bits([("t9", later, None, None)]) - first)
+    held = {np.float64(0.0).tobytes()}
+    for files in traces.values():
+        calls.clear()
+        write_series_batch(files, float_texts)
+        assert len(calls) == len(bits(files) - held)
+        held = bits(files)
+        for series, path, parameters in files:
+            assert path.read_text() == per_row_series_csv(series)
+            meta = json.loads(path.with_name(path.name + ".meta.json").read_text())
+            assert meta == {"metric_name": series.metric_name, "unit": series.unit,
+                            "actor_ids": list(series.actor_ids), "parameters": parameters or {}}
 
 
 def test_scalar_serialization(tmp_path):

@@ -19,9 +19,9 @@ from scenq import (
     TraceParseError,
     active_intervals,
     always_active,
-    collision_probability,
     first_contact_time,
     load_trace_file,
+    registry,
     sample_track,
     save_trace,
     simulate,
@@ -265,12 +265,20 @@ def test_first_contact_time():
     assert first_contact_time(two_actor_trace()) is None
 
 
+def set_collision_probability(trace):
+    """The collision probability of a set of one trace, as evaluate judges it: from what the
+    registry spec keeps of the trace."""
+    spec = registry.get("collision_probability")
+    [(_, result)] = spec.compute([spec.keep(trace, {})], {})
+    return result.value
+
+
 def test_touching_discs_are_a_contact_everywhere():
     # radii 1.0 + 0.3 and 1.3 m apart: the discs touch at every sample
     a = straight_track("a", y=0.0, radius=1.0)
     b = straight_track("b", y=1.3, radius=0.3)
     trace = Trace("t", 0.1, {"a": a, "b": b})
-    assert collision_probability([trace]) == 1.0
+    assert set_collision_probability(trace) == 1.0
     assert first_contact_time(trace) == 0.0
     contacts = [i for i in validate_trace(trace).issues if i.code == "collision"]
     assert [i.time for i in contacts] == [0.0]
@@ -290,7 +298,7 @@ def test_jittered_trace_contact_is_the_same_everywhere():
     assert first_contact_time(trace) == 0.25
     contacts = [i for i in validate_trace(trace).issues if i.code == "collision"]
     assert [i.time for i in contacts] == [0.25]
-    assert collision_probability([trace]) == 1.0
+    assert set_collision_probability(trace) == 1.0
     period = ApplicationPeriod(
         always_active().start_condition, stop=StopRule(kind="event", event="collision")
     )
@@ -538,6 +546,7 @@ ROW_ERRORS = {
         lambda rows: setting(6, y_m=math.inf)(setting(5, x_m="oops")(rows)),
         NOT_A_FLOAT.format("oops"), 5, "walker",
     ),
+    "empty_actor_id": (setting(3, actor_id=""), "empty actor_id", 3, ""),
     "negative_speed": (setting(4, speed_mps=-0.5), "negative speed_mps (-0.5)", 4, "car"),
     "negative_speed_before_time": (
         lambda rows: setting(6, time_s=0.1)(setting(3, speed_mps=-0.5)(rows)),
