@@ -35,7 +35,7 @@ from .macro import detect_result_gaps, repeatability_report
 from .results import safe_name, write_scalars, write_series_batch
 from .scenarios import iter_concretize, load_logical_scenario, write_concrete_set
 from .simulator import EGO_ID, PED_ID, SimOutcome, iter_simulate, load_sim_config
-from .trace import FloatTexts, Trace, csv_field, load_trace_file, save_traces
+from .trace import FloatTexts, Trace, csv_field, load_trace_file, save_trace
 
 try:  # the builtin sha256, as random.py takes it: hashlib maps OpenSSL, about 3.5 MB
     from _sha2 import sha256  # Python 3.12+
@@ -128,7 +128,7 @@ def _collect_trace_paths(raw: Sequence[str]) -> list[Path]:
     for item in raw:
         p = Path(item)
         if p.is_dir():
-            found = sorted(q for q in p.iterdir() if q.suffix == ".csv")
+            found = sorted(q for q in p.iterdir() if q.suffix == ".csv" and q.is_file())
             if not found:
                 raise ScenqError(f"{p}: no trace files found")
         elif p.is_file():
@@ -159,15 +159,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     with in_file(args.scenario, SimulationError):
         runs = iter_simulate(scenarios, config)
     rows: dict[int, dict] = {}
-
-    def traces(folder: Path) -> Iterator[tuple[Trace, Path]]:
-        for i, outcome in runs:  # each trace is written as its run ends, then freed
-            rows[i] = _outcome_row(outcome)
-            yield outcome.trace, folder / f"{safe_name(outcome.trace.scenario_id)}.csv"
-
+    float_texts = FloatTexts()  # for all traces: a run's values mostly repeat the last's
     inputs = [Path(args.scenario), Path(args.config)]
     with _output_dir(Path(args.out), "simulate", inputs, inputs, ["traces"]) as work:
-        save_traces(traces(work / "traces"))
+        for i, outcome in runs:  # each trace is written as its run ends, then freed
+            rows[i] = _outcome_row(outcome)
+            path = work / "traces" / f"{safe_name(outcome.trace.scenario_id)}.csv"
+            save_trace(outcome.trace, path, float_texts)
         write_concrete_set(scenarios, work / "scenarios.jsonl")
         (work / "outcomes.jsonl").write_text(
             "\n".join(json.dumps(rows[i]) for i in sorted(rows)) + "\n", encoding="utf-8"

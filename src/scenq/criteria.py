@@ -449,9 +449,9 @@ class EvaluationReport:
 
 def evaluate_suite(
     criteria: Sequence[QualityCriterion],
-    traces: Trace | Iterable[Trace],
+    traces: Iterable[Trace],
 ) -> EvaluationReport:
-    """Evaluate criteria over one trace or any iterable of traces, walked once.
+    """Evaluate criteria over any iterable of traces, walked once.
 
     Each trace is judged on every per-timestep and per-scenario criterion, one
     verdict each, before the next is taken, so the caller may let it go then.
@@ -463,8 +463,6 @@ def evaluate_suite(
     the trace (one per set at set level). A criterion naming an actor that a trace
     lacks raises ``<scenario id>: criterion '<id>': unknown actor '<actor>'``.
     """
-    if isinstance(traces, Trace):
-        traces = [traces]
     specs = [registry.get(c.metric_name) for c in criteria]
     keys = [(spec.name, json.dumps(c.metric_params, sort_keys=True, default=repr))
             for c, spec in zip(criteria, specs)]

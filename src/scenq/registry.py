@@ -169,8 +169,7 @@ def _zone(metric: str, other: str | None = None) -> Callable:
 def _dtw(traces: Sequence[Trace], params: Mapping) -> list[tuple[str, ScalarResult]]:
     if len(traces) < 2:
         raise MetricError("dtw needs a reference trace plus at least one run")
-    report = macro.repeatability_report(traces[0], traces[1:], actor_ids=params.get("actor_ids"),
-                                        threshold=params.get("threshold", 10.0))
+    report = macro.repeatability_report(traces[0], traces[1:], actor_ids=params.get("actor_ids"))
     return [(f"{e.run_id}/{e.actor_id}", ScalarResult(
         "dtw", e.dtw_distance, "m", context={"actor": e.actor_id, "per_step": repr(e.per_step)}))
         for e in report.entries]
@@ -223,7 +222,7 @@ for _spec in (
                **_adapter(micro, "et", ("actor",), zone=_zone("et", "other"))),
     MetricSpec("dtw", "m", MACROSCOPIC, WORSE_HIGH,
                "warped trajectory distance to a reference run", _dtw,
-               {"actor_ids": _actors, "threshold": number}),
+               {"actor_ids": _actors}),
     MetricSpec("collision_probability", "1", MACROSCOPIC, WORSE_HIGH,
                "fraction of runs with touching actor discs", _collision_probability, {},
                lambda trace, params: _Contact(trace.scenario_id, first_contact_time(trace))),

@@ -22,11 +22,11 @@ from enum import Enum
 from functools import cached_property, partial
 from itertools import chain, combinations
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Iterator, Mapping, TextIO
 
 import numpy as np
 
-from .errors import MetricError, TraceError, TraceParseError, fields, in_file, number
+from .errors import TraceError, TraceParseError, fields, in_file, number
 from .geometry import cumulative_arc, normalize_angles
 
 #: Numeric columns in the order the codec holds them; accel_mps2 may be absent.
@@ -239,8 +239,6 @@ def common_grid(trace: Trace, actor_ids: tuple[str, ...]) -> np.ndarray:
         return first
     t0 = max(tr.first_time for tr in tracks)
     t1 = min(tr.last_time for tr in tracks)
-    if t1 < t0:
-        raise MetricError(f"actors {actor_ids} share no time overlap")
     times = np.unique(np.concatenate([tr.times for tr in tracks]))
     return times[(times >= t0) & (times <= t1)]
 
@@ -571,28 +569,20 @@ def _format_trace(trace: Trace, float_texts: FloatTexts) -> Iterator[str]:
         yield "".join(f"{t}{head}{x},{y},{h},{v},{a}\n" for t, head, x, y, h, v, a in rows)
 
 
-def save_trace(trace: Trace, path: str | Path) -> Path:
-    """Write a trace's CSV file plus its ``.meta.json`` sidecar, as ``save_traces`` writes
-    one pair; returns the path written."""
-    save_traces([(trace, path)])
-    return Path(path)
-
-
-def save_traces(items: Iterable[tuple[Trace, str | Path]]) -> None:
-    """Write each (trace, path) pair, with its sidecar, as ``save_trace`` does, one pair
-    at a time, so that a trace the iterable makes can be freed before it makes the next.
-    A trace calls ``repr`` only for the bit patterns that the trace before it did not hold,
-    and is written a block of rows at a time, never held as one text."""
-    float_texts = FloatTexts()
-    for trace, path in items:
-        path = Path(path)
-        with path.open("w", encoding="utf-8") as file:
-            file.writelines(_format_trace(trace, float_texts))
-        sidecar = {"scenario_id": trace.scenario_id, "time_step": trace.time_step,
-                   "metadata": dict(trace.metadata)}
-        path.with_suffix(path.suffix + ".meta.json").write_text(
-            json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+def save_trace(trace: Trace, path: str | Path, float_texts: FloatTexts | None = None) -> Path:
+    """Write a trace's CSV file plus its ``.meta.json`` sidecar; returns the path written.
+    The CSV is written a block of rows at a time, never held as one text. Traces written
+    with one shared ``float_texts`` call ``repr`` only for the bit patterns that the trace
+    written before did not hold."""
+    path = Path(path)
+    with path.open("w", encoding="utf-8") as file:
+        file.writelines(_format_trace(trace, float_texts or FloatTexts()))
+    sidecar = {"scenario_id": trace.scenario_id, "time_step": trace.time_step,
+               "metadata": dict(trace.metadata)}
+    path.with_suffix(path.suffix + ".meta.json").write_text(
+        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    return path
 
 
 def load_trace_file(path: str | Path) -> Trace:

@@ -812,6 +812,41 @@ def test_missing_input_exits_2(workdir):
     assert code == 2
 
 
+def test_simulate_writes_each_run_through_save_trace(mini_scenario, tmp_path, monkeypatch):
+    """One save_trace call per run, the trace first, as a wrapper rebinding the name sees it;
+    the files are those of an unwrapped run."""
+    argv = ["simulate", "--scenario", str(mini_scenario),
+            "--config", str(DATA / "intersection_config.json"), "--out"]
+    assert main([*argv, str(tmp_path / "plain")]) == 0
+    calls = []
+
+    def counted(*args, **kwargs):
+        written = save_trace(*args, **kwargs)
+        calls.append((args, written, written.is_file()))
+        return written
+
+    monkeypatch.setattr("scenq.cli.save_trace", counted)
+    assert main([*argv, str(tmp_path / "wrapped")]) == 0
+    assert len(calls) == 2
+    for args, written, was_file in calls:
+        assert isinstance(args[0], Trace)
+        assert written == Path(args[1]) and was_file
+    assert _digests(tmp_path / "wrapped" / "traces") == _digests(tmp_path / "plain" / "traces")
+
+
+def test_trace_directory_skips_subdirectories_named_csv(sim_out, criteria_ok, tmp_path):
+    """A directory yields its *.csv files; a subdirectory named sub.csv is no trace."""
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    for path in (sim_out / "traces").iterdir():
+        (traces / path.name).write_bytes(path.read_bytes())
+    assert _evaluate(traces, criteria_ok, tmp_path / "plain") == 0
+    (traces / "sub.csv").mkdir()
+    assert _evaluate(traces, criteria_ok, tmp_path / "with_sub") == 0
+    assert ((tmp_path / "with_sub" / "evaluation.json").read_bytes()
+            == (tmp_path / "plain" / "evaluation.json").read_bytes())
+
+
 def _copy_trace(sim_out, dest) -> Path:
     dest.mkdir()
     src = sim_out / "traces" / "cli_demo_0.csv"
@@ -1022,7 +1057,7 @@ PAIR = {"ego": "ego", "target": "pedestrian"}
     ({"criteria": [_metric_criterion("odd_other", "et", "s", actor="ego", other=5)]},
      "malformed criterion 'odd_other': et param 'other' must be an actor id, got 5"),
     ({"criteria": [_metric_criterion("text_threshold", "dtw", "m", threshold="10")]},
-     "malformed criterion 'text_threshold': dtw param 'threshold' must be a finite number"),
+     "unknown dtw params keys: ['threshold']"),
     ({"criteria": [_metric_criterion("odd_actor_ids", "dtw", "m", actor_ids="ego")]},
      "malformed criterion 'odd_actor_ids': dtw param 'actor_ids' must be a list of actor ids"),
     ({"criteria": [_distance_criterion("gated_misspelt", application_period={"start_condition": {

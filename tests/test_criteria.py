@@ -774,7 +774,7 @@ def test_evaluate_suite_memory_does_not_grow_with_the_traces(grid_traces, tmp_pa
     path = tmp_path / "run.csv"
     save_trace(grid_traces[1], path)
     criteria = grid_criteria()
-    evaluate_suite(criteria, load_trace_file(path))  # lazy imports and caches first
+    evaluate_suite(criteria, [load_trace_file(path)])  # lazy imports and caches first
 
     def peak(count):
         tracemalloc.start()
@@ -968,7 +968,7 @@ def test_a_spec_registered_in_place_is_not_served_the_old_result():
     spec = registry.get("euclidean_distance")
     kept = registry.compute(spec, trace, params)
     assert registry.compute(spec, trace, params) is kept
-    assert evaluate_suite([criterion], trace).verdicts[0].outcome == "not_applicable"
+    assert evaluate_suite([criterion], [trace]).verdicts[0].outcome == "not_applicable"
 
     doubles = []
 
@@ -980,7 +980,7 @@ def test_a_spec_registered_in_place_is_not_served_the_old_result():
     registry.register(replace(spec, compute=doubled), replace=True)
     try:
         fresh = registry.compute(registry.get("euclidean_distance"), trace, params)
-        verdict = evaluate_suite([criterion], trace).verdicts[0]
+        verdict = evaluate_suite([criterion], [trace]).verdicts[0]
     finally:
         registry.register(spec, replace=True)
     assert np.array_equal(fresh.values, 2.0 * kept.values)

@@ -1,10 +1,11 @@
+import json
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from scenq import MetricError, Trace, micro, registry
+from scenq import CriterionError, MetricError, Trace, load_criteria, micro, registry
 from scenq.registry import MetricSpec
 
 EXPECTED = {
@@ -92,7 +93,7 @@ OPTIONAL_PARAMS = {
     "traffic_density": {"radius"},
     "pet": {"inflation"},
     "et": {"inflation"},
-    "dtw": {"actor_ids", "threshold"},
+    "dtw": {"actor_ids"},
 }
 
 
@@ -233,13 +234,14 @@ def test_pet_and_et_share_one_zone_per_trace_pair_and_inflation(reference_outcom
     assert len(builds) == 5
 
 
-def test_dtw_rejects_nan_threshold(reference_outcome):
-    ref = reference_outcome.trace
-    traces = [ref, Trace("rerun", ref.time_step, dict(ref.tracks))]
-    with pytest.raises(MetricError, match="threshold must be >= 0, got nan"):
-        registry.get("dtw").compute(traces, {"threshold": float("nan")})
-    results = registry.get("dtw").compute(traces, {"threshold": float("inf")})
-    assert {r.value for _, r in results} == {0.0}
+def test_dtw_threshold_param_is_an_unknown_key(tmp_path):
+    """A dtw result does not depend on a threshold: a criterion judges it against its own."""
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"criteria": [{
+        "criterion_id": "drift", "metric": "dtw", "params": {"threshold": 10.0},
+        "threshold": {"comparator": "<=", "value": 1.0, "unit": "m"}}]}), encoding="utf-8")
+    with pytest.raises(CriterionError, match=r"unknown dtw params keys: \['threshold'\]"):
+        load_criteria(path)
 
 
 def test_dtw_needs_a_reference_and_a_run(reference_outcome):

@@ -32,8 +32,8 @@ from scenq import trace as trace_module
 from scenq.geometry import normalize_angles
 from scenq.nano import euclidean_distance
 from scenq.trace import (
-    CSV_COLUMNS, GAP_FACTOR, SAMPLING_TOLERANCE, ValidationIssue, ValidationReport, common_grid,
-    sample_pair, save_traces,
+    CSV_COLUMNS, GAP_FACTOR, SAMPLING_TOLERANCE, FloatTexts, ValidationIssue, ValidationReport,
+    common_grid, sample_pair,
 )
 
 
@@ -1073,10 +1073,11 @@ def test_batch_writer_matches_one_at_a_time_and_reference(fmt, intersection_conf
     """Each trace of a batch is written as alone, whatever the trace before it held."""
 
     def saved(batch, name):
-        """The texts of the files save_traces writes for a batch."""
+        """The texts of the files save_trace writes for a batch sharing one FloatTexts."""
         (tmp_path / name).mkdir()
-        paths = [tmp_path / name / f"{i}.{fmt}" for i in range(len(batch))]
-        save_traces(zip(batch, paths))
+        float_texts = FloatTexts()
+        paths = [save_trace(trace, tmp_path / name / f"{i}.{fmt}", float_texts)
+                 for i, trace in enumerate(batch)]
         return [path.read_bytes().decode("utf-8") for path in paths]
 
     runs = [
@@ -1108,14 +1109,11 @@ def test_batch_writer_calls_repr_only_for_patterns_new_to_the_trace_before(monke
             [tr.times, tr.xs, tr.ys, tr.headings, tr.speeds, tr.accels])}
 
     counts = []
-
-    def pairs():  # a trace's calls are counted when the writer asks for the next pair
-        for i, trace in enumerate([a, a, b, a]):
-            yield trace, tmp_path / f"{i}.csv"
-            counts.append(len(calls))
-            calls.clear()
-
-    save_traces(pairs())
+    float_texts = FloatTexts()
+    for i, trace in enumerate([a, a, b, a]):
+        save_trace(trace, tmp_path / f"{i}.csv", float_texts)
+        counts.append(len(calls))
+        calls.clear()
     zero = np.float64(0.0).tobytes()  # the table starts out holding 0.0
     assert counts == [len(bits(a) - {zero}), 0, len(bits(b) - bits(a)), len(bits(a) - bits(b))]
     assert 0 not in counts[2:]
@@ -1130,7 +1128,9 @@ def test_batch_writer_memory_is_bounded_by_one_trace(batch600, tmp_path):
     def peak(batch):
         tracemalloc.start()
         try:
-            save_traces((trace, tmp_path / "run.csv") for trace in batch)
+            float_texts = FloatTexts()
+            for trace in batch:
+                save_trace(trace, tmp_path / "run.csv", float_texts)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
