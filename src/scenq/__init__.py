@@ -27,9 +27,7 @@ from .results import (
     MetricSeries,
     OccupancyInterval,
     ScalarResult,
-    scalar_to_dict,
     undefined_scalar,
-    write_scalars,
     write_series,
 )
 from .trace import (

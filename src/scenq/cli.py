@@ -28,14 +28,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from . import __version__, micro, registry
+from . import __version__, registry
 from .criteria import EvaluationReport, Verdict, evaluate_suite, load_criteria
-from .errors import CriterionError, MetricError, ScenqError, SimulationError, in_file
-from .macro import detect_result_gaps, repeatability_report
-from .results import safe_name, write_scalars, write_series_batch
+from .errors import CriterionError, ScenqError, SimulationError, in_file
+from .macro import repeatability_report
+from .results import safe_name, write_series_batch, write_series_meta
 from .scenarios import iter_concretize, load_logical_scenario, write_concrete_set
-from .simulator import EGO_ID, PED_ID, SimOutcome, iter_simulate, load_sim_config
-from .trace import FloatTexts, Trace, csv_field, load_trace_file, save_trace
+from .simulator import SimOutcome, iter_simulate, load_sim_config
+from .trace import FloatTexts, Trace, load_trace_file, save_trace
 
 try:  # the builtin sha256, as random.py takes it: hashlib maps OpenSSL, about 3.5 MB
     from _sha2 import sha256  # Python 3.12+
@@ -46,6 +46,9 @@ except ImportError:
         from hashlib import sha256
 
 log = logging.getLogger("scenq")
+
+#: the criteria sweep judges: the minima of the ego-pedestrian distance, wttc and gap time
+SWEEP_CRITERIA = Path(__file__).parent / "data" / "sweep_criteria.json"
 
 
 def _setup_logging() -> None:
@@ -196,6 +199,7 @@ def _report_dict(report: EvaluationReport) -> dict:
     return {
         "verdicts": [_verdict_dict(v) for v in report.verdicts],
         "cells": [{**asdict(c), "pass_rate": c.pass_rate} for c in report.cells],
+        "gap_findings": report.gap_findings,
     }
 
 
@@ -225,9 +229,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             judging[:] = path, trace.scenario_id
             yield trace  # judged: the series judged are kept with it (registry.compute)
             if plotted:
-                write_series_batch([(registry.compute(spec, trace, c.metric_params),
-                                     folder / _plot_file(c.criterion_id, trace.scenario_id),
-                                     c.metric_params) for c, spec in plotted], float_texts)
+                files = [(registry.compute(spec, trace, c.metric_params), c) for c, spec in plotted]
+                write_series_batch([(series, folder / _plot_file(c.criterion_id, trace.scenario_id))
+                                    for series, c in files], float_texts)
+                for series, c in files if path is trace_paths[0] else ():  # one per criterion
+                    write_series_meta(series, folder / f"{safe_name(c.criterion_id)}.meta.json",
+                                      c.metric_params)
+                files = series = None  # a series shares its trace's arrays: let both go
         judging.clear()  # the set-level criteria are judged after the last trace
 
     with _output_dir(Path(args.out), "evaluate", [*trace_paths, Path(args.criteria)],
@@ -298,66 +306,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 1 if drifting else 0
 
 
-def _finding_lines(items: list | dict, where: str = "") -> list[str]:
-    """A line per gap finding of one sweep column, or the reason it was not judged."""
-    if isinstance(items, dict):
-        return [f"not judged: {items['reason']}"]
-    return [f"{where}[{f['left_value']!r}, {f['right_value']!r}] " + (
-        "defined/undefined flip" if f["metric_jump"] is None else f"jump {f['metric_jump']:.6g}")
-        for f in items]
-
-
-#: sweep.csv column -> (registered metric, params) whose minimum it holds
-_SWEEP_COLUMNS = {
-    "min_euclidean_distance": ("euclidean_distance", {"actor_a": EGO_ID, "actor_b": PED_ID}),
-    "min_wttc": ("wttc", {"ego": EGO_ID, "target": PED_ID}),
-    "min_gap_time": ("gap_time", {"ego": EGO_ID, "target": PED_ID}),
-}
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    logical = load_logical_scenario(args.scenario)
+    scenarios = list(iter_concretize(load_logical_scenario(args.scenario)))
     config = load_sim_config(args.config)
-    if len(logical.parameters) != 1:
-        raise ScenqError("sweep needs a logical scenario with exactly one varying parameter")
-    param = logical.parameters[0]
-    scenarios = list(iter_concretize(logical))
     with in_file(args.scenario, SimulationError):
-        stream = iter_simulate(scenarios, config)
-    # in value order, each run's value, index, how it ended and minimum per column
-    runs = sorted((float(scenarios[i].bindings[param.name]), i, o.collided, o.end_reason,
-                   [micro.aggregate(registry.get(metric).compute(o.trace, params), "min")
-                    for metric, params in _SWEEP_COLUMNS.values()]) for i, o in stream)
-    values = [value for value, *_ in runs]
-    table = dict(zip(_SWEEP_COLUMNS, zip(*(minima for *_, minima in runs))))
-    findings: dict[str, list | dict] = {}
-    for col, scalars in table.items():
-        try:  # a column that cannot be judged records why, and the others go on
-            findings[col] = [asdict(f) for f in detect_result_gaps(
-                list(zip(values, scalars)), gap_factor=args.gap_factor, parameter=param.name)]
-        except MetricError as exc:
-            findings[col] = {"reason": str(exc)}
-    if all(isinstance(items, dict) for items in findings.values()):
-        raise MetricError(next(iter(findings.values()))["reason"])
-
-    csv_lines = [",".join([csv_field(param.name), *table, "collided", "end_reason"])] + [",".join([
-        repr(value), *(repr(float(s.value)) if s.defined else "" for s in scalars),
-        "true" if collided else "false", end_reason])
-        for value, _, collided, end_reason, scalars in runs]
+        runs = iter_simulate(scenarios, config)
+    report = evaluate_suite(load_criteria(SWEEP_CRITERIA), (o.trace for _, o in runs))
     inputs = [Path(args.scenario), Path(args.config)]
     with _output_dir(Path(args.out), "sweep", inputs, inputs) as work:
-        (work / "sweep.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
-        (work / "gap_findings.json").write_text(json.dumps(findings, indent=2) + "\n",
+        (work / "gap_findings.json").write_text(json.dumps(report.gap_findings, indent=2) + "\n",
                                                 encoding="utf-8")
-        write_scalars([(f"{param.name}={value!r}", s) for value, *_, scalars in runs
-                       for s in scalars], work / "sweep_scalars.jsonl")
-
-    total = sum(len(items) for items in findings.values() if isinstance(items, list))
-    _say(f"swept {param.name} over {len(runs)} values, "
-         f"{total} gap findings ({Path(args.out) / 'gap_findings.json'})")
-    for col, items in findings.items():
-        for line in _finding_lines(items, f"{param.name} in "):
-            _say(f"  {col}: {line}")
+    _say(f"swept {len(scenarios)} runs, gap findings in {Path(args.out) / 'gap_findings.json'}")
+    for line in _gap_findings_section(report.gap_findings)[2:]:
+        _say(f"  {line}")
     return 0
 
 
@@ -379,7 +340,7 @@ def _criteria_section(data: dict) -> list[str]:
                 f"- {v['criterion_id']} on {v['scenario_id']}: worst value "
                 f"{worst.get('value')} {worst.get('unit', '')}"
             )
-    return lines
+    return lines + [""] + _gap_findings_section(data.get("gap_findings", {}))
 
 
 def _repeatability_section(data: dict) -> list[str]:
@@ -394,9 +355,15 @@ def _repeatability_section(data: dict) -> list[str]:
 
 
 def _gap_findings_section(data: dict) -> list[str]:
-    lines = ["## sweep gap findings", ""]
-    for metric, items in data.items():
-        lines += [f"- {metric}: {line}" for line in _finding_lines(items)]
+    lines = ["## gap findings", ""]
+    for criterion, axes in data.items():
+        for parameter, axis in axes.items():
+            lines.append(f"- {criterion} along {parameter}: {axis['lines']} lines judged, "
+                         f"{axis['skipped']} skipped")
+            lines += [f"  - [{f['left_value']!r}, {f['right_value']!r}] in {f['logical_id']} at "
+                      + ", ".join(f"{k}={v!r}" for k, v in f["held"].items()) + ": "
+                      + ("defined/undefined flip" if f["metric_jump"] is None
+                         else f"jump {f['metric_jump']:.6g}") for f in axis["findings"]]
     return lines
 
 
@@ -470,10 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--out", required=True)
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_sweep = sub.add_parser("sweep", help="simulate a 1-parameter sweep and flag result gaps")
+    p_sweep = sub.add_parser("sweep", help="simulate a scenario grid and flag result gaps")
     p_sweep.add_argument("--scenario", required=True)
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--gap-factor", type=float, default=5.0)
     p_sweep.add_argument("--out", required=True)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -490,10 +456,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ScenqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

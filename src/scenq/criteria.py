@@ -13,14 +13,15 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import registry
-from .errors import CriterionError, UnitMismatchError, fields, in_file, number
+from .errors import CriterionError, MetricError, UnitMismatchError, fields, in_file, number
+from .macro import detect_result_gaps
 from .micro import in_periods, margin_runs
 from .nano import conflict_point
 from .results import MetricResult, MetricSeries, ScalarResult, safe_name
@@ -441,6 +442,8 @@ class CellSummary:
 class EvaluationReport:
     verdicts: tuple[Verdict, ...]
     cells: tuple[CellSummary, ...]
+    #: per-trace criterion id -> varied binding -> {"lines", "skipped", "findings"}
+    gap_findings: Mapping[str, dict] = field(default_factory=dict)
 
     @property
     def any_fail(self) -> bool:
@@ -461,7 +464,9 @@ def evaluate_suite(
     follows criterion order, then trace order. Criteria and application period
     conditions on the same metric and params share one result per trace, kept with
     the trace (one per set at set level). A criterion naming an actor that a trace
-    lacks raises ``<scenario id>: criterion '<id>': unknown actor '<actor>'``.
+    lacks raises ``<scenario id>: criterion '<id>': unknown actor '<actor>'``. Each
+    per-trace criterion's worst values are also checked for gaps along the grid lines of
+    the traces' recorded bindings (``gap_findings``, see ``_grid_gaps``).
     """
     specs = [registry.get(c.metric_name) for c in criteria]
     keys = [(spec.name, json.dumps(c.metric_params, sort_keys=True, default=repr))
@@ -472,8 +477,11 @@ def evaluate_suite(
     # per set-level metric and params: its spec, params and what it keeps of each trace
     kept = {key: (spec, c.metric_params, []) for c, spec, key in zip(criteria, specs, keys)
             if spec.level == registry.MACROSCOPIC}
+    lines: dict[tuple, list] = {}  # grid line -> (varied binding's value, trace index) per trace
     count = 0
     for count, trace in enumerate(traces, 1):
+        for line, value in _grid_place(trace):
+            lines.setdefault(line, []).append((value, count - 1))
         for criterion, spec, actors, produced in per_trace:
             if absent := sorted(actors - trace.tracks.keys()):
                 raise CriterionError(f"{trace.scenario_id}: criterion {criterion.criterion_id!r}: "
@@ -484,6 +492,7 @@ def evaluate_suite(
             items.append(spec.keep(trace, params) if spec.keep else trace)
     if not count:
         raise CriterionError("evaluation needs at least one trace")
+    gaps = {c.criterion_id: _grid_gaps(lines, produced) for c, _, _, produced in per_trace}
     set_results = {key: spec.compute(items, params) for key, (spec, params, items) in kept.items()}
     counts: dict[tuple[str, str], Counter] = {}
     for criterion, spec, key, produced in zip(criteria, specs, keys, verdicts):
@@ -493,7 +502,45 @@ def evaluate_suite(
             v.outcome for v in produced)
     cells = tuple(CellSummary(persp, lvl, *(c[o] for o in OUTCOMES))
                   for (persp, lvl), c in sorted(counts.items()))
-    return EvaluationReport(tuple(v for produced in verdicts for v in produced), cells)
+    return EvaluationReport(tuple(v for produced in verdicts for v in produced), cells, gaps)
+
+
+def _grid_place(trace: Trace) -> list[tuple[tuple, float]]:
+    """Each grid line a simulated trace lies on, as (varied binding, logical scenario id, held
+    bindings), with its value of the varied binding: read from its ``logical_id`` and
+    ``binding_<name>`` metadata. No line when a binding is not a finite number."""
+    try:
+        bindings = {k.removeprefix("binding_"): number(float(v), k)
+                    for k, v in sorted(trace.metadata.items()) if k.startswith("binding_")}
+    except ValueError:
+        return []
+    logical_id = trace.metadata.get("logical_id", "")
+    return [((name, logical_id, tuple((k, v) for k, v in bindings.items() if k != name)), value)
+            for name, value in bindings.items()]
+
+
+_UNDEFINED = MetricResult(0.0, 0.0, "", defined=False)
+
+
+def _grid_gaps(lines: Mapping[tuple, list], verdicts: Sequence[Verdict]) -> dict[str, dict]:
+    """Gap findings of one criterion's worst values (macro.detect_result_gaps, factor 5)
+    along each grid line: the traces of one logical scenario whose bindings differ in one
+    binding only, which takes at least two values along it. A line that detection declines
+    (fewer than 3 defined points, a repeated value) is counted as skipped. Sorted, so trace
+    order does not matter."""
+    found: dict[str, dict] = {}
+    for (name, logical_id, held), points in sorted(lines.items()):
+        if len({value for value, _ in points}) > 1:  # the binding varies along the line
+            axis = found.setdefault(name, {"lines": 0, "skipped": 0, "findings": []})
+            try:
+                gaps = detect_result_gaps([(value, verdicts[i].worst_result or _UNDEFINED)
+                                           for value, i in sorted(points)], parameter=name)
+                axis["findings"] += [{**asdict(g), "held": dict(held), "logical_id": logical_id}
+                                     for g in gaps]
+                axis["lines"] += 1
+            except MetricError:
+                axis["skipped"] += 1
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -269,37 +269,19 @@ def detect_result_gaps(
     """
     if not gap_factor > 1.0:
         raise MetricError("gap_factor must be > 1")
-    values = [float(v) for v, _ in sweep]
-    if any(b <= a for a, b in zip(values, values[1:])):
+    if any(b <= a for (a, _), (b, _) in zip(sweep, sweep[1:])):
         raise MetricError("sweep points must be sorted by strictly increasing parameter value")
     defined = [(v, r.value) for v, r in sweep if r.defined]
     if len(defined) < 3:
         raise MetricError("gap detection needs at least 3 defined sweep points")
-    findings: list[GapFinding] = []
-    for (v0, r0), (v1, r1) in zip(sweep, sweep[1:]):
-        if r0.defined != r1.defined:
-            findings.append(
-                GapFinding(
-                    parameter=parameter,
-                    left_value=v0,
-                    right_value=v1,
-                    metric_jump=None,
-                    kind="definedness",
-                )
-            )
-    deltas = [abs(b[1] - a[1]) for a, b in zip(defined, defined[1:])]
-    baseline = float(np.median(deltas))
-    for (v0, x0), (v1, x1) in zip(defined, defined[1:]):
-        jump = abs(x1 - x0)
-        if jump > gap_factor * baseline:
-            findings.append(
-                GapFinding(
-                    parameter=parameter,
-                    left_value=v0,
-                    right_value=v1,
-                    metric_jump=jump,
-                    kind="jump",
-                )
-            )
+    findings = [GapFinding(parameter, v0, v1, None, "definedness")
+                for (v0, r0), (v1, r1) in zip(sweep, sweep[1:]) if r0.defined != r1.defined]
+    # the median step, as np.median takes it; np.median would import numpy.ma, about 2 MB
+    deltas = sorted(abs(b[1] - a[1]) for a, b in zip(defined, defined[1:]))
+    half = len(deltas) // 2
+    baseline = deltas[half] if len(deltas) % 2 else (deltas[half - 1] + deltas[half]) / 2
+    findings += [GapFinding(parameter, v0, v1, abs(x1 - x0), "jump")
+                 for (v0, x0), (v1, x1) in zip(defined, defined[1:])
+                 if abs(x1 - x0) > gap_factor * baseline]
     findings.sort(key=lambda f: (f.left_value, f.kind))
     return findings

@@ -136,11 +136,19 @@ def _adapter(module: ModuleType, name: str, keys: tuple[str, ...], **options: Ca
     return {"compute": compute, "params": reads}
 
 
-def _param(key: str, default: float | None = None) -> Callable:
+def _at_least(low: float, strict: bool = False) -> Callable:
+    """The input rule of a number param that must be >= low (> low when strict)."""
+    def rule(value: Any, what: str) -> None:
+        if number(value, what) < low or strict and value == low:
+            raise ValueError(f"{what} must be {'>' if strict else '>='} {low:g}, got {value!r}")
+    return rule
+
+
+def _param(key: str, default: float | None = None, rule: Callable = _at_least(0.0)) -> Callable:
     """An option read from the number param ``key``, ``default`` when absent."""
     def option(trace: Trace, actors: list, params: Mapping) -> float | None:
         return params.get(key, default)
-    option.reads = {key: number}
+    option.reads = {key: rule}
     return option
 
 
@@ -159,7 +167,7 @@ def _zone(metric: str, other: str | None = None) -> Callable:
                 trace.derived[key] = str(exc)
         zone = trace.derived[key]
         return undefined_scalar(metric, "s", zone) if isinstance(zone, str) else zone
-    option.reads = {"inflation": number, **({other: _actor} if other else {})}
+    option.reads = {"inflation": _at_least(0.0), **({other: _actor} if other else {})}
     return option
 
 
@@ -213,7 +221,8 @@ for _spec in (
                **_adapter(nano, "braking_distance", ("actor",))),
     MetricSpec("traffic_density", "1/m^2", NANOSCOPIC, WORSE_HIGH,
                "actors per area around one actor",
-               **_adapter(nano, "traffic_density", ("actor",), radius=_param("radius", 50.0))),
+               **_adapter(nano, "traffic_density", ("actor",),
+                          radius=_param("radius", 50.0, _at_least(0.0, strict=True)))),
     MetricSpec("pet", "s", MICROSCOPIC, WORSE_LOW,
                "time between one actor leaving and the other entering the shared zone",
                **_adapter(micro, "pet", ("actor_1", "actor_2"), zone=_zone("pet"))),

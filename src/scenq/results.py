@@ -165,22 +165,31 @@ def safe_name(name: str) -> str:
 
 
 def write_series(series: MetricSeries, path: str | Path, parameters: Mapping | None = None) -> None:
-    """Write a metric series as CSV plus a JSON sidecar.
+    """Write a metric series as CSV plus its JSON sidecar ``<path>.meta.json``.
 
     Undefined samples get an empty value field; NaN and inf are never
-    written. The sidecar ``<path>.meta.json`` records metric name, unit,
-    actor ids and optional free-form parameters.
+    written. The sidecar is ``write_series_meta``'s.
     """
-    write_series_batch([(series, path, parameters)], FloatTexts())
+    write_series_batch([(series, path)], FloatTexts())
+    write_series_meta(series, f"{path}.meta.json", parameters)
 
 
-def write_series_batch(files: Sequence[tuple[MetricSeries, str | Path, Mapping | None]],
+def write_series_meta(series: MetricSeries, path: str | Path,
+                      parameters: Mapping | None = None) -> None:
+    """Write a series' JSON sidecar: metric name, unit, actor ids and optional free-form
+    parameters."""
+    sidecar = {"metric_name": series.metric_name, "unit": series.unit,
+               "actor_ids": list(series.actor_ids), "parameters": dict(parameters or {})}
+    Path(path).write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+
+
+def write_series_batch(files: Sequence[tuple[MetricSeries, str | Path]],
                        float_texts: FloatTexts) -> None:
-    """Write each (series, path, parameters) of one trace as ``write_series`` does. The series
-    share one call of ``float_texts``, which holds one call's texts at a time; pass one across
-    the traces to keep the last trace's texts for the next. A series listed twice is formatted
-    once. ``files`` must not be empty."""
-    distinct = list({id(series): series for series, *_ in files}.values())  # all alive
+    """Write each (series, path) of one trace as ``write_series`` writes its CSV, without a
+    sidecar. The series share one call of ``float_texts``, which holds one call's texts at a
+    time; pass one across the traces to keep the last trace's texts for the next. A series
+    listed twice is formatted once. ``files`` must not be empty."""
+    distinct = list({id(series): series for series, _ in files}.values())  # all alive
     columns = [c for s in distinct for c in (s.times, s.values[s.defined])]
     texts, inverse = float_texts(np.concatenate(columns))
     pieces = np.split(inverse, np.cumsum([len(c) for c in columns]))
@@ -189,28 +198,5 @@ def write_series_batch(files: Sequence[tuple[MetricSeries, str | Path, Mapping |
         rows[:, 0], rows[:, 1], rows[s.defined, 2] = texts[times_at], ",", texts[values_at]
         rows[:, 3] = np.array([",false\n", ",true\n"], dtype=object)[s.defined.view(np.uint8)]
         text = "time_s,value,defined\n" + "".join(rows.ravel().tolist())
-        for _, path, parameters in (item for item in files if item[0] is s):
+        for path in (path for series, path in files if series is s):
             Path(path).write_text(text, encoding="utf-8")
-            sidecar = {"metric_name": s.metric_name, "unit": s.unit,
-                       "actor_ids": list(s.actor_ids), "parameters": dict(parameters or {})}
-            Path(f"{path}.meta.json").write_text(json.dumps(sidecar, indent=2) + "\n",
-                                                 encoding="utf-8")
-
-
-def scalar_to_dict(scalar: ScalarResult, scenario_id: str = "") -> dict:
-    return {
-        "scenario_id": scenario_id,
-        "metric_name": scalar.metric_name,
-        "value": scalar.value if scalar.defined else None,
-        "unit": scalar.unit,
-        "defined": scalar.defined,
-        "context": dict(scalar.context),
-    }
-
-
-def write_scalars(
-    rows: Sequence[tuple[str, ScalarResult]], path: str | Path
-) -> None:
-    """Write (scenario_id, scalar) rows as JSONL, one object per line."""
-    lines = [json.dumps(scalar_to_dict(s, sid)) for sid, s in rows]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

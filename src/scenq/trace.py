@@ -509,7 +509,7 @@ def _load(stream: TextIO, scenario_id: str, time_step: float | None,
     return Trace(scenario_id=scenario_id, time_step=time_step, tracks=tracks, metadata=meta)
 
 
-def csv_field(text: str) -> str:
+def _csv_field(text: str) -> str:
     """A CSV field, quoted when it holds the delimiter or the quote character."""
     if "," in text or '"' in text:
         return '"' + text.replace('"', '""') + '"'
@@ -560,7 +560,7 @@ def _format_trace(trace: Trace, float_texts: FloatTexts) -> Iterator[str]:
     columns = np.array([np.concatenate([getattr(tr, a) for tr in tracks]) for a in attrs])
     order = np.lexsort((rank, columns[0]))
     texts, inverse = float_texts(columns)
-    heads = [f",{csv_field(tr.actor_id)},{tr.actor_class.value}," for tr in tracks]
+    heads = [f",{_csv_field(tr.actor_id)},{tr.actor_class.value}," for tr in tracks]
     yield ",".join(CSV_COLUMNS) + "\n"
     # a block at a time, so the float lists and row strings alive at once stay small
     for block in np.split(order, range(_WRITE_BLOCK, len(order), _WRITE_BLOCK)):

@@ -1,4 +1,3 @@
-import csv
 import errno
 import gc
 import hashlib
@@ -13,12 +12,12 @@ from pathlib import Path
 import pytest
 
 from scenq import (
-    ActorTrack, Trace, TraceParseError, concretize, evaluate_suite, iter_simulate, load_criteria,
+    ActorTrack, Trace, TraceParseError, concretize, evaluate_suite, load_criteria,
     load_logical_scenario, load_sim_config, load_trace_file, registry, save_trace, simulate_batch,
     write_series, write_concrete_set, write_trace,
 )
 from scenq import scenarios
-from scenq.cli import _collect_trace_paths, _report_dict, main
+from scenq.cli import SWEEP_CRITERIA, _collect_trace_paths, _report_dict, main
 from scenq.results import safe_name
 
 from conftest import DATA
@@ -253,13 +252,21 @@ def test_plot_data_is_the_judged_series(workdir, sim_out):
     reference = workdir / "reference_plots"
     expected = reference_plot_data(suite, sim_out / "traces", reference)
     assert len(expected) == 5 * 2
-    names = sorted(p.name for p in reference.iterdir())
-    # every file written, series sidecars included, sorted
+    names = sorted(p.name for p in expected)
+    # one sidecar per plotted criterion, the one write_series writes for each of its files
+    sidecars = {f"{cid}.meta.json": f"{cid}_cli_demo_0.csv.meta.json"
+                for cid in ("ttc_min", "ttc_braking", "wttc_min", "gap", "apart")}
+    # every file written, sidecars included, sorted
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["outputs"] == ["evaluation.json"] + [f"plot_data/{name}" for name in names]
-    assert sorted(p.name for p in (out / "plot_data").iterdir()) == names
-    for name in names:  # series and their .meta.json sidecars
+    assert manifest["outputs"] == ["evaluation.json"] + [
+        f"plot_data/{name}" for name in sorted([*names, *sidecars])]
+    assert sorted(p.name for p in (out / "plot_data").iterdir()) == sorted([*names, *sidecars])
+    for name in names:
         assert (out / "plot_data" / name).read_bytes() == (reference / name).read_bytes()
+    for name, per_file in sidecars.items():
+        assert (out / "plot_data" / name).read_bytes() == (reference / per_file).read_bytes()
+        assert (reference / per_file).read_bytes() == (
+            reference / per_file.replace("_0.csv", "_1.csv")).read_bytes()
 
 
 def test_plot_data_follows_the_filters(workdir, sim_out, criteria_ok):
@@ -442,105 +449,103 @@ def sweep_mini(workdir) -> Path:
     return p
 
 
+def _sweep(scenario: Path, out: Path) -> int:
+    return main(["sweep", "--scenario", str(scenario), "--config", str(DATA / "sweep_config.json"),
+                 "--out", str(out)])
+
+
 def test_sweep_outputs(workdir, sweep_mini):
     out = workdir / "sweep"
-    code = main([
-        "sweep",
-        "--scenario", str(sweep_mini),
-        "--config", str(DATA / "sweep_config.json"),
-        "--out", str(out),
-    ])
-    assert code == 0
-    lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[0] == ("ego_start_x,min_euclidean_distance,min_wttc,min_gap_time,"
-                        "collided,end_reason")
-    assert len(lines) == 8
+    assert _sweep(sweep_mini, out) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["gap_findings.json", "manifest.json"]
     findings = json.loads((out / "gap_findings.json").read_text())
-    assert set(findings) == {"min_euclidean_distance", "min_wttc", "min_gap_time"}
-    scalars = (out / "sweep_scalars.jsonl").read_text().splitlines()
-    assert len(scalars) == 7 * 3
+    # the three old columns, each judged along the one line the 7 runs make
+    assert list(findings) == ["min_euclidean_distance", "min_wttc", "min_gap_time"]
+    for axes in findings.values():
+        assert list(axes) == ["ego_start_x"]
+        assert (axes["ego_start_x"]["lines"], axes["ego_start_x"]["skipped"]) == (1, 0)
+    assert findings["min_gap_time"]["ego_start_x"]["findings"] == [{
+        "parameter": "ego_start_x", "left_value": 69.0, "right_value": 70.0,
+        "metric_jump": None, "kind": "definedness", "logical_id": "start_sweep",
+        "held": {"d_start": 16.0, "t_cross": 3.0, "v_max": 58.0}}]
 
 
-def test_sweep_values_come_from_the_scenarios(sweep_mini, tmp_path, monkeypatch):
-    """The swept value of a run is its scenario's binding, not read back from
-    the bindings the simulator notes in the trace metadata."""
-    argv = ["sweep", "--scenario", str(sweep_mini), "--config", str(DATA / "sweep_config.json")]
-    assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
-
-    def without_bindings(scenarios, config):
-        for i, o in iter_simulate(scenarios, config):
-            assert o.trace.metadata.pop("binding_ego_start_x")
-            yield i, o
-
-    monkeypatch.setattr("scenq.cli.iter_simulate", without_bindings)
-    assert main(argv + ["--out", str(tmp_path / "bare")]) == 0
-    for name in ("sweep.csv", "gap_findings.json", "sweep_scalars.jsonl"):
-        assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
-
-
-def test_sweep_rejects_multi_parameter_scenario(workdir):
-    out = workdir / "sweep_bad"
-    code = main([
-        "sweep",
-        "--scenario", str(DATA / "intersection_scenario.json"),
-        "--config", str(DATA / "sweep_config.json"),
-        "--out", str(out),
-    ])
-    assert code == 2
-
-
-def test_failed_sweep_writes_nothing(tmp_path, capsys):
-    scenario = json.loads((DATA / "sweep_scenario.json").read_text())
-    scenario["parameters"][0]["max"] = 39.0  # two points: too few for gap detection
-    (tmp_path / "two_points.json").write_text(json.dumps(scenario))
-    out = tmp_path / "sweep"
-    code = main([
-        "sweep",
-        "--scenario", str(tmp_path / "two_points.json"),
-        "--config", str(DATA / "sweep_config.json"),
-        "--out", str(out),
-    ])
-    assert code == 2
-    assert "at least 3 defined sweep points" in capsys.readouterr().err
-    assert not out.exists()
+def test_sweep_judges_a_multi_parameter_grid(sweep_mini, tmp_path):
+    """Each binding that varies is an axis: its lines hold the other bindings fixed."""
+    scenario = json.loads(sweep_mini.read_text())
+    scenario["parameters"][0]["min"] = 66.0
+    v_max = scenario["fixed"].pop("v_max")
+    scenario["parameters"].append({"name": "v_max", "min": v_max - 8.0, "max": v_max,
+                                   "step": 4.0, "unit": "km/h"})
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(scenario))
+    assert _sweep(path, tmp_path / "out") == 0
+    findings = json.loads((tmp_path / "out" / "gap_findings.json").read_text())
+    for axes in findings.values():
+        assert list(axes) == ["ego_start_x", "v_max"]
+        # 5 x 3 runs: 3 lines along ego_start_x, 5 along v_max
+        assert axes["ego_start_x"]["lines"] + axes["ego_start_x"]["skipped"] == 3
+        assert axes["v_max"]["lines"] + axes["v_max"]["skipped"] == 5
+        for parameter, axis in axes.items():
+            other = {"ego_start_x": "v_max", "v_max": "ego_start_x"}[parameter]
+            for f in axis["findings"]:
+                assert f["parameter"] == parameter and f["logical_id"] == "start_sweep"
+                assert set(f["held"]) == {"d_start", "t_cross", other}
+    flips = findings["min_gap_time"]["ego_start_x"]["findings"]
+    assert {"left_value": 69.0, "right_value": 70.0, "kind": "definedness",
+            "held": {"d_start": 16.0, "t_cross": 3.0, "v_max": 58.0}}.items() <= next(
+        f for f in flips if f["held"]["v_max"] == 58.0).items()
 
 
 def test_sweep_judges_each_column_on_its_own(sweep_mini, tmp_path):
-    """A column with fewer than 3 defined points records why, and the others are judged."""
+    """A criterion whose line has fewer than 3 defined points counts it as skipped, and the
+    others are judged."""
     scenario = json.loads(sweep_mini.read_text())
     scenario["fixed"]["d_start"] = 0.0  # the pedestrian never starts: no gap time is defined
     path = tmp_path / "standing.json"
     path.write_text(json.dumps(scenario))
     out = tmp_path / "sweep"
-    assert main(["sweep", "--scenario", str(path), "--config", str(DATA / "sweep_config.json"),
-                 "--out", str(out)]) == 0
-    rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
-    assert len(rows) == 7 and {row[3] for row in rows} == {""}
-    reason = "gap detection needs at least 3 defined sweep points"
-    assert json.loads((out / "gap_findings.json").read_text()) == {
-        "min_euclidean_distance": [], "min_wttc": [], "min_gap_time": {"reason": reason}}
+    assert _sweep(path, out) == 0
+    findings = json.loads((out / "gap_findings.json").read_text())
+    assert findings["min_gap_time"] == {"ego_start_x": {"lines": 0, "skipped": 1, "findings": []}}
+    assert findings["min_wttc"]["ego_start_x"]["lines"] == 1
     assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 0
     report = (tmp_path / "report" / "report.md").read_text()
-    assert f"- min_gap_time: not judged: {reason}\n" in report
+    assert "- min_gap_time along ego_start_x: 0 lines judged, 1 skipped\n" in report
 
 
-def test_sweep_csv_quotes_the_parameter_name(sweep_mini, tmp_path):
-    """A swept parameter whose name holds the delimiter or the quote character is one field."""
-    scenario = json.loads(sweep_mini.read_text())
-    scenario["parameters"][0]["name"] = 'a,"b'  # a binding the simulator does not read
-    scenario["parameters"][0]["max"] = 66.0
-    scenario["fixed"]["ego_start_x"] = 66.0
-    path = tmp_path / "quoted.json"
-    path.write_text(json.dumps(scenario))
-    out = tmp_path / "sweep"
-    assert main(["sweep", "--scenario", str(path), "--config", str(DATA / "sweep_config.json"),
-                 "--out", str(out)]) == 0
-    with (out / "sweep.csv").open(newline="", encoding="utf-8") as f:
-        rows = list(csv.reader(f))
-    assert rows[0] == ['a,"b', "min_euclidean_distance", "min_wttc", "min_gap_time",
-                       "collided", "end_reason"]
-    assert len(rows) == 4 and {len(row) for row in rows} == {6}
-    assert [row[0] for row in rows[1:]] == ["64.0", "65.0", "66.0"]
+def test_sweep_is_simulate_then_evaluate_with_its_criteria(sweep_mini, tmp_path):
+    assert _sweep(sweep_mini, tmp_path / "sweep") == 0
+    assert main(["simulate", "--scenario", str(sweep_mini), "--config",
+                 str(DATA / "sweep_config.json"), "--out", str(tmp_path / "sim")]) == 0
+    assert main(["evaluate", "--traces", str(tmp_path / "sim" / "traces"), "--criteria",
+                 str(SWEEP_CRITERIA), "--out", str(tmp_path / "eval")]) in (0, 1)
+    report = json.loads((tmp_path / "eval" / "evaluation.json").read_text())
+    assert (tmp_path / "sweep" / "gap_findings.json").read_text() == json.dumps(
+        report["gap_findings"], indent=2) + "\n"
+
+
+def test_report_renders_the_gap_findings_of_either_file(workdir, sweep_mini, tmp_path):
+    sweep = workdir / "sweep_for_report"
+    assert _sweep(sweep_mini, sweep) == 0
+    assert main(["report", "--run", str(sweep), "--out", str(tmp_path / "from_sweep")]) == 0
+    evaluation = tmp_path / "eval"
+    evaluation.mkdir()
+    (evaluation / "evaluation.json").write_text(json.dumps({
+        "verdicts": [], "cells": [],
+        "gap_findings": json.loads((sweep / "gap_findings.json").read_text())}))
+    assert main(["report", "--run", str(evaluation), "--out", str(tmp_path / "from_eval")]) == 0
+    section = [
+        "## gap findings", "",
+        "- min_euclidean_distance along ego_start_x: 1 lines judged, 0 skipped",
+        "- min_wttc along ego_start_x: 1 lines judged, 0 skipped",
+        "- min_gap_time along ego_start_x: 1 lines judged, 0 skipped",
+        "  - [69.0, 70.0] in start_sweep at d_start=16.0, t_cross=3.0, v_max=58.0: "
+        "defined/undefined flip"]
+    for out in ("from_sweep", "from_eval"):
+        lines = (tmp_path / out / "report.md").read_text().splitlines()
+        at = lines.index("## gap findings")
+        assert lines[at:at + len(section)] == section
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -722,7 +727,8 @@ def test_traces_naming_no_trace_file_exit_2(sim_out, criteria_ok, tmp_path, caps
      "invalid JSON ("),
     ("repeatability.json", '{"reference_id": "r", "threshold": 1.0}', "missing key 'entries'"),
     ("gap_findings.json", '{"min_wttc": ', "invalid JSON ("),
-    ("gap_findings.json", '{"min_wttc": [{"left_value": 1.0}]}', "missing key 'right_value'"),
+    ("gap_findings.json", '{"min_wttc": {"x": {"lines": 1, "skipped": 0, "findings": ['
+     '{"left_value": 1.0}]}}}', "missing key 'right_value'"),
 ], ids=["evaluation-corrupt", "evaluation-no-verdicts", "evaluation-list", "repeatability-corrupt",
         "repeatability-no-entries", "gap-findings-corrupt", "gap-findings-no-right-value"])
 def test_bad_report_input_exits_2_naming_it(tmp_path, capsys, name, content, expected):
@@ -1119,6 +1125,28 @@ def test_bad_criteria_file_exits_2_naming_it(sim_out, tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert err.startswith(f"error: {criteria}: ")
     assert expected in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("metric, unit, params, expected", [
+    ("wttc", "s", {**PAIR, "a_max_ego": -1.0}, "wttc param 'a_max_ego' must be >= 0, got -1.0"),
+    ("wttc", "s", {**PAIR, "a_max_target": -0.5},
+     "wttc param 'a_max_target' must be >= 0, got -0.5"),
+    ("traffic_density", "1/m^2", {"actor": "ego", "radius": 0},
+     "traffic_density param 'radius' must be > 0, got 0"),
+    ("pet", "s", {"actor_1": "ego", "actor_2": "pedestrian", "inflation": -0.1},
+     "pet param 'inflation' must be >= 0, got -0.1"),
+    ("et", "s", {"actor": "ego", "other": "pedestrian", "inflation": -2},
+     "et param 'inflation' must be >= 0, got -2"),
+], ids=["a_max_ego", "a_max_target", "radius", "pet_inflation", "et_inflation"])
+def test_out_of_range_metric_param_exits_2_naming_the_criterion(sim_out, tmp_path, capsys,
+                                                                 metric, unit, params, expected):
+    """A param outside its range is rejected when the criteria file loads, not when a trace
+    is judged: a negative inflation no longer turns into a not_applicable verdict."""
+    criteria = tmp_path / "criteria.json"
+    criteria.write_text(json.dumps({"criteria": [_metric_criterion("bad", metric, unit, **params)]}))
+    assert _evaluate(sim_out / "traces", criteria, tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"error: {criteria}: malformed criterion 'bad': {expected}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -31,6 +31,7 @@ from scenq import (
     first_contact_time,
     load_criteria,
     load_trace_file,
+    logical_from_dict,
     margin_holds,
     normalize_comparator,
     registry,
@@ -46,6 +47,7 @@ from scenq.criteria import (
     _event_time,
     _margins_and_holds,
 )
+from scenq.cli import SWEEP_CRITERIA
 from scenq.micro import margin_runs
 from scenq.nano import euclidean_distance
 from scenq.trace import common_grid
@@ -785,6 +787,51 @@ def test_evaluate_suite_memory_does_not_grow_with_the_traces(grid_traces, tmp_pa
             tracemalloc.stop()
 
     assert peak(16) < 1.2 * peak(2)
+
+
+
+@pytest.fixture(scope="module")
+def sweep_grid_traces(sweep_config):
+    """The traces of a 5 x 3 grid over ego_start_x and v_max of the start position sweep."""
+    logical = logical_from_dict({
+        "scenario_id": "grid", "fixed": {"t_cross": 3.0, "d_start": 16.0},
+        "parameters": [{"name": "ego_start_x", "min": 66.0, "max": 70.0, "step": 1.0},
+                       {"name": "v_max", "min": 50.0, "max": 58.0, "step": 4.0}]})
+    return [o.trace for o in simulate_batch(concretize(logical), sweep_config)]
+
+
+def test_evaluate_suite_gap_findings_along_each_grid_axis(sweep_grid_traces):
+    criteria = load_criteria(SWEEP_CRITERIA)
+    report = evaluate_suite(criteria, fresh(sweep_grid_traces))
+    assert list(report.gap_findings) == [c.criterion_id for c in criteria]
+    for axes in report.gap_findings.values():
+        assert list(axes) == ["ego_start_x", "v_max"]  # d_start and t_cross never vary
+        assert [axis["lines"] + axis["skipped"] for axis in axes.values()] == [3, 5]
+    flip = {"parameter": "ego_start_x", "left_value": 69.0, "right_value": 70.0,
+            "metric_jump": None, "kind": "definedness", "logical_id": "grid",
+            "held": {"d_start": 16.0, "t_cross": 3.0, "v_max": 58.0}}
+    assert flip in report.gap_findings["min_gap_time"]["ego_start_x"]["findings"]
+    # the findings are sorted: the same for the traces in reverse or shuffled order
+    for order in (sweep_grid_traces[::-1], sweep_grid_traces[1::2] + sweep_grid_traces[::2]):
+        assert evaluate_suite(criteria, fresh(order)).gap_findings == report.gap_findings
+
+
+def test_evaluate_suite_gap_lines_skip_and_exclude(sweep_grid_traces):
+    criteria = load_criteria(SWEEP_CRITERIA)
+    base = evaluate_suite(criteria, fresh(sweep_grid_traces)).gap_findings
+    # every run twice: each line repeats its values, so detection declines it
+    twice = evaluate_suite(criteria, fresh(sweep_grid_traces * 2)).gap_findings
+    assert twice == {cid: {name: {"lines": 0, "skipped": a["lines"] + a["skipped"], "findings": []}
+                           for name, a in axes.items()} for cid, axes in base.items()}
+    # a trace without bindings, or with one that is no finite number, is judged on no line
+    first = sweep_grid_traces[0]
+    bare = {k: v for k, v in first.metadata.items() if not k.startswith("binding_")}
+    odd = [replace(first, metadata=bare)] + [
+        replace(first, metadata={**first.metadata, "binding_v_max": text})
+        for text in ("nan", "inf", "fast")]
+    report = evaluate_suite(criteria, fresh(sweep_grid_traces) + odd)
+    assert report.gap_findings == base
+    assert len(report.verdicts) == len(criteria) * (len(sweep_grid_traces) + 4)
 
 
 def test_load_criteria_file(tmp_path):

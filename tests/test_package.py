@@ -32,15 +32,14 @@ PUBLIC_NAMES = [
     "load_trace_file", "logical_from_dict", "margin_holds",
     "normalize_comparator", "occupancy", "parameter_coverage", "pet",
     "registry", "repeatability_report", "sample_track", "save_trace",
-    "scalar_to_dict", "sim_config_from_dict", "simulate", "simulate_batch",
+    "sim_config_from_dict", "simulate", "simulate_batch",
     "traffic_density", "ttc", "undefined_scalar", "validate_trace",
-    "write_concrete_set", "write_scalars", "write_series", "write_trace",
-    "wttc",
+    "write_concrete_set", "write_series", "write_trace", "wttc",
 ]
 
 
 def test_public_names():
-    assert len(PUBLIC_NAMES) == 86
+    assert len(PUBLIC_NAMES) == 84
     assert len(set(scenq.__all__)) == len(scenq.__all__)
     assert sorted(scenq.__all__) == PUBLIC_NAMES
     for name in scenq.__all__:

@@ -10,9 +10,7 @@ from scenq import (
     MetricSeries,
     OccupancyInterval,
     ScalarResult,
-    scalar_to_dict,
     undefined_scalar,
-    write_scalars,
     registry,
     write_series,
 )
@@ -158,19 +156,16 @@ def test_batch_series_writer_matches_the_per_row_writer(tmp_path, monkeypatch):
                           [True, True, False])  # time -0.0 next to the 0.0 of the grid
     one = MetricSeries("wttc", ("a",), "s", [0.25], [-0.0], [True])
     traces = {  # the plot files of each trace, as evaluate writes them
-        "t1": [(shared, tmp_path / "floor_t1.csv", {"ego": "a"}),
-               (shared, tmp_path / "braking_t1.csv", None),
-               (drawn(grid, "wttc"), tmp_path / "wttc_t1.csv", None),
-               (signed, tmp_path / "gap_t1.csv", None)],
-        "t2": [(drawn(grid.copy()), tmp_path / "floor_t2.csv", {"ego": "a"}),
-               (one, tmp_path / "one_t2.csv", None),
+        "t1": [(shared, tmp_path / "floor_t1.csv"), (shared, tmp_path / "braking_t1.csv"),
+               (drawn(grid, "wttc"), tmp_path / "wttc_t1.csv"), (signed, tmp_path / "gap_t1.csv")],
+        "t2": [(drawn(grid.copy()), tmp_path / "floor_t2.csv"), (one, tmp_path / "one_t2.csv"),
                (MetricSeries("ttc", ("a",), "s", grid[:9], np.ones(9), np.zeros(9, bool)),
-                tmp_path / "undefined_t2.csv", None)],
-        "t3": [(drawn(grid[::3]), tmp_path / "floor_t3.csv", None)],
+                tmp_path / "undefined_t2.csv")],
+        "t3": [(drawn(grid[::3]), tmp_path / "floor_t3.csv")],
     }
 
     def bits(files):
-        return {v.tobytes() for s, _, _ in files for v in np.concatenate([s.times, s.values])}
+        return {v.tobytes() for s, _ in files for v in np.concatenate([s.times, s.values])}
 
     # repr once per distinct bit pattern of a trace that the trace before did not hold
     float_texts, calls = FloatTexts(), []
@@ -181,23 +176,7 @@ def test_batch_series_writer_matches_the_per_row_writer(tmp_path, monkeypatch):
         write_series_batch(files, float_texts)
         assert len(calls) == len(bits(files) - held)
         held = bits(files)
-        for series, path, parameters in files:
+        for series, path in files:
             assert path.read_text() == per_row_series_csv(series)
-            meta = json.loads(path.with_name(path.name + ".meta.json").read_text())
-            assert meta == {"metric_name": series.metric_name, "unit": series.unit,
-                            "actor_ids": list(series.actor_ids), "parameters": parameters or {}}
-
-
-def test_scalar_serialization(tmp_path):
-    defined = ScalarResult("pet", 3.0, "s", context={"first_actor": "car"})
-    missing = undefined_scalar("pet", "s", "never_occupies")
-    d = scalar_to_dict(defined, scenario_id="run#1")
-    assert d["value"] == 3.0
-    assert d["scenario_id"] == "run#1"
-    assert scalar_to_dict(missing)["value"] is None
-    p = tmp_path / "scalars.jsonl"
-    write_scalars([("run#1", defined), ("run#2", missing)], p)
-    rows = [json.loads(line) for line in p.read_text().splitlines()]
-    assert len(rows) == 2
-    assert rows[0]["metric_name"] == "pet"
-    assert rows[1]["value"] is None
+    # the batch writer writes CSVs only: evaluate writes one sidecar per criterion
+    assert sorted(tmp_path.glob("*.meta.json")) == []
