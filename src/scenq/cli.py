@@ -181,13 +181,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _verdict_dict(v: Verdict) -> dict:
+    worst = v.worst_result  # its fields as asdict orders them, without asdict's deep copy
     return {
         "criterion_id": v.criterion_id,
         "scenario_id": v.scenario_id,
         "outcome": v.outcome,
         "score": v.score,
         "evaluated_intervals": [list(i) for i in v.evaluated_intervals],
-        "worst_result": None if v.worst_result is None else asdict(v.worst_result),
+        "worst_result": None if worst is None else {
+            "time": worst.time, "value": worst.value, "unit": worst.unit, "defined": worst.defined},
     }
 
 
@@ -246,8 +248,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             if judging:
                 exc.args = (f"{judging[0]}: {str(exc).removeprefix(f'{judging[1]}: ')}",)
             raise
-        (work / "evaluation.json").write_text(json.dumps(_report_dict(report), indent=2) + "\n",
-                                              encoding="utf-8")
+        with (work / "evaluation.json").open("w", encoding="utf-8") as file:
+            json.dump(_report_dict(report), file, indent=2)  # a chunk at a time, never one text
+            file.write("\n")
 
     fails = sum(v.outcome == "fail" for v in report.verdicts)
     passes = sum(v.outcome == "pass" for v in report.verdicts)

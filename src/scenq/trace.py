@@ -9,20 +9,24 @@ is a long-format CSV file with one actor state per row and the columns
 The acceleration column may be omitted, in which case it is derived by
 central differences of speed and the trace metadata records that. A trace
 file may be accompanied by a ``<name>.meta.json`` sidecar holding the
-scenario id, the nominal time step and free-form metadata.
+scenario id, the nominal time step and free-form metadata. ``save_trace``
+also writes a ``<name>.csv.npy`` companion holding the numeric columns, which
+``load_trace_file`` reads in place of the CSV text while the CSV is the one
+the sidecar's ``columns`` key describes.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
 from itertools import chain, combinations
 from pathlib import Path
-from typing import Iterator, Mapping, TextIO
+from typing import Any, Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -342,6 +346,10 @@ _CSV_DIALECT = {"delimiter": ",", "quotechar": '"', "comments": None}
 _WRITE_BLOCK = 1024
 #: Characters read at a time, then up to the next line end; each block is parsed on its own.
 _READ_BLOCK = 1 << 16
+#: Bytes read at a time when a trace file's CRC-32 is checked against its sidecar.
+_CRC_BLOCK = 1 << 16
+#: The ActorTrack fields of _NUMERIC_COLUMNS, in that order.
+_TRACK_FIELDS = ("times", "xs", "ys", "headings", "speeds", "accels")
 
 
 def _split_csv_line(line: str) -> list[str]:
@@ -482,11 +490,19 @@ def _load(stream: TextIO, scenario_id: str, time_step: float | None,
           metadata: Mapping[str, str]) -> Trace:
     """The trace that ``stream`` holds; a ``time_step`` of None is the median step."""
     try:
-        actors, classes, columns, derived = _read_csv(stream)
+        parsed = _read_csv(stream)
     except TraceParseError:
         while stream.read(_READ_BLOCK):  # invalid UTF-8 anywhere in a file comes before a bad row
             pass
         raise
+    return _build(scenario_id, time_step, metadata, *parsed)
+
+
+def _build(scenario_id: str, time_step: float | None, metadata: Mapping[str, str],
+           actors: list[str], classes: list[str], columns: list[np.ndarray],
+           derived: bool) -> Trace:
+    """The trace of per-actor columns as ``_read_csv`` returns them; a ``time_step`` of None is
+    the median step."""
     meta = dict(metadata)
     tracks: dict[str, ActorTrack] = {}
     for actor_id, name, series in zip(actors, classes, columns):
@@ -527,7 +543,7 @@ def write_trace(trace: Trace, fmt: str = "csv") -> str:
     """
     if fmt != "csv":
         raise ValueError(f"unknown trace format {fmt!r}: traces are CSV")
-    return "".join(_format_trace(trace, FloatTexts()))
+    return "".join(_format_trace(*_columns(trace), FloatTexts()))
 
 
 class FloatTexts:
@@ -551,13 +567,19 @@ class FloatTexts:
         return texts, np.searchsorted(patterns, bits)
 
 
-def _format_trace(trace: Trace, float_texts: FloatTexts) -> Iterator[str]:
-    """One trace's CSV text, the header and then a block of rows at a time, its floats
-    formatted by ``float_texts``."""
+def _columns(trace: Trace) -> tuple[list[ActorTrack], np.ndarray]:
+    """The trace's tracks in actor-id order, and their _NUMERIC_COLUMNS as one float64
+    (6, rows) array, track after track."""
     tracks = [trace.tracks[actor_id] for actor_id in trace.actor_ids()]
+    return tracks, np.array([np.concatenate([getattr(tr, a) for tr in tracks])
+                             for a in _TRACK_FIELDS])
+
+
+def _format_trace(tracks: list[ActorTrack], columns: np.ndarray,
+                  float_texts: FloatTexts) -> Iterator[str]:
+    """The CSV text of ``_columns``'s result, the header and then a block of rows at a time,
+    its floats formatted by ``float_texts``."""
     rank = np.repeat(np.arange(len(tracks)), [len(track) for track in tracks])
-    attrs = ("times", "xs", "ys", "headings", "speeds", "accels")
-    columns = np.array([np.concatenate([getattr(tr, a) for tr in tracks]) for a in attrs])
     order = np.lexsort((rank, columns[0]))
     texts, inverse = float_texts(columns)
     heads = [f",{_csv_field(tr.actor_id)},{tr.actor_class.value}," for tr in tracks]
@@ -569,20 +591,83 @@ def _format_trace(trace: Trace, float_texts: FloatTexts) -> Iterator[str]:
         yield "".join(f"{t}{head}{x},{y},{h},{v},{a}\n" for t, head, x, y, h, v, a in rows)
 
 
+def _companion(path: Path) -> Path:
+    """The ``.npy`` file that holds the numeric columns of the trace file ``path``."""
+    return path.with_suffix(path.suffix + ".npy")
+
+
 def save_trace(trace: Trace, path: str | Path, float_texts: FloatTexts | None = None) -> Path:
-    """Write a trace's CSV file plus its ``.meta.json`` sidecar; returns the path written.
-    The CSV is written a block of rows at a time, never held as one text. Traces written
-    with one shared ``float_texts`` call ``repr`` only for the bit patterns that the trace
-    written before did not hold."""
+    """Write a trace's CSV file, its ``.npy`` companion and its ``.meta.json`` sidecar;
+    returns the path of the CSV. The CSV is written a block of rows at a time, never held as
+    one text. Traces written with one shared ``float_texts`` call ``repr`` only for the bit
+    patterns that the trace written before did not hold.
+
+    The companion holds ``_columns``'s array. The sidecar, written last, describes it under
+    ``columns``: the CSV's CRC-32 and size in bytes, and each track's actor id, class and
+    rows. A save cut short before the sidecar leaves the old one, whose digest then does not
+    match the new CSV.
+    """
     path = Path(path)
-    with path.open("w", encoding="utf-8") as file:
-        file.writelines(_format_trace(trace, float_texts or FloatTexts()))
+    tracks, columns = _columns(trace)
+    crc, size = 0, 0
+    with path.open("wb") as file:
+        for text in _format_trace(tracks, columns, float_texts or FloatTexts()):
+            block = text.encode("utf-8")
+            crc, size = zlib.crc32(block, crc), size + len(block)
+            file.write(block)
+    np.save(_companion(path), columns, allow_pickle=False)
     sidecar = {"scenario_id": trace.scenario_id, "time_step": trace.time_step,
-               "metadata": dict(trace.metadata)}
+               "metadata": dict(trace.metadata),
+               "columns": {"crc32": crc, "bytes": size, "tracks": [
+                   [tr.actor_id, tr.actor_class.value, len(tr)] for tr in tracks]}}
     path.with_suffix(path.suffix + ".meta.json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return path
+
+
+def _is_count(value: Any) -> bool:
+    return type(value) is int and value >= 0  # not a bool
+
+
+def _load_saved(path: Path, columns: Any, scenario_id: str, time_step: float | None,
+                metadata: Mapping[str, str]) -> Trace | None:
+    """The trace that ``path``'s companion holds, when ``columns``, the sidecar's key,
+    describes it and ``path`` is the CSV it was saved with: as many bytes, the same CRC-32.
+    It equals the trace that parsing ``path`` gives, with its tracks in order of first
+    appearance in the file. None when anything differs, or the companion's arrays do not
+    make a trace: then the CSV is parsed."""
+    tracks = columns.get("tracks") if isinstance(columns, dict) else None
+    if not (isinstance(tracks, list) and tracks and columns.keys() == {"crc32", "bytes", "tracks"}
+            and _is_count(columns["crc32"]) and _is_count(columns["bytes"])
+            and all(isinstance(t, list) and len(t) == 3 and isinstance(t[0], str)
+                    and isinstance(t[1], str) and _is_count(t[2]) and t[2] > 0 for t in tracks)
+            and len({t[0] for t in tracks}) == len(tracks)):
+        return None
+    ids, classes, rows = zip(*tracks)
+    try:
+        if path.stat().st_size != columns["bytes"]:
+            return None
+        crc = 0
+        with path.open("rb") as file:
+            for block in iter(partial(file.read, _CRC_BLOCK), b""):
+                crc = zlib.crc32(block, crc)
+        if crc != columns["crc32"]:
+            return None
+        array = np.load(_companion(path), allow_pickle=False)
+    except (OSError, ValueError, EOFError):  # missing, truncated, or holding objects
+        return None
+    if not (isinstance(array, np.ndarray) and array.dtype == np.dtype("<f8")
+            and array.shape == (len(_NUMERIC_COLUMNS), sum(rows))):
+        return None
+    series = np.split(array, np.cumsum(rows)[:-1], axis=1)
+    # the CSV's rows are in time order, ties in actor-id order
+    order = sorted(range(len(ids)), key=lambda i: (series[i][0, 0], ids[i]))
+    try:
+        return _build(scenario_id, time_step, metadata, [ids[i] for i in order],
+                      [classes[i] for i in order], [series[i] for i in order], False)
+    except TraceError:
+        return None
 
 
 def load_trace_file(path: str | Path) -> Trace:
@@ -591,6 +676,8 @@ def load_trace_file(path: str | Path) -> Trace:
     and one leading byte order mark is dropped. A TraceError names the trace or sidecar file
     it comes from; a TraceParseError for a bad row (see ``_read_csv``) gives its line, blank
     lines counted, and its actor; one for an unknown actor class or too few states its actor.
+    A trace written by ``save_trace`` is read from its companion while the CSV is unchanged
+    (see ``_load_saved``), with the same result.
     """
     path = Path(path)
     scenario_id = path.stem
@@ -602,7 +689,8 @@ def load_trace_file(path: str | Path) -> Trace:
             info = json.loads(sidecar.read_text(encoding="utf-8"))
             if not isinstance(info, dict) or not isinstance(info.get("metadata", {}), dict):
                 raise TraceParseError("expected an object with an object 'metadata'")
-            fields(info, {"scenario_id", "time_step", "metadata"}, "sidecar", TraceParseError)
+            fields(info, {"scenario_id", "time_step", "metadata", "columns"}, "sidecar",
+                   TraceParseError)
             scenario_id = info.get("scenario_id", scenario_id)
             time_step = info.get("time_step")
             if not isinstance(scenario_id, str) or not scenario_id:
@@ -613,6 +701,10 @@ def load_trace_file(path: str | Path) -> Trace:
             except ValueError:
                 raise TraceParseError("'time_step' must be a positive finite number") from None
         metadata = {str(k): str(v) for k, v in info.get("metadata", {}).items()}
+        saved = "columns" in info and _load_saved(path, info["columns"], scenario_id, time_step,
+                                                  metadata)
+        if saved:
+            return saved
     with in_file(path, TraceError), path.open(encoding="utf-8", newline="") as file:
         try:
             return _load(file, scenario_id, time_step, metadata)

@@ -77,8 +77,9 @@ def sim_out(workdir, mini_scenario) -> Path:
 
 def test_simulate_outputs(sim_out):
     traces = sorted((sim_out / "traces").iterdir())
-    assert [p.name for p in traces] == ["cli_demo_0.csv", "cli_demo_0.csv.meta.json",
-                                        "cli_demo_1.csv", "cli_demo_1.csv.meta.json"]
+    assert [p.name for p in traces] == [
+        "cli_demo_0.csv", "cli_demo_0.csv.meta.json", "cli_demo_0.csv.npy",
+        "cli_demo_1.csv", "cli_demo_1.csv.meta.json", "cli_demo_1.csv.npy"]
     outcomes = [json.loads(l) for l in (sim_out / "outcomes.jsonl").read_text().splitlines()]
     assert len(outcomes) == 2
     assert all(o["end_reason"] == "route_completed" for o in outcomes)
@@ -114,10 +115,42 @@ def test_evaluate_passes_and_is_deterministic(workdir, sim_out, criteria_ok):
     assert (out1 / "evaluation.json").read_bytes() == (out2 / "evaluation.json").read_bytes()
 
 
+def _result_files(out: Path) -> dict[str, bytes]:
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+def test_evaluate_and_compare_read_companions_as_the_csv(sim_out, criteria_ok, tmp_path,
+                                                         monkeypatch):
+    """Traces with their .csv.npy companions give the result bytes that the same traces
+    without them give; with them, no CSV is parsed."""
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    for path in (sim_out / "traces").iterdir():
+        if path.suffix != ".npy":
+            (plain / path.name).write_bytes(path.read_bytes())
+    codes = {}
+    for name, traces in (("saved", sim_out / "traces"), ("plain", plain)):
+        with monkeypatch.context() as patch:
+            if name == "saved":
+                patch.setattr("scenq.trace._read_csv", lambda stream: pytest.fail("CSV parsed"))
+            codes[name] = [
+                main(["evaluate", "--traces", str(traces), "--criteria", str(criteria_ok),
+                      "--emit-plot-data", "--out", str(tmp_path / f"eval_{name}")]),
+                main(["compare", "--reference", str(traces / "cli_demo_0.csv"), "--runs",
+                      str(traces / "cli_demo_1.csv"), "--out", str(tmp_path / f"cmp_{name}")]),
+            ]
+    assert codes["saved"] == codes["plain"] and codes["saved"][0] == 0
+    for command in ("eval", "cmp"):
+        assert (_result_files(tmp_path / f"{command}_saved")
+                == _result_files(tmp_path / f"{command}_plain"))
+    assert len(_result_files(tmp_path / "eval_saved")) == 4  # evaluation.json, 2 plots, 1 sidecar
+
+
 @pytest.mark.parametrize("fmt", ["csv"])  # the one choice of simulate --format
 def test_simulate_writes_each_trace_as_write_trace(tmp_path, fmt):
     """One batch writes the grid's traces; each file holds what write_trace gives
-    that run alone, and each sidecar what save_trace writes."""
+    that run alone, and each sidecar and companion what save_trace writes."""
     scenario = tmp_path / "grid.json"
     scenario.write_text(json.dumps({
         "scenario_id": "grid",
@@ -138,8 +171,8 @@ def test_simulate_writes_each_trace_as_write_trace(tmp_path, fmt):
         path = out / "traces" / f"{safe_name(outcome.trace.scenario_id)}.{fmt}"
         assert path.read_text(encoding="utf-8") == write_trace(outcome.trace, fmt)
         alone = save_trace(outcome.trace, tmp_path / path.name)
-        sidecar = path.name + ".meta.json"
-        assert (path.parent / sidecar).read_bytes() == (alone.parent / sidecar).read_bytes()
+        for written in (path.name + ".meta.json", path.name + ".npy"):
+            assert (path.parent / written).read_bytes() == (alone.parent / written).read_bytes()
 
 
 def test_simulate_format_jsonl_exits_2(mini_scenario, tmp_path, capsys):
@@ -661,11 +694,11 @@ def test_simulate_again_replaces_what_it_writes(mini_scenario, tmp_path):
     assert main(["simulate", "--scenario", str(tmp_path / "smaller.json"), "--config", config,
                  "--out", str(out)]) == 0
     assert sorted(p.name for p in (out / "traces").iterdir()) == [
-        "cli_demo_0.csv", "cli_demo_0.csv.meta.json"]
+        "cli_demo_0.csv", "cli_demo_0.csv.meta.json", "cli_demo_0.csv.npy"]
     assert len((out / "outcomes.jsonl").read_text().splitlines()) == 1
     assert json.loads((out / "manifest.json").read_text())["outputs"] == [
         "outcomes.jsonl", "scenarios.jsonl", "traces/cli_demo_0.csv",
-        "traces/cli_demo_0.csv.meta.json"]
+        "traces/cli_demo_0.csv.meta.json", "traces/cli_demo_0.csv.npy"]
     assert (out / "notes.txt").read_text() == "kept\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "smaller.json"]
     probe = tmp_path / "probe"

@@ -228,10 +228,31 @@ print(code, sorted({{"_hashlib", "_ssl"}} & set(sys.modules)))
     assert done.stdout.splitlines()[-1] == "0 []"
 
 
+def test_no_module_imports_hashlib():
+    """hashlib maps OpenSSL, about 3.5 MB of resident memory in every command: the manifest's
+    sha256 is CPython's builtin one (see the import at the top of cli.py), and a saved trace's
+    checksum is zlib's CRC-32, as zlib is loaded at startup anyway."""
+    script = """
+import pkgutil, sys
+import scenq
+for module in pkgutil.iter_modules(scenq.__path__):
+    __import__(f"scenq.{module.name}")
+print(sorted({"hashlib", "_hashlib", "_ssl"} & set(sys.modules)))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(scenq.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_a_verdict_holds_what_evaluation_json_holds():
     """Every Verdict field is written to evaluation.json, so no field rides along unseen."""
     written = _verdict_dict(scenq.Verdict("c", "pass"))
     assert {f.name for f in fields(scenq.Verdict)} == set(written)
+    worst = scenq.MetricResult(1.0, 2.0, "s")
+    written = _verdict_dict(scenq.Verdict("c", "pass", worst_result=worst))["worst_result"]
+    assert list(written) == [f.name for f in fields(scenq.MetricResult)]  # asdict's order
+    assert list(written.values()) == [1.0, 2.0, "s", True]
 
 
 def _benchmark_spans():

@@ -1,8 +1,10 @@
 import io
+import json
 import math
 import tempfile
 import tracemalloc
 import warnings
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -856,6 +858,7 @@ def test_load_memory_is_the_arrays_and_one_block(intersection_config, tmp_path, 
     slow = simulate({"v_max": 10.0, "t_cross": 5.0, "d_start": 16.0}, intersection_config)
     path = save_trace(slow.trace, tmp_path / "slow.csv")
     path.write_bytes(path.read_bytes().replace(b"\n", line_end.encode()))
+    path.with_name("slow.csv.npy").unlink()  # so that "lf" is parsed too
     load_trace_file(path)
     tracemalloc.start()
     try:
@@ -1154,3 +1157,212 @@ def test_awkward_actor_ids_round_trip(fmt):
 def test_track_rejects_actor_id_with_line_break(actor_id):
     with pytest.raises(TraceError, match="line break"):
         straight_track(actor_id)
+
+
+# ---------------------------------------------------------------------------
+# the companion save_trace writes beside the CSV
+
+
+def assert_identical(loaded, parsed):
+    """Two loads of one file agree bit for bit, tracks in the same order."""
+    assert list(loaded.tracks) == list(parsed.tracks)
+    assert (loaded.scenario_id, loaded.time_step, loaded.metadata) == (
+        parsed.scenario_id, parsed.time_step, parsed.metadata)
+    for actor_id, track in parsed.tracks.items():
+        other = loaded.tracks[actor_id]
+        assert (other.actor_class, other.radius) == (track.actor_class, track.radius)
+        for name in trace_module._TRACK_FIELDS:
+            assert np.array_equal(getattr(other, name).view(np.uint64),
+                                  getattr(track, name).view(np.uint64)), (actor_id, name)
+
+
+def companion(path):
+    return path.with_name(path.name + ".npy")
+
+
+def load_saved(path, monkeypatch):
+    """``path`` loaded from its companion: parsing the CSV fails the test."""
+    with monkeypatch.context() as patch:
+        patch.setattr(trace_module, "_read_csv", lambda stream: pytest.fail("CSV parsed"))
+        return load_trace_file(path)
+
+
+def load_parsed(path, monkeypatch):
+    """``path`` loaded by parsing the CSV, its sidecar's ``columns`` key passed over."""
+    with monkeypatch.context() as patch:
+        patch.setattr(trace_module, "_load_saved", lambda *args: None)
+        return load_trace_file(path)
+
+
+def assert_companion_is_the_parse(trace, path, monkeypatch):
+    save_trace(trace, path)
+    assert_identical(load_saved(path, monkeypatch), load_parsed(path, monkeypatch))
+
+
+def test_companion_loads_as_the_csv_on_bundled_grid_runs(batch600, tmp_path, monkeypatch):
+    runs = batch600[1][::20]
+    assert {o.end_reason for o in runs} >= {"collision", "route_completed"}
+    for i, outcome in enumerate(runs):
+        assert_companion_is_the_parse(outcome.trace, tmp_path / f"run_{i}.csv", monkeypatch)
+
+
+def test_companion_loads_as_the_csv_on_awkward_traces(tmp_path, monkeypatch):
+    """Actors that start at different times or tie at -0.0 and 0.0, three and four actors,
+    random bit patterns and ids that need quoting."""
+    rng = np.random.default_rng(37)
+    ids = ["e,go", 'say "hi"', ' "a,b" ', "tab\there", "émile"]
+    traces = [random_trace(rng, size) for size in [60] * 20 + [2000] * 2]
+    traces += [signed_zero_trace(), zero_trace(-0.0),
+               Trace("ids", 0.1, {a: straight_track(a, y=10.0 * i) for i, a in enumerate(ids)})]
+    assert max(len(trace.tracks) for trace in traces) == 5
+    assert any(len({t.first_time for t in trace.tracks.values()}) > 1 for trace in traces)
+    for i, trace in enumerate(traces):
+        assert_companion_is_the_parse(trace, tmp_path / f"t{i}.csv", monkeypatch)
+
+
+def test_companion_tracks_come_in_order_of_first_appearance(tmp_path, monkeypatch):
+    """As the parser meets them: by first time, ties by actor id; not by actor id alone."""
+    tracks = {"c": straight_track("c", t0=0.0), "b": straight_track("b", t0=0.3),
+              "a": straight_track("a", t0=0.3, y=5.0), "d": straight_track("d", t0=-0.0)}
+    path = save_trace(Trace("order", 0.1, tracks), tmp_path / "order.csv")
+    assert list(load_saved(path, monkeypatch).tracks) == ["c", "d", "a", "b"]
+    assert list(load_parsed(path, monkeypatch).tracks) == ["c", "d", "a", "b"]
+
+
+def test_sidecar_describes_the_csv_and_the_companion(tmp_path):
+    trace = Trace("t1", 0.1, {"walker": straight_track("walker", n=4, t0=0.1),
+                              "car": straight_track("car", n=5)})
+    path = save_trace(trace, tmp_path / "run.csv")
+    data = path.read_bytes()
+    assert data.decode("utf-8") == write_trace(trace)
+    sidecar = json.loads(path.with_name("run.csv.meta.json").read_text(encoding="utf-8"))
+    assert sidecar["columns"] == {"crc32": zlib.crc32(data), "bytes": len(data),
+                                  "tracks": [["car", "vehicle", 5], ["walker", "vehicle", 4]]}
+    array = np.load(companion(path), allow_pickle=False)
+    assert array.dtype == np.dtype("<f8") and array.shape == (6, 9)
+    assert np.array_equal(array, trace_module._columns(trace)[1])
+
+
+@pytest.mark.parametrize("value", [b"0.x", b"9.0"], ids=["bad", "good"])
+def test_a_same_length_edit_is_parsed(tmp_path, monkeypatch, value):
+    """The size matches, the CRC-32 does not: the CSV is parsed, a bad row's line named."""
+    path = save_trace(two_actor_trace(), tmp_path / "run.csv")
+    lines = path.read_bytes().split(b"\n")
+    assert lines[2].endswith(b",0.0")  # line 3: the walker's first row, its accel_mps2
+    lines[2] = lines[2][:-3] + value
+    path.write_bytes(b"\n".join(lines))
+    if value == b"0.x":
+        with pytest.raises(TraceParseError, match=r"line 3: non-numeric value .*'0\.x'"):
+            load_trace_file(path)
+    else:
+        trace = load_trace_file(path)
+        assert trace.track("walker").accels[0] == 9.0
+        assert_identical(trace, load_parsed(path, monkeypatch))
+
+
+def _truncated(path):
+    companion(path).write_bytes(companion(path).read_bytes()[:-8])
+
+
+def _reshaped(path):
+    np.save(companion(path), np.load(companion(path))[:, :-1])
+
+
+def _transposed(path):
+    np.save(companion(path), np.load(companion(path)).T)
+
+
+def _objects(path):
+    np.save(companion(path), np.load(companion(path)).astype(object), allow_pickle=True)
+
+
+def _single(path):
+    np.save(companion(path), np.load(companion(path)).astype(np.float32))
+
+
+def _nan(path):  # the CSV is unchanged, so only the trace's checks catch this
+    array = np.load(companion(path))
+    array[1, 3] = np.nan
+    np.save(companion(path), array)
+
+
+def _empty(path):
+    companion(path).write_bytes(b"")
+
+
+COMPANION_FAULTS = {
+    "missing": lambda path: companion(path).unlink(), "truncated": _truncated, "empty": _empty,
+    "wrong_shape": _reshaped, "transposed": _transposed, "object_dtype": _objects,
+    "float32": _single, "nan": _nan,
+}
+
+
+def _columns_key(edit):
+    def fault(path):
+        sidecar = path.with_name(path.name + ".meta.json")
+        data = json.loads(sidecar.read_text(encoding="utf-8"))
+        edit(data["columns"])
+        sidecar.write_text(json.dumps(data), encoding="utf-8")
+    return fault
+
+
+COLUMNS_KEY_FAULTS = {
+    "not_an_object": lambda c: c.clear() or c.update(x=[]),
+    "missing_crc": lambda c: c.pop("crc32"),
+    "extra_key": lambda c: c.update(sha256="0"),
+    "crc_as_text": lambda c: c.update(crc32=str(c["crc32"])),
+    "bytes_as_bool": lambda c: c.update(bytes=True),
+    "wrong_crc": lambda c: c.update(crc32=c["crc32"] ^ 1),
+    "wrong_bytes": lambda c: c.update(bytes=c["bytes"] + 1),
+    "tracks_not_a_list": lambda c: c.update(tracks={"car": 11}),
+    "no_tracks": lambda c: c.update(tracks=[]),
+    "short_track": lambda c: c["tracks"][0].pop(),
+    "rows_as_float": lambda c: c["tracks"][0].__setitem__(2, 11.0),
+    "zero_rows": lambda c: c["tracks"].append(["ghost", "vehicle", 0]),
+    "repeated_actor": lambda c: c["tracks"][1].__setitem__(0, "car"),
+    "unknown_class": lambda c: c["tracks"][0].__setitem__(1, "robot"),
+    "one_row": lambda c: c["tracks"].__setitem__(slice(None), [["car", "vehicle", 21],
+                                                               ["walker", "pedestrian", 1]]),
+}
+
+
+@pytest.mark.parametrize("fault", [*COMPANION_FAULTS, *COLUMNS_KEY_FAULTS])
+def test_a_companion_that_does_not_fit_is_passed_over(tmp_path, monkeypatch, fault):
+    path = save_trace(two_actor_trace(), tmp_path / "run.csv")
+    (COMPANION_FAULTS.get(fault) or _columns_key(COLUMNS_KEY_FAULTS.get(fault)))(path)
+    parsed = []
+    read_csv = trace_module._read_csv
+    monkeypatch.setattr(trace_module, "_read_csv", lambda s: parsed.append(1) or read_csv(s))
+    assert_identical(load_trace_file(path), load_parsed(path, monkeypatch))
+    assert len(parsed) == 2  # this load, and the reference load
+
+
+def test_a_save_cut_short_leaves_no_matching_sidecar(tmp_path, monkeypatch):
+    """The sidecar is written last: a save that fails before it leaves the old one, whose
+    digest does not match the new CSV, so the CSV is parsed."""
+    path = save_trace(two_actor_trace(), tmp_path / "run.csv")
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "save", lambda *args, **kw: (_ for _ in ()).throw(OSError("full")))
+        with pytest.raises(OSError, match="full"):
+            save_trace(two_actor_trace(speed=4.0), path)
+    trace = load_parsed(path, monkeypatch)
+    assert trace.track("car").speeds[0] == 4.0
+    assert_identical(load_trace_file(path), trace)
+
+
+def test_companion_load_memory_is_the_arrays_and_one_crc_block(intersection_config, tmp_path):
+    """The CRC is taken a 64 KiB block at a time: the load holds the trace's arrays, the
+    normalized headings and one block, whatever the file's size."""
+    slow = simulate({"v_max": 10.0, "t_cross": 5.0, "d_start": 16.0}, intersection_config)
+    path = save_trace(slow.trace, tmp_path / "slow.csv")
+    load_trace_file(path)
+    tracemalloc.start()
+    try:
+        trace = load_trace_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(getattr(track, name).nbytes for track in trace.tracks.values()
+                 for name in trace_module._TRACK_FIELDS)
+    assert path.stat().st_size > 4 * trace_module._CRC_BLOCK
+    assert peak - arrays < arrays / 2 + 2 * trace_module._CRC_BLOCK
