@@ -16,7 +16,8 @@ from .results import ScalarResult
 from .trace import ActorTrack, Trace
 
 
-_SLAB_DIAGONALS, _SLAB_CELLS = 48, 12288  # per dtw slab: diagonals, cells of a block
+_SLAB_DIAGONALS, _SLAB_CELLS = 48, 12288  # per dtw slab: diagonals, cells of its blocks
+_DTW_RUNS = 4  # runs whose pairs one dtw kernel call fills side by side
 
 
 def dtw(track_a: ActorTrack, track_b: ActorTrack) -> float:
@@ -32,66 +33,95 @@ def dtw(track_a: ActorTrack, track_b: ActorTrack) -> float:
     recurrence sums it, so the distance is at most UB in floating point
     too. Early abandoning, by contrast, stops once a bound is exceeded and
     returns something other than the distance; here nothing is capped or
-    replaced.
-
-    The anti-diagonals k = i + j are filled in slabs of up to 48, each
-    over one fixed row window [L, H]: L is the first row of the last two
-    diagonals whose value is at most UB, and H the last such row plus the
-    slab's height, at most n - 1. The window holds every row that can be
-    live on each diagonal of the slab: a cell whose true value is at most
-    UB has a predecessor no dearer, so the lowest live row never falls
-    below the smaller of the two previous diagonals' lowest, and the
-    highest grows by at most one per diagonal. Every other cell reads
-    +inf (row L - 1, or a column off the matrix, where b is padded with
-    +inf on both sides; the tracks are finite, so never NaN) or a value
-    at or above its true value. So each cell whose true value is at most
-    UB gets the same operands in the same order as in the full matrix:
-    the result is bit-identical to the full recurrence's, while the work
-    follows the band of cells that a path no dearer than UB can reach,
-    not n * m.
-
-    Per slab, a view of the padded, reversed b (column k - i of row i is
-    then a forward index) gives the distances of all its diagonals as one
-    (height, W) block, and one (height + 2, W + 1) block holds the values,
-    the last two diagonals in its first two rows and row L - 1 in column 0.
-    A diagonal then costs three ufunc calls on row views; the window is
-    trimmed only at the end of a slab. The height shrinks as the band
-    widens, keeping height x W within 12,288 cells: memory is O(n + m).
+    replaced. Memory is O(n + m).
     """
-    a, b = track_a.points, track_b.points
-    n, m = len(a), len(b)
-    ax, ay = a[:, 0].copy(), a[:, 1].copy()
-    path_i, path_j = (np.linspace(0, count - 1, max(n, m)).round().astype(np.intp)
-                      for count in (n, m))
-    ub = float(np.cumsum(np.hypot(ax[path_i] - b[path_j, 0], ay[path_i] - b[path_j, 1]))[-1])
+    return _dtw_pairs(track_a.points, [track_b.points])[0]
 
-    # windows of n values from each index of the reversed b; +inf off the matrix
-    front, back = np.full(_SLAB_DIAGONALS + 1, np.inf), np.full(n, np.inf)
-    rx, ry = (sliding_window_view(np.concatenate((front, b[::-1, c], back)), n) for c in (0, 1))
-    # diagonals k0 - 1 and k0 over rows lo - 1 .. hi; column 0 (row lo - 1) is +inf
-    tail = np.array([[np.inf, np.inf], [np.inf, np.hypot(ax[0] - b[0, 0], ay[0] - b[0, 1])]])
-    k0, lo = 0, 0
-    while k0 < n + m - 2:
-        live = np.flatnonzero(np.minimum(tail[0], tail[1]) <= ub)
-        first, last = lo - 1 + int(live[0]), lo - 1 + int(live[-1])
-        height = min(_SLAB_DIAGONALS, n + m - 2 - k0,
-                     max(1, _SLAB_CELLS // (last - first + 1 + _SLAB_DIAGONALS)))
-        hi = min(last + height, n - 1)
-        width = hi - first + 1
-        # row first of diagonal k0 + 1 + t reads padded, reversed b at stop - 1 - t
-        stop = _SLAB_DIAGONALS + m - k0 + first
-        dist = ax[first:hi + 1] - rx[stop - height:stop, :width][::-1]
-        np.hypot(dist, ay[first:hi + 1] - ry[stop - height:stop, :width][::-1], out=dist)
-        vals = np.full((height + 2, width + 1), np.inf)
-        vals[:2, 1:last - first + 2] = tail[:, first - lo + 1:last - lo + 2]
+
+def _dtw_pairs(a: np.ndarray, bs: Sequence[np.ndarray]) -> list[float]:
+    """The dtw distance of the (n, 2) points a to each of bs, all pairs in lock-step.
+
+    Row j and column i of a pair's matrix are b[j] and a[i]. The
+    anti-diagonals k = i + j are filled in slabs of up to 48, each over one
+    fixed row window [L, H] per pair: L is the first row of the pair's last
+    two diagonals whose value is at most its UB, and H the last such row
+    plus the slab's height, at most m - 1. The window holds every row that
+    can be live on each diagonal of the slab: a cell whose true value is at
+    most UB has a predecessor no dearer, so the lowest live row never falls
+    below the smaller of the two previous diagonals' lowest, and the
+    highest grows by at most one per diagonal. Every other cell reads +inf
+    (row L - 1, or a column off the matrix, where a is padded with +inf on
+    both sides; the tracks are finite, so never NaN) or a value at or above
+    its true value. So each cell whose true value is at most UB gets the
+    same operands in the same order as in the full matrix: the result is
+    bit-identical to the full recurrence's, whatever the slab heights (and
+    to the transposed one's, as min and hypot ignore their operands' order
+    and signs), while the work follows the band of cells that a path no
+    dearer than UB can reach, not n * m.
+
+    Per slab, one (height + 2, sum(W + 1)) block holds every pair's window
+    side by side in W + 1 columns: the last two diagonals in its first two
+    rows, below them the slab's distances, which each diagonal turns into
+    values in place, and row L - 1 (+inf) in its first column. A cell reads
+    only its own column and the one to its left, so that column parts the
+    pairs, and it stays +inf. The distances come from one view of the
+    padded, reversed a for all pairs (column k - j of row j is then a
+    forward index); a diagonal of all pairs costs three ufunc calls on
+    joined rows. The height is common, so a pair ends at the end of a slab;
+    it shrinks as the bands widen, keeping height x sum(W) within 12,288
+    cells.
+    """
+    n, tallest = len(a), max(len(b) for b in bs)
+    ax, ay = a[:, 0], a[:, 1]
+    # windows of the reversed a, as long as the longest row window; +inf off the matrix
+    front, back = np.full(_SLAB_DIAGONALS + 1, np.inf), np.full(tallest, np.inf)
+    rx, ry = (sliding_window_view(np.concatenate((front, x[::-1], back)), tallest)
+              for x in (ax, ay))
+    result, pairs = [0.0] * len(bs), []
+    for p, b in enumerate(bs):
+        m = len(b)
+        path_i, path_j = (np.linspace(0, count - 1, max(n, m)).round().astype(np.intp)
+                          for count in (n, m))
+        ub = float(np.cumsum(np.hypot(ax[path_i] - b[path_j, 0], ay[path_i] - b[path_j, 1]))[-1])
+        # diagonals k0 - 1 and k0 over rows lo - 1 .. hi; column 0 (row lo - 1) is +inf
+        tail = np.array([[np.inf, np.inf], [np.inf, np.hypot(ax[0] - b[0, 0], ay[0] - b[0, 1])]])
+        pairs.append([p, m, ub, b[:, 0], b[:, 1], tail, 0])
+    k0 = 0
+    while pairs:
+        rows = []  # per pair, its first and last row at most UB on the last two diagonals
+        for _, _, ub, _, _, tail, lo in pairs:
+            live = np.flatnonzero(np.minimum(tail[0], tail[1]) <= ub)
+            rows.append((lo - 1 + int(live[0]), lo - 1 + int(live[-1])))
+        height = min(_SLAB_DIAGONALS, n + min(pair[1] for pair in pairs) - 2 - k0,
+                     max(1, _SLAB_CELLS // sum(last - first + 1 + _SLAB_DIAGONALS
+                                               for first, last in rows)))
+        widths = [min(last + height, pair[1] - 1) - first + 1
+                  for pair, (first, last) in zip(pairs, rows)]
+        vals = np.full((height + 2, sum(widths) + len(widths)), np.inf)
+        col = 0
+        for pair, (first, last), width in zip(pairs, rows, widths):
+            _, _, _, bx, by, tail, lo = pair
+            # row first of diagonal k0 + 1 + t reads the reversed a at stop - 1 - t
+            stop = _SLAB_DIAGONALS + n - k0 + first
+            block = vals[2:, col + 1:col + 1 + width]
+            np.subtract(bx[first:first + width], rx[stop - height:stop, :width][::-1], out=block)
+            np.hypot(block, by[first:first + width] - ry[stop - height:stop, :width][::-1],
+                     out=block)
+            vals[:2, col + 1:col + last - first + 2] = tail[:, first - lo + 1:last - lo + 2]
+            pair[-2:] = vals[-2:, col:col + width + 1], first
+            col += width + 1
         up, left = vals[:, :-1], vals[:, 1:]
-        best = np.empty(width)
-        for up1, left1, up2, d, out in zip(up[1:], left[1:], up, dist, left[2:]):
+        best = np.empty(vals.shape[1] - 1)
+        for up1, left1, up2, out in zip(up[1:], left[1:], up, left[2:]):
             np.minimum(up1, left1, out=best)
             np.minimum(best, up2, out=best)
-            np.add(d, best, out=out)
-        tail, k0, lo = vals[-2:], k0 + height, first
-    return float(tail[1, n - lo])
+            np.add(out, best, out=out)
+        k0 += height
+        for p, m, _, _, _, tail, lo in pairs:
+            if n + m - 2 == k0:
+                result[p] = float(tail[1, m - lo])
+        pairs = [pair for pair in pairs if n + pair[1] - 2 > k0]
+    return result
 
 
 @dataclass(frozen=True)
@@ -130,8 +160,10 @@ def repeatability_report(
 
     Each entry carries the dtw distance, that distance divided by the
     reference track's sample count, and whether it stays at or below the
-    threshold. The reference itself is skipped if present among the runs;
-    an actor listed twice is an error, not a second set of entries.
+    threshold; entries come run by run, in the runs' order. The reference
+    itself is skipped if present among the runs; an actor listed twice is
+    an error, not a second set of entries. The runs are read one at a time,
+    and each actor's pairs of up to 4 runs are filled in one kernel call.
     """
     if not threshold >= 0:  # also rejects NaN
         raise MetricError(f"threshold must be >= 0, got {threshold!r}")
@@ -141,25 +173,25 @@ def repeatability_report(
             raise MetricError(f"actor {actor!r} is listed twice")
         if actor not in reference.tracks:
             raise MetricError(f"actor {actor!r} missing from the reference trace")
-    entries: list[RepeatabilityEntry] = []
-    for run in runs:
-        if run is reference:
-            continue
+
+    def compared(run: Trace) -> tuple[str, list[np.ndarray]]:
         for actor in ids:
             if actor not in run.tracks:
-                raise MetricError(
-                    f"actor {actor!r} missing from run {run.scenario_id!r}"
-                )
-            d = dtw(reference.track(actor), run.track(actor))
-            entries.append(
-                RepeatabilityEntry(
-                    run_id=run.scenario_id,
-                    actor_id=actor,
-                    dtw_distance=d,
-                    per_step=d / len(reference.track(actor)),
-                    within_threshold=d <= threshold,
-                )
-            )
+                raise MetricError(f"actor {actor!r} missing from run {run.scenario_id!r}")
+        return run.scenario_id, [run.track(actor).points for actor in ids]
+
+    # each run is checked as it arrives, and only its compared points are kept
+    pending = (compared(run) for run in runs if run is not reference)
+    entries: list[RepeatabilityEntry] = []
+    while chunk := list(itertools.islice(pending, _DTW_RUNS)):
+        distances = [_dtw_pairs(reference.track(actor).points, [points[col] for _, points in chunk])
+                     for col, actor in enumerate(ids)]
+        entries += [RepeatabilityEntry(run_id=run_id, actor_id=actor, dtw_distance=d,
+                                       per_step=d / len(reference.track(actor)),
+                                       within_threshold=d <= threshold)
+                    for (run_id, _), row in zip(chunk, zip(*distances))
+                    for actor, d in zip(ids, row)]
+        del chunk  # its points go before the next chunk's runs load
     return RepeatabilityReport(
         reference_id=reference.scenario_id, threshold=threshold, entries=entries
     )

@@ -383,7 +383,7 @@ def test_compare_missing_actor_names_file_before_any_dtw(sim_out, tmp_path, caps
     solo = tmp_path / "solo.csv"
     save_trace(Trace("solo#0", trace.time_step, {"ego": trace.track("ego")}), solo)
     calls = []
-    monkeypatch.setattr("scenq.macro.dtw", lambda a, b: calls.append(1) or 0.0)
+    monkeypatch.setattr("scenq.macro._dtw_pairs", lambda a, bs: calls.append(1) or [0.0] * len(bs))
     code = main(["compare", "--reference", str(ref), "--runs", str(ref), str(solo),
                  "--out", str(tmp_path / "cmp")])
     assert code == 2
@@ -392,8 +392,8 @@ def test_compare_missing_actor_names_file_before_any_dtw(sim_out, tmp_path, caps
     assert calls == []
 
 
-def test_compare_later_run_missing_actor_names_file_after_earlier_dtws(sim_out, tmp_path, capsys,
-                                                                       monkeypatch):
+def test_compare_later_run_missing_actor_names_file_before_its_chunk_is_compared(
+        sim_out, tmp_path, capsys, monkeypatch):
     ref = sim_out / "traces" / "cli_demo_0.csv"
     trace = load_trace_file(ref)
     solo = tmp_path / "solo.csv"
@@ -401,16 +401,17 @@ def test_compare_later_run_missing_actor_names_file_after_earlier_dtws(sim_out, 
     unreadable = tmp_path / "unreadable.csv"
     unreadable.write_text("not a trace\n")
     calls = []
-    monkeypatch.setattr("scenq.macro.dtw", lambda a, b: calls.append(1) or 0.0)
-    # each run is checked as it loads: the first run's pairs come first, and a load
-    # error in a run after solo does not take precedence over solo's missing actor
+    monkeypatch.setattr("scenq.macro._dtw_pairs", lambda a, bs: calls.append(1) or [0.0] * len(bs))
+    # each run is checked as it loads, while its chunk of runs fills, so no pair of the
+    # first run is compared yet; a load error in a run after solo does not take
+    # precedence over solo's missing actor
     first = sim_out / "traces" / "cli_demo_1.csv"
     code = main(["compare", "--reference", str(ref), "--runs", str(first), str(solo),
                  str(unreadable), "--out", str(tmp_path / "cmp")])
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"error: {solo}: actor 'pedestrian' missing from run 'solo#0'\n"
-    assert calls == [1, 1]
+    assert calls == []
     assert not (tmp_path / "cmp").exists()
 
 
@@ -435,8 +436,9 @@ def test_compare_holds_one_run_at_a_time(sim_out, tmp_path, capsys):
             peaks[count] = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    # a run stays bound until the next has loaded, so six runs peak one run above one
-    # run, plus the reference's points and the entries; holding all six is five runs above
+    # a run stays bound until the next has loaded, and a chunk keeps only the compared
+    # points of up to 4 runs, so six runs peak about one run above one run, plus the
+    # reference's points and the entries; holding all six is five runs above
     assert peaks[6] - peaks[1] < 1.5 * run_size, (peaks, run_size)
 
 

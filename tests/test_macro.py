@@ -16,9 +16,12 @@ from scenq import (
     simulate,
     undefined_scalar,
 )
+from scenq import macro, registry
 from scenq.macro import (
+    _DTW_RUNS,
     _SLAB_CELLS,
     _SLAB_DIAGONALS,
+    _dtw_pairs,
     collision_probability,
     detect_result_gaps,
     dtw,
@@ -116,10 +119,16 @@ def staircase_cost(a, b):
     return np.cumsum(np.hypot(a[i, 0] - b[j, 0], a[i, 1] - b[j, 1]))[-1]
 
 
-def assert_exact_both_ways(a, b):
-    want = full_matrix_dtw(a.points, b.points)
-    assert dtw(a, b) == want
-    assert dtw(b, a) == want
+def assert_exact_both_ways(a, *bs):
+    """dtw of a to each of bs, either way round, equals the full recurrence's; so do
+    the lock-step batches of a against all of bs and itself, and of each b against a
+    and itself, whose pairs end on other diagonals and prune other bands."""
+    wants = [full_matrix_dtw(a.points, b.points) for b in bs]
+    for b, want in zip(bs, wants):
+        assert dtw(a, b) == want
+        assert dtw(b, a) == want
+        assert _dtw_pairs(b.points, [a.points, b.points]) == [want, 0.0]
+    assert _dtw_pairs(a.points, [b.points for b in bs] + [a.points]) == wants + [0.0]
 
 
 RECORDING = {"v_max": 30.0, "t_cross": 9.0, "d_start": 16.0}  # stops for the pedestrian
@@ -132,8 +141,9 @@ def recording(config, time_step, **bindings):
 
 def test_dtw_exact_on_rerecordings_where_most_cells_are_pruned(intersection_config):
     tracks = [recording(intersection_config, dt) for dt in (0.05, 0.065, 0.09)]
+    assert_exact_both_ways(*tracks)  # the first against the others in one batch
+    assert_exact_both_ways(*tracks[1:])
     for a, b in itertools.combinations(tracks, 2):
-        assert_exact_both_ways(a, b)
         # most cells cost more than a known path, so the kernel never fills them
         acc = full_matrix_acc(a.points, b.points)
         assert np.mean(acc > staircase_cost(a.points, b.points)) > 0.5, (len(a), len(b))
@@ -212,6 +222,52 @@ def test_dtw_memory_is_linear():
     assert peak < 2**20
 
 
+def test_dtw_batch_memory_is_linear():
+    rng = np.random.default_rng(22)
+    a = random_walk_track(rng, 2000).points
+    bs = [random_walk_track(rng, 3000).points for _ in range(_DTW_RUNS)]
+    tracemalloc.start()
+    try:
+        _dtw_pairs(a, bs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the pairs share one padded copy of a, and the slab's blocks stay within one cell
+    # budget for all pairs: measured 0.66 MiB, the first pair alone 0.64
+    assert peak < 0.8 * 2**20
+
+
+def test_dtw_batch_whose_pairs_end_in_different_slabs():
+    rng = np.random.default_rng(25)
+    a = random_walk_track(rng, 70)
+    bs = [random_walk_track(rng, m) for m in (130, 2, 300, 60)]
+    ends = sorted(len(a) + len(b) - 2 for b in bs)  # the last anti-diagonal of each pair
+    assert min(np.diff(ends)) > _SLAB_DIAGONALS
+    assert_exact_both_ways(a, *bs)
+
+
+def test_dtw_batch_with_a_band_past_the_cell_budget_beside_narrow_ones():
+    rng = np.random.default_rng(24)
+    a, wide = random_walk_track(rng, 300), random_walk_track(rng, 420)
+    narrow = [path_track("n", a.xs + 0.01, a.ys), path_track("n", a.xs[::2], a.ys[::2])]
+    for b, budget_exceeded in [(wide, True), *((b, False) for b in narrow)]:
+        acc = full_matrix_acc(a.points, b.points)
+        rows, cols = np.nonzero(acc <= staircase_cost(a.points, b.points))
+        widest = np.bincount(rows + cols).max()
+        assert (widest * _SLAB_DIAGONALS > _SLAB_CELLS) == budget_exceeded, (len(b), widest)
+    assert_exact_both_ways(a, narrow[0], wide, narrow[1])
+
+
+def test_dtw_batch_results_follow_the_order_of_its_runs():
+    rng = np.random.default_rng(26)
+    a = random_walk_track(rng, 120).points
+    bs = [random_walk_track(rng, m).points for m in (2, 57, 120, 250)]
+    want = _dtw_pairs(a, bs)
+    assert len(set(want)) == len(bs)
+    for order in itertools.permutations(range(len(bs))):
+        assert _dtw_pairs(a, [bs[i] for i in order]) == [want[i] for i in order]
+
+
 def two_run_traces(offset=0.0):
     dt = 0.1
     base_x = np.arange(20.0)
@@ -270,6 +326,39 @@ def test_repeatability_rejects_a_repeated_actor():
     ref, run = two_run_traces()
     with pytest.raises(MetricError, match="actor 'ego' is listed twice"):
         repeatability_report(ref, [run], actor_ids=["ego", "other", "ego"])
+
+
+def walk_trace(rng, scenario_id, n):
+    return Trace(scenario_id, 0.1, {
+        actor: path_track(actor, *np.cumsum(rng.normal(scale=0.1, size=(2, n)), axis=1)
+                          + np.arange(n) * [[1.0], [0.0]])
+        for actor in ("ego", "other")})
+
+
+def test_repeatability_chunks_runs_in_run_order(monkeypatch):
+    rng = np.random.default_rng(27)
+    reference = walk_trace(rng, "ref", 40)
+    runs = [walk_trace(rng, f"run_{k}", 30 + 7 * k) for k in range(2 * _DTW_RUNS + 1)]
+    batches = []
+
+    def counted(a, bs):
+        batches.append(len(bs))
+        return _dtw_pairs(a, bs)
+
+    monkeypatch.setattr(macro, "_dtw_pairs", counted)
+    report = repeatability_report(reference, runs[:3] + [reference] + runs[3:])
+    assert batches == [4, 4, 4, 4, 1, 1]  # chunks of 4, 4 and 1 runs, each once per actor
+    want = [(run.scenario_id, actor, dtw(reference.track(actor), run.track(actor)))
+            for run in runs for actor in ("ego", "other")]
+    assert [(e.run_id, e.actor_id, e.dtw_distance) for e in report.entries] == want
+    results = registry.get("dtw").compute([reference, *runs], {})
+    assert [(key, r.value) for key, r in results] == [(f"{i}/{a}", d) for i, a, d in want]
+    # a run without an actor fails as it arrives, before its chunk is filled
+    lone = Trace("lone", 0.1, {"ego": runs[5].track("ego")})
+    batches.clear()
+    with pytest.raises(MetricError, match="actor 'other' missing from run 'lone'"):
+        repeatability_report(reference, runs[:5] + [lone] + runs[6:])
+    assert batches == [4, 4]
 
 
 def test_collision_probability_over_traces():
