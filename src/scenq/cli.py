@@ -270,7 +270,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not run_paths:
         raise ScenqError(f"{args.reference}: no run to compare but the reference")
     actor_ids = args.actors.split(",") if args.actors else reference.actor_ids()
-    cells = []  # per run, the cells of its dtw pairs
+    cells = []  # per run, the full-matrix cells of its dtw pairs
 
     def checked(path: Path, trace: Trace) -> Trace:
         for actor in actor_ids:
@@ -289,7 +289,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     report = repeatability_report(checked(Path(args.reference), reference), runs(),
                                   actor_ids=actor_ids, threshold=args.threshold)
     log.info("loaded %d traces (reference + %d runs)", 1 + len(run_paths), len(run_paths))
-    log.info("dtw: %d pairs, %d cells", len(run_paths) * len(actor_ids), sum(cells))
+    log.info("dtw: %d pairs over %d full-matrix cells (n x m, before pruning)",
+             len(run_paths) * len(actor_ids), sum(cells))
 
     payload = {
         "reference_id": report.reference_id,

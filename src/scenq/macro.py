@@ -28,8 +28,9 @@ def dtw(track_a: ActorTrack, track_b: ActorTrack) -> float:
     the warped (x, y) positions, total cost minimized. Exact: no window,
     no cap on the value. Symmetric in its arguments.
 
-    Pruned after Silva & Batista (SDM 2016): UB is the cost of one valid
-    path, the index-proportional staircase, summed in path order as the
+    Pruned after Silva & Batista (SDM 2016): UB is the cost of the cheaper
+    of two valid paths, the index-proportional staircase and the path that
+    pairs samples by distance travelled, each summed in path order as the
     recurrence sums it, so the distance is at most UB in floating point
     too. Early abandoning, by contrast, stops once a bound is exceeded and
     returns something other than the distance; here nothing is capped or
@@ -41,7 +42,8 @@ def dtw(track_a: ActorTrack, track_b: ActorTrack) -> float:
 def _dtw_pairs(a: np.ndarray, bs: Sequence[np.ndarray]) -> list[float]:
     """The dtw distance of the (n, 2) points a to each of bs, all pairs in lock-step.
 
-    Row j and column i of a pair's matrix are b[j] and a[i]. The
+    Row j and column i of a pair's matrix are b[j] and a[i]. Each pair's UB
+    is ``_warp_bound``'s, with the arc lengths of a computed once. The
     anti-diagonals k = i + j are filled in slabs of up to 48, each over one
     fixed row window [L, H] per pair: L is the first row of the pair's last
     two diagonals whose value is at most its UB, and H the last such row
@@ -78,11 +80,9 @@ def _dtw_pairs(a: np.ndarray, bs: Sequence[np.ndarray]) -> list[float]:
     rx, ry = (sliding_window_view(np.concatenate((front, x[::-1], back)), tallest)
               for x in (ax, ay))
     result, pairs = [0.0] * len(bs), []
+    arc_a = _arc_length(a)
     for p, b in enumerate(bs):
-        m = len(b)
-        path_i, path_j = (np.linspace(0, count - 1, max(n, m)).round().astype(np.intp)
-                          for count in (n, m))
-        ub = float(np.cumsum(np.hypot(ax[path_i] - b[path_j, 0], ay[path_i] - b[path_j, 1]))[-1])
+        m, ub = len(b), _warp_bound(a, b, arc_a)
         # diagonals k0 - 1 and k0 over rows lo - 1 .. hi; column 0 (row lo - 1) is +inf
         tail = np.array([[np.inf, np.inf], [np.inf, np.hypot(ax[0] - b[0, 0], ay[0] - b[0, 1])]])
         pairs.append([p, m, ub, b[:, 0], b[:, 1], tail, 0])
@@ -122,6 +122,47 @@ def _dtw_pairs(a: np.ndarray, bs: Sequence[np.ndarray]) -> list[float]:
                 result[p] = float(tail[1, m - lo])
         pairs = [pair for pair in pairs if n + pair[1] - 2 > k0]
     return result
+
+
+def _warp_bound(a: np.ndarray, b: np.ndarray, arc_a: np.ndarray) -> float:
+    """UB of the points a and b, whose arc lengths are arc_a: the cost of the cheaper
+    of two warp paths, the index-proportional staircase and the arc-length path."""
+    staircase = (np.linspace(0, count - 1, max(len(a), len(b))).round().astype(np.intp)
+                 for count in (len(a), len(b)))
+    return min(_path_cost(a, b, *path) for path in (staircase, _arc_path(arc_a, _arc_length(b))))
+
+
+def _arc_length(points: np.ndarray) -> np.ndarray:
+    """The distance travelled along the (n, 2) points up to each of them, from 0."""
+    return np.concatenate(([0.0], np.cumsum(np.hypot(*np.diff(points, axis=0).T))))
+
+
+def _arc_path(arc_a: np.ndarray, arc_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A warp path (i, j) of two tracks from their arc lengths: (0, 0) to (n - 1, m - 1).
+
+    Each sample of the longer track is paired with the sample of the shorter
+    one nearest in distance travelled (the lower on a tie), and the first and
+    last pairs are pinned to the ends. Both arcs are sorted, so the pairing
+    is monotone. A jump of the shorter track's index between neighboring pairs
+    is filled with unit steps, one per sample skipped, the longer track's index
+    moving on at the rounded midpoint; so every step is (1, 0), (0, 1) or (1, 1).
+    """
+    long, short = (arc_a, arc_b) if len(arc_a) >= len(arc_b) else (arc_b, arc_a)
+    above = np.searchsorted(short, long).clip(1, len(short) - 1)
+    near = above - (long - short[above - 1] <= short[above] - long)
+    near[0], near[-1] = 0, len(short) - 1
+    count = np.maximum(np.diff(near), 1)  # unit steps to the next pair: the Chebyshev distance
+    seg = np.repeat(np.arange(len(long) - 1), count)
+    step = np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)
+    along = np.append(np.rint(seg + step / count[seg]).astype(np.intp), len(long) - 1)
+    across = np.append(near[seg] + step, near[-1])
+    return (along, across) if long is arc_a else (across, along)
+
+
+def _path_cost(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> float:
+    """The cost of the warp path (i, j) of the points a and b, summed in path order as
+    the recurrence sums it, so no distance along that path is dearer in floating point."""
+    return float(np.cumsum(np.hypot(a[i, 0] - b[j, 0], a[i, 1] - b[j, 1]))[-1])
 
 
 @dataclass(frozen=True)

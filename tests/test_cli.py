@@ -465,7 +465,7 @@ def test_compare_logs_stage_counts(workdir, sim_out, caplog, capsys):
     a, b = load_trace_file(ref), load_trace_file(other)
     cells = sum(len(a.track(x)) * (len(a.track(x)) + len(b.track(x))) for x in a.actor_ids())
     assert "loaded 3 traces (reference + 2 runs)" in caplog.messages
-    assert f"dtw: 4 pairs, {cells} cells" in caplog.messages
+    assert f"dtw: 4 pairs over {cells} full-matrix cells (n x m, before pruning)" in caplog.messages
     assert ((workdir / "cmp_quiet" / "repeatability.json").read_bytes()
             == (workdir / "cmp_logged" / "repeatability.json").read_bytes())
 

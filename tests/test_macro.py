@@ -21,7 +21,10 @@ from scenq.macro import (
     _DTW_RUNS,
     _SLAB_CELLS,
     _SLAB_DIAGONALS,
+    _arc_length,
+    _arc_path,
     _dtw_pairs,
+    _warp_bound,
     collision_probability,
     detect_result_gaps,
     dtw,
@@ -112,11 +115,20 @@ def test_dtw_equals_full_matrix_reference_exactly():
         assert_exact_both_ways(a, b)
 
 
-def staircase_cost(a, b):
-    """Cost of the index-proportional warp path, a bound the distance cannot exceed."""
-    i, j = (np.linspace(0, count - 1, max(len(a), len(b))).round().astype(int)
-            for count in (len(a), len(b)))
+def path_cost(a, b, i, j):
+    """Cost of the warp path (i, j) of the points a and b, a bound the distance cannot exceed."""
     return np.cumsum(np.hypot(a[i, 0] - b[j, 0], a[i, 1] - b[j, 1]))[-1]
+
+
+def staircase_cost(a, b):
+    """Cost of the index-proportional warp path."""
+    return path_cost(a, b, *(np.linspace(0, count - 1, max(len(a), len(b))).round().astype(int)
+                             for count in (len(a), len(b))))
+
+
+def kernel_bound(a, b):
+    """The UB that the kernel prunes the pair of points a and b with."""
+    return _warp_bound(a, b, _arc_length(a))
 
 
 def assert_exact_both_ways(a, *bs):
@@ -146,7 +158,7 @@ def test_dtw_exact_on_rerecordings_where_most_cells_are_pruned(intersection_conf
     for a, b in itertools.combinations(tracks, 2):
         # most cells cost more than a known path, so the kernel never fills them
         acc = full_matrix_acc(a.points, b.points)
-        assert np.mean(acc > staircase_cost(a.points, b.points)) > 0.5, (len(a), len(b))
+        assert np.mean(acc > kernel_bound(a.points, b.points)) > 0.5, (len(a), len(b))
 
 
 def test_dtw_exact_against_a_drifted_run(intersection_config):
@@ -164,6 +176,76 @@ def test_dtw_keeps_cells_equal_to_the_bound():
     b = path_track("b", xs, np.where(xs < 3, 0.5, 0.0))
     assert dtw(a, b) == staircase_cost(a.points, b.points) == 1.5
     assert_exact_both_ways(a, b)
+
+
+def test_dtw_keeps_cells_equal_to_an_arc_length_bound():
+    # b skips every other sample of a up to x = 10 and keeps each after: the arc-length
+    # path pays 1 m for each of the five samples skipped, which is the distance, while the
+    # staircase drifts 5 samples apart. The bound is reached at (9, 4) and then tied by
+    # every cell along 90 zero-cost diagonals, more than a slab
+    xs = np.arange(100.0)
+    a = path_track("a", xs, np.zeros(100))
+    bx = np.concatenate((xs[:10:2], xs[10:]))
+    b = path_track("b", bx, np.zeros(len(bx)))
+    assert kernel_bound(a.points, b.points) == dtw(a, b) == 5.0
+    assert staircase_cost(a.points, b.points) > 10 * 5.0
+    assert_exact_both_ways(a, b)
+
+
+def walks(seed, *lengths):
+    rng = np.random.default_rng(seed)
+    return tuple(random_walk_track(rng, n).points for n in lengths)
+
+
+def dwelling(xs, holds):
+    """Points along the x axis at xs, each repeated holds times."""
+    x = np.repeat(np.asarray(xs, dtype=float), holds)
+    return np.stack((x, np.zeros(len(x))), axis=1)
+
+
+ARC_CASES = {
+    "standing_against_moving": (np.zeros((6, 2)), dwelling(np.linspace(0.0, 9.0, 11), 1)),
+    "both_standing": (np.ones((4, 2)), np.ones((9, 2))),
+    "two_samples_each": (dwelling([0.0, 1.0], 1), dwelling([0.5, 3.0], 1)),
+    "two_against_many": (dwelling([0.0, 5.0], 1), dwelling(np.linspace(0.0, 6.0, 50), 1)),
+    "shorter_first": walks(30, 30, 70),
+    "longer_first": walks(31, 70, 30),
+    "equal_lengths": walks(32, 40, 40),
+    "repeated_points": (dwelling(np.arange(8.0), [1, 4, 1, 1, 6, 1, 2, 3]),
+                        dwelling(np.arange(0.0, 8.0, 0.5), [3, 1, 1, 5, 1, 1, 1, 1, 2, 1, 1, 1,
+                                                            1, 4, 1, 2])),
+}
+
+
+@pytest.mark.parametrize("a, b", ARC_CASES.values(), ids=ARC_CASES.keys())
+def test_arc_length_path_is_a_warp_path_between_the_distance_and_the_bound(a, b):
+    for x, y in ((a, b), (b, a)):
+        i, j = _arc_path(_arc_length(x), _arc_length(y))
+        assert (i[0], j[0], i[-1], j[-1]) == (0, 0, len(x) - 1, len(y) - 1)
+        steps = set(zip(np.diff(i).tolist(), np.diff(j).tolist()))
+        assert steps <= {(1, 0), (0, 1), (1, 1)}, steps
+        want = full_matrix_dtw(x, y)
+        assert path_cost(x, y, i, j) >= want
+        assert want <= kernel_bound(x, y) <= staircase_cost(x, y)
+        assert kernel_bound(x, y) == min(path_cost(x, y, i, j), staircase_cost(x, y))
+        assert _dtw_pairs(x, [y]) == [want]
+
+
+@pytest.mark.parametrize("time_step, bindings", [
+    (0.05, {"v_max": 30.5, "t_cross": 9.2}),
+    (0.065, {"t_cross": 9.2}),
+    (0.065, {"v_max": 30.4, "t_cross": 9.1, "d_start": 16.3}),
+])
+def test_dtw_bound_follows_rerecordings_that_the_staircase_misses(
+        intersection_config, time_step, bindings):
+    # the runs reach the same places at other sample indices, which the index-proportional
+    # staircase pays for all along; pairing by distance travelled does not
+    reference = recording(intersection_config, 0.05).points
+    rerun = recording(intersection_config, time_step, **bindings).points
+    want = full_matrix_dtw(reference, rerun)
+    assert staircase_cost(reference, rerun) >= 2 * want
+    assert kernel_bound(reference, rerun) <= 1.05 * want
+    assert _dtw_pairs(reference, [rerun]) == [want]
 
 
 def test_dtw_identical_recordings_is_zero(intersection_config):
@@ -189,7 +271,7 @@ def test_dtw_exact_when_the_band_outgrows_the_cell_budget():
     for n, m in [(300, 420), (450, 260), (380, 380)]:
         a, b = random_walk_track(rng, n), random_walk_track(rng, m)
         acc = full_matrix_acc(a.points, b.points)
-        rows, cols = np.nonzero(acc <= staircase_cost(a.points, b.points))
+        rows, cols = np.nonzero(acc <= kernel_bound(a.points, b.points))
         widest = np.bincount(rows + cols).max()  # cells at or below UB per anti-diagonal
         # a full-height slab over such a band would exceed the budget, so slabs shrink
         assert widest * _SLAB_DIAGONALS > _SLAB_CELLS, (n, m, widest)
@@ -252,7 +334,7 @@ def test_dtw_batch_with_a_band_past_the_cell_budget_beside_narrow_ones():
     narrow = [path_track("n", a.xs + 0.01, a.ys), path_track("n", a.xs[::2], a.ys[::2])]
     for b, budget_exceeded in [(wide, True), *((b, False) for b in narrow)]:
         acc = full_matrix_acc(a.points, b.points)
-        rows, cols = np.nonzero(acc <= staircase_cost(a.points, b.points))
+        rows, cols = np.nonzero(acc <= kernel_bound(a.points, b.points))
         widest = np.bincount(rows + cols).max()
         assert (widest * _SLAB_DIAGONALS > _SLAB_CELLS) == budget_exceeded, (len(b), widest)
     assert_exact_both_ways(a, narrow[0], wide, narrow[1])
